@@ -98,18 +98,19 @@ def main() -> None:
         _all_perm_scan_workload(),
         _candidate_list_workload(),
     ]
-    print(f"{'workload':58s} {'python':>10s} {'cython':>10s} {'speedup':>8s}")
+    compiled = "compiled" if _kernels is None else _kernels.BACKEND
+    print(f"{'workload':58s} {'python':>10s} {compiled:>10s} {'speedup':>8s}")
     for name, work in workloads:
         py_time, py_result = _time(work, _kernels_py, args.repeat)
         if _kernels is None:
             print(f"{name:58s} {py_time * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
             continue
-        cy_time, cy_result = _time(work, _kernels, args.repeat)
-        if py_result != cy_result:
+        c_time, c_result = _time(work, _kernels, args.repeat)
+        if py_result != c_result:
             raise AssertionError(f"backend mismatch on {name!r}")
         print(
-            f"{name:58s} {py_time * 1e3:9.1f}ms {cy_time * 1e3:9.1f}ms "
-            f"{py_time / cy_time:7.1f}x"
+            f"{name:58s} {py_time * 1e3:9.1f}ms {c_time * 1e3:9.1f}ms "
+            f"{py_time / c_time:7.1f}x"
         )
 
 

@@ -1,20 +1,9 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    # Pure-Python install; superpatterns.kernels falls back automatically.
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [
-            Extension(
-                "superpatterns._kernels",
-                ["src/superpatterns/_kernels.pyx"],
-                optional=True,
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package runs on the pure-Python twin,
+# which superpatterns.kernels selects when the extension does not import.
+setup(
+    ext_modules=[
+        Extension("superpatterns._kernels", ["src/superpatterns/_kernels.c"], optional=True)
+    ]
+)

@@ -1,9 +1,10 @@
 """Pure-Python kernels for the hot inner loops.
 
-This module mirrors the compiled extension ``superpatterns._kernels``;
-``superpatterns.kernels`` selects one of the two at import time.  Both expose
-the same functions with the same semantics, so every caller (and the parity
-tests) can treat them interchangeably.
+This module is the reference for the compiled extension
+``superpatterns._kernels``; ``superpatterns.kernels`` selects one of the two
+at import time.  The extension implements the same functions with the same
+semantics, except ``contains`` and ``permutation_at_rank``, which only this
+module defines; the parity tests compare the two.
 
 Conventions local to the kernels: positions and ranks are 0-based, values in
 one-line notation are 1-based, and candidates within a length are ordered by

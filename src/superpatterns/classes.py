@@ -136,7 +136,7 @@ def class_tuples(
     tag = coerce_tag(tag)
     if tag is ClassTag.LAYERED:
         for profile in layered.enumerate_layered(n):
-            yield layered.realize(profile).values
+            yield layered.realize_values(profile.sizes)
         return
     if n > AV_ENUMERATION_CAP:
         raise CapExceededError(

@@ -1,31 +1,33 @@
 """Kernel backend selection.
 
-Prefers the compiled extension when it importable, otherwise falls back to
-the pure-Python twin.  Set SUPERPATTERN_PURE_PYTHON=1 to force the fallback
-(useful for the parity tests and the benchmark).
+Takes the hot loops from the compiled extension ``superpatterns._kernels``
+when it is importable, and from the pure-Python twin otherwise.
+``permutation_at_rank`` always comes from the twin: the compiled scans unrank
+their own start, and a compiled copy was slower than the pure one.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _kernels_py
 
-if os.environ.get("SUPERPATTERN_PURE_PYTHON"):
+try:
+    from . import _kernels as _impl  # type: ignore[attr-defined]
+except ImportError:
     _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
 
 BACKEND: str = _impl.BACKEND
 
 lex_min_embedding = _impl.lex_min_embedding
-contains = _impl.contains
 greedy_layer_indices = _impl.greedy_layer_indices
 composition_at_rank = _impl.composition_at_rank
-permutation_at_rank = _impl.permutation_at_rank
 scan_layered = _impl.scan_layered
 scan_all_perms = _impl.scan_all_perms
 scan_perm_list = _impl.scan_perm_list
+permutation_at_rank = _kernels_py.permutation_at_rank
+
+
+def contains(pattern, host):
+    """True iff the pattern embeds into the host."""
+    # _impl, not this module's lex_min_embedding: a tracer that wraps both
+    # names would otherwise count each check twice.
+    return _impl.lex_min_embedding(pattern, host) is not None

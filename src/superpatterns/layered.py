@@ -15,7 +15,7 @@ from collections.abc import Iterator
 
 from . import kernels
 from .errors import CapExceededError
-from .perms import Permutation, decreasing, direct_sum
+from .perms import Permutation
 
 ENUMERATION_CAP = 20
 
@@ -58,13 +58,28 @@ def parse_profile(text: str) -> LayerProfile:
     return LayerProfile(tuple(int(tok) for tok in inner.split(",")))
 
 
+def realize_values(sizes: tuple[int, ...]) -> tuple[int, ...]:
+    """One-line values of the layered permutation with the given layer sizes,
+    unvalidated: each layer is a decreasing run above everything before it.
+
+    >>> realize_values((3, 1, 2, 1))
+    (3, 2, 1, 4, 6, 5, 7)
+    """
+    vals: list[int] = []
+    off = 0
+    for s in sizes:
+        vals.extend(range(off + s, off, -1))
+        off += s
+    return tuple(vals)
+
+
 def realize(profile: LayerProfile) -> Permutation:
     """The layered permutation with the given layer sizes.
 
     >>> str(realize(LayerProfile((3, 1, 2, 1))))
     '3 2 1 4 6 5 7'
     """
-    return direct_sum(decreasing(s) for s in profile.sizes)
+    return Permutation(realize_values(profile.sizes))
 
 
 def layer_profile(perm: Permutation) -> LayerProfile | None:

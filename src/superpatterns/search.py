@@ -27,9 +27,9 @@ from concurrent.futures import ProcessPoolExecutor
 from . import kernels
 from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
 from .errors import BudgetExceededError, InternalDefectError
-from .layered import enumerate_layered
+from .layered import enumerate_layered, realize_values
 from .perms import Permutation
-from .universal import verify_universal
+from .universal import _max_decreasing_positions, verify_universal
 
 DEFAULT_BUDGET = 50_000_000
 _SERIAL_CUTOFF = 2048  # below this many candidates a parallel split is noise
@@ -48,23 +48,25 @@ def resolve_budget(budget: int | None) -> int:
     return DEFAULT_BUDGET
 
 
-def _decreasing_run_length(t: tuple[int, ...]) -> int:
-    best = [1] * len(t)
-    out = 0
-    for i in range(len(t)):
-        b = 0
-        for j in range(i):
-            if t[j] > t[i] and best[j] > b:
-                b = best[j]
-        best[i] = b + 1
-        if best[i] > out:
-            out = best[i]
-    return out
+def _check_jobs(jobs: int) -> None:
+    """Reject a worker count outside 1..the CPUs this process may run on,
+    before any pool starts."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ValueError(
+            f"jobs must be between 1 and {cpus} (the CPUs available), got {jobs}"
+        )
 
 
 def _ordered_pattern_tuples(tag: ClassTag, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
-        sorted(class_tuples(tag, n), key=lambda t: (-_decreasing_run_length(t), t))
+        sorted(
+            class_tuples(tag, n),
+            key=lambda t: (-len(_max_decreasing_positions(t)), t),
+        )
     )
 
 
@@ -75,15 +77,6 @@ def _ordered_pattern_profiles(n: int) -> tuple[tuple[int, ...], ...]:
             key=lambda s: (-max(s, default=0), s),
         )
     )
-
-
-def _realize_tuple(parts: tuple[int, ...]) -> tuple[int, ...]:
-    vals: list[int] = []
-    off = 0
-    for s in parts:
-        vals.extend(range(off + s, off, -1))
-        off += s
-    return tuple(vals)
 
 
 def _scan_range(
@@ -111,7 +104,7 @@ def _scan_range(
     while r < hi:
         stop = min(r + _REALIZE_CHUNK, hi)
         chunk = [
-            _realize_tuple(kernels.composition_at_rank(m, rr)) for rr in range(r, stop)
+            realize_values(kernels.composition_at_rank(m, rr)) for rr in range(r, stop)
         ]
         idx, _ = kernels.scan_perm_list(chunk, patterns, 0, len(chunk))
         if idx >= 0:
@@ -151,7 +144,7 @@ def _scan_length(
 
 def _candidate_at(ctag: ClassTag, m: int, rank: int) -> Permutation:
     if ctag is ClassTag.LAYERED:
-        return Permutation(_realize_tuple(kernels.composition_at_rank(m, rank)))
+        return Permutation(realize_values(kernels.composition_at_rank(m, rank)))
     if ctag is ClassTag.ALL:
         return Permutation(kernels.permutation_at_rank(m, rank))
     candidates = list(class_tuples(ctag, m))
@@ -194,6 +187,9 @@ def minimal_superpattern(
     length-n member of the pattern class, with the lexicographically first
     witness at that length and full enumeration counts below it."""
     t0 = time.perf_counter()
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    _check_jobs(jobs)
     ptag = coerce_tag(pattern_class)
     ctag = coerce_tag(candidate_class)
     budget_limit = resolve_budget(budget)

@@ -248,7 +248,7 @@ def _max_decreasing_positions(values: tuple[int, ...]) -> tuple[int, ...]:
             if values[j] < vi and chain[j] > best:
                 best = chain[j]
         chain[i] = best + 1
-    target = max(chain)
+    target = max(chain, default=0)
     positions = []
     need = target
     prev_pos = -1

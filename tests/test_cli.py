@@ -1,4 +1,5 @@
 import json
+import os
 
 from superpatterns import parse
 from superpatterns.cli import run
@@ -78,6 +79,16 @@ class TestErrors:
 
     def test_bad_split(self, capsys):
         assert run(["universal", "build", "3", "--split", "5"]) == 2
+
+    def test_bad_search_inputs(self, capsys):
+        layered = ["--patterns", "layered", "--candidates", "layered"]
+        assert run(["search", "minimal", "-1", *layered]) == 2
+        assert run(["check", "conjecture321", "-1"]) == 2
+        too_many = str(len(os.sched_getaffinity(0)) + 1)
+        for jobs in ("0", "-5", too_many):
+            assert run(["search", "minimal", "3", *layered, "--jobs", jobs]) == 2
+            assert run(["check", "conjecture321", "2", "--jobs", jobs]) == 2
+        assert "jobs must be between 1 and" in capsys.readouterr().err
 
 
 class TestJson:

@@ -2,8 +2,10 @@ import itertools
 import math
 import random
 
+import pytest
+
 from oracles import brute_compositions, brute_lex_min_embedding
-from superpatterns import _kernels_py
+from superpatterns import _kernels_py, kernels
 
 
 class TestEmbedding:
@@ -25,9 +27,14 @@ class TestEmbedding:
             assert backend.lex_min_embedding(pat, host) == brute_lex_min_embedding(
                 pat, host
             )
-            assert backend.contains(pat, host) == (
-                brute_lex_min_embedding(pat, host) is not None
-            )
+
+    def test_contains(self):
+        for host in itertools.permutations(range(1, 6)):
+            for k in range(4):
+                for pat in itertools.permutations(range(1, k + 1)):
+                    expected = brute_lex_min_embedding(pat, host) is not None
+                    assert kernels.contains(pat, host) == expected
+                    assert _kernels_py.contains(pat, host) == expected
 
     def test_long_host(self, backend):
         rng = random.Random(7)
@@ -46,10 +53,12 @@ class TestRanks:
             ]
             assert ranked == brute_compositions(n)
 
-    def test_permutation_at_rank(self, backend):
+    def test_permutation_at_rank(self):
         for m in range(7):
             expected = sorted(itertools.permutations(range(1, m + 1)))
-            got = [backend.permutation_at_rank(m, r) for r in range(math.factorial(m))]
+            got = [
+                _kernels_py.permutation_at_rank(m, r) for r in range(math.factorial(m))
+            ]
             assert got == expected
 
 
@@ -112,3 +121,17 @@ class TestScans:
         assert backend.scan_layered(0, ((),), 0, 1) == (0, 1)
         assert backend.scan_layered(0, ((1,),), 0, 1) == (-1, 1)
         assert backend.scan_all_perms(0, (), 0, 1) == (0, 1)
+
+
+def test_compiled_argument_checks(compiled):
+    # 64-bit composition masks and permutation ranks bound the lengths
+    with pytest.raises(ValueError):
+        compiled.scan_layered(63, ((1,),), 0, 1)
+    with pytest.raises(ValueError):
+        compiled.scan_all_perms(21, ((1,),), 0, 1)
+    with pytest.raises(ValueError):
+        compiled.scan_layered(4, ((1,),), 0, 9)
+    with pytest.raises(OverflowError):
+        compiled.scan_layered(2**31, ((1,),), 0, 1)
+    with pytest.raises(OverflowError):
+        compiled.lex_min_embedding((1,), (2**31,))

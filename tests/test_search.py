@@ -1,11 +1,12 @@
 import json
+import os
 
 import pytest
 
-from conftest import has_compiled_backend
 from superpatterns import (
     check_claims_231,
     check_conjecture_321,
+    kernels,
     minimal_superpattern,
     parse,
     superpattern_length,
@@ -55,6 +56,7 @@ class TestMinimalSuperpattern:
         b = minimal_superpattern(4, "layered", "layered")
         assert _semantic(a) == _semantic(b)
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
     def test_parallel_matches_serial(self):
         # n=6 reaches lengths with >2048 candidates, so workers really spawn
         serial = minimal_superpattern(6, "layered", "layered")
@@ -67,6 +69,8 @@ class TestMinimalSuperpattern:
         report = minimal_superpattern(2, "av231", "layered")
         assert report.min_length == 3
         assert in_class(report.witness, "layered")
+        # n = 0: only the empty pattern, contained in the empty candidate
+        assert minimal_superpattern(0, "av231", "av231").min_length == 0
 
     def test_json_schema(self):
         report = minimal_superpattern(3, "layered", "layered")
@@ -94,6 +98,21 @@ class TestMinimalSuperpattern:
         assert err.lengths_exhausted == ((4, 8), (5, 16))
         assert err.budget == 200
 
+    def test_rejects_bad_inputs(self, monkeypatch):
+        with pytest.raises(ValueError, match="non-negative"):
+            minimal_superpattern(-1, "layered", "layered")
+        with pytest.raises(ValueError, match="non-negative"):
+            check_conjecture_321(-2)
+        for jobs in (0, -5):
+            with pytest.raises(ValueError, match="jobs"):
+                minimal_superpattern(3, "layered", "layered", jobs=jobs)
+        # more workers than CPUs is refused before any pool starts
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(ValueError, match="jobs"):
+            minimal_superpattern(3, "layered", "layered", jobs=2)
+        with pytest.raises(ValueError, match="jobs"):
+            check_conjecture_321(2, jobs=2)
+
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("SUPERPATTERN_BUDGET", "123")
         assert resolve_budget(None) == 123
@@ -118,7 +137,7 @@ class TestClaims231:
             check_claims_231(budget=1000)
 
     @pytest.mark.slow
-    @pytest.mark.skipif(not has_compiled_backend(), reason="needs compiled kernels")
+    @pytest.mark.skipif(kernels.BACKEND == "python", reason="needs the compiled kernel")
     def test_optional_minimality_over_all_candidates(self):
         report = check_claims_231(verify_minimality=True, budget=300_000_000)
         assert report.all_passed
@@ -158,7 +177,7 @@ class TestConjecture321:
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(not has_compiled_backend(), reason="needs compiled kernels")
+@pytest.mark.skipif(kernels.BACKEND == "python", reason="needs the compiled kernel")
 def test_av231_over_av231_candidates_full_search():
     report = minimal_superpattern(5, "av231", "av231")
     assert report.min_length == 12
