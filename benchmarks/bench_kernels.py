@@ -2,9 +2,10 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Times the hot inner loops on representative workloads: backtracking
-containment, the composition scan behind the layered search, the
-permutation scan behind the unrestricted search, and the candidate-list
-scan behind the av-class runs.  Run after an in-place build:
+containment, two composition scans behind the layered search (n = 7 and
+n = 9 patterns), the permutation scan behind the unrestricted search, and
+the candidate-list scan behind the av-class runs.  Each result is checked
+to agree between the backends.  Run after an in-place build:
 
     python3 benchmarks/bench_kernels.py [--repeat 3]
 """
@@ -58,6 +59,17 @@ def _layered_scan_workload():
     return "layered nonexistence scan (2^15 candidates, n=7 patterns)", work
 
 
+def _layered_proof_scan_workload():
+    # length 24 < a(9) = 25: the longest nonexistence scan of the n = 9
+    # proof, where pruning whole blocks of ranks matters most
+    patterns = _ordered_pattern_profiles(9)
+
+    def work(mod):
+        return mod.scan_layered(24, patterns, 0, 1 << 23)
+
+    return "layered nonexistence scan (2^23 candidates, n=9 patterns)", work
+
+
 def _all_perm_scan_workload():
     patterns = _ordered_pattern_tuples(ClassTag.AV321, 4)
 
@@ -95,6 +107,7 @@ def main() -> None:
     workloads = [
         _containment_workload(),
         _layered_scan_workload(),
+        _layered_proof_scan_workload(),
         _all_perm_scan_workload(),
         _candidate_list_workload(),
     ]

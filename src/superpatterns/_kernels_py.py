@@ -143,50 +143,94 @@ def _next_permutation(a):
     return True
 
 
-def _greedy_fits(pattern_sizes, parts):
-    j = 0
-    nh = len(parts)
-    for s in pattern_sizes:
-        while j < nh and parts[j] < s:
-            j += 1
-        if j == nh:
-            return False
-        j += 1
-    return True
-
-
 def scan_layered(m, pattern_profiles, rank_lo, rank_hi):
     """Scan compositions of m by rank for one whose layered permutation
     contains every pattern profile (greedy layer matching).
 
-    Returns (witness_rank, scanned); witness_rank is -1 when the range is
-    exhausted, in which case scanned == rank_hi - rank_lo.
+    Returns (witness_rank, scanned): the smallest rank in [rank_lo, rank_hi)
+    whose composition fits every profile, or -1 when there is none, in which
+    case scanned == rank_hi - rank_lo.
+
+    The search is depth first over composition prefixes, smallest next part
+    first, so prefixes are visited in rank order.  Each pattern keeps a
+    greedy pointer to its first unmatched layer; a host part p matches that
+    layer when it is at least as large.  A prefix is pruned as soon as some
+    pattern's unmatched layer sizes add up to more than the positions left:
+    each of those layers needs its own later host layer at least as large.
+    A prefix with r > 0 positions left stands for exactly 2^(r-1)
+    compositions, a contiguous block of ranks, so a pruned prefix accounts
+    for its whole block, and blocks outside [rank_lo, rank_hi) are skipped
+    or clipped.  The first leaf reached is the lex-first witness, and the
+    counts equal those of a flat scan of every rank.
+
+    Profile parts must be >= 1 (ValueError otherwise): a part 0 would match
+    without using a host position, which the pruning bound does not allow
+    for.
     """
-    if m == 0:
-        ok = all(len(p) == 0 for p in pattern_profiles)
-        if rank_lo == 0 and rank_hi > 0 and ok:
-            return (0, 1)
+    # Each pattern's states run from its first layer unmatched to all
+    # matched; heads[g] is the size of the next layer to match (m + 1, which
+    # no part reaches, once all are matched) and needs[g] the sum of the
+    # unmatched sizes.  Pointers are indices into these lists.
+    heads = []
+    needs = []
+    root = []
+    for profile in pattern_profiles:
+        smallest = min(profile, default=1)
+        if smallest < 1:
+            raise ValueError(f"profile parts must be >= 1, got {smallest}")
+        root.append(len(heads))
+        need = sum(profile)
+        for s in profile:
+            heads.append(s)
+            needs.append(need)
+            need -= s
+        heads.append(m + 1)
+        needs.append(0)
+    if rank_lo >= rank_hi or max(map(needs.__getitem__, root), default=0) > m:
         return (-1, rank_hi - rank_lo)
-    full = (1 << (m - 1)) - 1
-    for r in range(rank_lo, rank_hi):
-        mask = full - r
-        parts = []
-        cur = 1
-        for i in range(m - 1):
-            if (mask >> (m - 2 - i)) & 1:
-                parts.append(cur)
-                cur = 1
-            else:
-                cur += 1
-        parts.append(cur)
-        ok = True
-        for pat in pattern_profiles:
-            if not _greedy_fits(pat, parts):
-                ok = False
-                break
-        if ok:
-            return (r, r - rank_lo + 1)
-    return (-1, rank_hi - rank_lo)
+    if m == 0:
+        return (0, 1) if rank_lo == 0 else (-1, rank_hi - rank_lo)
+    # moves[p][g]: the state after a host part p; after[p][g]: its need
+    moves = [None] * (m + 1)
+    after = [None] * (m + 1)
+    for p in range(1, m + 1):
+        moves[p] = [g + (h <= p) for g, h in enumerate(heads)]
+        after[p] = [needs[g] for g in moves[p]]
+    # block[r]: the compositions of r; pointers[r]: the pattern states at the
+    # prefix on the current path with r positions left
+    block = [1] + [1 << (r - 1) for r in range(1, m + 1)]
+    pointers = [list(root) for _ in range(m + 1)]
+    found = _first_fit(m, 0, (moves, after, block, pointers), rank_lo, rank_hi)
+    return (found, found - rank_lo + 1) if found >= 0 else (-1, rank_hi - rank_lo)
+
+
+def _first_fit(r, base, tables, rank_lo, rank_hi):
+    """The first rank in [rank_lo, rank_hi) among the compositions extending
+    the prefix in pointers[r] (r > 0 positions left, first rank base) that
+    fit every pattern, or -1.  Child p covers the next block[r - p] ranks.
+
+    A module-level function, not a closure in scan_layered: a recursive
+    closure is a reference cycle that keeps the tables alive until the cycle
+    collector runs."""
+    moves, after, block, pointers = tables
+    state = pointers[r]
+    first = base
+    for p in range(1, r + 1):
+        rest = r - p
+        if first >= rank_hi:
+            return -1
+        # prune unless every pattern still fits in the rest positions
+        if first + block[rest] > rank_lo and not any(
+            map(rest.__lt__, map(after[p].__getitem__, state))
+        ):
+            if rest == 0:
+                return first
+            pointers[rest][:] = map(moves[p].__getitem__, state)
+            found = _first_fit(rest, first, tables, rank_lo, rank_hi)
+            if found >= 0:
+                return found
+        first += block[rest]
+    return -1
 
 
 def scan_all_perms(m, patterns, rank_lo, rank_hi):

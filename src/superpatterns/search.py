@@ -1,16 +1,20 @@
 """Exhaustive search for minimal universal permutations.
 
-Candidates are scanned length by length, each length fully enumerated in
+Candidates are scanned length by length, each length exhausted in
 lexicographic order, so a returned minimum comes with complete nonexistence
-counts for every shorter length.  A single node budget (candidates times
-patterns, estimated a priori per length) gates every run; exceeding it
-raises instead of truncating, because the nonexistence half of the result
-is only meaningful when enumeration is complete.
+counts for every shorter length.  Layered candidates are searched by
+composition prefix (kernels.scan_layered): a prefix that some pattern can
+no longer fit into is pruned, and it stands for an exact, contiguous block
+of ranks, so the counts are those of visiting every candidate.  A single
+node budget (candidates times patterns, estimated a priori per length)
+gates every run; exceeding it raises instead of truncating, because the
+nonexistence half of the result is only meaningful when enumeration is
+complete.
 
-Within a candidate, patterns are checked in a fixed order that fails fast
-(longest decreasing pattern first: a universal candidate must devote an
-entire decreasing run of length n to it, which most candidates lack).  The
-order never changes results, only speed.
+Patterns are checked in a fixed order that fails fast (longest decreasing
+pattern first: a universal candidate must devote an entire decreasing run
+of length n to it, which most candidates and prefixes lack).  The order
+never changes results, only speed.
 
 Parallel runs partition each length into contiguous rank ranges and reduce
 to the smallest witness rank, so serial and parallel reports are identical.

@@ -5,6 +5,7 @@ containment by scanning all subsequences, maximum decreasing subsequences by
 scanning all combinations, recurrence minima by full scans.
 """
 
+import functools
 import itertools
 import math
 
@@ -84,3 +85,30 @@ def brute_split_min(values, n):
 
 def catalan_ref(n):
     return math.comb(2 * n, n) // (n + 1)
+
+
+def layered_values(sizes):
+    """The layered permutation with these layer sizes: decreasing blocks of
+    consecutive values, each block above the ones before it."""
+    values = []
+    top = 0
+    for size in sizes:
+        values.extend(range(top + size, top, -1))
+        top += size
+    return tuple(values)
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_layered_contains(pattern_sizes, host_sizes):
+    return brute_contains(layered_values(pattern_sizes), layered_values(host_sizes))
+
+
+def brute_scan_layered(m, profiles, lo, hi):
+    """The scan_layered contract by a flat scan: the first rank in [lo, hi)
+    of the lex-ordered compositions of m whose layered permutation contains
+    every profile's, by brute containment, as (rank, scanned)."""
+    profiles = [tuple(p) for p in profiles]
+    for rank, host in enumerate(brute_compositions(m)[lo:hi], start=lo):
+        if all(_brute_layered_contains(p, host) for p in profiles):
+            return (rank, rank - lo + 1)
+    return (-1, hi - lo)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import brute_compositions, brute_lex_min_embedding
+from oracles import brute_compositions, brute_lex_min_embedding, brute_scan_layered
 from superpatterns import _kernels_py, kernels
 
 
@@ -75,23 +75,37 @@ class TestGreedy:
 
 class TestScans:
     def test_scan_layered_parity(self, backend):
-        patterns = tuple(brute_compositions(3))
-        for m in range(3, 9):
-            total = 2 ** (m - 1)
-            assert backend.scan_layered(m, patterns, 0, total) == (
-                _kernels_py.scan_layered(m, patterns, 0, total)
-            )
-            # sub-ranges behave like slices of the full scan
-            mid = total // 2
-            lo_half = backend.scan_layered(m, patterns, 0, mid)
-            hi_half = backend.scan_layered(m, patterns, mid, total)
-            full = backend.scan_layered(m, patterns, 0, total)
-            if full[0] == -1:
-                assert lo_half[0] == -1 and hi_half[0] == -1
-            elif full[0] < mid:
-                assert lo_half[0] == full[0]
-            else:
-                assert lo_half[0] == -1 and hi_half[0] == full[0]
+        # the oracle is a flat scan with brute containment, so it checks the
+        # prefix search's pruning, block counting and clipping independently
+        rng = random.Random(20261018)
+        for m in range(13):
+            total = 2 ** (m - 1) if m else 1
+            # every profile of n <= 5 (a(5) = 11); at m = 12 the n = 5 set
+            # alone would double the oracle's time
+            top = min(m, 5 if m < 12 else 4)
+            pattern_sets = [tuple(brute_compositions(n)) for n in range(top + 1)]
+            for _ in range(5):
+                pool = brute_compositions(rng.randint(1, 6))
+                size = min(len(pool), rng.randint(1, 4))
+                pattern_sets.append(tuple(rng.sample(pool, size)))
+            for patterns in pattern_sets:
+                start = rng.randint(0, total)
+                ranges = [(0, total), (start, rng.randint(start, total)), (start, start)]
+                for lo, hi in ranges:
+                    assert backend.scan_layered(m, patterns, lo, hi) == (
+                        brute_scan_layered(m, patterns, lo, hi)
+                    ), (m, patterns, lo, hi)
+                # the two halves of a --jobs 2 split reduce to the full scan
+                mid = total // 2
+                full = backend.scan_layered(m, patterns, 0, total)
+                lo_half = backend.scan_layered(m, patterns, 0, mid)
+                hi_half = backend.scan_layered(m, patterns, mid, total)
+                if full[0] == -1:
+                    assert lo_half[0] == -1 and hi_half[0] == -1
+                elif full[0] < mid:
+                    assert lo_half[0] == full[0]
+                else:
+                    assert lo_half[0] == -1 and hi_half[0] == full[0]
 
     def test_scan_all_perms_parity(self, backend):
         patterns = ((1, 2), (2, 1))
@@ -117,6 +131,12 @@ class TestScans:
         rank, scanned = backend.scan_layered(4, patterns, 0, 8)
         assert (rank, scanned) == (-1, 8)
 
+    def test_scan_layered_rejects_nonpositive_parts(self):
+        # a part 0 would match without using a host position
+        for profiles in (((1, 0),), ((2,), (-1,))):
+            with pytest.raises(ValueError):
+                _kernels_py.scan_layered(1, profiles, 0, 1)
+
     def test_empty_length_zero(self, backend):
         assert backend.scan_layered(0, ((),), 0, 1) == (0, 1)
         assert backend.scan_layered(0, ((1,),), 0, 1) == (-1, 1)
@@ -131,6 +151,8 @@ def test_compiled_argument_checks(compiled):
         compiled.scan_all_perms(21, ((1,),), 0, 1)
     with pytest.raises(ValueError):
         compiled.scan_layered(4, ((1,),), 0, 9)
+    with pytest.raises(ValueError):
+        compiled.scan_layered(1, ((1, 0),), 0, 1)
     with pytest.raises(OverflowError):
         compiled.scan_layered(2**31, ((1,),), 0, 1)
     with pytest.raises(OverflowError):

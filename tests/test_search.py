@@ -10,6 +10,7 @@ from superpatterns import (
     minimal_superpattern,
     parse,
     superpattern_length,
+    superpattern_length_closed,
     verify_universal,
 )
 from superpatterns.classes import ClassTag, class_count, in_class
@@ -184,3 +185,15 @@ def test_av231_over_av231_candidates_full_search():
     assert (11, 58786) in report.lengths_exhausted
     assert in_class(report.witness, "av231")
     assert verify_universal(report.witness, 5, "av231").ok
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(kernels.BACKEND == "python", reason="needs the compiled kernel")
+@pytest.mark.parametrize("n", [9, 10])
+def test_layered_minimality_by_enumeration(n):
+    # beyond the acceptance suite's n <= 8: every shorter length exhausted
+    report = minimal_superpattern(n, "layered", "layered", budget=10**12)
+    assert report.min_length == superpattern_length(n) == superpattern_length_closed(n)
+    assert [m for m, _ in report.lengths_exhausted] == list(range(n, report.min_length))
+    assert all(count == 2 ** (m - 1) for m, count in report.lengths_exhausted)
+    assert verify_universal(report.witness, n, "layered").ok
