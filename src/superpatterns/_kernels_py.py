@@ -20,52 +20,142 @@ import math
 BACKEND = "python"
 
 
-def lex_min_embedding(pattern, host):
-    """Positions (0-based) of the lexicographically smallest embedding.
+# Backtracks after which a containment search also checks its shallow
+# prefixes gap by gap, and how many entries such a prefix may have.  Most
+# queries never backtrack that often and never pay for the check.
+_GAP_CHECK_AFTER = 20
+_GAP_CHECK_DEPTH = 2
 
-    Depth-first matching of pattern entries left to right over host
-    positions, pruning by remaining-length feasibility and by the value
-    window implied by already-matched entries.  Trying positions in
-    increasing order makes the first complete match the lexicographically
-    smallest one.  Returns None when the pattern does not embed.
-    """
+
+def _windows(pattern):
+    """windows[i][j - i] = (a, b) for j >= i: the entries of pattern[:i]
+    nearest below and above pattern[j] in value, with k and k + 1 standing
+    for the sentinels 0 and the host's top value (k = len(pattern))."""
+    k = len(pattern)
+    windows = [[] for _ in range(k + 1)]
+    for j, v in enumerate(pattern):
+        a, b = k, k + 1
+        for i in range(j + 1):
+            windows[i].append((a, b))
+            w = pattern[i]
+            if w < v:
+                if a == k or w > pattern[a]:
+                    a = i
+            elif b == k + 1 or w < pattern[b]:
+                b = i
+    return windows
+
+
+def _gaps(pattern, windows):
+    """gaps[i] for the prefixes pattern[:i + 1] of up to _GAP_CHECK_DEPTH
+    entries: (a, b, sub, sub_windows) for each value gap of the prefix, between
+    its entries a and b, that holds two or more later entries; sub is the
+    pattern those entries form in the gap."""
+    gaps = []
+    for i in range(min(_GAP_CHECK_DEPTH, len(pattern))):
+        members = {}
+        for j, window in enumerate(windows[i + 1], start=i + 1):
+            members.setdefault(window, []).append(pattern[j])
+        gaps.append([(a, b, tuple(sub), _windows(sub))
+                     for (a, b), sub in members.items() if len(sub) >= 2])
+    return gaps
+
+
+def _gaps_fit(host, vals, pos, p, gaps):
+    """Whether, for every gap, the host entries after position p with values
+    in the gap contain the pattern of the later entries in that gap."""
+    for a, b, sub, sub_windows in gaps:
+        lo = vals[pos[a]]
+        hi = vals[pos[b]]
+        inside = [v - lo for v in host[p + 1:] if lo < v < hi]
+        if _embed(inside, sub, sub_windows, hi - lo) is None:
+            return False
+    return True
+
+
+def _embed(host, pattern, windows, top=None):
+    """lex_min_embedding, given the pattern's _windows; host values lie
+    strictly between 0 and top (default len(host) + 1)."""
     k = len(pattern)
     m = len(host)
     if k == 0:
         return ()
     if k > m:
         return None
-    pos = [0] * k
+    vals = (*host, 0, m + 1 if top is None else top)
+    pos = [0] * k + [m, m + 1]  # the sentinels' positions in vals
+    gaps = None
+    backtracks = 0
     i = 0
     start = 0
     while True:
-        # Value window for pattern[i] given the matched prefix.
-        lo = 0
-        hi = m + 1
-        for j in range(i):
-            v = host[pos[j]]
-            if pattern[j] < pattern[i]:
-                if v > lo:
-                    lo = v
-            elif v < hi:
-                hi = v
-        limit = m - (k - i - 1)  # leave room for the unmatched suffix
+        a, b = windows[i][0]
+        lo = vals[pos[a]]
+        hi = vals[pos[b]]
+        later = windows[i + 1]
         found = -1
-        for p in range(start, limit):
-            if lo < host[p] < hi:
-                found = p
-                break
+        for p in range(start, m - (k - i - 1)):
+            if lo < vals[p] < hi:
+                # Place every later entry at the first free position in its
+                # window given pattern[:i + 1] alone; if that greedy pass
+                # runs out of host, no completion of this prefix exists.
+                pos[i] = p
+                q = p + 1
+                for c, d in later:
+                    lo2 = vals[pos[c]]
+                    hi2 = vals[pos[d]]
+                    while q < m and not lo2 < vals[q] < hi2:
+                        q += 1
+                    if q == m:
+                        break
+                    q += 1
+                else:
+                    if gaps is not None and i < len(gaps) and not _gaps_fit(
+                            host, vals, pos, p, gaps[i]):
+                        continue
+                    found = p
+                    break
         if found >= 0:
-            pos[i] = found
             i += 1
             if i == k:
-                return tuple(pos)
+                return tuple(pos[:k])
             start = found + 1
         else:
             i -= 1
             if i < 0:
                 return None
             start = pos[i] + 1
+            backtracks += 1
+            if gaps is None and backtracks > _GAP_CHECK_AFTER:
+                gaps = _gaps(pattern, windows)
+                # The shallow prefixes already placed were never checked;
+                # resume at the first of them that fails.
+                for d in range(min(i, len(gaps))):
+                    if not _gaps_fit(host, vals, pos, pos[d], gaps[d]):
+                        i = d
+                        start = pos[d] + 1
+                        break
+
+
+def lex_min_embedding(pattern, host):
+    """Positions (0-based) of the lexicographically smallest embedding.
+
+    Depth-first matching of pattern entries left to right over host
+    positions, pruning by the value window implied by already-matched
+    entries.  A candidate position is kept only if the later entries can
+    still be placed in order, each at the first free position in the window
+    the matched entries alone give it; this relaxation ignores the order
+    among the later entries, so it never prunes a real embedding.  A search
+    that still backtracks _GAP_CHECK_AFTER times is mostly refuting a doomed
+    first or second entry, so from then on a prefix of up to
+    _GAP_CHECK_DEPTH entries is kept only if, in each of its value gaps, the
+    later entries there embed by themselves in the host entries after it
+    with values in the gap.  Both checks cut work whose amount varied widely
+    between random queries of the same size.  Trying positions in increasing
+    order makes the first complete match the lexicographically smallest one.
+    Returns None when the pattern does not embed.
+    """
+    return _embed(host, pattern, _windows(pattern))
 
 
 def contains(pattern, host):
@@ -242,13 +332,14 @@ def scan_all_perms(m, patterns, rank_lo, rank_hi):
         if rank_lo == 0 and rank_hi > 0 and ok:
             return (0, 1)
         return (-1, rank_hi - rank_lo)
+    shapes = [(pat, _windows(pat)) for pat in patterns]
     perm = list(permutation_at_rank(m, rank_lo))
     r = rank_lo
     while r < rank_hi:
         t = tuple(perm)
         ok = True
-        for pat in patterns:
-            if lex_min_embedding(pat, t) is None:
+        for pat, windows in shapes:
+            if _embed(t, pat, windows) is None:
                 ok = False
                 break
         if ok:
@@ -264,11 +355,12 @@ def scan_perm_list(candidates, patterns, lo, hi):
     pattern.  Same return contract as scan_layered, with list indices in
     place of ranks.
     """
+    shapes = [(pat, _windows(pat)) for pat in patterns]
     for idx in range(lo, hi):
         cand = candidates[idx]
         ok = True
-        for pat in patterns:
-            if lex_min_embedding(pat, cand) is None:
+        for pat, windows in shapes:
+            if _embed(cand, pat, windows) is None:
                 ok = False
                 break
         if ok:

@@ -4,7 +4,9 @@ A layered permutation is a sum of decreasing blocks (layers); it is uniquely
 described by its layer-size profile, an ordered composition of its length.
 Layered permutations of length n therefore correspond to the 2^(n-1)
 compositions of n, which this module enumerates lazily in lexicographic
-order (matching one-line lexicographic order of the realizations).
+order (matching one-line lexicographic order of the realizations).  Whether
+a layered host contains all of them is decided without enumerating them,
+by a per-layer reach table (first_missing_profile).
 """
 
 from __future__ import annotations
@@ -140,6 +142,69 @@ def greedy_layer_indices(
     rule: each pattern layer takes the first remaining host layer big enough.
     None when the pattern does not fit."""
     return kernels.greedy_layer_indices(pattern.sizes, host.sizes)
+
+
+def first_missing_profile(
+    n: int, host: LayerProfile
+) -> tuple[int, LayerProfile | None]:
+    """The lexicographically first length-n profile that does not fit
+    greedily into the host, with the number of profiles up to and including
+    it; (2^(n-1), None), or (1, None) at n = 0, when every profile fits.
+
+    Gives what greedy-matching enumerate_layered(n) in order would, in
+    O(layers * n^2) instead of 2^(n-1) matches.  nxt[s][j] is the first host
+    layer at index >= j of size >= s (len(host) when none is left).
+    reach[j] is the largest t <= n such that every composition of t fits
+    greedily into host layers j, j+1, ...; every composition of t' < t sits
+    inside one of t (grow its last part), so the set of such t is 0..reach[j].
+    A composition (s, *rest) fits from j iff i = nxt[s][j] exists and rest
+    fits from i + 1, so t qualifies iff t <= s + reach[i + 1] for every first
+    part s <= t.  The host is universal iff reach[0] >= n.
+
+    Otherwise the first miss is found by walking first parts s = 1, 2, ...
+    from (j = 0, t = n): when no layer of size >= s is left, every
+    composition starting with the prefix and s misses, and the first of them
+    ends in ones; when reach[i + 1] < t - s the miss lies among the
+    compositions starting with s, so the walk descends into them; otherwise
+    all 2^(t-s-1) of them (1 when s = t) fit and are counted.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    sizes = host.sizes
+    layers = len(sizes)
+    nxt = [[layers] * (layers + 1) for _ in range(n + 1)]
+    for s in range(1, n + 1):
+        row = nxt[s]
+        for j in range(layers - 1, -1, -1):
+            row[j] = j if sizes[j] >= s else row[j + 1]
+    reach = [0] * (layers + 1)
+    for j in range(layers - 1, -1, -1):
+        t = 0
+        bound = n
+        while t < n:
+            i = nxt[t + 1][j]
+            if i == layers:
+                break
+            bound = min(bound, t + 1 + reach[i + 1])
+            if bound <= t:
+                break
+            t += 1
+        reach[j] = t
+    if reach[0] >= n:
+        return composition_count(n), None
+    prefix: list[int] = []
+    rank = 0
+    j, t, s = 0, n, 1
+    while True:
+        i = nxt[s][j]
+        if i == layers:
+            return rank + 1, LayerProfile((*prefix, s) + (1,) * (t - s))
+        if reach[i + 1] < t - s:
+            prefix.append(s)
+            j, t, s = i + 1, t - s, 1
+        else:
+            rank += composition_count(t - s)
+            s += 1
 
 
 def layered_contains(pattern: LayerProfile, host: LayerProfile) -> bool:

@@ -18,10 +18,12 @@ never changes results, only speed.
 
 Parallel runs partition each length into contiguous rank ranges and reduce
 to the smallest witness rank, so serial and parallel reports are identical.
+One worker pool serves all the lengths of a search.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -129,9 +131,13 @@ def _scan_length(
     patterns: tuple[tuple[int, ...], ...],
     total: int,
     jobs: int,
+    pool: ProcessPoolExecutor | None,
 ) -> int | None:
-    """Witness rank within length m, or None when the length is exhausted."""
-    if jobs <= 1 or total < _SERIAL_CUTOFF:
+    """Witness rank within length m, or None when the length is exhausted.
+
+    The length is split into jobs rank ranges on the pool when there is one
+    and the length is big enough to be worth it."""
+    if pool is None or total < _SERIAL_CUTOFF:
         rank = _scan_range(ctag, m, mode, patterns, 0, total)
         return rank if rank >= 0 else None
     bounds = [total * i // jobs for i in range(jobs + 1)]
@@ -140,8 +146,7 @@ def _scan_length(
         for i in range(jobs)
         if bounds[i] < bounds[i + 1]
     ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        ranks = list(pool.map(_scan_chunk, args))
+    ranks = list(pool.map(_scan_chunk, args))
     found = [r for r in ranks if r >= 0]
     return min(found) if found else None
 
@@ -207,36 +212,42 @@ def minimal_superpattern(
     exhausted: list[tuple[int, int]] = []
     used = 0
     m = n
-    while True:
-        total = class_count(ctag, m)
-        estimate = total * pattern_count
-        if used + estimate > budget_limit:
-            raise BudgetExceededError(
-                f"scanning length {m} needs ~{used + estimate} nodes, over the "
-                f"budget of {budget_limit}; lengths {n}..{m - 1} were exhausted",
-                lengths_exhausted=exhausted,
-                estimated=used + estimate,
-                budget=budget_limit,
-            )
-        used += estimate
-        rank = _scan_length(ctag, m, mode, patterns, total, jobs)
-        if rank is None:
+    # One worker pool serves every length of the search; it starts at the
+    # first length big enough to split.
+    with contextlib.ExitStack() as stack:
+        pool: ProcessPoolExecutor | None = None
+        while True:
+            total = class_count(ctag, m)
+            estimate = total * pattern_count
+            if used + estimate > budget_limit:
+                raise BudgetExceededError(
+                    f"scanning length {m} needs ~{used + estimate} nodes, over the "
+                    f"budget of {budget_limit}; lengths {n}..{m - 1} were exhausted",
+                    lengths_exhausted=exhausted,
+                    estimated=used + estimate,
+                    budget=budget_limit,
+                )
+            used += estimate
+            if pool is None and jobs > 1 and total >= _SERIAL_CUTOFF:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            rank = _scan_length(ctag, m, mode, patterns, total, jobs, pool)
+            if rank is not None:
+                break
             exhausted.append((m, total))
             m += 1
-            continue
-        witness = _candidate_at(ctag, m, rank)
-        report = SearchReport(
-            n=n,
-            pattern_class=ptag,
-            candidate_class=ctag,
-            min_length=m,
-            witness=witness,
-            candidates_examined=sum(c for _, c in exhausted) + rank + 1,
-            lengths_exhausted=tuple(exhausted),
-            elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
-        )
-        _check_report(report)
-        return report
+    witness = _candidate_at(ctag, m, rank)
+    report = SearchReport(
+        n=n,
+        pattern_class=ptag,
+        candidate_class=ctag,
+        min_length=m,
+        witness=witness,
+        candidates_examined=sum(c for _, c in exhausted) + rank + 1,
+        lengths_exhausted=tuple(exhausted),
+        elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
+    )
+    _check_report(report)
+    return report
 
 
 def _check_report(report: SearchReport) -> None:

@@ -37,6 +37,28 @@ def brute_lex_min_embedding(pattern, host):
     return None
 
 
+def backtrack_lex_min_embedding(pattern, host):
+    """The same answer as brute_lex_min_embedding for hosts too long to scan
+    every combination: plain backtracking over positions in increasing
+    order, each entry checked against every matched one, with no pruning."""
+    k = len(pattern)
+    pos = []
+
+    def extend(start):
+        if len(pos) == k:
+            return True
+        i = len(pos)
+        for p in range(start, len(host)):
+            if all((pattern[j] < pattern[i]) == (host[pos[j]] < host[p]) for j in range(i)):
+                pos.append(p)
+                if extend(p + 1):
+                    return True
+                pos.pop()
+        return False
+
+    return tuple(pos) if extend(0) else None
+
+
 def patterns_contained(host, k):
     """All rank-reduced k-length subsequence patterns of the host."""
     return {rank_reduce(combo) for combo in itertools.combinations(host, k)}
@@ -51,6 +73,20 @@ def brute_max_decreasing_positions(values):
             if all(x > y for x, y in zip(vals, vals[1:])):
                 return combo
     return ()
+
+
+def dp_max_decreasing_positions(values):
+    """The same answer as brute_max_decreasing_positions in polynomial time,
+    for inputs too long to scan every combination: best[i] is the
+    lex-smallest longest decreasing run starting at i, built from the
+    lex-smallest of the best runs it can continue with."""
+    best = [()] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        tails = [best[j] for j in range(i + 1, len(values)) if values[j] < values[i]]
+        longest = max(map(len, tails), default=0)
+        best[i] = (i,) + min((t for t in tails if len(t) == longest), default=())
+    longest = max(map(len, best), default=0)
+    return min((b for b in best if len(b) == longest), default=())
 
 
 def brute_compositions(n):
@@ -112,3 +148,34 @@ def brute_scan_layered(m, profiles, lo, hi):
         if all(_brute_layered_contains(p, host) for p in profiles):
             return (rank, rank - lo + 1)
     return (-1, hi - lo)
+
+
+def layered_fits(pattern_sizes, host_sizes):
+    """Layered containment on profiles by trying every placement of the
+    pattern's layers into strictly later host layers at least as large (a
+    decreasing block lies inside one host layer), memoised on the pair of
+    layer indices: exhaustive, not greedy."""
+
+    @functools.lru_cache(maxsize=None)
+    def fits(p, h):
+        if p == len(pattern_sizes):
+            return True
+        return any(
+            host_sizes[j] >= pattern_sizes[p] and fits(p + 1, j + 1)
+            for j in range(h, len(host_sizes))
+        )
+
+    return fits(0, 0)
+
+
+def brute_first_missing_layered(n, host_sizes, contains=None):
+    """Layered universality by enumeration: walk the compositions of n in
+    lexicographic order and return (patterns checked, the first one the host
+    does not contain, or None).  Containment is brute_contains on the
+    realizations unless another predicate on (pattern, host) sizes is given."""
+    contains = contains or _brute_layered_contains
+    compositions = brute_compositions(n)
+    for checked, sizes in enumerate(compositions, start=1):
+        if not contains(sizes, tuple(host_sizes)):
+            return checked, sizes
+    return len(compositions), None

@@ -77,6 +77,10 @@ class TestErrors:
         )
         assert code == 2
 
+    def test_negative_verify_length(self, capsys):
+        assert run(["universal", "verify", "1 2", "-1", "--class", "layered"]) == 2
+        assert "n must be non-negative" in capsys.readouterr().err
+
     def test_bad_split(self, capsys):
         assert run(["universal", "build", "3", "--split", "5"]) == 2
 

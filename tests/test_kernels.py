@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from oracles import brute_compositions, brute_lex_min_embedding, brute_scan_layered
+from oracles import (
+    backtrack_lex_min_embedding,
+    brute_compositions,
+    brute_lex_min_embedding,
+    brute_scan_layered,
+)
 from superpatterns import _kernels_py, kernels
 
 
@@ -35,6 +40,38 @@ class TestEmbedding:
                     expected = brute_lex_min_embedding(pat, host) is not None
                     assert kernels.contains(pat, host) == expected
                     assert _kernels_py.contains(pat, host) == expected
+
+    def test_gap_check_from_the_start(self, monkeypatch):
+        """With the gap check on from the first backtrack, every query takes
+        the checked path."""
+        monkeypatch.setattr(_kernels_py, "_GAP_CHECK_AFTER", 0)
+        rng = random.Random(20261018)
+        for _ in range(400):
+            m = rng.randint(1, 11)
+            k = rng.randint(0, min(m, 6))
+            host = tuple(rng.sample(range(1, m + 1), m))
+            pat = tuple(rng.sample(range(1, k + 1), k))
+            assert _kernels_py.lex_min_embedding(pat, host) == brute_lex_min_embedding(
+                pat, host
+            )
+
+    def test_long_patterns_in_long_hosts(self, monkeypatch):
+        """Length-7 patterns in hosts of 20-60 entries, the sizes where the
+        search backtracks enough to switch the gap check on."""
+        switched = []
+        gaps = _kernels_py._gaps
+        monkeypatch.setattr(
+            _kernels_py, "_gaps", lambda *args: switched.append(1) or gaps(*args)
+        )
+        rng = random.Random(11)
+        for _ in range(150):
+            m = rng.randint(20, 60)
+            host = tuple(rng.sample(range(1, m + 1), m))
+            pat = tuple(rng.sample(range(1, 8), 7))
+            assert _kernels_py.lex_min_embedding(pat, host) == backtrack_lex_min_embedding(
+                pat, host
+            )
+        assert switched
 
     def test_long_host(self, backend):
         rng = random.Random(7)

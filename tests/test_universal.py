@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import numpy as np
@@ -8,11 +9,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_contains,
+    brute_first_missing_layered,
     brute_max_decreasing_positions,
     brute_split_min,
+    dp_max_decreasing_positions,
+    layered_fits,
     patterns_contained,
 )
 from superpatterns import (
+    LayerProfile,
     LengthTable,
     Permutation,
     build_universal,
@@ -144,6 +149,67 @@ class TestVerifyUniversal:
         with pytest.raises(CapExceededError):
             verify_universal(parse("1"), 9, "av231")
 
+    @pytest.mark.parametrize("class_name", ["layered", "av231", "av321", "all"])
+    def test_negative_n_rejected(self, class_name):
+        for perm in (parse("1"), parse("2 4 1 3"), Permutation(())):
+            with pytest.raises(ValueError, match="n must be non-negative"):
+                verify_universal(perm, -1, class_name)
+
+
+def _random_sizes(rng, total):
+    if total == 0:
+        return ()
+    cuts = sorted(rng.sample(range(1, total), rng.randint(0, total - 1)))
+    bounds = [0, *cuts, total]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def _check_layered_report(sizes, n, contains=None):
+    """verify_universal on the layered host with these layer sizes gives the
+    ordered enumeration's ok, first miss and patterns checked."""
+    report = verify_universal(realize(LayerProfile(sizes)), n, "layered")
+    checked, missing = brute_first_missing_layered(n, sizes, contains)
+    assert report.ok == (missing is None), (sizes, n)
+    assert report.missing == (None if missing is None else realize(LayerProfile(missing)))
+    assert report.patterns_checked == checked, (sizes, n)
+
+
+class TestLayeredReachTable:
+    def test_random_hosts(self):
+        rng = random.Random(20261018)
+        for n in range(9):
+            # The empty host, one shorter than n, and for n <= 5 (n-1)*n,
+            # which holds every composition of n but the last, (n).
+            hosts = [(), (1,) * max(n - 1, 0)]
+            if 2 <= n <= 5:
+                hosts.append((n - 1,) * n)
+            hosts += [_random_sizes(rng, rng.randint(0, 13)) for _ in range(12)]
+            for sizes in hosts:
+                _check_layered_report(sizes, n)
+            # Hosts with n or more layers mostly miss late; they are too long
+            # for brute containment, so the oracle places profiles instead.
+            for _ in range(12):
+                layers = rng.randint(n, n + 4)
+                sizes = tuple(rng.randint(1, max(n, 1)) for _ in range(layers))
+                _check_layered_report(sizes, n, layered_fits)
+
+    def test_miss_at_the_last_pattern(self):
+        for n in range(2, 15):
+            report = verify_universal(realize(LayerProfile((n - 1,) * n)), n, "layered")
+            assert report.missing == decreasing(n)
+            assert report.patterns_checked == 2 ** (n - 1)
+
+    def test_construction_whole_and_one_layer_shrunk(self):
+        # Brute containment on the realizations costs too much beyond U(5)
+        # (length 11); above it the oracle places profiles exhaustively.
+        for n in range(15):
+            contains = None if n <= 5 else layered_fits
+            sizes = layer_profile(build_universal(n)).sizes
+            _check_layered_report(sizes, n, contains)
+            for i, size in enumerate(sizes):
+                shrunk = sizes[:i] + ((size - 1,) if size > 1 else ()) + sizes[i + 1 :]
+                _check_layered_report(shrunk, n, contains)
+
 
 class TestMaxDecreasing:
     def test_examples(self):
@@ -161,6 +227,24 @@ class TestMaxDecreasing:
             for values in itertools.permutations(range(1, m + 1)):
                 got = max_decreasing_subsequence(Permutation(values))
                 expected = brute_max_decreasing_positions(values)
+                assert tuple(got) == tuple(p + 1 for p in expected)
+
+    def test_oracle_random_at_layerize_sizes(self):
+        # Scanning every combination is only affordable for short inputs; the
+        # quadratic oracle, checked against it there, covers layerize's sizes.
+        rng = random.Random(300)
+        for m in (8, 10, 12):
+            for _ in range(20):
+                values = tuple(rng.sample(range(1, m + 1), m))
+                expected = brute_max_decreasing_positions(values)
+                assert dp_max_decreasing_positions(values) == expected
+                got = max_decreasing_subsequence(Permutation(values))
+                assert tuple(got) == tuple(p + 1 for p in expected)
+        for m in (20, 50, 120, 200, 300):
+            for _ in range(3):
+                values = tuple(rng.sample(range(1, m + 1), m))
+                got = max_decreasing_subsequence(Permutation(values))
+                expected = dp_max_decreasing_positions(values)
                 assert tuple(got) == tuple(p + 1 for p in expected)
 
     def test_result_is_decreasing(self):
