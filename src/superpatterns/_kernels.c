@@ -384,9 +384,12 @@ static long long prefixes_search(const Prefixes *s, int r, long long base)
     return -1;
 }
 
-/* Depth-first over composition prefixes, as in _kernels_py.scan_layered:
-   a prefix that some pattern no longer fits into is pruned together with
-   its whole block of ranks, so the result equals a flat scan of [lo, hi). */
+/* Depth-first over composition prefixes, with one greedy pointer per
+   pattern: a prefix that some pattern no longer fits into is pruned
+   together with its whole block of ranks, so the result equals a flat scan
+   of [lo, hi).  Only the contract is shared with _kernels_py.scan_layered,
+   which searches over sets of distinct pattern suffixes with a table of
+   dead states instead. */
 static PyObject *scan_layered(PyObject *self, PyObject *args)
 {
     int m;

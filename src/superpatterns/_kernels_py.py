@@ -16,6 +16,7 @@ convention.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 BACKEND = "python"
 
@@ -183,13 +184,28 @@ def greedy_layer_indices(pattern_sizes, host_sizes):
     return tuple(out)
 
 
+def _composition_count(m):
+    if m < 0:
+        raise ValueError(f"length {m} is negative")
+    return 1 << (m - 1) if m else 1
+
+
+def _check_ranks(lo, hi, count):
+    """ValueError unless [lo, hi) is a range of ranks in [0, count)."""
+    if not 0 <= lo <= hi <= count:
+        raise ValueError(f"ranks [{lo}, {hi}) are outside [0, {count})")
+
+
 def composition_at_rank(m, rank):
     """The rank-th composition of m, compositions ordered lexicographically.
 
     Compositions of m correspond to cut sets of {1..m-1}; reading the cut
     bits most-significant-first, lexicographic order of compositions is
-    descending order of the bit value, hence the complement below.
+    descending order of the bit value, hence the complement below.  A rank
+    outside [0, 2^(m-1)) (0 alone for m = 0) raises ValueError.
     """
+    if not 0 <= rank < _composition_count(m):
+        raise ValueError(f"rank {rank} out of range for m={m}")
     if m == 0:
         return ()
     mask = ((1 << (m - 1)) - 1) - rank
@@ -239,94 +255,137 @@ def scan_layered(m, pattern_profiles, rank_lo, rank_hi):
 
     Returns (witness_rank, scanned): the smallest rank in [rank_lo, rank_hi)
     whose composition fits every profile, or -1 when there is none, in which
-    case scanned == rank_hi - rank_lo.
+    case scanned == rank_hi - rank_lo.  The ranks must satisfy
+    0 <= rank_lo <= rank_hi <= 2^(m-1) (1 for m = 0), else ValueError.
 
     The search is depth first over composition prefixes, smallest next part
-    first, so prefixes are visited in rank order.  Each pattern keeps a
-    greedy pointer to its first unmatched layer; a host part p matches that
-    layer when it is at least as large.  A prefix is pruned as soon as some
-    pattern's unmatched layer sizes add up to more than the positions left:
-    each of those layers needs its own later host layer at least as large.
+    first, so prefixes are visited in rank order.  Greedy matching consumes a
+    pattern's first unmatched layer with the first host part at least as
+    large, so what a pattern still needs is its unmatched suffix, and
+    patterns with equal suffixes behave alike from there on.  A prefix's
+    state is therefore the set of distinct unmatched suffixes; finished
+    patterns drop out.  A prefix is pruned as soon as some suffix's sizes add
+    up to more than the positions left: each of its layers needs its own
+    later host layer at least as large.
+
+    Whether some completion of r positions fits depends only on r and the
+    state, and if none of r fits, none of r' < r does either (appending a
+    last part r - r' to a fitting completion keeps it fitting).  So a table
+    of dead states, kept for one call (each rank range of a split search has
+    its own), maps a state to the largest r whose whole block of completions
+    was scanned without a fit, and a child whose state is dead for at least
+    its positions left is skipped.
+
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
-    compositions, a contiguous block of ranks, so a pruned prefix accounts
-    for its whole block, and blocks outside [rank_lo, rank_hi) are skipped
-    or clipped.  The first leaf reached is the lex-first witness, and the
-    counts equal those of a flat scan of every rank.
+    compositions, a contiguous block of ranks, so a pruned or skipped prefix
+    accounts for its whole block, and blocks outside [rank_lo, rank_hi) are
+    skipped or clipped.  A clipped block proves nothing about its state and
+    is never recorded.  The first leaf reached is the lex-first witness, and
+    the counts equal those of a flat scan of every rank.
 
     Profile parts must be >= 1 (ValueError otherwise): a part 0 would match
     without using a host position, which the pruning bound does not allow
     for.
     """
-    # Each pattern's states run from its first layer unmatched to all
-    # matched; heads[g] is the size of the next layer to match (m + 1, which
-    # no part reaches, once all are matched) and needs[g] the sum of the
-    # unmatched sizes.  Pointers are indices into these lists.
-    heads = []
-    needs = []
-    root = []
-    for profile in pattern_profiles:
+    _check_ranks(rank_lo, rank_hi, _composition_count(m))
+    profiles = [tuple(profile) for profile in pattern_profiles]
+    suffixes = {()}
+    for profile in profiles:
         smallest = min(profile, default=1)
         if smallest < 1:
             raise ValueError(f"profile parts must be >= 1, got {smallest}")
-        root.append(len(heads))
-        need = sum(profile)
-        for s in profile:
-            heads.append(s)
-            needs.append(need)
-            need -= s
-        heads.append(m + 1)
-        needs.append(0)
-    if rank_lo >= rank_hi or max(map(needs.__getitem__, root), default=0) > m:
+        suffixes.update(profile[i:] for i in range(len(profile)))
+    # Every distinct suffix gets an id, numbered by need, the sum of its
+    # sizes (the empty suffix is 0); heads[g] is the size of its first layer
+    # (m + 1, which no part reaches, for the empty one) and tails[g] the id
+    # of the suffix after that layer.
+    ordered = sorted(suffixes, key=sum)
+    ids = {suffix: g for g, suffix in enumerate(ordered)}
+    needs = list(map(sum, ordered))
+    heads = [suffix[0] if suffix else m + 1 for suffix in ordered]
+    tails = [ids[suffix[1:]] if suffix else 0 for suffix in ordered]
+    # a state is the ascending tuple of its distinct ids, always with 0
+    root = tuple(sorted({0, *map(ids.__getitem__, profiles)}))
+    if rank_lo >= rank_hi or needs[root[-1]] > m:
         return (-1, rank_hi - rank_lo)
     if m == 0:
-        return (0, 1) if rank_lo == 0 else (-1, rank_hi - rank_lo)
-    # moves[p][g]: the state after a host part p; after[p][g]: its need
-    moves = [None] * (m + 1)
-    after = [None] * (m + 1)
-    for p in range(1, m + 1):
-        moves[p] = [g + (h <= p) for g, h in enumerate(heads)]
-        after[p] = [needs[g] for g in moves[p]]
-    # block[r]: the compositions of r; pointers[r]: the pattern states at the
-    # prefix on the current path with r positions left
-    block = [1] + [1 << (r - 1) for r in range(1, m + 1)]
-    pointers = [list(root) for _ in range(m + 1)]
-    found = _first_fit(m, 0, (moves, after, block, pointers), rank_lo, rank_hi)
+        return (0, 1)
+    # moves[p][g]: the suffix left after a host part p
+    moves = [None] + [
+        [t if h <= p else g for g, (h, t) in enumerate(zip(heads, tails))]
+        for p in range(1, m + 1)
+    ]
+    # dead: state -> the largest r known to have no fitting completion
+    tables = (moves, heads, needs, {})
+    found = _first_fit(m, 0, root, tables, rank_lo, rank_hi)
     return (found, found - rank_lo + 1) if found >= 0 else (-1, rank_hi - rank_lo)
 
 
-def _first_fit(r, base, tables, rank_lo, rank_hi):
-    """The first rank in [rank_lo, rank_hi) among the compositions extending
-    the prefix in pointers[r] (r > 0 positions left, first rank base) that
-    fit every pattern, or -1.  Child p covers the next block[r - p] ranks.
+def _first_fit(r, base, state, tables, rank_lo, rank_hi):
+    """The first rank in [rank_lo, rank_hi) among the compositions of r > 0
+    positions (first rank base) that complete a prefix with this state and
+    fit every pattern, or -1.
+
+    Child p covers the 2^(r-p-1) ranks (1 for p = r) from
+    base + 2^(r-1) - 2^(r-p).  Its state changes only at the parts p that
+    equal some suffix's head, so the children form runs with one state and
+    falling positions left: a run ends where its state no longer fits, and
+    once one child of a run is dead, the rest are too.
 
     A module-level function, not a closure in scan_layered: a recursive
     closure is a reference cycle that keeps the tables alive until the cycle
     collector runs."""
-    moves, after, block, pointers = tables
-    state = pointers[r]
-    first = base
-    for p in range(1, r + 1):
-        rest = r - p
-        if first >= rank_hi:
-            return -1
-        # prune unless every pattern still fits in the rest positions
-        if first + block[rest] > rank_lo and not any(
-            map(rest.__lt__, map(after[p].__getitem__, state))
-        ):
-            if rest == 0:
-                return first
-            pointers[rest][:] = map(moves[p].__getitem__, state)
-            found = _first_fit(rest, first, tables, rank_lo, rank_hi)
-            if found >= 0:
-                return found
-        first += block[rest]
+    moves, heads, needs, dead = tables
+    # the state's ids ascend with need, so this maps each of its heads to the
+    # largest need among its suffixes; the empty suffix's head m + 1 is last
+    most = dict(zip(map(heads.__getitem__, state), map(needs.__getitem__, state)))
+    starts = sorted(most)
+    # unmoved[i]: the largest need among the suffixes with heads starts[i:]
+    unmoved = list(accumulate(map(most.__getitem__, reversed(starts)), max))[::-1]
+    moved = 0  # the largest need left by a suffix whose head a part reached
+    i = 0
+    top = 1 << (r - 1)
+    a = 1
+    while a <= r:
+        # parts a..b-1 reach the heads starts[:i] and no other
+        while starts[i] <= a:
+            moved = max(moved, most[starts[i]] - starts[i])
+            i += 1
+        if a + moved > r:
+            return -1  # and so for every later run, whose moved is no smaller
+        b = min(starts[i], r + 1)
+        # the run's children with rest >= need; p = r (rest 0) is a leaf
+        last = min(b - 1, r - max(moved, unmoved[i]))
+        if last >= a:
+            child = tuple(sorted({*map(moves[a].__getitem__, state)})) if i else state
+            for p in range(a, last + 1):
+                rest = r - p
+                first = base + top - (1 << rest)
+                if first >= rank_hi:
+                    return -1
+                size = 1 << (rest - 1) if rest else 1
+                if first + size <= rank_lo:
+                    continue
+                if rest == 0:
+                    return first
+                if dead.get(child, 0) >= rest:
+                    break
+                found = _first_fit(rest, first, child, tables, rank_lo, rank_hi)
+                if found >= 0:
+                    return found
+                if rank_lo <= first and first + size <= rank_hi:
+                    dead[child] = rest
+                    break
+        a = b
     return -1
 
 
 def scan_all_perms(m, patterns, rank_lo, rank_hi):
     """Scan permutations of 1..m by lexicographic rank for one containing
-    every pattern (one-line tuples).  Same return contract as scan_layered.
+    every pattern (one-line tuples).  Same return contract as scan_layered,
+    with ranks in [0, m!).
     """
+    _check_ranks(rank_lo, rank_hi, math.factorial(m))
     if m == 0:
         ok = all(len(p) == 0 for p in patterns)
         if rank_lo == 0 and rank_hi > 0 and ok:
@@ -355,6 +414,7 @@ def scan_perm_list(candidates, patterns, lo, hi):
     pattern.  Same return contract as scan_layered, with list indices in
     place of ranks.
     """
+    _check_ranks(lo, hi, len(candidates))
     shapes = [(pat, _windows(pat)) for pat in patterns]
     for idx in range(lo, hi):
         cand = candidates[idx]

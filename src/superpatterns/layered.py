@@ -107,6 +107,8 @@ def layer_profile(perm: Permutation) -> LayerProfile | None:
 
 def composition_count(n: int) -> int:
     """Number of compositions of n (= layered permutations of length n)."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     return 1 if n == 0 else 1 << (n - 1)
 
 
@@ -127,12 +129,19 @@ def enumerate_layered(
     """All layer profiles of total n, lazily, in lexicographic order.
 
     Restartable: rank sub-ranges let independent consumers split the space.
+    The range is checked at the call, before any profile is produced:
+    ValueError unless 0 <= start_rank <= stop_rank <= composition_count(n).
     """
     if n > cap:
         raise CapExceededError(f"enumeration of layered length {n} exceeds cap {cap}")
-    stop = composition_count(n) if stop_rank is None else stop_rank
-    for rank in range(start_rank, stop):
-        yield LayerProfile(kernels.composition_at_rank(n, rank))
+    count = composition_count(n)
+    stop = count if stop_rank is None else stop_rank
+    if not 0 <= start_rank <= stop <= count:
+        raise ValueError(f"ranks [{start_rank}, {stop}) are outside [0, {count}) for n={n}")
+    return (
+        LayerProfile(kernels.composition_at_rank(n, rank))
+        for rank in range(start_rank, stop)
+    )
 
 
 def greedy_layer_indices(

@@ -4,8 +4,10 @@ Candidates are scanned length by length, each length exhausted in
 lexicographic order, so a returned minimum comes with complete nonexistence
 counts for every shorter length.  Layered candidates are searched by
 composition prefix (kernels.scan_layered): a prefix that some pattern can
-no longer fit into is pruned, and it stands for an exact, contiguous block
-of ranks, so the counts are those of visiting every candidate.  A single
+no longer fit into is pruned, and so, in the pure kernel, is one whose set
+of unmatched pattern suffixes already failed with as many positions left.
+A prefix stands for an exact, contiguous block of ranks, so the counts are
+those of visiting every candidate.  A single
 node budget (candidates times patterns, estimated a priori per length)
 gates every run; exceeding it raises instead of truncating, because the
 nonexistence half of the result is only meaningful when enumeration is

@@ -179,3 +179,49 @@ def brute_first_missing_layered(n, host_sizes, contains=None):
         if not contains(sizes, tuple(host_sizes)):
             return checked, sizes
     return len(compositions), None
+
+
+def pruned_scan_layered(m, profiles, lo, hi):
+    """The scan_layered contract by a prefix search with one greedy pointer
+    per pattern and no table of dead states, for lengths too long for the
+    flat scan: depth first over composition prefixes, smallest next part
+    first, pruning a prefix once some pattern's unmatched layer sizes add up
+    to more than the positions left, and counting each pruned or clipped
+    prefix with r > 0 positions left as its block of 2^(r-1) ranks."""
+    # each pattern's states run from its first layer unmatched to all
+    # matched: heads[g] is the next layer's size (m + 1 once all are
+    # matched) and needs[g] the sum of the unmatched sizes
+    heads, needs, root = [], [], []
+    for profile in profiles:
+        root.append(len(heads))
+        need = sum(profile)
+        for s in profile:
+            heads.append(s)
+            needs.append(need)
+            need -= s
+        heads.append(m + 1)
+        needs.append(0)
+    if lo >= hi or max((needs[g] for g in root), default=0) > m:
+        return (-1, hi - lo)
+    if m == 0:
+        return (0, 1)
+
+    def first_fit(r, base, state):
+        first = base
+        for p in range(1, r + 1):
+            rest = r - p
+            size = 2 ** (rest - 1) if rest else 1
+            if first >= hi:
+                return -1
+            moved = [g + (heads[g] <= p) for g in state]
+            if first + size > lo and all(needs[g] <= rest for g in moved):
+                if rest == 0:
+                    return first
+                found = first_fit(rest, first, moved)
+                if found >= 0:
+                    return found
+            first += size
+        return -1
+
+    found = first_fit(m, 0, root)
+    return (found, found - lo + 1) if found >= 0 else (-1, hi - lo)

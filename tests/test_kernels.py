@@ -1,3 +1,5 @@
+import functools
+import gc
 import itertools
 import math
 import random
@@ -9,6 +11,7 @@ from oracles import (
     brute_compositions,
     brute_lex_min_embedding,
     brute_scan_layered,
+    pruned_scan_layered,
 )
 from superpatterns import _kernels_py, kernels
 
@@ -144,6 +147,35 @@ class TestScans:
                 else:
                     assert lo_half[0] == -1 and hi_half[0] == full[0]
 
+    def test_scan_layered_long_lengths(self, backend):
+        # lengths beyond the flat oracle's reach, against the per-pattern
+        # prefix search: full ranges, sub-ranges (whose clipped blocks must
+        # not be recorded as dead), the halves of a --jobs 2 split, and
+        # random subsets of the patterns
+        rng = random.Random(20261019)
+        for n in (6, 7, 8):
+            every = tuple(brute_compositions(n))
+            for m in range(13, 21):
+                total = 2 ** (m - 1)
+                subsets = [
+                    tuple(rng.sample(every, rng.randint(1, len(every) - 1))),
+                    tuple(rng.sample(every, rng.randint(1, 6))),
+                ]
+                for patterns in (every, *subsets):
+                    lo = rng.randrange(total)
+                    hi = rng.randint(lo, total)
+                    ranges = [
+                        (0, total),
+                        (0, total // 2),
+                        (total // 2, total),
+                        (lo, total),
+                        (lo, hi),
+                    ]
+                    for lo, hi in ranges:
+                        assert backend.scan_layered(m, patterns, lo, hi) == (
+                            _pruned_scan(m, patterns, lo, hi)
+                        ), (m, patterns, lo, hi)
+
     def test_scan_all_perms_parity(self, backend):
         patterns = ((1, 2), (2, 1))
         for m in range(2, 6):
@@ -180,14 +212,53 @@ class TestScans:
         assert backend.scan_all_perms(0, (), 0, 1) == (0, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _pruned_scan(m, patterns, lo, hi):
+    # each case runs on every backend; the oracle runs once
+    return pruned_scan_layered(m, patterns, lo, hi)
+
+
+def test_scan_layered_leaves_no_cycles():
+    # a cycle through the scan's tables would keep them alive until the
+    # cycle collector runs
+    patterns = tuple(brute_compositions(7))
+    gc.collect()
+    gc.disable()
+    try:
+        assert _kernels_py.scan_layered(16, patterns, 0, 2**15) == (-1, 2**15)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_rank_checks(backend):
+    # ranks outside [0, count) and reversed ranges are refused
+    for lo, hi in ((-3, 2), (0, 9), (3, 2)):
+        with pytest.raises(ValueError):
+            backend.scan_layered(4, ((1,),), lo, hi)
+    with pytest.raises(ValueError):
+        backend.scan_layered(0, ((),), 0, 2)
+    with pytest.raises(ValueError):
+        backend.scan_all_perms(3, ((1,),), 0, 9)
+    with pytest.raises(ValueError):
+        backend.scan_all_perms(3, ((1,),), -1, 2)
+    with pytest.raises(ValueError):
+        backend.scan_perm_list([(1, 2), (2, 1)], [(1,)], 0, 5)
+    with pytest.raises(ValueError):
+        backend.scan_perm_list([(1, 2), (2, 1)], [(1,)], 2, 1)
+    for rank in (-1, 4, 5):
+        with pytest.raises(ValueError):
+            backend.composition_at_rank(3, rank)
+    with pytest.raises(ValueError):
+        backend.composition_at_rank(0, 1)
+
+
 def test_compiled_argument_checks(compiled):
     # 64-bit composition masks and permutation ranks bound the lengths
     with pytest.raises(ValueError):
         compiled.scan_layered(63, ((1,),), 0, 1)
     with pytest.raises(ValueError):
         compiled.scan_all_perms(21, ((1,),), 0, 1)
-    with pytest.raises(ValueError):
-        compiled.scan_layered(4, ((1,),), 0, 9)
     with pytest.raises(ValueError):
         compiled.scan_layered(1, ((1, 0),), 0, 1)
     with pytest.raises(OverflowError):

@@ -97,6 +97,20 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             composition_at_rank(3, 4)
 
+    def test_rank_subrange_checked_before_iterating(self):
+        # compositions of 3 have ranks 0..3
+        for start, stop in ((-2, 1), (0, 9), (3, 2), (5, 5)):
+            with pytest.raises(ValueError):
+                enumerate_layered(3, start_rank=start, stop_rank=stop)
+        with pytest.raises(ValueError):
+            enumerate_layered(3, start_rank=5)
+        with pytest.raises(ValueError, match="non-negative"):
+            enumerate_layered(-1)
+        assert list(enumerate_layered(3, start_rank=4)) == []
+        assert list(enumerate_layered(3, start_rank=0, stop_rank=4)) == list(
+            enumerate_layered(3)
+        )
+
 
 class TestGreedyContainment:
     def test_examples(self):

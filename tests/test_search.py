@@ -188,7 +188,6 @@ def test_av231_over_av231_candidates_full_search():
 
 
 @pytest.mark.slow
-@pytest.mark.skipif(kernels.BACKEND == "python", reason="needs the compiled kernel")
 @pytest.mark.parametrize("n", [9, 10])
 def test_layered_minimality_by_enumeration(n):
     # beyond the acceptance suite's n <= 8: every shorter length exhausted
