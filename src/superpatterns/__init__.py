@@ -40,6 +40,7 @@ from .perms import (
 from .search import (
     Claims231Report,
     Conjecture321Report,
+    InfeasibleReport,
     SearchReport,
     check_claims_231,
     check_conjecture_321,

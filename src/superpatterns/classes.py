@@ -1,10 +1,11 @@
 """Permutation classes used by verification and search.
 
 Four classes: layered, the 231-avoiders, the 321-avoiders, and all
-permutations.  Enumeration is lexicographic in one-line notation.  The
-filter route (all permutations, kept when they avoid the forbidden pattern)
-is the reference; the direct generators are an optimization for larger n
-and are differential-tested against the filter.
+permutations.  Each class has one enumeration route, lexicographic in
+one-line notation: compositions for the layered class, a split at the
+maximum for the 231-avoiders, pruned backtracking for the 321-avoiders and
+itertools for all permutations.  The tests check the avoider routes against
+filtering all permutations by the forbidden pattern.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import CapExceededError
 from .perms import Permutation
 
 AV_ENUMERATION_CAP = 12
-_DIRECT_THRESHOLD = 8  # auto method switches to the direct generators here
 
 _PATTERN_231 = (2, 3, 1)
 _PATTERN_321 = (3, 2, 1)
@@ -83,24 +83,26 @@ def _av231_span(span: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _av321_tuples(n: int) -> list[tuple[int, ...]]:
-    """All 321-avoiding permutations of 1..n, lexicographically.
+def _av321_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """All 321-avoiding permutations of 1..n, lexicographically, lazily.
 
     Backtracking over positions with O(1) feasibility state: track the
     maximum placed so far and the largest value that already sits below an
     earlier, larger entry (the floor).  Placing anything under the floor
     completes a decreasing triple, and any unused value under the floor can
-    never be placed, so both prune exactly.
+    never be placed, so both prune exactly.  The last entry is the one
+    unused value, placed without a further level of generators.
     """
-    out: list[tuple[int, ...]] = []
+    if n == 0:
+        return iter([()])
     used = [False] * (n + 1)
     prefix: list[int] = []
 
-    def extend(max_so_far: int, floor: int, min_unused: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
+    def extend(max_so_far: int, floor: int, min_unused: int) -> Iterator[tuple]:
         if min_unused < floor:
+            return
+        if len(prefix) == n - 1:
+            yield (*prefix, min_unused)
             return
         for v in range(min_unused, n + 1):
             if used[v] or v < floor:
@@ -113,25 +115,16 @@ def _av321_tuples(n: int) -> list[tuple[int, ...]]:
                 while new_min <= n and used[new_min]:
                     new_min += 1
             if v < max_so_far:
-                extend(max_so_far, max(floor, v), new_min)
+                yield from extend(max_so_far, max(floor, v), new_min)
             else:
-                extend(v, floor, new_min)
+                yield from extend(v, floor, new_min)
             prefix.pop()
             used[v] = False
 
-    extend(0, 0, 1)
-    return out
+    return extend(0, 0, 1)
 
 
-def _filter_tuples(forbidden: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    for cand in itertools.permutations(range(1, n + 1)):
-        if not kernels.contains(forbidden, cand):
-            yield cand
-
-
-def class_tuples(
-    tag: ClassTag | str, n: int, *, method: str = "auto"
-) -> Iterator[tuple[int, ...]]:
+def class_tuples(tag: ClassTag | str, n: int) -> Iterator[tuple[int, ...]]:
     """Members of the class at length n as raw one-line tuples, lex order."""
     tag = coerce_tag(tag)
     if tag is ClassTag.LAYERED:
@@ -144,24 +137,13 @@ def class_tuples(
         )
     if tag is ClassTag.ALL:
         yield from itertools.permutations(range(1, n + 1))
-        return
-    if method == "auto":
-        method = "direct" if n >= _DIRECT_THRESHOLD else "filter"
-    if method == "filter":
-        forbidden = _PATTERN_231 if tag is ClassTag.AV231 else _PATTERN_321
-        yield from _filter_tuples(forbidden, n)
-    elif method == "direct":
-        if tag is ClassTag.AV231:
-            yield from sorted(_av231_span(n))
-        else:
-            yield from _av321_tuples(n)
+    elif tag is ClassTag.AV231:
+        yield from sorted(_av231_span(n))
     else:
-        raise ValueError(f"unknown enumeration method {method!r}")
+        yield from _av321_tuples(n)
 
 
-def enumerate_class(
-    tag: ClassTag | str, n: int, *, method: str = "auto"
-) -> Iterator[Permutation]:
+def enumerate_class(tag: ClassTag | str, n: int) -> Iterator[Permutation]:
     """All length-n members of the class, in lexicographic one-line order."""
-    for values in class_tuples(tag, n, method=method):
+    for values in class_tuples(tag, n):
         yield Permutation(values)

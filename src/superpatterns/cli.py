@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 for true/success, 1 for a false/negative result (pattern not
-contained, candidate not universal, claim failed), 2 for usage, parse, cap,
-or budget errors.  ``--json`` switches any subcommand to its documented JSON
-schema.  Permutations are quoted one-line notation; ``layers:[3,1,2,1]`` is
-accepted wherever a permutation is expected.
+contained, candidate not universal, claim failed, search infeasible), 2 for
+usage, parse, cap, or budget errors.  ``--json`` switches any subcommand to
+its documented JSON schema.  Permutations are quoted one-line notation;
+``layers:[3,1,2,1]`` is accepted wherever a permutation is expected.
 """
 
 from __future__ import annotations
@@ -133,6 +133,8 @@ def _cmd_search_minimal(args) -> int:
     )
     if args.json:
         print(json.dumps(report.to_json_dict()))
+    elif report.infeasible:
+        print(f"infeasible: {report.certificate} is outside {report.candidate_class}")
     else:
         print(f"min_length: {report.min_length}")
         print(f"witness: {report.witness}")
@@ -140,7 +142,7 @@ def _cmd_search_minimal(args) -> int:
         exhausted = " ".join(f"{m}:{c}" for m, c in report.lengths_exhausted)
         print(f"lengths_exhausted: {exhausted}")
         print(f"elapsed_ms: {report.elapsed_ms}")
-    return 0
+    return 1 if report.infeasible else 0
 
 
 def _cmd_check_claims231(args) -> int:

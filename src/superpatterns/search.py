@@ -13,6 +13,11 @@ gates every run; exceeding it raises instead of truncating, because the
 nonexistence half of the result is only meaningful when enumeration is
 complete.
 
+Every class here is closed under containment, so a length-n pattern outside
+the candidate class lies in no candidate of any length: such a query gets an
+InfeasibleReport with the lex-first such pattern as its certificate, before
+the budget is charged or a worker starts.
+
 Patterns are checked in a fixed order that fails fast (longest decreasing
 pattern first: a universal candidate must devote an entire decreasing run
 of length n to it, which most candidates and prefixes lack).  The order
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import time
@@ -37,11 +43,10 @@ from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
 from .errors import BudgetExceededError, InternalDefectError
 from .layered import enumerate_layered, realize_values
 from .perms import Permutation
-from .universal import _max_decreasing_positions, verify_universal
+from .universal import _max_decreasing_positions, _to_json, verify_universal
 
 DEFAULT_BUDGET = 50_000_000
 _SERIAL_CUTOFF = 2048  # below this many candidates a parallel split is noise
-_REALIZE_CHUNK = 4096
 
 MIN_5UNIVERSAL_AV231_LEN11 = Permutation((1, 5, 11, 9, 3, 2, 8, 4, 7, 6, 10))
 AVOIDING_5UNIVERSAL_AV231_LEN12 = Permutation((1, 11, 3, 2, 10, 7, 5, 4, 6, 9, 8, 12))
@@ -90,46 +95,26 @@ def _ordered_pattern_profiles(n: int) -> tuple[tuple[int, ...], ...]:
 def _scan_range(
     ctag: ClassTag,
     m: int,
-    mode: str,
     patterns: tuple[tuple[int, ...], ...],
     lo: int,
     hi: int,
 ) -> int:
-    """First rank in [lo, hi) whose candidate contains every pattern, or -1."""
-    if mode == "profiles":
+    """First rank in [lo, hi) whose candidate contains every pattern, or -1.
+
+    Layered candidates take layer profiles as patterns, the others tuples."""
+    if ctag is ClassTag.LAYERED:
         rank, _ = kernels.scan_layered(m, patterns, lo, hi)
-        return rank
-    if ctag is ClassTag.ALL:
+    elif ctag is ClassTag.ALL:
         rank, _ = kernels.scan_all_perms(m, patterns, lo, hi)
-        return rank
-    if ctag in (ClassTag.AV231, ClassTag.AV321):
+    else:
         candidates = list(class_tuples(ctag, m))
         rank, _ = kernels.scan_perm_list(candidates, patterns, lo, hi)
-        return rank
-    # Layered candidates checked against non-layered patterns: realize the
-    # compositions in chunks and run the generic scan on each chunk.
-    r = lo
-    while r < hi:
-        stop = min(r + _REALIZE_CHUNK, hi)
-        chunk = [
-            realize_values(kernels.composition_at_rank(m, rr)) for rr in range(r, stop)
-        ]
-        idx, _ = kernels.scan_perm_list(chunk, patterns, 0, len(chunk))
-        if idx >= 0:
-            return r + idx
-        r = stop
-    return -1
-
-
-def _scan_chunk(args) -> int:
-    ctag_value, m, mode, patterns, lo, hi = args
-    return _scan_range(ClassTag(ctag_value), m, mode, patterns, lo, hi)
+    return rank
 
 
 def _scan_length(
     ctag: ClassTag,
     m: int,
-    mode: str,
     patterns: tuple[tuple[int, ...], ...],
     total: int,
     jobs: int,
@@ -140,16 +125,11 @@ def _scan_length(
     The length is split into jobs rank ranges on the pool when there is one
     and the length is big enough to be worth it."""
     if pool is None or total < _SERIAL_CUTOFF:
-        rank = _scan_range(ctag, m, mode, patterns, 0, total)
+        rank = _scan_range(ctag, m, patterns, 0, total)
         return rank if rank >= 0 else None
     bounds = [total * i // jobs for i in range(jobs + 1)]
-    args = [
-        (ctag.value, m, mode, patterns, bounds[i], bounds[i + 1])
-        for i in range(jobs)
-        if bounds[i] < bounds[i + 1]
-    ]
-    ranks = list(pool.map(_scan_chunk, args))
-    found = [r for r in ranks if r >= 0]
+    scan = functools.partial(_scan_range, ctag, m, patterns)
+    found = [r for r in pool.map(scan, bounds[:-1], bounds[1:]) if r >= 0]
     return min(found) if found else None
 
 
@@ -173,17 +153,33 @@ class SearchReport:
     lengths_exhausted: tuple[tuple[int, int], ...]
     elapsed_ms: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "pattern_class": self.pattern_class.value,
-            "candidate_class": self.candidate_class.value,
-            "min_length": self.min_length,
-            "witness": str(self.witness),
-            "candidates_examined": self.candidates_examined,
-            "lengths_exhausted": [[m, c] for m, c in self.lengths_exhausted],
-            "elapsed_ms": self.elapsed_ms,
-        }
+    infeasible = False
+    to_json_dict = _to_json
+
+
+@dataclasses.dataclass(frozen=True)
+class InfeasibleReport:
+    """No candidate of any length can contain every pattern: the certificate
+    is a length-n member of the pattern class outside the candidate class,
+    and the candidate class is closed under containment."""
+
+    n: int
+    pattern_class: ClassTag
+    candidate_class: ClassTag
+    infeasible: bool = dataclasses.field(default=True, init=False)
+    certificate: Permutation
+    elapsed_ms: int
+
+    to_json_dict = _to_json
+
+
+def _outside_candidates(ptag: ClassTag, ctag: ClassTag, n: int) -> Permutation | None:
+    """The lex-first length-n member of the pattern class outside the
+    candidate class, or None when the one class contains the other at n."""
+    if ptag is ctag or ctag is ClassTag.ALL:
+        return None
+    members = (Permutation(values) for values in class_tuples(ptag, n))
+    return next((perm for perm in members if not in_class(perm, ctag)), None)
 
 
 def minimal_superpattern(
@@ -193,22 +189,37 @@ def minimal_superpattern(
     *,
     budget: int | None = None,
     jobs: int = 1,
-) -> SearchReport:
+) -> SearchReport | InfeasibleReport:
     """Smallest length at which some candidate-class member contains every
     length-n member of the pattern class, with the lexicographically first
-    witness at that length and full enumeration counts below it."""
+    witness at that length and full enumeration counts below it; or an
+    InfeasibleReport when some length-n pattern is outside the candidate
+    class."""
     t0 = time.perf_counter()
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     _check_jobs(jobs)
     ptag = coerce_tag(pattern_class)
     ctag = coerce_tag(candidate_class)
+    certificate = _outside_candidates(ptag, ctag, n)
+    if certificate is not None:
+        infeasible = InfeasibleReport(
+            n=n,
+            pattern_class=ptag,
+            candidate_class=ctag,
+            certificate=certificate,
+            elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
+        )
+        _check_report(infeasible)
+        return infeasible
     budget_limit = resolve_budget(budget)
-    if ptag is ClassTag.LAYERED and ctag is ClassTag.LAYERED:
-        mode = "profiles"
+    if ctag is ClassTag.LAYERED:
+        # feasible, so every pattern is layered: all of them iff as many
+        # (for a non-layered pattern class, only at n <= 2)
         patterns: tuple[tuple[int, ...], ...] = _ordered_pattern_profiles(n)
+        if ptag is not ctag and len(patterns) != class_count(ptag, n):
+            raise InternalDefectError("layered candidates would miss a pattern")
     else:
-        mode = "tuples"
         patterns = _ordered_pattern_tuples(ptag, n)
     pattern_count = max(len(patterns), 1)
     exhausted: list[tuple[int, int]] = []
@@ -232,7 +243,7 @@ def minimal_superpattern(
             used += estimate
             if pool is None and jobs > 1 and total >= _SERIAL_CUTOFF:
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            rank = _scan_length(ctag, m, mode, patterns, total, jobs, pool)
+            rank = _scan_length(ctag, m, patterns, total, jobs, pool)
             if rank is not None:
                 break
             exhausted.append((m, total))
@@ -252,7 +263,14 @@ def minimal_superpattern(
     return report
 
 
-def _check_report(report: SearchReport) -> None:
+def _check_report(report: SearchReport | InfeasibleReport) -> None:
+    if isinstance(report, InfeasibleReport):
+        cert = report.certificate
+        if len(cert) != report.n or not in_class(cert, report.pattern_class):
+            raise InternalDefectError("infeasibility certificate is no length-n pattern")
+        if in_class(cert, report.candidate_class):
+            raise InternalDefectError("infeasibility certificate is a candidate")
+        return
     if not in_class(report.witness, report.candidate_class):
         raise InternalDefectError("search witness is outside its candidate class")
     if not verify_universal(report.witness, report.n, report.pattern_class).ok:
@@ -268,8 +286,7 @@ class ClaimResult:
     passed: bool
     details: dict
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "details": self.details}
+    to_json_dict = _to_json
 
 
 @dataclasses.dataclass(frozen=True)
@@ -278,12 +295,7 @@ class Claims231Report:
     all_passed: bool
     elapsed_ms: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "claims": [c.to_json_dict() for c in self.claims],
-            "all_passed": self.all_passed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+    to_json_dict = _to_json
 
 
 def check_claims_231(
@@ -401,19 +413,7 @@ class Conjecture321Report:
     avoiding_total: int
     elapsed_ms: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "min_length": self.min_length,
-            "all_search": self.all_search.to_json_dict(),
-            "holds": self.holds,
-            "avoiding_witness": None
-            if self.avoiding_witness is None
-            else str(self.avoiding_witness),
-            "avoiding_candidates_examined": self.avoiding_candidates_examined,
-            "avoiding_total": self.avoiding_total,
-            "elapsed_ms": self.elapsed_ms,
-        }
+    to_json_dict = _to_json
 
 
 def check_conjecture_321(

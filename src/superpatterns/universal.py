@@ -172,6 +172,22 @@ def build_universal(n: int, split: int | None = None) -> Permutation:
     return direct_sum([build_universal(k), decreasing(n), build_universal(n - k - 1)])
 
 
+def _to_json(value):
+    """A report as a JSON dict: its fields in order, class tags by value,
+    permutations in one-line notation, tuples as lists and nested reports
+    as dicts."""
+    if isinstance(value, ClassTag):
+        return value.value
+    if isinstance(value, Permutation):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields}
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class UniversalityReport:
     candidate: Permutation
@@ -181,15 +197,7 @@ class UniversalityReport:
     missing: Permutation | None
     patterns_checked: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "candidate": str(self.candidate),
-            "n": self.n,
-            "class_name": self.class_name.value,
-            "ok": self.ok,
-            "missing": None if self.missing is None else str(self.missing),
-            "patterns_checked": self.patterns_checked,
-        }
+    to_json_dict = _to_json
 
 
 def verify_universal(

@@ -2,12 +2,16 @@
 
 Everything here is deliberately independent of the library's algorithms:
 containment by scanning all subsequences, maximum decreasing subsequences by
-scanning all combinations, recurrence minima by full scans.
+scanning all combinations, recurrence minima by full scans.  The one
+exception is filter_class_tuples, which takes the pure kernel's containment
+(itself checked against brute_contains) to stay fast up to n = 9.
 """
 
 import functools
 import itertools
 import math
+
+from superpatterns import _kernels_py
 
 
 def rank_reduce(values):
@@ -121,6 +125,38 @@ def brute_split_min(values, n):
 
 def catalan_ref(n):
     return math.comb(2 * n, n) // (n + 1)
+
+
+def filter_class_tuples(forbidden, n):
+    """The length-n avoiders of one pattern, lexicographically, by filtering
+    all permutations."""
+    return [
+        values
+        for values in itertools.permutations(range(1, n + 1))
+        if not _kernels_py.contains(forbidden, values)
+    ]
+
+
+CLASS_BASES = {
+    "layered": ((2, 3, 1), (3, 1, 2)),
+    "av231": ((2, 3, 1),),
+    "av321": ((3, 2, 1),),
+    "all": (),
+}
+
+
+def brute_in_class(tag, values):
+    return not any(brute_contains(basis, values) for basis in CLASS_BASES[tag])
+
+
+def brute_first_outside(pattern_tag, candidate_tag, n):
+    """The lex-first length-n member of the pattern class that the candidate
+    class lacks, or None."""
+    for values in itertools.permutations(range(1, n + 1)):
+        if brute_in_class(pattern_tag, values):
+            if not brute_in_class(candidate_tag, values):
+                return values
+    return None
 
 
 def layered_values(sizes):

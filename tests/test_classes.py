@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import catalan_ref
+from oracles import catalan_ref, filter_class_tuples
 from superpatterns import Permutation, parse
 from superpatterns.classes import (
     ClassTag,
@@ -37,11 +37,9 @@ def test_counts_match_catalan():
 
 
 def test_direct_generators_match_filter():
-    for tag in (ClassTag.AV231, ClassTag.AV321):
+    for tag, forbidden in ((ClassTag.AV231, (2, 3, 1)), (ClassTag.AV321, (3, 2, 1))):
         for n in range(10):
-            direct = list(class_tuples(tag, n, method="direct"))
-            filtered = list(class_tuples(tag, n, method="filter"))
-            assert direct == filtered
+            assert list(class_tuples(tag, n)) == filter_class_tuples(forbidden, n)
 
 
 def test_enumeration_is_lexicographic():
@@ -75,7 +73,3 @@ def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         next(class_tuples("all", 13))
 
-
-def test_unknown_method():
-    with pytest.raises(ValueError):
-        next(class_tuples("av231", 3, method="nope"))

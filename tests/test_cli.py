@@ -43,6 +43,11 @@ class TestBasics:
         code, out = _capture(capsys, ["layerize", "3 5 4 10 1 9 6 8 7 11 2"])
         assert (code, out) == (0, "1 4 3 2 5 10 9 8 7 6 11")
 
+    def test_search_infeasible(self, capsys):
+        argv = ["search", "minimal", "3", "--patterns", "all", "--candidates", "layered"]
+        code, out = _capture(capsys, argv)
+        assert (code, out) == (1, "infeasible: 2 3 1 is outside layered")
+
     def test_layers_prefix_accepted_anywhere(self, capsys):
         code, out = _capture(capsys, ["layerize", "layers:[3,1,2,1]"])
         assert (code, out) == (0, "3 2 1 4 6 5 7")
@@ -139,6 +144,20 @@ class TestJson:
         assert payload["min_length"] == 5
         assert payload["lengths_exhausted"] == [[3, 4], [4, 8]]
         assert parse(payload["witness"])  # parses back
+
+    def test_search_infeasible_json(self, capsys):
+        argv = ["search", "minimal", "3", "--patterns", "all", "--candidates", "layered"]
+        code, out = _capture(capsys, [*argv, "--json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload.pop("elapsed_ms") >= 0
+        assert payload == {
+            "n": 3,
+            "pattern_class": "all",
+            "candidate_class": "layered",
+            "infeasible": True,
+            "certificate": "2 3 1",
+        }
 
     def test_claims_json(self, capsys):
         code, out = _capture(capsys, ["check", "claims231", "--json"])

@@ -1,25 +1,64 @@
 import json
+import math
 import os
 
 import pytest
 
+from oracles import brute_first_outside, catalan_ref
 from superpatterns import (
     check_claims_231,
     check_conjecture_321,
     kernels,
     minimal_superpattern,
     parse,
+    search,
     superpattern_length,
     superpattern_length_closed,
     verify_universal,
 )
 from superpatterns.classes import ClassTag, class_count, in_class
-from superpatterns.errors import BudgetExceededError
+from superpatterns.errors import BudgetExceededError, InternalDefectError
 from superpatterns.search import (
     AVOIDING_5UNIVERSAL_AV231_LEN12,
     MIN_5UNIVERSAL_AV231_LEN11,
+    InfeasibleReport,
     resolve_budget,
 )
+
+_TAGS = ("layered", "av231", "av321", "all")
+
+# Feasible searches at n = 3, 4 as (min_length, witness, candidates_examined),
+# pinned from the search before infeasible queries were answered by class
+# closure.  Up to n = 2 all four classes have the same members, so every
+# pair gives the layered report.
+_FEASIBLE = {
+    ("layered", "layered", 3): (5, "1 4 3 2 5", 19),
+    ("layered", "av231", 3): (5, "1 4 3 2 5", 28),
+    ("layered", "all", 3): (5, "1 4 3 2 5", 45),
+    ("av231", "av231", 3): (5, "1 5 3 2 4", 31),
+    ("av231", "all", 3): (5, "1 5 3 2 4", 51),
+    ("av321", "av321", 3): (5, "1 3 5 2 4", 29),
+    ("av321", "all", 3): (5, "1 3 5 2 4", 41),
+    ("all", "all", 3): (5, "2 5 3 1 4", 75),
+    ("layered", "layered", 4): (8, "1 3 2 7 6 5 4 8", 167),
+    ("layered", "av231", 4): (8, "1 3 2 7 6 5 4 8", 777),
+    ("layered", "all", 4): (8, "1 3 2 7 6 5 4 8", 6711),
+    ("av231", "av231", 4): (8, "1 8 5 3 2 4 7 6", 986),
+    ("av231", "all", 4): (8, "1 3 8 6 2 5 4 7", 7299),
+    ("av321", "av321", 4): (7, "2 4 6 1 3 7 5", 429),
+    ("av321", "all", 4): (7, "2 4 6 1 3 7 5", 1898),
+    ("all", "all", 4): (9, "1 3 7 9 6 2 5 8 4", 54820),
+}
+for _p in _TAGS:
+    for _c in _TAGS:
+        _FEASIBLE.update({(_p, _c, 0): (0, "", 1), (_p, _c, 1): (1, "1", 1)})
+        _FEASIBLE[_p, _c, 2] = (3, "1 3 2", 4)
+
+
+def _count_ref(tag, m):
+    if tag == "layered":
+        return 2 ** (m - 1) if m else 1
+    return math.factorial(m) if tag == "all" else catalan_ref(m)
 
 
 def _semantic(report):
@@ -65,13 +104,14 @@ class TestMinimalSuperpattern:
         assert _semantic(serial) == _semantic(parallel)
 
     def test_layered_candidates_avoider_patterns(self):
-        # layered candidates checked against non-layered patterns uses the
-        # realize-and-scan route
-        report = minimal_superpattern(2, "av231", "layered")
-        assert report.min_length == 3
-        assert in_class(report.witness, "layered")
-        # n = 0: only the empty pattern, contained in the empty candidate
-        assert minimal_superpattern(0, "av231", "av231").min_length == 0
+        # up to n = 2 every pattern is layered, so layered candidates are
+        # scanned on layer profiles whatever the pattern class
+        for ptag in ("av231", "av321", "all"):
+            for n in range(3):
+                report = minimal_superpattern(n, ptag, "layered")
+                layered = _semantic(minimal_superpattern(n, "layered", "layered"))
+                assert _semantic(report) == {**layered, "pattern_class": ptag}
+                assert in_class(report.witness, "layered")
 
     def test_json_schema(self):
         report = minimal_superpattern(3, "layered", "layered")
@@ -91,6 +131,17 @@ class TestMinimalSuperpattern:
             isinstance(m, int) and isinstance(c, int)
             for m, c in payload["lengths_exhausted"]
         )
+
+    def test_infeasible_json_schema(self):
+        report = minimal_superpattern(3, "all", "layered")
+        assert report.to_json_dict() == {
+            "n": 3,
+            "pattern_class": "all",
+            "candidate_class": "layered",
+            "infeasible": True,
+            "certificate": "2 3 1",
+            "elapsed_ms": report.elapsed_ms,
+        }
 
     def test_budget_exceeded_carries_partial(self):
         with pytest.raises(BudgetExceededError) as exc_info:
@@ -114,12 +165,73 @@ class TestMinimalSuperpattern:
         with pytest.raises(ValueError, match="jobs"):
             check_conjecture_321(2, jobs=2)
 
+    def test_infeasible_answered_before_budget_and_pool(self, monkeypatch):
+        with pytest.raises(ValueError, match="non-negative"):
+            minimal_superpattern(-1, "all", "layered")
+        with pytest.raises(ValueError, match="jobs"):
+            minimal_superpattern(3, "all", "layered", jobs=0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool started")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        report = minimal_superpattern(3, "all", "layered", budget=1, jobs=2)
+        assert isinstance(report, InfeasibleReport)
+        assert str(report.certificate) == "2 3 1"
+        # a feasible search this long does start the pool
+        with pytest.raises(AssertionError, match="pool"):
+            minimal_superpattern(6, "layered", "layered", jobs=2)
+
+    def test_layered_route_guard(self, monkeypatch):
+        # were an infeasible query let through, the profile scan would check
+        # only the layered patterns: the guard refuses it
+        monkeypatch.setattr(search, "_outside_candidates", lambda *args: None)
+        with pytest.raises(InternalDefectError):
+            minimal_superpattern(3, "all", "layered")
+
+    def test_bad_certificate_is_a_defect(self):
+        for certificate in ("1 3 2", "2 1"):  # inside the candidates; wrong n
+            report = InfeasibleReport(
+                3, ClassTag.ALL, ClassTag.LAYERED, parse(certificate), elapsed_ms=0
+            )
+            with pytest.raises(InternalDefectError):
+                search._check_report(report)
+
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("SUPERPATTERN_BUDGET", "123")
         assert resolve_budget(None) == 123
         assert resolve_budget(999) == 999  # explicit argument wins
         with pytest.raises(BudgetExceededError):
             minimal_superpattern(4, "layered", "layered")
+
+
+@pytest.mark.parametrize("ptag", _TAGS)
+@pytest.mark.parametrize("ctag", _TAGS)
+def test_class_pair_matrix(ptag, ctag):
+    # infeasible exactly when brute containment finds a pattern outside the
+    # candidate class, with the lex-first one as the certificate; feasible
+    # reports as pinned
+    for n in range(5):
+        outside = brute_first_outside(ptag, ctag, n)
+        report = minimal_superpattern(n, ptag, ctag)
+        assert ((ptag, ctag, n) not in _FEASIBLE) == (outside is not None)
+        if outside is not None:
+            assert isinstance(report, InfeasibleReport)
+            assert report.certificate.values == outside
+            assert report.elapsed_ms < 1000
+            continue
+        min_length, witness, examined = _FEASIBLE[ptag, ctag, n]
+        exhausted = [[m, _count_ref(ctag, m)] for m in range(n, min_length)]
+        assert _semantic(report) == {
+            "n": n,
+            "pattern_class": ptag,
+            "candidate_class": ctag,
+            "min_length": min_length,
+            "witness": witness,
+            "candidates_examined": examined,
+            "lengths_exhausted": exhausted,
+        }
 
 
 class TestClaims231:
