@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .classes import ClassTag
-from .errors import BudgetExceededError, CapExceededError, PermutationError
+from .errors import BudgetExceededError
 from .layered import layer_profile, parse_profile, realize
 from .perms import Permutation, contains, direct_sum, parse
 from .search import check_claims_231, check_conjecture_321, minimal_superpattern
@@ -254,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (PermutationError, CapExceededError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

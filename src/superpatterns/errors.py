@@ -28,10 +28,13 @@ class CapExceededError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A search would exceed its node budget (candidates x patterns).
+    """A run would exceed its node budget: candidates x patterns, charged
+    per length before it is scanned and summed over all of a command's scans.
 
-    Carries the lengths already fully enumerated so callers can report an
-    honest partial result; nothing is silently truncated.
+    Carries the nodes the refused length would have brought the run to, the
+    budget, and the lengths its search had already fully enumerated (none
+    for a single-length scan such as a claim check), so callers can report
+    an honest partial result; nothing is silently truncated.
     """
 
     def __init__(self, message: str, *, lengths_exhausted=(), estimated: int = 0,

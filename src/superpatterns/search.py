@@ -7,11 +7,15 @@ composition prefix (kernels.scan_layered): a prefix that some pattern can
 no longer fit into is pruned, and so, in the pure kernel, is one whose set
 of unmatched pattern suffixes already failed with as many positions left.
 A prefix stands for an exact, contiguous block of ranks, so the counts are
-those of visiting every candidate.  A single
-node budget (candidates times patterns, estimated a priori per length)
-gates every run; exceeding it raises instead of truncating, because the
-nonexistence half of the result is only meaningful when enumeration is
-complete.
+those of visiting every candidate.
+
+One node budget gates every run: a per-run ledger charges each length its
+candidates times patterns, a priori, before the length is scanned, and
+exceeding it raises instead of truncating, because the nonexistence half
+of the result is only meaningful when enumeration is complete.  Every scan
+goes through _scan_length: those of a search, each length the 231 claims
+exhaust, and both phases of the 321 conjecture check, which share one
+ledger.
 
 Every class here is closed under containment, so a length-n pattern outside
 the candidate class lies in no candidate of any length: such a query gets an
@@ -33,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -52,13 +55,29 @@ MIN_5UNIVERSAL_AV231_LEN11 = Permutation((1, 5, 11, 9, 3, 2, 8, 4, 7, 6, 10))
 AVOIDING_5UNIVERSAL_AV231_LEN12 = Permutation((1, 11, 3, 2, 10, 7, 5, 4, 6, 9, 8, 12))
 
 
-def resolve_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("SUPERPATTERN_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+class _Budget:
+    """The node budget of one run, charged length by length (None means
+    DEFAULT_BUDGET)."""
+
+    def __init__(self, limit: int | None) -> None:
+        self.limit = DEFAULT_BUDGET if limit is None else limit
+        self.used = 0
+
+    def charge(
+        self, ctag: ClassTag, m: int, nodes: int, exhausted: list[tuple[int, int]]
+    ) -> None:
+        """Charge scanning length m of the class, or raise with the lengths
+        that this scan's search has exhausted."""
+        if self.used + nodes > self.limit:
+            done = ", ".join(str(k) for k, _ in exhausted) or "none"
+            raise BudgetExceededError(
+                f"scanning {ctag.value} length {m} needs ~{self.used + nodes} nodes, "
+                f"over the budget of {self.limit}; lengths exhausted: {done}",
+                lengths_exhausted=exhausted,
+                estimated=self.used + nodes,
+                budget=self.limit,
+            )
+        self.used += nodes
 
 
 def _check_jobs(jobs: int) -> None:
@@ -113,24 +132,33 @@ def _scan_range(
 
 
 def _scan_length(
+    ledger: _Budget,
     ctag: ClassTag,
     m: int,
     patterns: tuple[tuple[int, ...], ...],
-    total: int,
-    jobs: int,
-    pool: ProcessPoolExecutor | None,
-) -> int | None:
-    """Witness rank within length m, or None when the length is exhausted.
+    exhausted: list[tuple[int, int]],
+    jobs: int = 1,
+    pool: ProcessPoolExecutor | None = None,
+) -> tuple[int, int]:
+    """(witness rank, candidates scanned) within length m, the rank -1 when
+    the length is exhausted; it is then appended to exhausted as (m, count).
 
-    The length is split into jobs rank ranges on the pool when there is one
-    and the length is big enough to be worth it."""
+    The length is charged to the ledger first.  It is split into jobs rank
+    ranges on the pool when there is one and the length is big enough to be
+    worth it."""
+    total = class_count(ctag, m)
+    ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)
     if pool is None or total < _SERIAL_CUTOFF:
         rank = _scan_range(ctag, m, patterns, 0, total)
-        return rank if rank >= 0 else None
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    scan = functools.partial(_scan_range, ctag, m, patterns)
-    found = [r for r in pool.map(scan, bounds[:-1], bounds[1:]) if r >= 0]
-    return min(found) if found else None
+    else:
+        bounds = [total * i // jobs for i in range(jobs + 1)]
+        scan = functools.partial(_scan_range, ctag, m, patterns)
+        found = [r for r in pool.map(scan, bounds[:-1], bounds[1:]) if r >= 0]
+        rank = min(found, default=-1)
+    if rank >= 0:
+        return rank, rank + 1
+    exhausted.append((m, total))
+    return rank, total
 
 
 def _candidate_at(ctag: ClassTag, m: int, rank: int) -> Permutation:
@@ -195,6 +223,16 @@ def minimal_superpattern(
     witness at that length and full enumeration counts below it; or an
     InfeasibleReport when some length-n pattern is outside the candidate
     class."""
+    return _minimal_superpattern(n, pattern_class, candidate_class, _Budget(budget), jobs)
+
+
+def _minimal_superpattern(
+    n: int,
+    pattern_class: ClassTag | str,
+    candidate_class: ClassTag | str,
+    ledger: _Budget,
+    jobs: int,
+) -> SearchReport | InfeasibleReport:
     t0 = time.perf_counter()
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -212,7 +250,6 @@ def minimal_superpattern(
         )
         _check_report(infeasible)
         return infeasible
-    budget_limit = resolve_budget(budget)
     if ctag is ClassTag.LAYERED:
         # feasible, so every pattern is layered: all of them iff as many
         # (for a non-layered pattern class, only at n <= 2)
@@ -221,32 +258,15 @@ def minimal_superpattern(
             raise InternalDefectError("layered candidates would miss a pattern")
     else:
         patterns = _ordered_pattern_tuples(ptag, n)
-    pattern_count = max(len(patterns), 1)
     exhausted: list[tuple[int, int]] = []
-    used = 0
     m = n
-    # One worker pool serves every length of the search; it starts at the
-    # first length big enough to split.
-    with contextlib.ExitStack() as stack:
-        pool: ProcessPoolExecutor | None = None
+    # One worker pool serves every length of the search; its workers start
+    # at the first length big enough to split.
+    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         while True:
-            total = class_count(ctag, m)
-            estimate = total * pattern_count
-            if used + estimate > budget_limit:
-                raise BudgetExceededError(
-                    f"scanning length {m} needs ~{used + estimate} nodes, over the "
-                    f"budget of {budget_limit}; lengths {n}..{m - 1} were exhausted",
-                    lengths_exhausted=exhausted,
-                    estimated=used + estimate,
-                    budget=budget_limit,
-                )
-            used += estimate
-            if pool is None and jobs > 1 and total >= _SERIAL_CUTOFF:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            rank = _scan_length(ctag, m, patterns, total, jobs, pool)
-            if rank is not None:
+            rank, _ = _scan_length(ledger, ctag, m, patterns, exhausted, jobs, pool)
+            if rank >= 0:
                 break
-            exhausted.append((m, total))
             m += 1
     witness = _candidate_at(ctag, m, rank)
     report = SearchReport(
@@ -313,7 +333,7 @@ def check_claims_231(
     enlarged budget).
     """
     t0 = time.perf_counter()
-    budget_limit = resolve_budget(budget)
+    ledger = _Budget(budget)
     patterns = _ordered_pattern_tuples(ClassTag.AV231, 5)
     claims = []
 
@@ -339,16 +359,7 @@ def check_claims_231(
         )
     )
 
-    candidates = list(class_tuples(ClassTag.AV231, 11))
-    estimate = len(candidates) * len(patterns)
-    if estimate > budget_limit:
-        raise BudgetExceededError(
-            f"length-11 exhaustion needs ~{estimate} nodes, over {budget_limit}",
-            estimated=estimate,
-            budget=budget_limit,
-        )
-    used = estimate
-    rank, scanned = kernels.scan_perm_list(candidates, patterns, 0, len(candidates))
+    rank, scanned = _scan_length(ledger, ClassTag.AV231, 11, patterns, [])
     claims.append(
         ClaimResult(
             name="no 231-avoiding length-11 permutation is 5-universal for av231",
@@ -357,7 +368,7 @@ def check_claims_231(
                 "candidates_checked": scanned,
                 "counterexample": None
                 if rank == -1
-                else " ".join(map(str, candidates[rank])),
+                else str(_candidate_at(ClassTag.AV231, 11, rank)),
             },
         )
     )
@@ -377,16 +388,7 @@ def check_claims_231(
 
     if verify_minimality:
         for m in range(5, 11):
-            estimate = math.factorial(m) * len(patterns)
-            if used + estimate > budget_limit:
-                raise BudgetExceededError(
-                    f"minimality scan at length {m} needs ~{used + estimate} nodes, "
-                    f"over {budget_limit}",
-                    estimated=used + estimate,
-                    budget=budget_limit,
-                )
-            used += estimate
-            rank, scanned = kernels.scan_all_perms(m, patterns, 0, math.factorial(m))
+            rank, scanned = _scan_length(ledger, ClassTag.ALL, m, patterns, [])
             claims.append(
                 ClaimResult(
                     name=f"no permutation of length {m} is 5-universal for av231",
@@ -427,26 +429,12 @@ def check_conjecture_321(
     verdict is whatever the exhaustive runs say.
     """
     t0 = time.perf_counter()
-    budget_limit = resolve_budget(budget)
-    all_search = minimal_superpattern(
-        n, ClassTag.AV321, ClassTag.ALL, budget=budget_limit, jobs=jobs
-    )
+    ledger = _Budget(budget)
+    all_search = _minimal_superpattern(n, ClassTag.AV321, ClassTag.ALL, ledger, jobs)
     length = all_search.min_length
     patterns = _ordered_pattern_tuples(ClassTag.AV321, n)
-    phase1 = sum(
-        class_count(ClassTag.ALL, m) * len(patterns) for m in range(n, length + 1)
-    )
-    candidates = list(class_tuples(ClassTag.AV321, length))
-    phase2 = len(candidates) * len(patterns)
-    if phase1 + phase2 > budget_limit:
-        raise BudgetExceededError(
-            f"avoiding-candidate scan needs ~{phase1 + phase2} nodes, over "
-            f"{budget_limit}",
-            estimated=phase1 + phase2,
-            budget=budget_limit,
-        )
-    rank, scanned = kernels.scan_perm_list(candidates, patterns, 0, len(candidates))
-    witness = None if rank == -1 else Permutation(candidates[rank])
+    rank, scanned = _scan_length(ledger, ClassTag.AV321, length, patterns, [])
+    witness = None if rank == -1 else _candidate_at(ClassTag.AV321, length, rank)
     if witness is not None:
         if not verify_universal(witness, n, ClassTag.AV321).ok:
             raise InternalDefectError("avoiding witness failed re-verification")
@@ -457,6 +445,6 @@ def check_conjecture_321(
         holds=witness is not None,
         avoiding_witness=witness,
         avoiding_candidates_examined=scanned,
-        avoiding_total=len(candidates),
+        avoiding_total=class_count(ClassTag.AV321, length),
         elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
     )

@@ -43,9 +43,9 @@ class LengthTable:
     a convex function of k, so the smallest minimizer is found by walking
     right while f strictly decreases and then left over any flat run.  The
     walk starts from the previous argmin and is amortized O(1) per entry,
-    which keeps million-entry tables cheap.  If the convexity check ever
-    failed the table would fall back to full scans; the values themselves
-    are always true minima.
+    which keeps million-entry tables cheap.  L has nondecreasing
+    differences ceil(log2(n+1)), so a failed convexity check means a corrupt
+    table and raises InternalDefectError instead of appending.
 
     Both columns are machine-integer arrays (the argmin of n = 0 is stored
     as -1): a 100,000-entry table takes 1.6 MB instead of the 5.8 MB of two
@@ -58,7 +58,6 @@ class LengthTable:
     def __init__(self) -> None:
         self._values = array("q", [0])
         self._argmin = array("q", [-1])
-        self._convex = True
 
     def __len__(self) -> int:
         return len(self._values)
@@ -71,27 +70,24 @@ class LengthTable:
         vals = self._values
         m = len(vals)  # computing entry m
         last = m - 1  # f(k) = vals[k] + vals[last - k]
-        if self._convex:
-            k = min(self._argmin[last], last) if m > 1 else 0
-            best = vals[k] + vals[last - k]
-            while k < last:
-                fk = vals[k + 1] + vals[last - k - 1]
-                if fk >= best:
-                    break
-                k += 1
-                best = fk
-            while k > 0:
-                fk = vals[k - 1] + vals[last - k + 1]
-                if fk > best:
-                    break
-                k -= 1
-                best = fk
-        else:
-            best, k = min((vals[j] + vals[last - j], j) for j in range(m))
+        k = min(self._argmin[last], last) if m > 1 else 0
+        best = vals[k] + vals[last - k]
+        while k < last:
+            fk = vals[k + 1] + vals[last - k - 1]
+            if fk >= best:
+                break
+            k += 1
+            best = fk
+        while k > 0:
+            fk = vals[k - 1] + vals[last - k + 1]
+            if fk > best:
+                break
+            k -= 1
+            best = fk
+        if m >= 2 and m + best - vals[last] < vals[last] - vals[m - 2]:
+            raise InternalDefectError(f"length table is not convex at n={m}")
         vals.append(m + best)
         self._argmin.append(k)
-        if m >= 2 and vals[m] - vals[m - 1] < vals[m - 1] - vals[m - 2]:
-            self._convex = False
 
     def value(self, n: int) -> int:
         if n < 0:

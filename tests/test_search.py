@@ -22,7 +22,6 @@ from superpatterns.search import (
     AVOIDING_5UNIVERSAL_AV231_LEN12,
     MIN_5UNIVERSAL_AV231_LEN11,
     InfeasibleReport,
-    resolve_budget,
 )
 
 _TAGS = ("layered", "av231", "av321", "all")
@@ -149,6 +148,7 @@ class TestMinimalSuperpattern:
         err = exc_info.value
         assert err.lengths_exhausted == ((4, 8), (5, 16))
         assert err.budget == 200
+        assert "layered length 6" in str(err) and "exhausted: 4, 5" in str(err)
 
     def test_rejects_bad_inputs(self, monkeypatch):
         with pytest.raises(ValueError, match="non-negative"):
@@ -198,13 +198,6 @@ class TestMinimalSuperpattern:
             with pytest.raises(InternalDefectError):
                 search._check_report(report)
 
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("SUPERPATTERN_BUDGET", "123")
-        assert resolve_budget(None) == 123
-        assert resolve_budget(999) == 999  # explicit argument wins
-        with pytest.raises(BudgetExceededError):
-            minimal_superpattern(4, "layered", "layered")
-
 
 @pytest.mark.parametrize("ptag", _TAGS)
 @pytest.mark.parametrize("ctag", _TAGS)
@@ -249,6 +242,29 @@ class TestClaims231:
         with pytest.raises(BudgetExceededError):
             check_claims_231(budget=1000)
 
+    def test_budget_boundaries(self):
+        # the length-11 exhaustion is charged 58,786 avoiders x 42 patterns
+        assert check_claims_231(budget=2_469_012).all_passed
+        with pytest.raises(BudgetExceededError, match="av231 length 11") as exc_info:
+            check_claims_231(budget=2_469_011)
+        err = exc_info.value
+        assert (err.lengths_exhausted, err.estimated, err.budget) == ((), 2_469_012, 2_469_011)
+        # the minimality scans are charged on top of it, 5! x 42 at length 5
+        with pytest.raises(BudgetExceededError, match="all length 5") as exc_info:
+            check_claims_231(verify_minimality=True, budget=2_474_051)
+        err = exc_info.value
+        assert (err.lengths_exhausted, err.estimated, err.budget) == ((), 2_474_052, 2_474_051)
+
+    def test_claim3_counterexample_is_named(self, monkeypatch):
+        monkeypatch.setattr(search, "_scan_range", lambda *args: 0)
+        report = check_claims_231()
+        assert not report.all_passed
+        assert [c.passed for c in report.claims] == [True, True, False, True]
+        assert report.claims[2].details == {
+            "candidates_checked": 1,
+            "counterexample": "1 2 3 4 5 6 7 8 9 10 11",
+        }
+
     @pytest.mark.slow
     @pytest.mark.skipif(kernels.BACKEND == "python", reason="needs the compiled kernel")
     def test_optional_minimality_over_all_candidates(self):
@@ -274,6 +290,16 @@ class TestConjecture321:
         assert report.avoiding_total == class_count("av321", report.min_length)
         if report.holds:
             assert verify_universal(report.avoiding_witness, 3, "av321").ok
+
+    def test_budget_boundary(self):
+        # phase 1 charges lengths 4..7 of all permutations, phase 2 the 429
+        # 321-avoiders of length 7, each times 14 patterns, to one budget
+        report = check_conjecture_321(4, budget=88_662)
+        assert report.min_length == 7 and report.avoiding_total == 429
+        with pytest.raises(BudgetExceededError, match="av321 length 7") as exc_info:
+            check_conjecture_321(4, budget=88_661)
+        err = exc_info.value
+        assert (err.lengths_exhausted, err.estimated, err.budget) == ((), 88_662, 88_661)
 
     def test_json_schema(self):
         payload = check_conjecture_321(2).to_json_dict()

@@ -37,7 +37,7 @@ from superpatterns import (
     verify_universal,
 )
 from superpatterns.classes import ClassTag
-from superpatterns.errors import CapExceededError
+from superpatterns.errors import CapExceededError, InternalDefectError
 
 
 class TestLengthTable:
@@ -93,6 +93,16 @@ class TestLengthTable:
         path.write_text("0\n1\n999\n")
         with pytest.raises(ValueError):
             LengthTable.load(path)
+
+    def test_nonconvex_table_is_a_defect(self):
+        # L(5) = 11 doctored to 20: L(6) = 14 would then step by -6 after a
+        # step of +12, and the convex walk could miss the minimum
+        table = LengthTable()
+        table.extend_to(5)
+        table._values[5] = 20
+        with pytest.raises(InternalDefectError, match="convex"):
+            table.extend_to(6)
+        assert len(table) == 6
 
 
 class TestBuildUniversal:
