@@ -117,18 +117,25 @@ def _scan_range(
     patterns: tuple[tuple[int, ...], ...],
     lo: int,
     hi: int,
-) -> int:
-    """First rank in [lo, hi) whose candidate contains every pattern, or -1.
+) -> tuple[int, tuple[int, ...] | None]:
+    """(rank, values) of the first candidate in [lo, hi) that contains every
+    pattern, or (-1, None).
 
     Layered candidates take layer profiles as patterns, the others tuples."""
     if ctag is ClassTag.LAYERED:
         rank, _ = kernels.scan_layered(m, patterns, lo, hi)
+        if rank >= 0:
+            return rank, realize_values(kernels.composition_at_rank(m, rank))
     elif ctag is ClassTag.ALL:
         rank, _ = kernels.scan_all_perms(m, patterns, lo, hi)
+        if rank >= 0:
+            return rank, kernels.permutation_at_rank(m, rank)
     else:
         candidates = list(class_tuples(ctag, m))
         rank, _ = kernels.scan_perm_list(candidates, patterns, lo, hi)
-    return rank
+        if rank >= 0:
+            return rank, candidates[rank]
+    return -1, None
 
 
 def _scan_length(
@@ -139,9 +146,10 @@ def _scan_length(
     exhausted: list[tuple[int, int]],
     jobs: int = 1,
     pool: ProcessPoolExecutor | None = None,
-) -> tuple[int, int]:
-    """(witness rank, candidates scanned) within length m, the rank -1 when
-    the length is exhausted; it is then appended to exhausted as (m, count).
+) -> tuple[Permutation | None, int]:
+    """(first witness, candidates scanned) within length m, the witness None
+    when the length is exhausted; it is then appended to exhausted as
+    (m, count).
 
     The length is charged to the ledger first.  It is split into jobs rank
     ranges on the pool when there is one and the length is big enough to be
@@ -149,25 +157,16 @@ def _scan_length(
     total = class_count(ctag, m)
     ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)
     if pool is None or total < _SERIAL_CUTOFF:
-        rank = _scan_range(ctag, m, patterns, 0, total)
+        rank, values = _scan_range(ctag, m, patterns, 0, total)
     else:
         bounds = [total * i // jobs for i in range(jobs + 1)]
         scan = functools.partial(_scan_range, ctag, m, patterns)
-        found = [r for r in pool.map(scan, bounds[:-1], bounds[1:]) if r >= 0]
-        rank = min(found, default=-1)
-    if rank >= 0:
-        return rank, rank + 1
+        found = [r for r in pool.map(scan, bounds[:-1], bounds[1:]) if r[0] >= 0]
+        rank, values = min(found, default=(-1, None))
+    if values is not None:
+        return Permutation(values), rank + 1
     exhausted.append((m, total))
-    return rank, total
-
-
-def _candidate_at(ctag: ClassTag, m: int, rank: int) -> Permutation:
-    if ctag is ClassTag.LAYERED:
-        return Permutation(realize_values(kernels.composition_at_rank(m, rank)))
-    if ctag is ClassTag.ALL:
-        return Permutation(kernels.permutation_at_rank(m, rank))
-    candidates = list(class_tuples(ctag, m))
-    return Permutation(candidates[rank])
+    return None, total
 
 
 @dataclasses.dataclass(frozen=True)
@@ -264,18 +263,19 @@ def _minimal_superpattern(
     # at the first length big enough to split.
     with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
         while True:
-            rank, _ = _scan_length(ledger, ctag, m, patterns, exhausted, jobs, pool)
-            if rank >= 0:
+            witness, scanned = _scan_length(
+                ledger, ctag, m, patterns, exhausted, jobs, pool
+            )
+            if witness is not None:
                 break
             m += 1
-    witness = _candidate_at(ctag, m, rank)
     report = SearchReport(
         n=n,
         pattern_class=ptag,
         candidate_class=ctag,
         min_length=m,
         witness=witness,
-        candidates_examined=sum(c for _, c in exhausted) + rank + 1,
+        candidates_examined=sum(c for _, c in exhausted) + scanned,
         lengths_exhausted=tuple(exhausted),
         elapsed_ms=int(round((time.perf_counter() - t0) * 1000)),
     )
@@ -359,16 +359,14 @@ def check_claims_231(
         )
     )
 
-    rank, scanned = _scan_length(ledger, ClassTag.AV231, 11, patterns, [])
+    found, scanned = _scan_length(ledger, ClassTag.AV231, 11, patterns, [])
     claims.append(
         ClaimResult(
             name="no 231-avoiding length-11 permutation is 5-universal for av231",
-            passed=rank == -1,
+            passed=found is None,
             details={
                 "candidates_checked": scanned,
-                "counterexample": None
-                if rank == -1
-                else str(_candidate_at(ClassTag.AV231, 11, rank)),
+                "counterexample": None if found is None else str(found),
             },
         )
     )
@@ -388,11 +386,11 @@ def check_claims_231(
 
     if verify_minimality:
         for m in range(5, 11):
-            rank, scanned = _scan_length(ledger, ClassTag.ALL, m, patterns, [])
+            witness, scanned = _scan_length(ledger, ClassTag.ALL, m, patterns, [])
             claims.append(
                 ClaimResult(
                     name=f"no permutation of length {m} is 5-universal for av231",
-                    passed=rank == -1,
+                    passed=witness is None,
                     details={"candidates_checked": scanned},
                 )
             )
@@ -433,8 +431,7 @@ def check_conjecture_321(
     all_search = _minimal_superpattern(n, ClassTag.AV321, ClassTag.ALL, ledger, jobs)
     length = all_search.min_length
     patterns = _ordered_pattern_tuples(ClassTag.AV321, n)
-    rank, scanned = _scan_length(ledger, ClassTag.AV321, length, patterns, [])
-    witness = None if rank == -1 else _candidate_at(ClassTag.AV321, length, rank)
+    witness, scanned = _scan_length(ledger, ClassTag.AV321, length, patterns, [])
     if witness is not None:
         if not verify_universal(witness, n, ClassTag.AV321).ok:
             raise InternalDefectError("avoiding witness failed re-verification")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import math
 from array import array
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .classes import ClassTag, coerce_tag, class_tuples
 from .errors import CapExceededError, InternalDefectError
 from .kernels import contains as _contains
 from .kernels import greedy_layer_indices as _greedy
-from .perms import EMPTY, Embedding, Permutation, decreasing, direct_sum, rank_reduce
+from .perms import EMPTY, Embedding, Permutation, decreasing, direct_sum
 
 VERIFY_CAP = {
     ClassTag.LAYERED: 16,
@@ -63,6 +64,8 @@ class LengthTable:
         return len(self._values)
 
     def extend_to(self, n: int) -> None:
+        if n < 0:
+            raise ValueError("n must be non-negative")
         while len(self._values) <= n:
             self._append_next()
 
@@ -90,8 +93,6 @@ class LengthTable:
         self._argmin.append(k)
 
     def value(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("n must be non-negative")
         self.extend_to(n)
         return self._values[n]
 
@@ -249,21 +250,21 @@ def verify_universal(
 
 def _max_decreasing_positions(values: tuple[int, ...]) -> tuple[int, ...]:
     """0-based positions of the lexicographically smallest maximum-length
-    decreasing subsequence, in O(m log m).
+    decreasing subsequence of distinct values, in O(m log m).
 
     chain[i] = longest decreasing run starting at i, by patience sorting
     from the right: tails[k] is the smallest value heading a decreasing run
     of length k + 1 among the entries seen so far, so tails increases and
     the runs that values[i] can head are one longer than those headed by the
     bisect_left(tails, values[i]) entries below it.  The witness is rebuilt
-    greedily in one left-to-right pass, taking the earliest position that
-    can still head a run of the required remaining length, which yields the
-    lexicographically smallest position sequence.
+    in one left-to-right walk, taking each entry below the last one taken
+    that can still head a run of the remaining length, which yields the
+    lexicographically smallest position sequence.  Only the relative order
+    of the values matters, so they need not be 1..m.
     """
-    n = len(values)
-    chain = [0] * n
+    chain = [0] * len(values)
     tails: list[int] = []
-    for i in range(n - 1, -1, -1):
+    for i in range(len(values) - 1, -1, -1):
         v = values[i]
         k = bisect.bisect_left(tails, v)
         if k == len(tails):
@@ -271,19 +272,14 @@ def _max_decreasing_positions(values: tuple[int, ...]) -> tuple[int, ...]:
         else:
             tails[k] = v
         chain[i] = k + 1
-    target = len(tails)
     positions = []
-    need = target
-    prev_pos = -1
-    prev_val = n + 1
-    for _ in range(target):
-        for p in range(prev_pos + 1, n):
-            if values[p] < prev_val and chain[p] >= need:
-                positions.append(p)
-                prev_pos = p
-                prev_val = values[p]
-                need -= 1
-                break
+    need = len(tails)
+    last = math.inf
+    for p, v in enumerate(values):
+        if v < last and chain[p] >= need > 0:
+            positions.append(p)
+            last = v
+            need -= 1
     return tuple(positions)
 
 
@@ -302,29 +298,34 @@ def max_decreasing_subsequence(perm: Permutation) -> Embedding:
 def _split_southwest_northeast(
     values: tuple[int, ...], dec_positions: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Partition the entries outside a maximum decreasing subsequence D into
-    those southwest of some D entry and those northeast of some D entry.
+    """The values outside a maximum decreasing subsequence D, split into
+    those southwest of some D entry and those northeast of some D entry,
+    each in position order.
 
     D's positions increase while its values decrease, so it is enough to
-    compare against the nearest D entry on each side.  Maximality of D
-    forces exactly one side to apply; anything else is a defect.
+    compare against the nearest D entry on each side, which one walk along
+    D's positions keeps at hand.  Maximality of D forces exactly one side
+    to apply; anything else is a defect.
     """
-    dec_set = set(dec_positions)
-    dec_vals = [values[p] for p in dec_positions]
+    end = len(values)
+    ahead = iter(dec_positions)
+    nxt = next(ahead, end)
+    before = math.inf  # the D entry to the left; none yet
     southwest = []
     northeast = []
     for p, v in enumerate(values):
-        if p in dec_set:
+        if p == nxt:
+            before = v
+            nxt = next(ahead, end)
             continue
-        idx = bisect.bisect_right(dec_positions, p)
-        sw = idx < len(dec_positions) and v < dec_vals[idx]
-        ne = idx > 0 and v > dec_vals[idx - 1]
+        sw = nxt < end and v < values[nxt]
+        ne = v > before
         if sw == ne:
             raise InternalDefectError(
                 f"entry {v} at position {p + 1} is {'both' if sw else 'neither'} "
                 "southwest and northeast of the maximum decreasing subsequence"
             )
-        (southwest if sw else northeast).append(p)
+        (southwest if sw else northeast).append(v)
     return tuple(southwest), tuple(northeast)
 
 
@@ -334,10 +335,11 @@ def layerize(perm: Permutation) -> Permutation:
 
     Repeatedly split on a maximum decreasing subsequence D: entries
     southwest of D recurse on the left, D flattens to one layer of size
-    |D|, entries northeast of D recurse on the right.  An explicit work
-    stack assembles the layer sizes in order, so deep inputs (the identity
-    recurses to depth n) cannot exhaust the call stack.  Layered inputs are
-    fixed points under the leftmost tie-break.
+    |D|, entries northeast of D recurse on the right.  Each side recurses
+    on its raw values, since only their relative order matters.  An
+    explicit work stack assembles the layer sizes in order, so deep inputs
+    (the identity recurses to depth n) cannot exhaust the call stack.
+    Layered inputs are fixed points under the leftmost tie-break.
     """
     sizes: list[int] = []
     stack: list[tuple[int, ...] | int] = [perm.values]
@@ -350,7 +352,5 @@ def layerize(perm: Permutation) -> Permutation:
             continue
         dec = _max_decreasing_positions(item)
         southwest, northeast = _split_southwest_northeast(item, dec)
-        stack.append(rank_reduce([item[p] for p in northeast]))
-        stack.append(len(dec))
-        stack.append(rank_reduce([item[p] for p in southwest]))
+        stack.extend((northeast, len(dec), southwest))
     return layered_mod.realize(layered_mod.LayerProfile(tuple(sizes)))

@@ -93,6 +93,32 @@ def dp_max_decreasing_positions(values):
     return min((b for b in best if len(b) == longest), default=())
 
 
+def recursive_layerize(values):
+    """The layerizing transform as the paper states it, by plain recursion:
+    split on the lex-first maximum decreasing subsequence D, rank-reduce the
+    entries southwest of some D entry and those northeast of some D entry
+    (each by scanning all of D), and lay out the southwest side's result, D
+    as one layer, then the northeast side's result.  Returns the values of
+    the layered permutation."""
+
+    def sizes(vals):
+        if not vals:
+            return ()
+        dec = dp_max_decreasing_positions(vals)
+        southwest, northeast = [], []
+        for p, v in enumerate(vals):
+            if p in dec:
+                continue
+            sw = any(p < d and v < vals[d] for d in dec)
+            ne = any(p > d and v > vals[d] for d in dec)
+            assert sw != ne, "D is not a maximum decreasing subsequence"
+            (southwest if sw else northeast).append(v)
+        left, right = sizes(rank_reduce(southwest)), sizes(rank_reduce(northeast))
+        return left + (len(dec),) + right
+
+    return layered_values(sizes(tuple(values)))
+
+
 def brute_compositions(n):
     if n == 0:
         return [()]

@@ -13,6 +13,7 @@ from oracles import (
     brute_max_decreasing_positions,
     brute_split_min,
     dp_max_decreasing_positions,
+    recursive_layerize,
     layered_fits,
     patterns_contained,
 )
@@ -38,6 +39,7 @@ from superpatterns import (
 )
 from superpatterns.classes import ClassTag
 from superpatterns.errors import CapExceededError, InternalDefectError
+from superpatterns.universal import _max_decreasing_positions
 
 
 class TestLengthTable:
@@ -79,6 +81,22 @@ class TestLengthTable:
     def test_argmin_none_at_zero(self):
         assert superpattern_split(0) is None
         assert superpattern_split(4) == 1  # 1 and 2 tie; smallest wins
+
+    def test_argmin_rejects_negative_n(self):
+        table = LengthTable()
+        table.extend_to(10)
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            table.argmin(-1)
+
+    def test_prefix_rejects_negative_n(self):
+        table = LengthTable()
+        table.extend_to(10)
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            table.prefix(-5)
+
+    def test_split_rejects_negative_n(self):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            superpattern_split(-1)
 
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "table.txt"
@@ -257,6 +275,19 @@ class TestMaxDecreasing:
                 expected = dp_max_decreasing_positions(values)
                 assert tuple(got) == tuple(p + 1 for p in expected)
 
+    def test_values_need_not_be_one_to_m(self):
+        # layerize recurses on raw values, so the positions must depend only
+        # on their relative order: shifted and gapped copies give the same
+        for m in range(1, 8):
+            for values in itertools.permutations(range(1, m + 1)):
+                expected = _max_decreasing_positions(values)
+                for copy in (
+                    tuple(v + 100 for v in values),
+                    tuple(v - m for v in values),
+                    tuple(v * v + 7 * v for v in values),
+                ):
+                    assert _max_decreasing_positions(copy) == expected
+
     def test_result_is_decreasing(self):
         perm = parse("3 5 4 10 1 9 6 8 7 11 2")
         emb = max_decreasing_subsequence(perm)
@@ -281,6 +312,26 @@ class TestLayerize:
         # the transform may add layered patterns, never lose them
         assert contains(parse("2 1 4 3"), parse("2 4 1 3")) is None
         assert contains(parse("2 1 4 3"), got) is not None
+
+    def test_recursive_oracle_exhaustive_small(self):
+        for m in range(8):
+            for values in itertools.permutations(range(1, m + 1)):
+                got = layerize(Permutation(values))
+                assert got.values == recursive_layerize(values)
+
+    def test_recursive_oracle_random(self):
+        rng = random.Random(811)
+        inputs = []
+        for m in (20, 35, 60, 100, 180, 300):
+            for _ in range(4):
+                inputs.append(tuple(rng.sample(range(1, m + 1), m)))
+            sizes, left = [], m
+            while left:
+                sizes.append(rng.randint(1, min(left, 9)))
+                left -= sizes[-1]
+            inputs.append(realize(LayerProfile(tuple(sizes))).values)
+        for values in inputs:
+            assert layerize(Permutation(values)).values == recursive_layerize(values)
 
     def test_superset_property_exhaustive_small(self):
         for m in range(7):
