@@ -3,8 +3,9 @@
 This module is the reference for the compiled extension
 ``superpatterns._kernels``; ``superpatterns.kernels`` selects one of the two
 at import time.  The extension implements the same functions with the same
-semantics, except ``contains`` and ``permutation_at_rank``, which only this
-module defines; the parity tests compare the two.
+semantics, except ``contains``, ``permutation_at_rank`` and
+``LayeredTable``, which only this module defines; the parity tests compare
+the two.
 
 Conventions local to the kernels: positions and ranks are 0-based, values in
 one-line notation are 1-based, and candidates within a length are ordered by
@@ -16,6 +17,8 @@ convention.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from itertools import accumulate
 
 BACKEND = "python"
@@ -249,6 +252,99 @@ def _next_permutation(a):
     return True
 
 
+# The head of the empty suffix: no part reaches it.
+_NO_HEAD = sys.maxsize
+
+
+class LayeredTable(tuple):
+    """A tuple of layer profiles that also keeps scan_layered's tables, so
+    that one table serves every length of a search.
+
+    What a prefix of a candidate still needs is its state, the set of the
+    patterns' distinct unmatched suffixes (scan_layered), and whether some
+    completion of r positions fits a state depends on r and the state alone,
+    not on the length m being scanned.  So the suffix ids, the moves a part
+    makes and the table of dead states are built once and grow with m.
+
+    The first scan through a table (or pickling it, for a worker) first
+    proves the family bounds, smallest k first: for each k below the largest
+    pattern need whose 2^(k-1) compositions are all suffixes, the state that
+    holds exactly them is scanned at r = k, k + 1, ... until a completion
+    fits, at L(k), the length of the shortest layered permutation that
+    contains every layered permutation of length k.  A state that holds
+    every need-k suffix then needs at least L(k) positions, since greedy fit
+    is monotone under subsets, and its bound is entered in the dead table
+    when the state is first met.  Each bound rests on scans of this table
+    that use only the bounds below it, so a scan that prunes by them is
+    still a proof by enumeration.  No bound is proved at the largest need,
+    which is what a search of that need is proving.
+    """
+
+    def __new__(cls, pattern_profiles):
+        return super().__new__(cls, map(tuple, pattern_profiles))
+
+    def __init__(self, pattern_profiles):
+        suffixes = {()}
+        for profile in self:
+            smallest = min(profile, default=1)
+            if smallest < 1:
+                raise ValueError(f"profile parts must be >= 1, got {smallest}")
+            suffixes.update(profile[i:] for i in range(len(profile)))
+        # Every distinct suffix gets an id, numbered by need, the sum of its
+        # sizes (the empty suffix is 0); heads[g] is the size of its first
+        # layer (_NO_HEAD for the empty one) and tails[g] the id of the
+        # suffix after that layer.
+        ordered = sorted(suffixes, key=sum)
+        ids = {suffix: g for g, suffix in enumerate(ordered)}
+        self.needs = list(map(sum, ordered))
+        self.heads = [suffix[0] if suffix else _NO_HEAD for suffix in ordered]
+        self.tails = [ids[suffix[1:]] if suffix else 0 for suffix in ordered]
+        # a state is the ascending tuple of its distinct ids, always with 0
+        self.root = tuple(sorted({0, *map(ids.__getitem__, self)}))
+        # moves[p][g]: the suffix left after a host part p
+        self.moves = [None]
+        # dead: state -> the largest r known to have no fitting completion
+        self.dead = {}
+        # (first id, end id, L(k) - 1) per proved family, largest k first
+        self.families = None
+
+    def __getstate__(self):
+        # a worker gets the proofs, instead of each task proving them again
+        self._prove_families()
+        return self.__dict__
+
+    def _extend(self, m):
+        """Grow moves to parts up to m."""
+        heads, tails = self.heads, self.tails
+        for p in range(len(self.moves), m + 1):
+            self.moves.append(
+                [t if h <= p else g for g, (h, t) in enumerate(zip(heads, tails))]
+            )
+
+    def _prove_families(self):
+        if self.families is not None:
+            return
+        self.families = []
+        needs = self.needs
+        for k in range(1, needs[self.root[-1]]):
+            first = bisect_left(needs, k)
+            end = bisect_right(needs, k)
+            if end - first < 1 << (k - 1):
+                continue
+            family = (0, *range(first, end))
+            r = k
+            while True:
+                self._extend(r)
+                if _first_fit(r, 0, family, self._tables(), 0, 1 << (r - 1)) >= 0:
+                    break
+                self.dead[family] = r
+                r += 1
+            self.families.insert(0, (first, end, r - 1))
+
+    def _tables(self):
+        return (self.moves, self.heads, self.needs, self.dead, self.families)
+
+
 def scan_layered(m, pattern_profiles, rank_lo, rank_hi):
     """Scan compositions of m by rank for one whose layered permutation
     contains every pattern profile (greedy layer matching).
@@ -256,7 +352,10 @@ def scan_layered(m, pattern_profiles, rank_lo, rank_hi):
     Returns (witness_rank, scanned): the smallest rank in [rank_lo, rank_hi)
     whose composition fits every profile, or -1 when there is none, in which
     case scanned == rank_hi - rank_lo.  The ranks must satisfy
-    0 <= rank_lo <= rank_hi <= 2^(m-1) (1 for m = 0), else ValueError.
+    0 <= rank_lo <= rank_hi <= 2^(m-1) (1 for m = 0), else ValueError.  The
+    profiles are a LayeredTable, whose tables then serve every call made
+    with it, or any other iterable of profiles, which gets a table of its
+    own for this call.
 
     The search is depth first over composition prefixes, smallest next part
     first, so prefixes are visited in rank order.  Greedy matching consumes a
@@ -270,11 +369,11 @@ def scan_layered(m, pattern_profiles, rank_lo, rank_hi):
 
     Whether some completion of r positions fits depends only on r and the
     state, and if none of r fits, none of r' < r does either (appending a
-    last part r - r' to a fitting completion keeps it fitting).  So a table
-    of dead states, kept for one call (each rank range of a split search has
-    its own), maps a state to the largest r whose whole block of completions
-    was scanned without a fit, and a child whose state is dead for at least
-    its positions left is skipped.
+    last part r - r' to a fitting completion keeps it fitting).  So the
+    table of dead states maps a state to the largest r whose whole block of
+    completions was scanned without a fit, or for which a proved family
+    bound (LayeredTable) rules every completion out, and a child whose state
+    is dead for at least its positions left is skipped.
 
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
@@ -288,37 +387,28 @@ def scan_layered(m, pattern_profiles, rank_lo, rank_hi):
     for.
     """
     _check_ranks(rank_lo, rank_hi, _composition_count(m))
-    profiles = [tuple(profile) for profile in pattern_profiles]
-    suffixes = {()}
-    for profile in profiles:
-        smallest = min(profile, default=1)
-        if smallest < 1:
-            raise ValueError(f"profile parts must be >= 1, got {smallest}")
-        suffixes.update(profile[i:] for i in range(len(profile)))
-    # Every distinct suffix gets an id, numbered by need, the sum of its
-    # sizes (the empty suffix is 0); heads[g] is the size of its first layer
-    # (m + 1, which no part reaches, for the empty one) and tails[g] the id
-    # of the suffix after that layer.
-    ordered = sorted(suffixes, key=sum)
-    ids = {suffix: g for g, suffix in enumerate(ordered)}
-    needs = list(map(sum, ordered))
-    heads = [suffix[0] if suffix else m + 1 for suffix in ordered]
-    tails = [ids[suffix[1:]] if suffix else 0 for suffix in ordered]
-    # a state is the ascending tuple of its distinct ids, always with 0
-    root = tuple(sorted({0, *map(ids.__getitem__, profiles)}))
-    if rank_lo >= rank_hi or needs[root[-1]] > m:
+    table = pattern_profiles
+    if not isinstance(table, LayeredTable):
+        table = LayeredTable(pattern_profiles)
+    if rank_lo >= rank_hi or table.needs[table.root[-1]] > m:
         return (-1, rank_hi - rank_lo)
     if m == 0:
         return (0, 1)
-    # moves[p][g]: the suffix left after a host part p
-    moves = [None] + [
-        [t if h <= p else g for g, (h, t) in enumerate(zip(heads, tails))]
-        for p in range(1, m + 1)
-    ]
-    # dead: state -> the largest r known to have no fitting completion
-    tables = (moves, heads, needs, {})
-    found = _first_fit(m, 0, root, tables, rank_lo, rank_hi)
+    table._prove_families()
+    table._extend(m)
+    found = _first_fit(m, 0, table.root, table._tables(), rank_lo, rank_hi)
     return (found, found - rank_lo + 1) if found >= 0 else (-1, rank_hi - rank_lo)
+
+
+def _family_bound(state, families):
+    """The largest L(k) - 1 among the families the state holds, or 0."""
+    for first, end, bound in families:
+        # the state's ids ascend and are distinct, so it holds the whole
+        # range iff end - first of them, starting at first, end at end - 1
+        i = bisect_left(state, first) + end - first - 1
+        if i < len(state) and state[i] == end - 1:
+            return bound
+    return 0
 
 
 def _first_fit(r, base, state, tables, rank_lo, rank_hi):
@@ -330,14 +420,15 @@ def _first_fit(r, base, state, tables, rank_lo, rank_hi):
     base + 2^(r-1) - 2^(r-p).  Its state changes only at the parts p that
     equal some suffix's head, so the children form runs with one state and
     falling positions left: a run ends where its state no longer fits, and
-    once one child of a run is dead, the rest are too.
+    once one child of a run is dead, the rest are too.  A state's family
+    bound is entered in the dead table when the state is first met.
 
     A module-level function, not a closure in scan_layered: a recursive
     closure is a reference cycle that keeps the tables alive until the cycle
     collector runs."""
-    moves, heads, needs, dead = tables
+    moves, heads, needs, dead, families = tables
     # the state's ids ascend with need, so this maps each of its heads to the
-    # largest need among its suffixes; the empty suffix's head m + 1 is last
+    # largest need among its suffixes; the empty suffix's head is last
     most = dict(zip(map(heads.__getitem__, state), map(needs.__getitem__, state)))
     starts = sorted(most)
     # unmoved[i]: the largest need among the suffixes with heads starts[i:]
@@ -368,7 +459,10 @@ def _first_fit(r, base, state, tables, rank_lo, rank_hi):
                     continue
                 if rest == 0:
                     return first
-                if dead.get(child, 0) >= rest:
+                known = dead.get(child)
+                if known is None:
+                    known = dead[child] = _family_bound(child, families)
+                if known >= rest:
                     break
                 found = _first_fit(rest, first, child, tables, rank_lo, rank_hi)
                 if found >= 0:

@@ -4,6 +4,12 @@ Takes the hot loops from the compiled extension ``superpatterns._kernels``
 when it is importable, and from the pure-Python twin otherwise.
 ``permutation_at_rank`` always comes from the twin: the compiled scans unrank
 their own start, and a compiled copy was slower than the pure one.
+
+``layered_table(profiles)`` is what a search passes to ``scan_layered`` as
+its patterns, once for all its lengths.  On the pure backend it is a
+``LayeredTable``, which keeps the scan's dead states and proved family
+bounds from one length to the next; the compiled scan takes the plain
+profile tuple and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ scan_layered = _impl.scan_layered
 scan_all_perms = _impl.scan_all_perms
 scan_perm_list = _impl.scan_perm_list
 permutation_at_rank = _kernels_py.permutation_at_rank
+layered_table = _kernels_py.LayeredTable if _impl is _kernels_py else tuple
 
 
 def contains(pattern, host):

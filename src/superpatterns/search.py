@@ -4,10 +4,13 @@ Candidates are scanned length by length, each length exhausted in
 lexicographic order, so a returned minimum comes with complete nonexistence
 counts for every shorter length.  Layered candidates are searched by
 composition prefix (kernels.scan_layered): a prefix that some pattern can
-no longer fit into is pruned, and so, in the pure kernel, is one whose set
-of unmatched pattern suffixes already failed with as many positions left.
-A prefix stands for an exact, contiguous block of ranks, so the counts are
-those of visiting every candidate.
+no longer fit into is pruned.  In the pure kernel one table serves every
+length of a search, and a prefix is also skipped when its set of unmatched
+pattern suffixes already failed with as many positions left, or when that
+set holds every composition of some k < n and fewer than L(k) positions are
+left.  The search proves each such L(k) itself, bottom up, with the same
+table, at its first scan.  A prefix stands for an exact, contiguous block of
+ranks, so the counts are those of visiting every candidate.
 
 One node budget gates every run: a per-run ledger charges each length its
 candidates times patterns, a priori, before the length is scanned, and
@@ -29,7 +32,9 @@ never changes results, only speed.
 
 Parallel runs partition each length into contiguous rank ranges and reduce
 to the smallest witness rank, so serial and parallel reports are identical.
-One worker pool serves all the lengths of a search.
+One worker pool serves all the lengths of a search.  Each range gets a copy
+of the search's layered table, or its slice of an avoider class, which is
+enumerated once per length, in this process.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import pairwise
 
 from . import kernels
 from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
@@ -117,11 +123,13 @@ def _scan_range(
     patterns: tuple[tuple[int, ...], ...],
     lo: int,
     hi: int,
+    members: list[tuple[int, ...]] | None = None,
 ) -> tuple[int, tuple[int, ...] | None]:
     """(rank, values) of the first candidate in [lo, hi) that contains every
     pattern, or (-1, None).
 
-    Layered candidates take layer profiles as patterns, the others tuples."""
+    Layered candidates take layer profiles as patterns, the others tuples.
+    An avoider class comes as members, its candidates of ranks lo..hi-1."""
     if ctag is ClassTag.LAYERED:
         rank, _ = kernels.scan_layered(m, patterns, lo, hi)
         if rank >= 0:
@@ -131,10 +139,9 @@ def _scan_range(
         if rank >= 0:
             return rank, kernels.permutation_at_rank(m, rank)
     else:
-        candidates = list(class_tuples(ctag, m))
-        rank, _ = kernels.scan_perm_list(candidates, patterns, lo, hi)
+        rank, _ = kernels.scan_perm_list(members, patterns, 0, hi - lo)
         if rank >= 0:
-            return rank, candidates[rank]
+            return lo + rank, members[rank]
     return -1, None
 
 
@@ -153,15 +160,22 @@ def _scan_length(
 
     The length is charged to the ledger first.  It is split into jobs rank
     ranges on the pool when there is one and the length is big enough to be
-    worth it."""
+    worth it.  An avoider class is enumerated once, here, and each range
+    gets its slice."""
     total = class_count(ctag, m)
     ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)
+    members = None
+    if ctag not in (ClassTag.LAYERED, ClassTag.ALL):
+        members = list(class_tuples(ctag, m))
     if pool is None or total < _SERIAL_CUTOFF:
-        rank, values = _scan_range(ctag, m, patterns, 0, total)
+        rank, values = _scan_range(ctag, m, patterns, 0, total, members)
     else:
         bounds = [total * i // jobs for i in range(jobs + 1)]
+        slices = [members and members[a:b] for a, b in pairwise(bounds)]
         scan = functools.partial(_scan_range, ctag, m, patterns)
-        found = [r for r in pool.map(scan, bounds[:-1], bounds[1:]) if r[0] >= 0]
+        found = [
+            r for r in pool.map(scan, bounds[:-1], bounds[1:], slices) if r[0] >= 0
+        ]
         rank, values = min(found, default=(-1, None))
     if values is not None:
         return Permutation(values), rank + 1
@@ -252,7 +266,9 @@ def _minimal_superpattern(
     if ctag is ClassTag.LAYERED:
         # feasible, so every pattern is layered: all of them iff as many
         # (for a non-layered pattern class, only at n <= 2)
-        patterns: tuple[tuple[int, ...], ...] = _ordered_pattern_profiles(n)
+        patterns: tuple[tuple[int, ...], ...] = kernels.layered_table(
+            _ordered_pattern_profiles(n)
+        )
         if ptag is not ctag and len(patterns) != class_count(ptag, n):
             raise InternalDefectError("layered candidates would miss a pattern")
     else:

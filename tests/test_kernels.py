@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from oracles import (
     brute_scan_layered,
     pruned_scan_layered,
 )
-from superpatterns import _kernels_py, kernels
+from superpatterns import _kernels_py, kernels, superpattern_length
 
 
 class TestEmbedding:
@@ -218,14 +219,107 @@ def _pruned_scan(m, patterns, lo, hi):
     return pruned_scan_layered(m, patterns, lo, hi)
 
 
+def _family_sets(rng):
+    """Profile sets for the shared-table tests: whole families of
+    compositions (which the table proves bounds for), the same with extras,
+    and random samples (which mostly lack whole families)."""
+    sets = [tuple(brute_compositions(n)) for n in (3, 5, 6, 7)]
+    small = [c for k in range(1, 5) for c in brute_compositions(k)]
+    sets.append((*small, *rng.sample(brute_compositions(7), 4)))
+    sets.append((*brute_compositions(4), *rng.sample(brute_compositions(6), 6)))
+    for _ in range(12):
+        pool = brute_compositions(rng.randint(2, 7))
+        sets.append(tuple(rng.sample(pool, rng.randint(1, len(pool)))))
+    return sets
+
+
+class TestLayeredTable:
+    def test_one_table_serves_every_length(self):
+        # one table per profile set scans m = 0..16 in turn, with full, half
+        # and clipped ranges mixed in; a clipped block must never be recorded
+        # as dead, and a dead state or family bound found at one length must
+        # hold at every other
+        rng = random.Random(20261020)
+        for patterns in _family_sets(rng):
+            table = _kernels_py.LayeredTable(patterns)
+            for m in range(17):
+                total = 2 ** (m - 1) if m else 1
+                lo = rng.randrange(total)
+                hi = rng.randint(lo, total)
+                ranges = [(lo, hi), (total // 2, total), (0, total), (0, total // 2)]
+                rng.shuffle(ranges)
+                for lo, hi in ranges:
+                    assert _kernels_py.scan_layered(m, table, lo, hi) == (
+                        _pruned_scan(m, patterns, lo, hi)
+                    ), (m, patterns, lo, hi)
+
+    def test_family_bounds_are_proved_in_the_table(self):
+        # every family bound is L(k) - 1, for a k below the largest pattern
+        # need whose whole family is among the suffixes, and rests on the
+        # table's own record of the family's state, not on the recurrence
+        rng = random.Random(20261021)
+        for patterns in _family_sets(rng):
+            table = _kernels_py.LayeredTable(patterns)
+            assert table.families is None  # nothing is proved before a scan
+            largest = max(map(sum, patterns))
+            _kernels_py.scan_layered(largest, table, 0, 2 ** (largest - 1))
+            suffixes = {p[i:] for p in patterns for i in range(len(p))}
+            whole = [
+                k for k in range(1, largest)
+                if suffixes.issuperset(brute_compositions(k))
+            ]
+            needs = [table.needs[first] for first, _, _ in table.families]
+            assert needs == whole[::-1], patterns
+            for (first, end, bound), k in zip(table.families, needs):
+                family = (0, *range(first, end))
+                assert sorted(map(sum, brute_compositions(k))) == table.needs[first:end]
+                assert bound == superpattern_length(k) - 1
+                assert table.dead.get(family, 0) == bound
+
+    def test_a_state_gets_the_bound_of_each_family_it_holds_whole(self):
+        rng = random.Random(20261022)
+        table = _kernels_py.LayeredTable(brute_compositions(7))
+        _kernels_py.scan_layered(7, table, 0, 64)
+        ids = range(len(table.needs))
+        for _ in range(2000):
+            first, end, _ = rng.choice(table.families)
+            state = {0, *range(first, end), *rng.sample(ids, rng.randint(0, 20))}
+            if rng.random() < 0.5:
+                state.discard(rng.randrange(first, end))
+            held = [b for f, e, b in table.families if state.issuperset(range(f, e))]
+            bound = _kernels_py._family_bound(tuple(sorted(state)), table.families)
+            assert bound == max(held, default=0)
+
+    def test_a_pickled_table_carries_its_proofs(self):
+        # what a worker of a split search gets: the family bounds are proved
+        # before the table is sent, so no task proves them again
+        patterns = tuple(brute_compositions(6))
+        table = _kernels_py.LayeredTable(patterns)
+        sent = pickle.loads(pickle.dumps(table))
+        assert table.families is not None and sent.families == table.families
+        assert sent == patterns and isinstance(sent, _kernels_py.LayeredTable)
+        for m in range(6, 15):
+            total = 2 ** (m - 1)
+            for lo, hi in ((0, total), (total // 2, total)):
+                assert _kernels_py.scan_layered(m, sent, lo, hi) == (
+                    _kernels_py.scan_layered(m, patterns, lo, hi)
+                )
+
+
 def test_scan_layered_leaves_no_cycles():
     # a cycle through the scan's tables would keep them alive until the
-    # cycle collector runs
+    # cycle collector runs; so too for a table reused across lengths
     patterns = tuple(brute_compositions(7))
     gc.collect()
     gc.disable()
     try:
         assert _kernels_py.scan_layered(16, patterns, 0, 2**15) == (-1, 2**15)
+        assert gc.collect() == 0
+        table = _kernels_py.LayeredTable(patterns)
+        for m in range(7, 17):
+            total = 2 ** (m - 1)
+            assert _kernels_py.scan_layered(m, table, 0, total) == (-1, total)
+        del table
         assert gc.collect() == 0
     finally:
         gc.enable()

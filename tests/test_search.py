@@ -1,11 +1,13 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
 from oracles import brute_first_outside, catalan_ref
 from superpatterns import (
+    _kernels_py,
     check_claims_231,
     check_conjecture_321,
     kernels,
@@ -54,6 +56,20 @@ for _p in _TAGS:
         _FEASIBLE[_p, _c, 2] = (3, "1 3 2", 4)
 
 
+# candidates_examined of the layered proofs for n = 0..10, pinned from the
+# search before its dead-state table was shared across lengths, and the
+# witnesses it found for n = 9..11
+_LAYERED_EXAMINED = (
+    1, 1, 4, 19, 167, 1386, 11207, 92071, 1429351, 22871599, 365950842
+)
+_LAYERED_WITNESSES = {
+    9: "1 3 2 7 6 5 4 8 17 16 15 14 13 12 11 10 9 18 20 19 24 23 22 21 25",
+    10: "1 3 2 7 6 5 4 8 18 17 16 15 14 13 12 11 10 9 19 21 20 26 25 24 23 22 27 29 28",
+    11: "1 3 2 7 6 5 4 8 19 18 17 16 15 14 13 12 11 10 9 20 22 21 28 27 26 25 24 23 "
+    "29 32 31 30 33",
+}
+
+
 def _count_ref(tag, m):
     if tag == "layered":
         return 2 ** (m - 1) if m else 1
@@ -95,12 +111,43 @@ class TestMinimalSuperpattern:
         b = minimal_superpattern(4, "layered", "layered")
         assert _semantic(a) == _semantic(b)
 
+    def test_layered_counts_are_pinned(self):
+        for n in range(9):
+            report = minimal_superpattern(n, "layered", "layered", budget=10**9)
+            assert report.candidates_examined == _LAYERED_EXAMINED[n], n
+            assert report.min_length == superpattern_length(n), n
+
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
     def test_parallel_matches_serial(self):
-        # n=6 reaches lengths with >2048 candidates, so workers really spawn
-        serial = minimal_superpattern(6, "layered", "layered")
-        parallel = minimal_superpattern(6, "layered", "layered", jobs=2)
-        assert _semantic(serial) == _semantic(parallel)
+        # n >= 6 reaches lengths with >2048 candidates, so workers really
+        # spawn; on the pure backend each gets the search's table
+        for n in (6, 8):
+            serial = minimal_superpattern(n, "layered", "layered", budget=10**9)
+            parallel = minimal_superpattern(
+                n, "layered", "layered", budget=10**9, jobs=2
+            )
+            assert _semantic(serial) == _semantic(parallel)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_parallel_avoiders_are_enumerated_once(self, monkeypatch):
+        # with the cutoff lowered, lengths 6..8 are split over the workers,
+        # which get their slices of the class from this process and never
+        # enumerate it themselves
+        monkeypatch.setattr(search, "_SERIAL_CUTOFF", 64)
+        enumerate_class = search.class_tuples
+        here = os.getpid()
+
+        def here_only(*args):
+            if os.getpid() != here:
+                raise AssertionError("a worker enumerated a candidate class")
+            return enumerate_class(*args)
+
+        monkeypatch.setattr(search, "class_tuples", here_only)
+        for tag in ("av231", "av321"):
+            serial = minimal_superpattern(4, tag, tag)
+            parallel = minimal_superpattern(4, tag, tag, jobs=2)
+            assert _semantic(serial) == _semantic(parallel)
+            assert serial.lengths_exhausted[-1][1] >= 64
 
     def test_layered_candidates_avoider_patterns(self):
         # up to n = 2 every pattern is layered, so layered candidates are
@@ -149,6 +196,20 @@ class TestMinimalSuperpattern:
         assert err.lengths_exhausted == ((4, 8), (5, 16))
         assert err.budget == 200
         assert "layered length 6" in str(err) and "exhausted: 4, 5" in str(err)
+
+    def test_budget_refusal_at_the_first_length_scans_nothing(self, monkeypatch):
+        # the family bounds are proved by the first scan, after the ledger
+        # has charged the first length
+        def no_scan(*args):
+            raise AssertionError("scanned before the first length was charged")
+
+        monkeypatch.setattr(kernels, "scan_layered", no_scan)
+        monkeypatch.setattr(_kernels_py, "_first_fit", no_scan)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc_info:
+            minimal_superpattern(12, "layered", "layered", budget=1)
+        assert time.perf_counter() - t0 < 0.1
+        assert exc_info.value.lengths_exhausted == ()
 
     def test_rejects_bad_inputs(self, monkeypatch):
         with pytest.raises(ValueError, match="non-negative"):
@@ -327,11 +388,14 @@ def test_av231_over_av231_candidates_full_search():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [9, 10])
+@pytest.mark.parametrize("n", [9, 10, 11])
 def test_layered_minimality_by_enumeration(n):
     # beyond the acceptance suite's n <= 8: every shorter length exhausted
-    report = minimal_superpattern(n, "layered", "layered", budget=10**12)
+    report = minimal_superpattern(n, "layered", "layered", budget=10**13)
     assert report.min_length == superpattern_length(n) == superpattern_length_closed(n)
     assert [m for m, _ in report.lengths_exhausted] == list(range(n, report.min_length))
     assert all(count == 2 ** (m - 1) for m, count in report.lengths_exhausted)
     assert verify_universal(report.witness, n, "layered").ok
+    assert str(report.witness) == _LAYERED_WITNESSES[n]
+    examined = (*_LAYERED_EXAMINED, 5_855_234_023)[n]
+    assert report.candidates_examined == examined
