@@ -3,16 +3,17 @@
    A C99 CPython extension mirroring superpatterns._kernels_py, which
    documents the semantics and is the reference the parity tests compare
    against; superpatterns.kernels takes the names defined here when this
-   module imports.  Values, lengths and positions are held as C ints, and
-   ranks as 64-bit integers: an argument that does not fit raises
-   OverflowError, and a length whose ranks do not fit raises ValueError.
-   The interpreter lock is held throughout; parallel runs use processes. */
+   module imports.  The layered scan is not among them: the twin's
+   shared-table search is the only one, on either backend.  Values, lengths
+   and positions are held as C ints, and ranks as 64-bit integers: an
+   argument that does not fit raises OverflowError, and a length whose ranks
+   do not fit raises ValueError.  The interpreter lock is held throughout;
+   parallel runs use processes. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
 #include <limits.h>
-#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -294,129 +295,6 @@ static PyObject *composition_at_rank(PyObject *self, PyObject *args)
     return tuple_of(parts, decode(m, rank, parts));
 }
 
-/* The prefix search behind scan_layered.  Each pattern's states run from
-   its first layer unmatched to all matched; head[g] is the size of the next
-   layer to match (INT_MAX once all are matched) and need[g] the sum of the
-   unmatched sizes, capped at m + 1.  Row r of ptr holds each pattern's
-   state at the prefix on the current path with r positions left. */
-typedef struct {
-    int *head, *need, *ptr;
-    Py_ssize_t count;
-    long long lo, hi;
-} Prefixes;
-
-static void prefixes_free(Prefixes *s)
-{
-    free(s->head);
-    free(s->need);
-    free(s->ptr);
-}
-
-/* Fill s from the flattened profiles, with row m of ptr as the empty
-   prefix; on failure everything is already freed. */
-static int prefixes_init(Prefixes *s, const Flat *f, int m)
-{
-    Py_ssize_t states = f->off[f->count] + f->count, g = 0;
-    memset(s, 0, sizeof *s);
-    s->count = f->count;
-    if ((size_t)f->count > SIZE_MAX / sizeof(int) / (size_t)(m + 1)) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    s->head = malloc((size_t)(states > 0 ? states : 1) * sizeof(int));
-    s->need = malloc((size_t)(states > 0 ? states : 1) * sizeof(int));
-    s->ptr = malloc((size_t)(f->count > 0 ? f->count : 1) * (size_t)(m + 1) * sizeof(int));
-    if (s->head == NULL || s->need == NULL || s->ptr == NULL) {
-        PyErr_NoMemory();
-        prefixes_free(s);
-        return -1;
-    }
-    for (Py_ssize_t t = 0; t < f->count; t++) {
-        long long need = 0;
-        for (Py_ssize_t i = f->off[t]; i < f->off[t + 1]; i++) {
-            if (f->data[i] < 1) {
-                PyErr_Format(PyExc_ValueError, "profile parts must be >= 1, got %d", f->data[i]);
-                prefixes_free(s);
-                return -1;
-            }
-            need += f->data[i];
-        }
-        s->ptr[(size_t)m * f->count + t] = (int)g;
-        for (Py_ssize_t i = f->off[t]; i < f->off[t + 1]; i++, g++) {
-            s->head[g] = f->data[i];
-            s->need[g] = need > m ? m + 1 : (int)need;
-            need -= f->data[i];
-        }
-        s->head[g] = INT_MAX;
-        s->need[g++] = 0;
-    }
-    return 0;
-}
-
-/* The first rank in [lo, hi) among the compositions that extend the prefix
-   in row r (r > 0 positions left, first rank base) and fit every pattern,
-   or -1.  Children come smallest part first, which is rank order; child p
-   covers the next composition_count(r - p) ranks. */
-static long long prefixes_search(const Prefixes *s, int r, long long base)
-{
-    const int *cur = s->ptr + (size_t)r * s->count;
-    long long first = base;
-    for (int p = 1; p <= r && first < s->hi; p++) {
-        int rest = r - p;
-        long long size = composition_count(rest);
-        if (first + size > s->lo) {
-            int *next = s->ptr + (size_t)rest * s->count;
-            Py_ssize_t t = 0;
-            for (; t < s->count; t++) {
-                int g = cur[t] + (s->head[cur[t]] <= p);
-                if (s->need[g] > rest)
-                    break; /* some pattern no longer fits in what is left */
-                next[t] = g;
-            }
-            if (t == s->count) {
-                long long found = rest == 0 ? first : prefixes_search(s, rest, first);
-                if (found >= 0)
-                    return found;
-            }
-        }
-        first += size;
-    }
-    return -1;
-}
-
-/* Depth-first over composition prefixes, with one greedy pointer per
-   pattern: a prefix that some pattern no longer fits into is pruned
-   together with its whole block of ranks, so the result equals a flat scan
-   of [lo, hi).  Only the contract is shared with _kernels_py.scan_layered,
-   which searches over sets of distinct pattern suffixes with a table of
-   dead states instead. */
-static PyObject *scan_layered(PyObject *self, PyObject *args)
-{
-    int m;
-    PyObject *profiles;
-    long long lo, hi, found = -1;
-    Flat f;
-    Prefixes s;
-    if (!PyArg_ParseTuple(args, "iOLL:scan_layered", &m, &profiles, &lo, &hi)
-        || bad_length(m, MAX_COMPOSITION_LENGTH)
-        || bad_ranks(lo, hi, composition_count(m)) || flatten(profiles, &f) < 0)
-        return NULL;
-    int failed = prefixes_init(&s, &f, m) < 0;
-    flat_free(&f);
-    if (failed)
-        return NULL;
-    s.lo = lo;
-    s.hi = hi;
-    Py_ssize_t t = 0;
-    const int *root = s.ptr + (size_t)m * s.count;
-    while (t < s.count && s.need[root[t]] <= m)
-        t++;
-    if (t == s.count && lo < hi)
-        found = m == 0 ? 0 : prefixes_search(&s, m, 0);
-    prefixes_free(&s);
-    return scan_result(found, lo, hi);
-}
-
 static PyObject *scan_all_perms(PyObject *self, PyObject *args)
 {
     int m, perm[MAX_PERMUTATION_LENGTH];
@@ -470,7 +348,6 @@ static PyMethodDef methods[] = {
     {"lex_min_embedding", lex_min_embedding, METH_VARARGS, "Lex-min embedding, or None."},
     {"greedy_layer_indices", greedy_layer_indices, METH_VARARGS, "Greedy layer indices, or None."},
     {"composition_at_rank", composition_at_rank, METH_VARARGS, "The rank-th composition of m."},
-    {"scan_layered", scan_layered, METH_VARARGS, "(rank or -1, scanned) over compositions, prefix-pruned."},
     {"scan_all_perms", scan_all_perms, METH_VARARGS, "(rank or -1, scanned) over permutations."},
     {"scan_perm_list", scan_perm_list, METH_VARARGS, "(index or -1, scanned) over a list."},
     {NULL, NULL, 0, NULL},

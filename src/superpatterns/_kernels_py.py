@@ -3,9 +3,10 @@
 This module is the reference for the compiled extension
 ``superpatterns._kernels``; ``superpatterns.kernels`` selects one of the two
 at import time.  The extension implements the same functions with the same
-semantics, except ``contains``, ``permutation_at_rank`` and
-``LayeredTable``, which only this module defines; the parity tests compare
-the two.
+semantics, except ``contains``, ``permutation_at_rank``, ``scan_layered``
+and ``LayeredTable``, which only this module defines and which
+``superpatterns.kernels`` takes from here on either backend; the parity
+tests compare the two on the rest.
 
 Conventions local to the kernels: positions and ranks are 0-based, values in
 one-line notation are 1-based, and candidates within a length are ordered by
@@ -266,10 +267,10 @@ class LayeredTable(tuple):
     not on the length m being scanned.  So the suffix ids, the moves a part
     makes and the table of dead states are built once and grow with m.
 
-    The first scan through a table (or pickling it, for a worker) first
-    proves the family bounds, smallest k first: for each k below the largest
-    pattern need whose 2^(k-1) compositions are all suffixes, the state that
-    holds exactly them is scanned at r = k, k + 1, ... until a completion
+    The first scan through a table first proves the family bounds, smallest
+    k first: for each k below the largest pattern need whose 2^(k-1)
+    compositions are all suffixes, the state that holds exactly them is
+    scanned at r = k, k + 1, ... until a completion
     fits, at L(k), the length of the shortest layered permutation that
     contains every layered permutation of length k.  A state that holds
     every need-k suffix then needs at least L(k) positions, since greedy fit
@@ -307,11 +308,6 @@ class LayeredTable(tuple):
         self.dead = {}
         # (first id, end id, L(k) - 1) per proved family, largest k first
         self.families = None
-
-    def __getstate__(self):
-        # a worker gets the proofs, instead of each task proving them again
-        self._prove_families()
-        return self.__dict__
 
     def _extend(self, m):
         """Grow moves to parts up to m."""

@@ -125,8 +125,11 @@ def _av321_tuples(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def class_tuples(tag: ClassTag | str, n: int) -> Iterator[tuple[int, ...]]:
-    """Members of the class at length n as raw one-line tuples, lex order."""
+    """Members of the class at length n as raw one-line tuples, lex order.
+    A negative n raises ValueError."""
     tag = coerce_tag(tag)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     if tag is ClassTag.LAYERED:
         for profile in layered.enumerate_layered(n):
             yield layered.realize_values(profile.sizes)

@@ -4,12 +4,9 @@ Takes the hot loops from the compiled extension ``superpatterns._kernels``
 when it is importable, and from the pure-Python twin otherwise.
 ``permutation_at_rank`` always comes from the twin: the compiled scans unrank
 their own start, and a compiled copy was slower than the pure one.
-
-``layered_table(profiles)`` is what a search passes to ``scan_layered`` as
-its patterns, once for all its lengths.  On the pure backend it is a
-``LayeredTable``, which keeps the scan's dead states and proved family
-bounds from one length to the next; the compiled scan takes the plain
-profile tuple and keeps nothing between calls.
+``scan_layered`` does too: the twin's search over sets of pattern suffixes,
+with one ``LayeredTable`` for all the lengths of a search, is the only
+layered scan, and the extension defines none.
 """
 
 from __future__ import annotations
@@ -26,11 +23,10 @@ BACKEND: str = _impl.BACKEND
 lex_min_embedding = _impl.lex_min_embedding
 greedy_layer_indices = _impl.greedy_layer_indices
 composition_at_rank = _impl.composition_at_rank
-scan_layered = _impl.scan_layered
 scan_all_perms = _impl.scan_all_perms
 scan_perm_list = _impl.scan_perm_list
+scan_layered = _kernels_py.scan_layered
 permutation_at_rank = _kernels_py.permutation_at_rank
-layered_table = _kernels_py.LayeredTable if _impl is _kernels_py else tuple
 
 
 def contains(pattern, host):

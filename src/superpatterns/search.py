@@ -3,14 +3,15 @@
 Candidates are scanned length by length, each length exhausted in
 lexicographic order, so a returned minimum comes with complete nonexistence
 counts for every shorter length.  Layered candidates are searched by
-composition prefix (kernels.scan_layered): a prefix that some pattern can
-no longer fit into is pruned.  In the pure kernel one table serves every
-length of a search, and a prefix is also skipped when its set of unmatched
-pattern suffixes already failed with as many positions left, or when that
-set holds every composition of some k < n and fewer than L(k) positions are
-left.  The search proves each such L(k) itself, bottom up, with the same
-table, at its first scan.  A prefix stands for an exact, contiguous block of
-ranks, so the counts are those of visiting every candidate.
+composition prefix (kernels.scan_layered, the pure twin's search on either
+backend), with one LayeredTable for every length of a search: a prefix is
+pruned when some pattern can no longer fit into it, when its set of
+unmatched pattern suffixes already failed with as many positions left, or
+when that set holds every composition of some k < n and fewer than L(k)
+positions are left.  The search proves each such L(k) itself, bottom up,
+with the same table, at its first scan.  A prefix stands for an exact,
+contiguous block of ranks, so the counts are those of visiting every
+candidate.
 
 One node budget gates every run: a per-run ledger charges each length its
 candidates times patterns, a priori, before the length is scanned, and
@@ -30,11 +31,13 @@ pattern first: a universal candidate must devote an entire decreasing run
 of length n to it, which most candidates and prefixes lack).  The order
 never changes results, only speed.
 
-Parallel runs partition each length into contiguous rank ranges and reduce
-to the smallest witness rank, so serial and parallel reports are identical.
-One worker pool serves all the lengths of a search.  Each range gets a copy
-of the search's layered table, or its slice of an avoider class, which is
-enumerated once per length, in this process.
+Parallel runs partition each length of a non-layered class into contiguous
+rank ranges and reduce to the smallest witness rank, so serial and parallel
+reports are identical.  One worker pool serves all the lengths of a search,
+and each range of an avoider class gets its slice of the class, which is
+enumerated once per length, in this process.  A layered search runs in this
+process whatever the jobs: its table carries dead states from each length
+to the next, and a worker's copy of it would drop those the worker finds.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from concurrent.futures import ProcessPoolExecutor
 from itertools import pairwise
 
 from . import kernels
+from ._kernels_py import LayeredTable
 from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
 from .errors import BudgetExceededError, InternalDefectError
 from .layered import enumerate_layered, realize_values
@@ -266,7 +270,7 @@ def _minimal_superpattern(
     if ctag is ClassTag.LAYERED:
         # feasible, so every pattern is layered: all of them iff as many
         # (for a non-layered pattern class, only at n <= 2)
-        patterns: tuple[tuple[int, ...], ...] = kernels.layered_table(
+        patterns: tuple[tuple[int, ...], ...] = LayeredTable(
             _ordered_pattern_profiles(n)
         )
         if ptag is not ctag and len(patterns) != class_count(ptag, n):
@@ -275,9 +279,10 @@ def _minimal_superpattern(
         patterns = _ordered_pattern_tuples(ptag, n)
     exhausted: list[tuple[int, int]] = []
     m = n
-    # One worker pool serves every length of the search; its workers start
-    # at the first length big enough to split.
-    with ProcessPoolExecutor(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+    # One worker pool serves every length of a non-layered search; its
+    # workers start at the first length big enough to split.
+    split = jobs > 1 and ctag is not ClassTag.LAYERED
+    with ProcessPoolExecutor(jobs) if split else contextlib.nullcontext() as pool:
         while True:
             witness, scanned = _scan_length(
                 ledger, ctag, m, patterns, exhausted, jobs, pool

@@ -73,3 +73,11 @@ def test_enumeration_cap():
     with pytest.raises(CapExceededError):
         next(class_tuples("all", 13))
 
+
+
+@pytest.mark.parametrize("tag", list(ClassTag), ids=str)
+def test_negative_length_is_refused(tag):
+    with pytest.raises(ValueError, match="non-negative"):
+        next(class_tuples(tag, -1))
+    with pytest.raises(ValueError, match="non-negative"):
+        next(enumerate_class(tag, -2))

@@ -1,9 +1,9 @@
-import functools
 import gc
+import importlib.util
 import itertools
 import math
-import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -115,7 +115,7 @@ class TestGreedy:
 
 
 class TestScans:
-    def test_scan_layered_parity(self, backend):
+    def test_scan_layered_parity(self):
         # the oracle is a flat scan with brute containment, so it checks the
         # prefix search's pruning, block counting and clipping independently
         rng = random.Random(20261018)
@@ -133,14 +133,14 @@ class TestScans:
                 start = rng.randint(0, total)
                 ranges = [(0, total), (start, rng.randint(start, total)), (start, start)]
                 for lo, hi in ranges:
-                    assert backend.scan_layered(m, patterns, lo, hi) == (
+                    assert _kernels_py.scan_layered(m, patterns, lo, hi) == (
                         brute_scan_layered(m, patterns, lo, hi)
                     ), (m, patterns, lo, hi)
-                # the two halves of a --jobs 2 split reduce to the full scan
+                # the two halves of a rank range reduce to the full scan
                 mid = total // 2
-                full = backend.scan_layered(m, patterns, 0, total)
-                lo_half = backend.scan_layered(m, patterns, 0, mid)
-                hi_half = backend.scan_layered(m, patterns, mid, total)
+                full = _kernels_py.scan_layered(m, patterns, 0, total)
+                lo_half = _kernels_py.scan_layered(m, patterns, 0, mid)
+                hi_half = _kernels_py.scan_layered(m, patterns, mid, total)
                 if full[0] == -1:
                     assert lo_half[0] == -1 and hi_half[0] == -1
                 elif full[0] < mid:
@@ -148,11 +148,11 @@ class TestScans:
                 else:
                     assert lo_half[0] == -1 and hi_half[0] == full[0]
 
-    def test_scan_layered_long_lengths(self, backend):
+    def test_scan_layered_long_lengths(self):
         # lengths beyond the flat oracle's reach, against the per-pattern
         # prefix search: full ranges, sub-ranges (whose clipped blocks must
-        # not be recorded as dead), the halves of a --jobs 2 split, and
-        # random subsets of the patterns
+        # not be recorded as dead), two halves of the ranks, and random
+        # subsets of the patterns
         rng = random.Random(20261019)
         for n in (6, 7, 8):
             every = tuple(brute_compositions(n))
@@ -173,8 +173,8 @@ class TestScans:
                         (lo, hi),
                     ]
                     for lo, hi in ranges:
-                        assert backend.scan_layered(m, patterns, lo, hi) == (
-                            _pruned_scan(m, patterns, lo, hi)
+                        assert _kernels_py.scan_layered(m, patterns, lo, hi) == (
+                            pruned_scan_layered(m, patterns, lo, hi)
                         ), (m, patterns, lo, hi)
 
     def test_scan_all_perms_parity(self, backend):
@@ -195,10 +195,10 @@ class TestScans:
             _kernels_py.scan_perm_list(candidates, patterns, 0, 64)
         )
 
-    def test_scan_counts_on_exhaustion(self, backend):
+    def test_scan_counts_on_exhaustion(self):
         # a pattern that never fits: every length-m composition lacks a part m+1
         patterns = ((5,),)
-        rank, scanned = backend.scan_layered(4, patterns, 0, 8)
+        rank, scanned = _kernels_py.scan_layered(4, patterns, 0, 8)
         assert (rank, scanned) == (-1, 8)
 
     def test_scan_layered_rejects_nonpositive_parts(self):
@@ -208,15 +208,11 @@ class TestScans:
                 _kernels_py.scan_layered(1, profiles, 0, 1)
 
     def test_empty_length_zero(self, backend):
-        assert backend.scan_layered(0, ((),), 0, 1) == (0, 1)
-        assert backend.scan_layered(0, ((1,),), 0, 1) == (-1, 1)
         assert backend.scan_all_perms(0, (), 0, 1) == (0, 1)
 
-
-@functools.lru_cache(maxsize=None)
-def _pruned_scan(m, patterns, lo, hi):
-    # each case runs on every backend; the oracle runs once
-    return pruned_scan_layered(m, patterns, lo, hi)
+    def test_scan_layered_length_zero(self):
+        assert _kernels_py.scan_layered(0, ((),), 0, 1) == (0, 1)
+        assert _kernels_py.scan_layered(0, ((1,),), 0, 1) == (-1, 1)
 
 
 def _family_sets(rng):
@@ -250,7 +246,7 @@ class TestLayeredTable:
                 rng.shuffle(ranges)
                 for lo, hi in ranges:
                     assert _kernels_py.scan_layered(m, table, lo, hi) == (
-                        _pruned_scan(m, patterns, lo, hi)
+                        pruned_scan_layered(m, patterns, lo, hi)
                     ), (m, patterns, lo, hi)
 
     def test_family_bounds_are_proved_in_the_table(self):
@@ -290,21 +286,6 @@ class TestLayeredTable:
             bound = _kernels_py._family_bound(tuple(sorted(state)), table.families)
             assert bound == max(held, default=0)
 
-    def test_a_pickled_table_carries_its_proofs(self):
-        # what a worker of a split search gets: the family bounds are proved
-        # before the table is sent, so no task proves them again
-        patterns = tuple(brute_compositions(6))
-        table = _kernels_py.LayeredTable(patterns)
-        sent = pickle.loads(pickle.dumps(table))
-        assert table.families is not None and sent.families == table.families
-        assert sent == patterns and isinstance(sent, _kernels_py.LayeredTable)
-        for m in range(6, 15):
-            total = 2 ** (m - 1)
-            for lo, hi in ((0, total), (total // 2, total)):
-                assert _kernels_py.scan_layered(m, sent, lo, hi) == (
-                    _kernels_py.scan_layered(m, patterns, lo, hi)
-                )
-
 
 def test_scan_layered_leaves_no_cycles():
     # a cycle through the scan's tables would keep them alive until the
@@ -327,11 +308,6 @@ def test_scan_layered_leaves_no_cycles():
 
 def test_rank_checks(backend):
     # ranks outside [0, count) and reversed ranges are refused
-    for lo, hi in ((-3, 2), (0, 9), (3, 2)):
-        with pytest.raises(ValueError):
-            backend.scan_layered(4, ((1,),), lo, hi)
-    with pytest.raises(ValueError):
-        backend.scan_layered(0, ((),), 0, 2)
     with pytest.raises(ValueError):
         backend.scan_all_perms(3, ((1,),), 0, 9)
     with pytest.raises(ValueError):
@@ -347,15 +323,46 @@ def test_rank_checks(backend):
         backend.composition_at_rank(0, 1)
 
 
+def test_scan_layered_rank_checks():
+    # ranks outside [0, count) and reversed ranges are refused
+    for lo, hi in ((-3, 2), (0, 9), (3, 2)):
+        with pytest.raises(ValueError):
+            _kernels_py.scan_layered(4, ((1,),), lo, hi)
+    with pytest.raises(ValueError):
+        _kernels_py.scan_layered(0, ((),), 0, 2)
+
+
 def test_compiled_argument_checks(compiled):
     # 64-bit composition masks and permutation ranks bound the lengths
     with pytest.raises(ValueError):
-        compiled.scan_layered(63, ((1,),), 0, 1)
+        compiled.composition_at_rank(63, 0)
     with pytest.raises(ValueError):
         compiled.scan_all_perms(21, ((1,),), 0, 1)
-    with pytest.raises(ValueError):
-        compiled.scan_layered(1, ((1, 0),), 0, 1)
     with pytest.raises(OverflowError):
-        compiled.scan_layered(2**31, ((1,),), 0, 1)
+        compiled.composition_at_rank(2**31, 0)
     with pytest.raises(OverflowError):
         compiled.lex_min_embedding((1,), (2**31,))
+
+
+def test_compiled_names_are_the_twins(compiled):
+    # the twin is the reference for every compiled kernel, and the layered
+    # scan is the twin's alone
+    public = [
+        name for name in dir(compiled)
+        if not name.startswith("_") and callable(getattr(compiled, name))
+    ]
+    assert public
+    assert all(callable(getattr(_kernels_py, name, None)) for name in public), public
+    assert not hasattr(compiled, "scan_layered")
+    assert kernels.scan_layered is _kernels_py.scan_layered
+
+
+def test_layered_bench_workload_on_every_backend(backend):
+    # benchmarks/bench_kernels.py times this workload on each importable
+    # backend, and a backend without a layered scan runs the twin's
+    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    _, work = bench._layered_scan_workload()
+    assert work(backend) == (-1, 32768)

@@ -119,13 +119,11 @@ class TestMinimalSuperpattern:
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
     def test_parallel_matches_serial(self):
-        # n >= 6 reaches lengths with >2048 candidates, so workers really
-        # spawn; on the pure backend each gets the search's table
-        for n in (6, 8):
-            serial = minimal_superpattern(n, "layered", "layered", budget=10**9)
-            parallel = minimal_superpattern(
-                n, "layered", "layered", budget=10**9, jobs=2
-            )
+        # each reaches lengths with >2048 candidates: the unrestricted ones
+        # are split over the workers, the layered ones stay in this process
+        for tag, n in (("layered", 6), ("layered", 8), ("all", 4)):
+            serial = minimal_superpattern(n, tag, tag, budget=10**9)
+            parallel = minimal_superpattern(n, tag, tag, budget=10**9, jobs=2)
             assert _semantic(serial) == _semantic(parallel)
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
@@ -148,6 +146,29 @@ class TestMinimalSuperpattern:
             parallel = minimal_superpattern(4, tag, tag, jobs=2)
             assert _semantic(serial) == _semantic(parallel)
             assert serial.lengths_exhausted[-1][1] >= 64
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_layered_search_stays_in_this_process(self, monkeypatch):
+        # even with every length big enough to split, a layered search under
+        # jobs=2 scans each of its lengths here, with its one table
+        monkeypatch.setattr(search, "_SERIAL_CUTOFF", 1)
+        scan = kernels.scan_layered
+        here = os.getpid()
+        scanned = []
+
+        def here_only(m, *args):
+            if os.getpid() != here:
+                raise AssertionError("a worker scanned a layered length")
+            scanned.append(m)
+            return scan(m, *args)
+
+        monkeypatch.setattr(kernels, "scan_layered", here_only)
+        for n in (4, 6):
+            serial = minimal_superpattern(n, "layered", "layered", budget=10**9)
+            scanned.clear()
+            parallel = minimal_superpattern(n, "layered", "layered", budget=10**9, jobs=2)
+            assert _semantic(serial) == _semantic(parallel)
+            assert scanned == list(range(n, parallel.min_length + 1))
 
     def test_layered_candidates_avoider_patterns(self):
         # up to n = 2 every pattern is layered, so layered candidates are
@@ -240,9 +261,12 @@ class TestMinimalSuperpattern:
         report = minimal_superpattern(3, "all", "layered", budget=1, jobs=2)
         assert isinstance(report, InfeasibleReport)
         assert str(report.certificate) == "2 3 1"
-        # a feasible search this long does start the pool
+        # a feasible non-layered search does start the pool; a layered one
+        # never does
         with pytest.raises(AssertionError, match="pool"):
-            minimal_superpattern(6, "layered", "layered", jobs=2)
+            minimal_superpattern(3, "av231", "av231", jobs=2)
+        report = minimal_superpattern(6, "layered", "layered", jobs=2)
+        assert report.min_length == superpattern_length(6)
 
     def test_layered_route_guard(self, monkeypatch):
         # were an infeasible query let through, the profile scan would check
