@@ -114,8 +114,14 @@ class TestGreedy:
                         ) == _kernels_py.greedy_layer_indices(pat, host)
 
 
+def _layered(backend):
+    """The layered scan that the library runs with this backend selected:
+    the backend's own, or the twin's when it defines none."""
+    return getattr(backend, "scan_layered", _kernels_py.scan_layered)
+
+
 class TestScans:
-    def test_scan_layered_parity(self):
+    def test_scan_layered_parity(self, backend):
         # the oracle is a flat scan with brute containment, so it checks the
         # prefix search's pruning, block counting and clipping independently
         rng = random.Random(20261018)
@@ -133,14 +139,14 @@ class TestScans:
                 start = rng.randint(0, total)
                 ranges = [(0, total), (start, rng.randint(start, total)), (start, start)]
                 for lo, hi in ranges:
-                    assert _kernels_py.scan_layered(m, patterns, lo, hi) == (
+                    assert _layered(backend)(m, patterns, lo, hi) == (
                         brute_scan_layered(m, patterns, lo, hi)
                     ), (m, patterns, lo, hi)
                 # the two halves of a rank range reduce to the full scan
                 mid = total // 2
-                full = _kernels_py.scan_layered(m, patterns, 0, total)
-                lo_half = _kernels_py.scan_layered(m, patterns, 0, mid)
-                hi_half = _kernels_py.scan_layered(m, patterns, mid, total)
+                full = _layered(backend)(m, patterns, 0, total)
+                lo_half = _layered(backend)(m, patterns, 0, mid)
+                hi_half = _layered(backend)(m, patterns, mid, total)
                 if full[0] == -1:
                     assert lo_half[0] == -1 and hi_half[0] == -1
                 elif full[0] < mid:
@@ -148,7 +154,7 @@ class TestScans:
                 else:
                     assert lo_half[0] == -1 and hi_half[0] == full[0]
 
-    def test_scan_layered_long_lengths(self):
+    def test_scan_layered_long_lengths(self, backend):
         # lengths beyond the flat oracle's reach, against the per-pattern
         # prefix search: full ranges, sub-ranges (whose clipped blocks must
         # not be recorded as dead), two halves of the ranks, and random
@@ -173,7 +179,7 @@ class TestScans:
                         (lo, hi),
                     ]
                     for lo, hi in ranges:
-                        assert _kernels_py.scan_layered(m, patterns, lo, hi) == (
+                        assert _layered(backend)(m, patterns, lo, hi) == (
                             pruned_scan_layered(m, patterns, lo, hi)
                         ), (m, patterns, lo, hi)
 
@@ -195,10 +201,10 @@ class TestScans:
             _kernels_py.scan_perm_list(candidates, patterns, 0, 64)
         )
 
-    def test_scan_counts_on_exhaustion(self):
+    def test_scan_counts_on_exhaustion(self, backend):
         # a pattern that never fits: every length-m composition lacks a part m+1
         patterns = ((5,),)
-        rank, scanned = _kernels_py.scan_layered(4, patterns, 0, 8)
+        rank, scanned = _layered(backend)(4, patterns, 0, 8)
         assert (rank, scanned) == (-1, 8)
 
     def test_scan_layered_rejects_nonpositive_parts(self):
