@@ -1,14 +1,16 @@
 /* Compiled kernels for the hot inner loops.
 
-   A C99 CPython extension mirroring superpatterns._kernels_py, which
-   documents the semantics and is the reference the parity tests compare
-   against; superpatterns.kernels takes the names defined here when this
-   module imports.  The layered scan is not among them: the twin's
-   shared-table search is the only one, on either backend.  Values, lengths
-   and positions are held as C ints, and ranks as 64-bit integers: an
-   argument that does not fit raises OverflowError, and a length whose ranks
-   do not fit raises ValueError.  The interpreter lock is held throughout;
-   parallel runs use processes. */
+   A C99 CPython extension with three functions of
+   superpatterns._kernels_py, which documents their semantics and is the
+   reference the parity tests compare against: containment
+   (lex_min_embedding) and the two permutation scans (scan_all_perms,
+   scan_perm_list).  superpatterns.kernels takes these three from here when
+   this module imports, and everything else, the layered search included,
+   from the twin on either backend.  Values, lengths and positions are held
+   as C ints, and ranks as 64-bit integers: an argument that does not fit
+   raises OverflowError, and a length whose ranks do not fit raises
+   ValueError.  The interpreter lock is held throughout; parallel runs use
+   processes. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -17,8 +19,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define MAX_COMPOSITION_LENGTH 62 /* 2^(m-1) ranks stay inside a signed 64-bit int */
-#define MAX_PERMUTATION_LENGTH 20 /* so do m! ranks */
+#define MAX_PERMUTATION_LENGTH 20 /* m! ranks stay inside a signed 64-bit int */
 
 /* Copy the ints of seq into (*buf)[at .. at + *n), growing *buf (capacity
    *cap) as needed.  The caller frees *buf.  Only ints are accepted (no
@@ -161,41 +162,6 @@ static int embeds_all(Flat *f, const int *host, Py_ssize_t m)
     return 1;
 }
 
-/* Greedy layer matching; out receives the host layer chosen for each
-   pattern layer. */
-static int greedy(const int *pat, Py_ssize_t k, const int *parts, Py_ssize_t nh, int *out)
-{
-    Py_ssize_t j = 0;
-    for (Py_ssize_t t = 0; t < k; t++, j++) {
-        while (j < nh && parts[j] < pat[t])
-            j++;
-        if (j == nh)
-            return 0;
-        out[t] = (int)j;
-    }
-    return 1;
-}
-
-/* The parts of the rank-th composition of m; returns their number. */
-static Py_ssize_t decode(int m, long long rank, int *parts)
-{
-    if (m == 0)
-        return 0;
-    unsigned long long mask = ((1ULL << (m - 1)) - 1) - (unsigned long long)rank;
-    Py_ssize_t n = 0;
-    int cur = 1;
-    for (int bit = m - 2; bit >= 0; bit--) {
-        int cut = (mask >> bit) & 1;
-        parts[n] = cur;
-        n += cut;
-        cur = cut ? 1 : cur + 1;
-    }
-    parts[n++] = cur;
-    return n;
-}
-
-static long long composition_count(int m) { return m == 0 ? 1 : 1LL << (m - 1); }
-
 static long long factorial(int m)
 {
     long long f = 1;
@@ -254,45 +220,24 @@ static PyObject *scan_result(long long found, long long lo, long long hi)
     return Py_BuildValue("(LL)", found, found < 0 ? hi - lo : found - lo + 1);
 }
 
-typedef int (*matcher)(const int *pat, Py_ssize_t k, const int *host, Py_ssize_t m, int *out);
-
-/* match(pattern, host) as a Python call: the k indices it writes to out as a
-   tuple, or None when it finds no match. */
-static PyObject *call_matcher(PyObject *args, const char *name, matcher match)
+/* The positions of the lex-min embedding as a tuple, or None. */
+static PyObject *lex_min_embedding(PyObject *self, PyObject *args)
 {
     PyObject *pattern, *host, *result = NULL;
-    int *pat = NULL, *hst = NULL, *out = NULL;
+    int *pat = NULL, *hst = NULL, *pos = NULL;
     Py_ssize_t pcap = 0, hcap = 0, k, m;
-    if (!PyArg_UnpackTuple(args, name, 2, 2, &pattern, &host))
+    if (!PyArg_UnpackTuple(args, "lex_min_embedding", 2, 2, &pattern, &host))
         return NULL;
     if (load_ints(pattern, &pat, &pcap, 0, &k) < 0 || load_ints(host, &hst, &hcap, 0, &m) < 0)
         goto done;
-    out = malloc((size_t)(k > 0 ? k : 1) * sizeof(int));
-    if (out == NULL) { PyErr_NoMemory(); goto done; }
-    result = match(pat, k, hst, m, out) ? tuple_of(out, k) : Py_NewRef(Py_None);
+    pos = malloc((size_t)(k > 0 ? k : 1) * sizeof(int));
+    if (pos == NULL) { PyErr_NoMemory(); goto done; }
+    result = embed(pat, k, hst, m, pos) ? tuple_of(pos, k) : Py_NewRef(Py_None);
 done:
     free(pat);
     free(hst);
-    free(out);
+    free(pos);
     return result;
-}
-
-static PyObject *lex_min_embedding(PyObject *self, PyObject *args)
-{ return call_matcher(args, "lex_min_embedding", embed); }
-
-static PyObject *greedy_layer_indices(PyObject *self, PyObject *args)
-{ return call_matcher(args, "greedy_layer_indices", greedy); }
-
-static PyObject *composition_at_rank(PyObject *self, PyObject *args)
-{
-    int m, parts[MAX_COMPOSITION_LENGTH];
-    long long rank;
-    if (!PyArg_ParseTuple(args, "iL:composition_at_rank", &m, &rank)
-        || bad_length(m, MAX_COMPOSITION_LENGTH))
-        return NULL;
-    if (rank < 0 || rank >= composition_count(m))
-        return PyErr_Format(PyExc_ValueError, "rank %lld out of range for m=%d", rank, m);
-    return tuple_of(parts, decode(m, rank, parts));
 }
 
 static PyObject *scan_all_perms(PyObject *self, PyObject *args)
@@ -346,8 +291,6 @@ static PyObject *scan_perm_list(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"lex_min_embedding", lex_min_embedding, METH_VARARGS, "Lex-min embedding, or None."},
-    {"greedy_layer_indices", greedy_layer_indices, METH_VARARGS, "Greedy layer indices, or None."},
-    {"composition_at_rank", composition_at_rank, METH_VARARGS, "The rank-th composition of m."},
     {"scan_all_perms", scan_all_perms, METH_VARARGS, "(rank or -1, scanned) over permutations."},
     {"scan_perm_list", scan_perm_list, METH_VARARGS, "(index or -1, scanned) over a list."},
     {NULL, NULL, 0, NULL},

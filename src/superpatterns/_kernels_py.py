@@ -1,12 +1,14 @@
 """Pure-Python kernels for the hot inner loops.
 
 This module is the reference for the compiled extension
-``superpatterns._kernels``; ``superpatterns.kernels`` selects one of the two
-at import time.  The extension implements the same functions with the same
-semantics, except ``contains``, ``permutation_at_rank``, ``scan_layered``
-and ``LayeredTable``, which only this module defines and which
-``superpatterns.kernels`` takes from here on either backend; the parity
-tests compare the two on the rest.
+``superpatterns._kernels``, which implements three of its functions with
+the same semantics: ``lex_min_embedding``, ``scan_all_perms`` and
+``scan_perm_list``.  ``superpatterns.kernels`` takes those three from the
+extension when it imports, and the parity tests compare the two on them.
+The rest, ``contains``, ``greedy_layer_indices``, ``composition_at_rank``,
+``permutation_at_rank``, ``scan_layered`` and ``LayeredTable``, only this
+module defines, and ``superpatterns.kernels`` takes them from here on
+either backend.
 
 Conventions local to the kernels: positions and ranks are 0-based, values in
 one-line notation are 1-based, and candidates within a length are ordered by
@@ -331,7 +333,7 @@ class LayeredTable(tuple):
             r = k
             while True:
                 self._extend(r)
-                if _first_fit(r, 0, family, self._tables(), 0, 1 << (r - 1)) >= 0:
+                if _first_fit(r, 0, family, self._tables()) >= 0:
                     break
                 self.dead[family] = r
                 r += 1
@@ -341,17 +343,14 @@ class LayeredTable(tuple):
         return (self.moves, self.heads, self.needs, self.dead, self.families)
 
 
-def scan_layered(m, pattern_profiles, rank_lo, rank_hi):
-    """Scan compositions of m by rank for one whose layered permutation
-    contains every pattern profile (greedy layer matching).
+def scan_layered(m, table):
+    """Scan the compositions of m by rank for one whose layered permutation
+    contains every profile of the LayeredTable (greedy layer matching).
 
-    Returns (witness_rank, scanned): the smallest rank in [rank_lo, rank_hi)
-    whose composition fits every profile, or -1 when there is none, in which
-    case scanned == rank_hi - rank_lo.  The ranks must satisfy
-    0 <= rank_lo <= rank_hi <= 2^(m-1) (1 for m = 0), else ValueError.  The
-    profiles are a LayeredTable, whose tables then serve every call made
-    with it, or any other iterable of profiles, which gets a table of its
-    own for this call.
+    Returns (witness_rank, scanned): the smallest rank whose composition
+    fits every profile and scanned == witness_rank + 1, or (-1, 2^(m-1))
+    (1 for m = 0) when there is none; m < 0 raises ValueError.  The table's
+    tables then serve every later call made with it.
 
     The search is depth first over composition prefixes, smallest next part
     first, so prefixes are visited in rank order.  Greedy matching consumes a
@@ -373,27 +372,22 @@ def scan_layered(m, pattern_profiles, rank_lo, rank_hi):
 
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
-    accounts for its whole block, and blocks outside [rank_lo, rank_hi) are
-    skipped or clipped.  A clipped block proves nothing about its state and
-    is never recorded.  The first leaf reached is the lex-first witness, and
-    the counts equal those of a flat scan of every rank.
+    accounts for its whole block.  The first leaf reached is the lex-first
+    witness, and the counts equal those of a flat scan of every rank.
 
-    Profile parts must be >= 1 (ValueError otherwise): a part 0 would match
-    without using a host position, which the pruning bound does not allow
-    for.
+    Profile parts must be >= 1 (ValueError when the table is built): a part
+    0 would match without using a host position, which the pruning bound
+    does not allow for.
     """
-    _check_ranks(rank_lo, rank_hi, _composition_count(m))
-    table = pattern_profiles
-    if not isinstance(table, LayeredTable):
-        table = LayeredTable(pattern_profiles)
-    if rank_lo >= rank_hi or table.needs[table.root[-1]] > m:
-        return (-1, rank_hi - rank_lo)
+    total = _composition_count(m)
+    if table.needs[table.root[-1]] > m:
+        return (-1, total)
     if m == 0:
         return (0, 1)
     table._prove_families()
     table._extend(m)
-    found = _first_fit(m, 0, table.root, table._tables(), rank_lo, rank_hi)
-    return (found, found - rank_lo + 1) if found >= 0 else (-1, rank_hi - rank_lo)
+    found = _first_fit(m, 0, table.root, table._tables())
+    return (found, found + 1) if found >= 0 else (-1, total)
 
 
 def _family_bound(state, families):
@@ -407,10 +401,10 @@ def _family_bound(state, families):
     return 0
 
 
-def _first_fit(r, base, state, tables, rank_lo, rank_hi):
-    """The first rank in [rank_lo, rank_hi) among the compositions of r > 0
-    positions (first rank base) that complete a prefix with this state and
-    fit every pattern, or -1.
+def _first_fit(r, base, state, tables):
+    """The first rank among the compositions of r > 0 positions (first rank
+    base) that complete a prefix with this state and fit every pattern, or
+    -1.
 
     Child p covers the 2^(r-p-1) ranks (1 for p = r) from
     base + 2^(r-1) - 2^(r-p).  Its state changes only at the parts p that
@@ -448,11 +442,6 @@ def _first_fit(r, base, state, tables, rank_lo, rank_hi):
             for p in range(a, last + 1):
                 rest = r - p
                 first = base + top - (1 << rest)
-                if first >= rank_hi:
-                    return -1
-                size = 1 << (rest - 1) if rest else 1
-                if first + size <= rank_lo:
-                    continue
                 if rest == 0:
                     return first
                 known = dead.get(child)
@@ -460,20 +449,24 @@ def _first_fit(r, base, state, tables, rank_lo, rank_hi):
                     known = dead[child] = _family_bound(child, families)
                 if known >= rest:
                     break
-                found = _first_fit(rest, first, child, tables, rank_lo, rank_hi)
+                found = _first_fit(rest, first, child, tables)
                 if found >= 0:
                     return found
-                if rank_lo <= first and first + size <= rank_hi:
-                    dead[child] = rest
-                    break
+                dead[child] = rest
+                break
         a = b
     return -1
 
 
 def scan_all_perms(m, patterns, rank_lo, rank_hi):
     """Scan permutations of 1..m by lexicographic rank for one containing
-    every pattern (one-line tuples).  Same return contract as scan_layered,
-    with ranks in [0, m!).
+    every pattern (one-line tuples).
+
+    Returns (witness_rank, scanned): the smallest rank in [rank_lo, rank_hi)
+    whose permutation contains every pattern, scanned counting the ranks
+    from rank_lo through it, or -1 when there is none, in which case
+    scanned == rank_hi - rank_lo.  The ranks must satisfy
+    0 <= rank_lo <= rank_hi <= m!, else ValueError.
     """
     _check_ranks(rank_lo, rank_hi, math.factorial(m))
     if m == 0:
@@ -501,8 +494,13 @@ def scan_all_perms(m, patterns, rank_lo, rank_hi):
 
 def scan_perm_list(candidates, patterns, lo, hi):
     """Scan candidates[lo:hi] (one-line tuples) for one containing every
-    pattern.  Same return contract as scan_layered, with list indices in
-    place of ranks.
+    pattern.
+
+    Returns (witness_index, scanned): the smallest index in [lo, hi) whose
+    candidate contains every pattern, scanned counting the indices from lo
+    through it, or -1 when there is none, in which case scanned == hi - lo.
+    The indices must satisfy 0 <= lo <= hi <= len(candidates), else
+    ValueError.
     """
     _check_ranks(lo, hi, len(candidates))
     shapes = [(pat, _windows(pat)) for pat in patterns]

@@ -1,12 +1,13 @@
 """Kernel backend selection.
 
-Takes the hot loops from the compiled extension ``superpatterns._kernels``
-when it is importable, and from the pure-Python twin otherwise.
-``permutation_at_rank`` always comes from the twin: the compiled scans unrank
-their own start, and a compiled copy was slower than the pure one.
-``scan_layered`` does too: the twin's search over sets of pattern suffixes,
-with one ``LayeredTable`` for all the lengths of a search, is the only
-layered scan, and the extension defines none.
+Takes containment (``lex_min_embedding``) and the two permutation scans
+(``scan_all_perms``, ``scan_perm_list``) from the compiled extension
+``superpatterns._kernels`` when it is importable, and from the pure-Python
+twin otherwise.  Everything else always comes from the twin:
+``greedy_layer_indices`` and ``composition_at_rank``, which no search runs in
+bulk; ``permutation_at_rank``, since the compiled scans unrank their own
+start; and ``scan_layered``, the search over sets of pattern suffixes with
+one ``LayeredTable`` for all the lengths of a search.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ except ImportError:
 BACKEND: str = _impl.BACKEND
 
 lex_min_embedding = _impl.lex_min_embedding
-greedy_layer_indices = _impl.greedy_layer_indices
-composition_at_rank = _impl.composition_at_rank
 scan_all_perms = _impl.scan_all_perms
 scan_perm_list = _impl.scan_perm_list
-scan_layered = _kernels_py.scan_layered
+greedy_layer_indices = _kernels_py.greedy_layer_indices
+composition_at_rank = _kernels_py.composition_at_rank
 permutation_at_rank = _kernels_py.permutation_at_rank
+scan_layered = _kernels_py.scan_layered
 
 
 def contains(pattern, host):

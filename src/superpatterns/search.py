@@ -3,13 +3,13 @@
 Candidates are scanned length by length, each length exhausted in
 lexicographic order, so a returned minimum comes with complete nonexistence
 counts for every shorter length.  Layered candidates are searched by
-composition prefix (kernels.scan_layered, the pure twin's search on either
-backend), with one LayeredTable for every length of a search: a prefix is
-pruned when some pattern can no longer fit into it, when its set of
-unmatched pattern suffixes already failed with as many positions left, or
-when that set holds every composition of some k < n and fewer than L(k)
-positions are left.  The search proves each such L(k) itself, bottom up,
-with the same table, at its first scan.  A prefix stands for an exact,
+composition prefix, one kernels.scan_layered call (the pure twin's search on
+either backend) per whole length, with one LayeredTable for every length of
+a search: a prefix is pruned when some pattern can no longer fit into it,
+when its set of unmatched pattern suffixes already failed with as many
+positions left, or when that set holds every composition of some k < n and
+fewer than L(k) positions are left.  The search proves each such L(k)
+itself, bottom up, with the same table, at its first scan.  A prefix stands for an exact,
 contiguous block of ranks, so the counts are those of visiting every
 candidate.
 
@@ -129,16 +129,11 @@ def _scan_range(
     hi: int,
     members: list[tuple[int, ...]] | None = None,
 ) -> tuple[int, tuple[int, ...] | None]:
-    """(rank, values) of the first candidate in [lo, hi) that contains every
-    pattern, or (-1, None).
+    """(rank, values) of the first candidate in [lo, hi) of a non-layered
+    class that contains every pattern, or (-1, None).
 
-    Layered candidates take layer profiles as patterns, the others tuples.
     An avoider class comes as members, its candidates of ranks lo..hi-1."""
-    if ctag is ClassTag.LAYERED:
-        rank, _ = kernels.scan_layered(m, patterns, lo, hi)
-        if rank >= 0:
-            return rank, realize_values(kernels.composition_at_rank(m, rank))
-    elif ctag is ClassTag.ALL:
+    if ctag is ClassTag.ALL:
         rank, _ = kernels.scan_all_perms(m, patterns, lo, hi)
         if rank >= 0:
             return rank, kernels.permutation_at_rank(m, rank)
@@ -162,16 +157,22 @@ def _scan_length(
     when the length is exhausted; it is then appended to exhausted as
     (m, count).
 
-    The length is charged to the ledger first.  It is split into jobs rank
-    ranges on the pool when there is one and the length is big enough to be
-    worth it.  An avoider class is enumerated once, here, and each range
-    gets its slice."""
+    The length is charged to the ledger first.  A layered length is one
+    scan of the search's LayeredTable (patterns).  Any other is split into
+    jobs rank ranges on the pool when there is one and the length is big
+    enough to be worth it; an avoider class is enumerated once, here, and
+    each range gets its slice."""
     total = class_count(ctag, m)
     ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)
     members = None
     if ctag not in (ClassTag.LAYERED, ClassTag.ALL):
         members = list(class_tuples(ctag, m))
-    if pool is None or total < _SERIAL_CUTOFF:
+    if ctag is ClassTag.LAYERED:
+        rank, _ = kernels.scan_layered(m, patterns)
+        values = None
+        if rank >= 0:
+            values = realize_values(kernels.composition_at_rank(m, rank))
+    elif pool is None or total < _SERIAL_CUTOFF:
         rank, values = _scan_range(ctag, m, patterns, 0, total, members)
     else:
         bounds = [total * i // jobs for i in range(jobs + 1)]

@@ -3,6 +3,9 @@ import importlib.util
 import itertools
 import math
 import random
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,10 @@ from oracles import (
     brute_scan_layered,
     pruned_scan_layered,
 )
-from superpatterns import _kernels_py, kernels, superpattern_length
+from superpatterns import _kernels_py, kernels, layered, superpattern_length
+from superpatterns._kernels_py import LayeredTable
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestEmbedding:
@@ -87,12 +93,25 @@ class TestEmbedding:
 
 
 class TestRanks:
-    def test_composition_at_rank(self, backend):
+    def test_composition_at_rank(self):
         for n in range(10):
             ranked = [
-                backend.composition_at_rank(n, r) for r in range(max(1, 2 ** (n - 1)))
+                _kernels_py.composition_at_rank(n, r) for r in range(max(1, 2 ** (n - 1)))
             ]
             assert ranked == brute_compositions(n)
+        for rank in (-1, 4, 5):
+            with pytest.raises(ValueError):
+                _kernels_py.composition_at_rank(3, rank)
+        with pytest.raises(ValueError):
+            _kernels_py.composition_at_rank(0, 1)
+
+    def test_compositions_longer_than_62_decode(self):
+        # every backend decodes through the twin, whose ranks are unbounded
+        for decode in (kernels.composition_at_rank, _kernels_py.composition_at_rank):
+            assert decode(64, 0) == (1,) * 64
+            assert decode(64, 2**63 - 1) == (64,)
+        assert layered.composition_at_rank(64, 0).sizes == (1,) * 64
+        assert layered.composition_at_rank(64, 2**63 - 1).sizes == (64,)
 
     def test_permutation_at_rank(self):
         for m in range(7):
@@ -103,27 +122,18 @@ class TestRanks:
             assert got == expected
 
 
-class TestGreedy:
-    def test_parity_with_python(self, backend):
-        for pn in range(5):
-            for hn in range(7):
-                for pat in brute_compositions(pn):
-                    for host in brute_compositions(hn):
-                        assert backend.greedy_layer_indices(
-                            pat, host
-                        ) == _kernels_py.greedy_layer_indices(pat, host)
-
-
-def _layered(backend):
-    """The layered scan that the library runs with this backend selected:
-    the backend's own, or the twin's when it defines none."""
-    return getattr(backend, "scan_layered", _kernels_py.scan_layered)
+def _layered(backend, m, patterns):
+    """The layered scan that the library runs with this backend selected
+    (the backend's own, or the twin's when it defines none), over every
+    composition of m, on a table of its own."""
+    scan = getattr(backend, "scan_layered", _kernels_py.scan_layered)
+    return scan(m, LayeredTable(patterns))
 
 
 class TestScans:
     def test_scan_layered_parity(self, backend):
         # the oracle is a flat scan with brute containment, so it checks the
-        # prefix search's pruning, block counting and clipping independently
+        # prefix search's pruning and block counting independently
         rng = random.Random(20261018)
         for m in range(13):
             total = 2 ** (m - 1) if m else 1
@@ -136,29 +146,13 @@ class TestScans:
                 size = min(len(pool), rng.randint(1, 4))
                 pattern_sets.append(tuple(rng.sample(pool, size)))
             for patterns in pattern_sets:
-                start = rng.randint(0, total)
-                ranges = [(0, total), (start, rng.randint(start, total)), (start, start)]
-                for lo, hi in ranges:
-                    assert _layered(backend)(m, patterns, lo, hi) == (
-                        brute_scan_layered(m, patterns, lo, hi)
-                    ), (m, patterns, lo, hi)
-                # the two halves of a rank range reduce to the full scan
-                mid = total // 2
-                full = _layered(backend)(m, patterns, 0, total)
-                lo_half = _layered(backend)(m, patterns, 0, mid)
-                hi_half = _layered(backend)(m, patterns, mid, total)
-                if full[0] == -1:
-                    assert lo_half[0] == -1 and hi_half[0] == -1
-                elif full[0] < mid:
-                    assert lo_half[0] == full[0]
-                else:
-                    assert lo_half[0] == -1 and hi_half[0] == full[0]
+                assert _layered(backend, m, patterns) == (
+                    brute_scan_layered(m, patterns, 0, total)
+                ), (m, patterns)
 
     def test_scan_layered_long_lengths(self, backend):
         # lengths beyond the flat oracle's reach, against the per-pattern
-        # prefix search: full ranges, sub-ranges (whose clipped blocks must
-        # not be recorded as dead), two halves of the ranks, and random
-        # subsets of the patterns
+        # prefix search, for whole families and random subsets of them
         rng = random.Random(20261019)
         for n in (6, 7, 8):
             every = tuple(brute_compositions(n))
@@ -169,19 +163,9 @@ class TestScans:
                     tuple(rng.sample(every, rng.randint(1, 6))),
                 ]
                 for patterns in (every, *subsets):
-                    lo = rng.randrange(total)
-                    hi = rng.randint(lo, total)
-                    ranges = [
-                        (0, total),
-                        (0, total // 2),
-                        (total // 2, total),
-                        (lo, total),
-                        (lo, hi),
-                    ]
-                    for lo, hi in ranges:
-                        assert _layered(backend)(m, patterns, lo, hi) == (
-                            pruned_scan_layered(m, patterns, lo, hi)
-                        ), (m, patterns, lo, hi)
+                    assert _layered(backend, m, patterns) == (
+                        pruned_scan_layered(m, patterns, 0, total)
+                    ), (m, patterns)
 
     def test_scan_all_perms_parity(self, backend):
         patterns = ((1, 2), (2, 1))
@@ -203,22 +187,20 @@ class TestScans:
 
     def test_scan_counts_on_exhaustion(self, backend):
         # a pattern that never fits: every length-m composition lacks a part m+1
-        patterns = ((5,),)
-        rank, scanned = _layered(backend)(4, patterns, 0, 8)
-        assert (rank, scanned) == (-1, 8)
+        assert _layered(backend, 4, ((5,),)) == (-1, 8)
 
     def test_scan_layered_rejects_nonpositive_parts(self):
         # a part 0 would match without using a host position
         for profiles in (((1, 0),), ((2,), (-1,))):
             with pytest.raises(ValueError):
-                _kernels_py.scan_layered(1, profiles, 0, 1)
+                LayeredTable(profiles)
 
     def test_empty_length_zero(self, backend):
         assert backend.scan_all_perms(0, (), 0, 1) == (0, 1)
 
     def test_scan_layered_length_zero(self):
-        assert _kernels_py.scan_layered(0, ((),), 0, 1) == (0, 1)
-        assert _kernels_py.scan_layered(0, ((1,),), 0, 1) == (-1, 1)
+        assert _kernels_py.scan_layered(0, LayeredTable(((),))) == (0, 1)
+        assert _kernels_py.scan_layered(0, LayeredTable(((1,),))) == (-1, 1)
 
 
 def _family_sets(rng):
@@ -237,23 +219,19 @@ def _family_sets(rng):
 
 class TestLayeredTable:
     def test_one_table_serves_every_length(self):
-        # one table per profile set scans m = 0..16 in turn, with full, half
-        # and clipped ranges mixed in; a clipped block must never be recorded
-        # as dead, and a dead state or family bound found at one length must
-        # hold at every other
+        # one table per profile set scans m = 0..16 in shuffled order, so a
+        # dead state or family bound found at one length must hold at both
+        # shorter and longer ones
         rng = random.Random(20261020)
         for patterns in _family_sets(rng):
-            table = _kernels_py.LayeredTable(patterns)
-            for m in range(17):
+            table = LayeredTable(patterns)
+            lengths = list(range(17))
+            rng.shuffle(lengths)
+            for m in lengths:
                 total = 2 ** (m - 1) if m else 1
-                lo = rng.randrange(total)
-                hi = rng.randint(lo, total)
-                ranges = [(lo, hi), (total // 2, total), (0, total), (0, total // 2)]
-                rng.shuffle(ranges)
-                for lo, hi in ranges:
-                    assert _kernels_py.scan_layered(m, table, lo, hi) == (
-                        pruned_scan_layered(m, patterns, lo, hi)
-                    ), (m, patterns, lo, hi)
+                assert _kernels_py.scan_layered(m, table) == (
+                    pruned_scan_layered(m, patterns, 0, total)
+                ), (m, patterns)
 
     def test_family_bounds_are_proved_in_the_table(self):
         # every family bound is L(k) - 1, for a k below the largest pattern
@@ -261,10 +239,10 @@ class TestLayeredTable:
         # table's own record of the family's state, not on the recurrence
         rng = random.Random(20261021)
         for patterns in _family_sets(rng):
-            table = _kernels_py.LayeredTable(patterns)
+            table = LayeredTable(patterns)
             assert table.families is None  # nothing is proved before a scan
             largest = max(map(sum, patterns))
-            _kernels_py.scan_layered(largest, table, 0, 2 ** (largest - 1))
+            _kernels_py.scan_layered(largest, table)
             suffixes = {p[i:] for p in patterns for i in range(len(p))}
             whole = [
                 k for k in range(1, largest)
@@ -280,8 +258,8 @@ class TestLayeredTable:
 
     def test_a_state_gets_the_bound_of_each_family_it_holds_whole(self):
         rng = random.Random(20261022)
-        table = _kernels_py.LayeredTable(brute_compositions(7))
-        _kernels_py.scan_layered(7, table, 0, 64)
+        table = LayeredTable(brute_compositions(7))
+        _kernels_py.scan_layered(7, table)
         ids = range(len(table.needs))
         for _ in range(2000):
             first, end, _ = rng.choice(table.families)
@@ -300,12 +278,11 @@ def test_scan_layered_leaves_no_cycles():
     gc.collect()
     gc.disable()
     try:
-        assert _kernels_py.scan_layered(16, patterns, 0, 2**15) == (-1, 2**15)
+        assert _kernels_py.scan_layered(16, LayeredTable(patterns)) == (-1, 2**15)
         assert gc.collect() == 0
-        table = _kernels_py.LayeredTable(patterns)
+        table = LayeredTable(patterns)
         for m in range(7, 17):
-            total = 2 ** (m - 1)
-            assert _kernels_py.scan_layered(m, table, 0, total) == (-1, total)
+            assert _kernels_py.scan_layered(m, table) == (-1, 2 ** (m - 1))
         del table
         assert gc.collect() == 0
     finally:
@@ -322,51 +299,52 @@ def test_rank_checks(backend):
         backend.scan_perm_list([(1, 2), (2, 1)], [(1,)], 0, 5)
     with pytest.raises(ValueError):
         backend.scan_perm_list([(1, 2), (2, 1)], [(1,)], 2, 1)
-    for rank in (-1, 4, 5):
-        with pytest.raises(ValueError):
-            backend.composition_at_rank(3, rank)
-    with pytest.raises(ValueError):
-        backend.composition_at_rank(0, 1)
 
 
-def test_scan_layered_rank_checks():
-    # ranks outside [0, count) and reversed ranges are refused
-    for lo, hi in ((-3, 2), (0, 9), (3, 2)):
-        with pytest.raises(ValueError):
-            _kernels_py.scan_layered(4, ((1,),), lo, hi)
+def test_scan_layered_argument_checks():
+    # a negative length has no compositions to scan
     with pytest.raises(ValueError):
-        _kernels_py.scan_layered(0, ((),), 0, 2)
+        _kernels_py.scan_layered(-1, LayeredTable(((1,),)))
 
 
 def test_compiled_argument_checks(compiled):
-    # 64-bit composition masks and permutation ranks bound the lengths
-    with pytest.raises(ValueError):
-        compiled.composition_at_rank(63, 0)
+    # 64-bit permutation ranks bound the lengths, and C ints the values
     with pytest.raises(ValueError):
         compiled.scan_all_perms(21, ((1,),), 0, 1)
-    with pytest.raises(OverflowError):
-        compiled.composition_at_rank(2**31, 0)
     with pytest.raises(OverflowError):
         compiled.lex_min_embedding((1,), (2**31,))
 
 
 def test_compiled_names_are_the_twins(compiled):
-    # the twin is the reference for every compiled kernel, and the layered
-    # scan is the twin's alone
-    public = [
+    # the compiled module holds containment and the two permutation scans,
+    # each a twin function, and the library takes every other kernel from
+    # the twin
+    public = {
         name for name in dir(compiled)
         if not name.startswith("_") and callable(getattr(compiled, name))
-    ]
-    assert public
-    assert all(callable(getattr(_kernels_py, name, None)) for name in public), public
-    assert not hasattr(compiled, "scan_layered")
-    assert kernels.scan_layered is _kernels_py.scan_layered
+    }
+    assert public == {"lex_min_embedding", "scan_all_perms", "scan_perm_list"}
+    assert all(callable(getattr(_kernels_py, name, None)) for name in public)
+    for name in ("composition_at_rank", "greedy_layer_indices", "scan_layered"):
+        assert getattr(kernels, name) is getattr(_kernels_py, name)
+
+
+def test_kernel_source_compiles_without_warnings():
+    # catches, among others, static helpers that a deletion leaves unused
+    cc = shutil.which("cc")
+    include = sysconfig.get_paths()["include"]
+    if cc is None or not Path(include, "Python.h").exists():
+        pytest.skip("needs a C compiler and the Python headers")
+    flags = ["-fsyntax-only", "-std=c99", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
+    source = _ROOT / "src" / "superpatterns" / "_kernels.c"
+    run = subprocess.run([cc, *flags, "-I", include, str(source)], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_layered_bench_workload_on_every_backend(backend):
-    # benchmarks/bench_kernels.py times this workload on each importable
-    # backend, and a backend without a layered scan runs the twin's
-    script = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+    # perfbench/micro.py times this workload on each importable backend,
+    # each of which runs the twin's layered scan
+    script = _ROOT / "benchmarks" / "bench_kernels.py"
     spec = importlib.util.spec_from_file_location("bench_kernels", script)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
