@@ -28,7 +28,8 @@ except ImportError:
     _kernels = None
 
 from superpatterns.classes import ClassTag, class_tuples
-from superpatterns.search import _ordered_pattern_profiles, _ordered_pattern_tuples
+from superpatterns.layered import enumerate_layered
+from superpatterns.search import _ordered_pattern_tuples
 
 
 def _containment_workload():
@@ -55,7 +56,7 @@ def _layered_scan_workload():
     # length 16 < a(7) = 17, so the scan must exhaust all 2^15 compositions,
     # which is exactly the nonexistence half of a search run; every backend
     # runs the twin's scan, on a table built cold for each repeat
-    patterns = _ordered_pattern_profiles(7)
+    patterns = [p.sizes for p in enumerate_layered(7)]
 
     def work(mod):
         return _kernels_py.scan_layered(16, LayeredTable(patterns))
@@ -66,7 +67,7 @@ def _layered_scan_workload():
 def _layered_proof_scan_workload():
     # length 24 < a(9) = 25: the longest nonexistence scan of the n = 9
     # proof, where pruning whole blocks of ranks matters most
-    patterns = _ordered_pattern_profiles(9)
+    patterns = [p.sizes for p in enumerate_layered(9)]
 
     def work(mod):
         return _kernels_py.scan_layered(24, LayeredTable(patterns))

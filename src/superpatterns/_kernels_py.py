@@ -20,9 +20,7 @@ convention.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
 
 BACKEND = "python"
 
@@ -255,10 +253,6 @@ def _next_permutation(a):
     return True
 
 
-# The head of the empty suffix: no part reaches it.
-_NO_HEAD = sys.maxsize
-
-
 class LayeredTable(tuple):
     """A tuple of layer profiles that also keeps scan_layered's tables, so
     that one table serves every length of a search.
@@ -266,8 +260,17 @@ class LayeredTable(tuple):
     What a prefix of a candidate still needs is its state, the set of the
     patterns' distinct unmatched suffixes (scan_layered), and whether some
     completion of r positions fits a state depends on r and the state alone,
-    not on the length m being scanned.  So the suffix ids, the moves a part
-    makes and the table of dead states are built once and grow with m.
+    not on the length m being scanned.  So the suffix ids and the table of
+    dead states are built once and serve every m.
+
+    A state is one int with bit g set for suffix id g.  Ids are numbered by
+    need, the sum of a suffix's sizes, so id 0 is the empty suffix, whose
+    bit every state has, and a state's largest need is
+    needs[state.bit_length() - 1].  heads[h] is the mask of the ids whose
+    first layer has size h, and tails[g] is 1 << the id of what is left of
+    suffix g once its first layer is matched (0 for the empty suffix).
+    root is the state of the empty prefix, and dead maps a state to the
+    largest r known to have no fitting completion.
 
     The first scan through a table first proves the family bounds, smallest
     k first: for each k below the largest pattern need whose 2^(k-1)
@@ -277,10 +280,13 @@ class LayeredTable(tuple):
     contains every layered permutation of length k.  A state that holds
     every need-k suffix then needs at least L(k) positions, since greedy fit
     is monotone under subsets, and its bound is entered in the dead table
-    when the state is first met.  Each bound rests on scans of this table
-    that use only the bounds below it, so a scan that prunes by them is
-    still a proof by enumeration.  No bound is proved at the largest need,
-    which is what a search of that need is proving.
+    when the state is first met.  families holds a (mask, L(k) - 1) pair per
+    proved family, largest k first, where mask has the bits of the need-k
+    ids, so a state holds the family when state & mask == mask.  Each bound
+    rests on scans of this table that use only the bounds below it, so a
+    scan that prunes by them is still a proof by enumeration.  No bound is
+    proved at the largest need, which is what a search of that need is
+    proving.
     """
 
     def __new__(cls, pattern_profiles):
@@ -293,54 +299,38 @@ class LayeredTable(tuple):
             if smallest < 1:
                 raise ValueError(f"profile parts must be >= 1, got {smallest}")
             suffixes.update(profile[i:] for i in range(len(profile)))
-        # Every distinct suffix gets an id, numbered by need, the sum of its
-        # sizes (the empty suffix is 0); heads[g] is the size of its first
-        # layer (_NO_HEAD for the empty one) and tails[g] the id of the
-        # suffix after that layer.
         ordered = sorted(suffixes, key=sum)
         ids = {suffix: g for g, suffix in enumerate(ordered)}
         self.needs = list(map(sum, ordered))
-        self.heads = [suffix[0] if suffix else _NO_HEAD for suffix in ordered]
-        self.tails = [ids[suffix[1:]] if suffix else 0 for suffix in ordered]
-        # a state is the ascending tuple of its distinct ids, always with 0
-        self.root = tuple(sorted({0, *map(ids.__getitem__, self)}))
-        # moves[p][g]: the suffix left after a host part p
-        self.moves = [None]
-        # dead: state -> the largest r known to have no fitting completion
+        # a first layer is no larger than its suffix's need, and heads has an
+        # entry for part 1 even when every profile is empty
+        self.heads = [0] * (self.needs[-1] + 2)
+        self.tails = [0] * len(ordered)
+        for g, suffix in enumerate(ordered[1:], start=1):
+            self.heads[suffix[0]] |= 1 << g
+            self.tails[g] = 1 << ids[suffix[1:]]
+        self.root = 1
+        for profile in self:
+            self.root |= 1 << ids[profile]
         self.dead = {}
-        # (first id, end id, L(k) - 1) per proved family, largest k first
         self.families = None
-
-    def _extend(self, m):
-        """Grow moves to parts up to m."""
-        heads, tails = self.heads, self.tails
-        for p in range(len(self.moves), m + 1):
-            self.moves.append(
-                [t if h <= p else g for g, (h, t) in enumerate(zip(heads, tails))]
-            )
 
     def _prove_families(self):
         if self.families is not None:
             return
         self.families = []
         needs = self.needs
-        for k in range(1, needs[self.root[-1]]):
+        for k in range(1, needs[self.root.bit_length() - 1]):
             first = bisect_left(needs, k)
             end = bisect_right(needs, k)
             if end - first < 1 << (k - 1):
                 continue
-            family = (0, *range(first, end))
+            mask = (1 << end) - (1 << first)
             r = k
-            while True:
-                self._extend(r)
-                if _first_fit(r, 0, family, self._tables()) >= 0:
-                    break
-                self.dead[family] = r
+            while _first_fit(r, 0, mask | 1, self) < 0:
+                self.dead[mask | 1] = r
                 r += 1
-            self.families.insert(0, (first, end, r - 1))
-
-    def _tables(self):
-        return (self.moves, self.heads, self.needs, self.dead, self.families)
+            self.families.insert(0, (mask, r - 1))
 
 
 def scan_layered(m, table):
@@ -357,10 +347,11 @@ def scan_layered(m, table):
     pattern's first unmatched layer with the first host part at least as
     large, so what a pattern still needs is its unmatched suffix, and
     patterns with equal suffixes behave alike from there on.  A prefix's
-    state is therefore the set of distinct unmatched suffixes; finished
-    patterns drop out.  A prefix is pruned as soon as some suffix's sizes add
-    up to more than the positions left: each of its layers needs its own
-    later host layer at least as large.
+    state is therefore the set of distinct unmatched suffixes, held as a
+    mask of suffix ids (LayeredTable); finished patterns drop out.  A prefix
+    is pruned as soon as some suffix's sizes add up to more than the
+    positions left: each of its layers needs its own later host layer at
+    least as large.
 
     Whether some completion of r positions fits depends only on r and the
     state, and if none of r fits, none of r' < r does either (appending a
@@ -380,81 +371,72 @@ def scan_layered(m, table):
     does not allow for.
     """
     total = _composition_count(m)
-    if table.needs[table.root[-1]] > m:
+    if table.needs[table.root.bit_length() - 1] > m:
         return (-1, total)
     if m == 0:
         return (0, 1)
     table._prove_families()
-    table._extend(m)
-    found = _first_fit(m, 0, table.root, table._tables())
+    found = _first_fit(m, 0, table.root, table)
     return (found, found + 1) if found >= 0 else (-1, total)
 
 
 def _family_bound(state, families):
     """The largest L(k) - 1 among the families the state holds, or 0."""
-    for first, end, bound in families:
-        # the state's ids ascend and are distinct, so it holds the whole
-        # range iff end - first of them, starting at first, end at end - 1
-        i = bisect_left(state, first) + end - first - 1
-        if i < len(state) and state[i] == end - 1:
+    for mask, bound in families:
+        if state & mask == mask:
             return bound
     return 0
 
 
-def _first_fit(r, base, state, tables):
+def _first_fit(r, base, state, table):
     """The first rank among the compositions of r > 0 positions (first rank
     base) that complete a prefix with this state and fit every pattern, or
     -1.
 
-    Child p covers the 2^(r-p-1) ranks (1 for p = r) from
-    base + 2^(r-1) - 2^(r-p).  Its state changes only at the parts p that
-    equal some suffix's head, so the children form runs with one state and
-    falling positions left: a run ends where its state no longer fits, and
-    once one child of a run is dead, the rest are too.  A state's family
-    bound is entered in the dead table when the state is first met.
+    Child a, the prefix extended by a part a, covers the 2^(r-a-1) ranks
+    (1 for a = r) from base + 2^(r-1) - 2^(r-a).  Part a matches the first
+    layer of every suffix whose head is at most a, so the child is the
+    state's unreached suffixes, those with larger heads, together with the
+    tails of the reached ones.  The two stay apart as unreached and moved
+    until the child is formed: a tail can be a suffix that the same part
+    also reaches, and that suffix must stay a tail, not move again.  A part
+    that reaches no new head leaves the same child as the part before it
+    with fewer positions left, so it is skipped.  A state's family bound is
+    entered in the dead table when the state is first met.
 
     A module-level function, not a closure in scan_layered: a recursive
     closure is a reference cycle that keeps the tables alive until the cycle
     collector runs."""
-    moves, heads, needs, dead, families = tables
-    # the state's ids ascend with need, so this maps each of its heads to the
-    # largest need among its suffixes; the empty suffix's head is last
-    most = dict(zip(map(heads.__getitem__, state), map(needs.__getitem__, state)))
-    starts = sorted(most)
-    # unmoved[i]: the largest need among the suffixes with heads starts[i:]
-    unmoved = list(accumulate(map(most.__getitem__, reversed(starts)), max))[::-1]
-    moved = 0  # the largest need left by a suffix whose head a part reached
-    i = 0
+    needs, heads, tails, dead = table.needs, table.heads, table.tails, table.dead
+    unreached = state
+    moved = 1
     top = 1 << (r - 1)
-    a = 1
-    while a <= r:
-        # parts a..b-1 reach the heads starts[:i] and no other
-        while starts[i] <= a:
-            moved = max(moved, most[starts[i]] - starts[i])
-            i += 1
-        if a + moved > r:
-            return -1  # and so for every later run, whose moved is no smaller
-        b = min(starts[i], r + 1)
-        # the run's children with rest >= need; p = r (rest 0) is a leaf
-        last = min(b - 1, r - max(moved, unmoved[i]))
-        if last >= a:
-            child = tuple(sorted({*map(moves[a].__getitem__, state)})) if i else state
-            for p in range(a, last + 1):
-                rest = r - p
-                first = base + top - (1 << rest)
-                if rest == 0:
-                    return first
-                known = dead.get(child)
-                if known is None:
-                    known = dead[child] = _family_bound(child, families)
-                if known >= rest:
-                    break
-                found = _first_fit(rest, first, child, tables)
-                if found >= 0:
-                    return found
-                dead[child] = rest
-                break
-        a = b
+    for a in range(1, min(r, len(heads) - 1) + 1):
+        hit = unreached & heads[a]
+        if a > 1 and not hit:
+            continue
+        unreached ^= hit
+        while hit:
+            low = hit & -hit
+            moved |= tails[low.bit_length() - 1]
+            hit ^= low
+        if a + needs[moved.bit_length() - 1] > r:
+            return -1  # and so for every later part, whose moved is no smaller
+        child = unreached | moved
+        rest = r - a
+        if needs[child.bit_length() - 1] > rest:
+            continue
+        first = base + top - (1 << rest)
+        if rest == 0:
+            return first
+        known = dead.get(child)
+        if known is None:
+            known = dead[child] = _family_bound(child, table.families)
+        if known < rest:
+            found = _first_fit(rest, first, child, table)
+            if found >= 0:
+                return found
+            dead[child] = rest
     return -1
 
 

@@ -5,13 +5,14 @@ lexicographic order, so a returned minimum comes with complete nonexistence
 counts for every shorter length.  Layered candidates are searched by
 composition prefix, one kernels.scan_layered call (the pure twin's search on
 either backend) per whole length, with one LayeredTable for every length of
-a search: a prefix is pruned when some pattern can no longer fit into it,
-when its set of unmatched pattern suffixes already failed with as many
-positions left, or when that set holds every composition of some k < n and
-fewer than L(k) positions are left.  The search proves each such L(k)
-itself, bottom up, with the same table, at its first scan.  A prefix stands for an exact,
-contiguous block of ranks, so the counts are those of visiting every
-candidate.
+a search.  A prefix's state is the set of unmatched pattern suffixes, held
+as one int with a bit per suffix, so the order of the patterns plays no
+part.  A prefix is pruned when some pattern can no longer fit into it, when
+its state already failed with as many positions left, or when its state
+holds every composition of some k < n and fewer than L(k) positions are
+left.  The search proves each such L(k) itself, bottom up, with the same
+table, at its first scan.  A prefix stands for an exact, contiguous block of
+ranks, so the counts are those of visiting every candidate.
 
 One node budget gates every run: a per-run ledger charges each length its
 candidates times patterns, a priori, before the length is scanned, and
@@ -26,10 +27,10 @@ the candidate class lies in no candidate of any length: such a query gets an
 InfeasibleReport with the lex-first such pattern as its certificate, before
 the budget is charged or a worker starts.
 
-Patterns are checked in a fixed order that fails fast (longest decreasing
-pattern first: a universal candidate must devote an entire decreasing run
-of length n to it, which most candidates and prefixes lack).  The order
-never changes results, only speed.
+The patterns of the non-layered classes are checked in a fixed order that
+fails fast (longest decreasing pattern first: a universal candidate must
+devote an entire decreasing run of length n to it, which most candidates
+and prefixes lack).  The order never changes results, only speed.
 
 Parallel runs partition each length of a non-layered class into contiguous
 rank ranges and reduce to the smallest witness rank, so serial and parallel
@@ -108,15 +109,6 @@ def _ordered_pattern_tuples(tag: ClassTag, n: int) -> tuple[tuple[int, ...], ...
         sorted(
             class_tuples(tag, n),
             key=lambda t: (-len(_max_decreasing_positions(t)), t),
-        )
-    )
-
-
-def _ordered_pattern_profiles(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        sorted(
-            (p.sizes for p in enumerate_layered(n)),
-            key=lambda s: (-max(s, default=0), s),
         )
     )
 
@@ -272,7 +264,7 @@ def _minimal_superpattern(
         # feasible, so every pattern is layered: all of them iff as many
         # (for a non-layered pattern class, only at n <= 2)
         patterns: tuple[tuple[int, ...], ...] = LayeredTable(
-            _ordered_pattern_profiles(n)
+            p.sizes for p in enumerate_layered(n)
         )
         if ptag is not ctag and len(patterns) != class_count(ptag, n):
             raise InternalDefectError("layered candidates would miss a pattern")

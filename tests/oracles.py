@@ -243,13 +243,16 @@ def brute_first_missing_layered(n, host_sizes, contains=None):
     return len(compositions), None
 
 
+@functools.lru_cache(maxsize=None)
 def pruned_scan_layered(m, profiles, lo, hi):
     """The scan_layered contract by a prefix search with one greedy pointer
     per pattern and no table of dead states, for lengths too long for the
     flat scan: depth first over composition prefixes, smallest next part
     first, pruning a prefix once some pattern's unmatched layer sizes add up
     to more than the positions left, and counting each pruned or clipped
-    prefix with r > 0 positions left as its block of 2^(r-1) ranks."""
+    prefix with r > 0 positions left as its block of 2^(r-1) ranks.
+    Memoised, so a test that runs once per backend pays for it once; the
+    profiles must be a tuple."""
     # each pattern's states run from its first layer unmatched to all
     # matched: heads[g] is the next layer's size (m + 1 once all are
     # matched) and needs[g] the sum of the unmatched sizes

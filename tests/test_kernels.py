@@ -199,6 +199,19 @@ class TestScans:
     def test_empty_length_zero(self, backend):
         assert backend.scan_all_perms(0, (), 0, 1) == (0, 1)
 
+    def test_scan_layered_keeps_a_tail_the_same_part_reaches(self):
+        # a part 2 turns (1, 2) into its tail (2,) and also reaches the
+        # first layer of (2,) and of (2, 1, 1); the tail must wait for a
+        # later part, so at m = 4 no composition fits (2, 1, 1) and (1, 2)
+        pins = {
+            ((1, 2), (2,)): [(-1, 2), (1, 2), (1, 2), (1, 2)],
+            ((1, 2), (2, 1, 1)): [(-1, 2), (-1, 4), (-1, 8), (4, 5)],
+        }
+        for patterns, expected in pins.items():
+            for m, pin in enumerate(expected, start=2):
+                got = _kernels_py.scan_layered(m, LayeredTable(patterns))
+                assert got == pin == brute_scan_layered(m, patterns, 0, 2 ** (m - 1))
+
     def test_scan_layered_length_zero(self):
         assert _kernels_py.scan_layered(0, LayeredTable(((),))) == (0, 1)
         assert _kernels_py.scan_layered(0, LayeredTable(((1,),))) == (-1, 1)
@@ -249,27 +262,35 @@ class TestLayeredTable:
                 k for k in range(1, largest)
                 if suffixes.issuperset(brute_compositions(k))
             ]
-            needs = [table.needs[first] for first, _, _ in table.families]
+            ids = range(len(table.needs))
+            members = [[g for g in ids if mask >> g & 1] for mask, _ in table.families]
+            needs = [table.needs[family[0]] for family in members]
             assert needs == whole[::-1], patterns
-            for (first, end, bound), k in zip(table.families, needs):
-                family = (0, *range(first, end))
-                assert sorted(map(sum, brute_compositions(k))) == table.needs[first:end]
+            for (mask, bound), family, k in zip(table.families, members, needs):
+                # the family's mask has the bit of every need-k id and no other
+                assert family == [g for g in ids if table.needs[g] == k]
+                assert sorted(map(sum, brute_compositions(k))) == [
+                    table.needs[g] for g in family
+                ]
                 assert bound == superpattern_length(k) - 1
-                assert table.dead.get(family, 0) == bound
+                assert table.dead.get(mask | 1, 0) == bound
 
     def test_a_state_gets_the_bound_of_each_family_it_holds_whole(self):
         rng = random.Random(20261022)
         table = LayeredTable(brute_compositions(7))
         _kernels_py.scan_layered(7, table)
         ids = range(len(table.needs))
+        families = [
+            ({g for g in ids if mask >> g & 1}, bound) for mask, bound in table.families
+        ]
         for _ in range(2000):
-            first, end, _ = rng.choice(table.families)
-            state = {0, *range(first, end), *rng.sample(ids, rng.randint(0, 20))}
+            family, _ = rng.choice(families)
+            state = {0, *family, *rng.sample(ids, rng.randint(0, 20))}
             if rng.random() < 0.5:
-                state.discard(rng.randrange(first, end))
-            held = [b for f, e, b in table.families if state.issuperset(range(f, e))]
-            bound = _kernels_py._family_bound(tuple(sorted(state)), table.families)
-            assert bound == max(held, default=0)
+                state.discard(rng.choice(sorted(family)))
+            held = [b for f, b in families if state.issuperset(f)]
+            mask = sum(1 << g for g in state)
+            assert _kernels_py._family_bound(mask, table.families) == max(held, default=0)
 
 
 def test_scan_layered_leaves_no_cycles():

@@ -58,7 +58,8 @@ for _p in _TAGS:
 
 # candidates_examined of the layered proofs for n = 0..10, pinned from the
 # search before its dead-state table was shared across lengths, and the
-# witnesses it found for n = 9..11
+# witnesses it found for n = 9..11 (n = 12 from the search with sorted-tuple
+# states, before a state became one int)
 _LAYERED_EXAMINED = (
     1, 1, 4, 19, 167, 1386, 11207, 92071, 1429351, 22871599, 365950842
 )
@@ -67,6 +68,8 @@ _LAYERED_WITNESSES = {
     10: "1 3 2 7 6 5 4 8 18 17 16 15 14 13 12 11 10 9 19 21 20 26 25 24 23 22 27 29 28",
     11: "1 3 2 7 6 5 4 8 19 18 17 16 15 14 13 12 11 10 9 20 22 21 28 27 26 25 24 23 "
     "29 32 31 30 33",
+    12: "1 3 2 7 6 5 4 8 20 19 18 17 16 15 14 13 12 11 10 9 21 24 23 22 25 32 31 30 "
+    "29 28 27 26 33 36 35 34 37",
 }
 
 
@@ -412,14 +415,15 @@ def test_av231_over_av231_candidates_full_search():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [9, 10, 11])
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_layered_minimality_by_enumeration(n):
-    # beyond the acceptance suite's n <= 8: every shorter length exhausted
-    report = minimal_superpattern(n, "layered", "layered", budget=10**13)
+    # beyond the acceptance suite's n <= 8: every shorter length exhausted;
+    # the a-priori charge at n = 12 is about 2.8e14
+    report = minimal_superpattern(n, "layered", "layered", budget=10**15)
     assert report.min_length == superpattern_length(n) == superpattern_length_closed(n)
     assert [m for m, _ in report.lengths_exhausted] == list(range(n, report.min_length))
     assert all(count == 2 ** (m - 1) for m, count in report.lengths_exhausted)
     assert verify_universal(report.witness, n, "layered").ok
     assert str(report.witness) == _LAYERED_WITNESSES[n]
-    examined = (*_LAYERED_EXAMINED, 5_855_234_023)[n]
+    examined = (*_LAYERED_EXAMINED, 5_855_234_023, 93_683_867_623)[n]
     assert report.candidates_examined == examined
