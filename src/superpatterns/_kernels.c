@@ -9,8 +9,11 @@
    from the twin on either backend.  Values, lengths and positions are held
    as C ints, and ranks as 64-bit integers: an argument that does not fit
    raises OverflowError, and a length whose ranks do not fit raises
-   ValueError.  The interpreter lock is held throughout; parallel runs use
-   processes. */
+   ValueError.  Each scan takes a half-open range [lo, hi) of permutation
+   ranks or list indices with 0 <= lo <= hi <= m! or the list's length, else
+   ValueError, and returns (the first witness in it or -1, scanned); an
+   empty range, the one at the end included, gives (-1, 0).  The
+   interpreter lock is held throughout; parallel runs use processes. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>

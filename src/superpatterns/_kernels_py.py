@@ -19,6 +19,7 @@ convention.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, bisect_right
 
@@ -238,21 +239,6 @@ def permutation_at_rank(m, rank):
     return tuple(out)
 
 
-def _next_permutation(a):
-    """Advance list a to its lexicographic successor in place."""
-    i = len(a) - 2
-    while i >= 0 and a[i] >= a[i + 1]:
-        i -= 1
-    if i < 0:
-        return False
-    j = len(a) - 1
-    while a[j] <= a[i]:
-        j -= 1
-    a[i], a[j] = a[j], a[i]
-    a[i + 1 :] = a[:i:-1]
-    return True
-
-
 class LayeredTable(tuple):
     """A tuple of layer profiles that also keeps scan_layered's tables, so
     that one table serves every length of a search.
@@ -448,30 +434,12 @@ def scan_all_perms(m, patterns, rank_lo, rank_hi):
     whose permutation contains every pattern, scanned counting the ranks
     from rank_lo through it, or -1 when there is none, in which case
     scanned == rank_hi - rank_lo.  The ranks must satisfy
-    0 <= rank_lo <= rank_hi <= m!, else ValueError.
+    0 <= rank_lo <= rank_hi <= m!, else ValueError; an empty range, the one
+    at m! included, gives (-1, 0).
     """
     _check_ranks(rank_lo, rank_hi, math.factorial(m))
-    if m == 0:
-        ok = all(len(p) == 0 for p in patterns)
-        if rank_lo == 0 and rank_hi > 0 and ok:
-            return (0, 1)
-        return (-1, rank_hi - rank_lo)
-    shapes = [(pat, _windows(pat)) for pat in patterns]
-    perm = list(permutation_at_rank(m, rank_lo))
-    r = rank_lo
-    while r < rank_hi:
-        t = tuple(perm)
-        ok = True
-        for pat, windows in shapes:
-            if _embed(t, pat, windows) is None:
-                ok = False
-                break
-        if ok:
-            return (r, r - rank_lo + 1)
-        r += 1
-        if r < rank_hi:
-            _next_permutation(perm)
-    return (-1, rank_hi - rank_lo)
+    perms = itertools.permutations(range(1, m + 1))
+    return _scan(itertools.islice(perms, rank_lo, rank_hi), patterns, rank_lo, rank_hi)
 
 
 def scan_perm_list(candidates, patterns, lo, hi):
@@ -482,17 +450,21 @@ def scan_perm_list(candidates, patterns, lo, hi):
     candidate contains every pattern, scanned counting the indices from lo
     through it, or -1 when there is none, in which case scanned == hi - lo.
     The indices must satisfy 0 <= lo <= hi <= len(candidates), else
-    ValueError.
+    ValueError; an empty range, the one at len(candidates) included, gives
+    (-1, 0).
     """
     _check_ranks(lo, hi, len(candidates))
+    return _scan(itertools.islice(candidates, lo, hi), patterns, lo, hi)
+
+
+def _scan(candidates, patterns, lo, hi):
+    """The scan both permutation scans run: candidates holds those of
+    indices lo..hi-1, in order."""
     shapes = [(pat, _windows(pat)) for pat in patterns]
-    for idx in range(lo, hi):
-        cand = candidates[idx]
-        ok = True
+    for idx, cand in enumerate(candidates, start=lo):
         for pat, windows in shapes:
             if _embed(cand, pat, windows) is None:
-                ok = False
                 break
-        if ok:
+        else:
             return (idx, idx - lo + 1)
     return (-1, hi - lo)

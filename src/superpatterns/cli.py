@@ -131,17 +131,18 @@ def _cmd_search_minimal(args) -> int:
         budget=args.budget,
         jobs=args.jobs,
     )
-    if args.json:
-        print(json.dumps(report.to_json_dict()))
-    elif report.infeasible:
-        print(f"infeasible: {report.certificate} is outside {report.candidate_class}")
+    if report.infeasible:
+        human = f"infeasible: {report.certificate} is outside {report.candidate_class}"
     else:
-        print(f"min_length: {report.min_length}")
-        print(f"witness: {report.witness}")
-        print(f"candidates_examined: {report.candidates_examined}")
         exhausted = " ".join(f"{m}:{c}" for m, c in report.lengths_exhausted)
-        print(f"lengths_exhausted: {exhausted}")
-        print(f"elapsed_ms: {report.elapsed_ms}")
+        human = (
+            f"min_length: {report.min_length}\n"
+            f"witness: {report.witness}\n"
+            f"candidates_examined: {report.candidates_examined}\n"
+            f"lengths_exhausted: {exhausted}\n"
+            f"elapsed_ms: {report.elapsed_ms}"
+        )
+    _emit(args, report.to_json_dict(), human)
     return 1 if report.infeasible else 0
 
 
@@ -149,28 +150,27 @@ def _cmd_check_claims231(args) -> int:
     report = check_claims_231(
         verify_minimality=args.verify_minimality, budget=args.budget
     )
-    if args.json:
-        print(json.dumps(report.to_json_dict()))
-    else:
-        for claim in report.claims:
-            print(f"{'PASS' if claim.passed else 'FAIL'}  {claim.name}")
+    human = "\n".join(
+        f"{'PASS' if claim.passed else 'FAIL'}  {claim.name}" for claim in report.claims
+    )
+    _emit(args, report.to_json_dict(), human)
     return 0 if report.all_passed else 1
 
 
 def _cmd_check_conjecture321(args) -> int:
     report = check_conjecture_321(args.n, budget=args.budget, jobs=args.jobs)
-    if args.json:
-        print(json.dumps(report.to_json_dict()))
+    if report.holds:
+        verdict = f"holds: 321-avoiding witness {report.avoiding_witness}"
     else:
-        print(f"min_length: {report.min_length}")
-        print(f"unrestricted witness: {report.all_search.witness}")
-        if report.holds:
-            print(f"holds: 321-avoiding witness {report.avoiding_witness}")
-        else:
-            print(
-                f"fails: none of the {report.avoiding_total} 321-avoiders of "
-                f"length {report.min_length} is {report.n}-universal"
-            )
+        verdict = (
+            f"fails: none of the {report.avoiding_total} 321-avoiders of "
+            f"length {report.min_length} is {report.n}-universal"
+        )
+    human = (
+        f"min_length: {report.min_length}\n"
+        f"unrestricted witness: {report.all_search.witness}\n" + verdict
+    )
+    _emit(args, report.to_json_dict(), human)
     return 0 if report.holds else 1
 
 
@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (BudgetExceededError, ValueError) as exc:
+    except (BudgetExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -119,12 +119,13 @@ def _scan_range(
     patterns: tuple[tuple[int, ...], ...],
     lo: int,
     hi: int,
-    members: list[tuple[int, ...]] | None = None,
+    members: list[tuple[int, ...]] | None,
 ) -> tuple[int, tuple[int, ...] | None]:
     """(rank, values) of the first candidate in [lo, hi) of a non-layered
     class that contains every pattern, or (-1, None).
 
-    An avoider class comes as members, its candidates of ranks lo..hi-1."""
+    An avoider class comes as members, its candidates of ranks lo..hi-1;
+    the class of every permutation as None."""
     if ctag is ClassTag.ALL:
         rank, _ = kernels.scan_all_perms(m, patterns, lo, hi)
         if rank >= 0:
@@ -151,28 +152,24 @@ def _scan_length(
 
     The length is charged to the ledger first.  A layered length is one
     scan of the search's LayeredTable (patterns).  Any other is split into
-    jobs rank ranges on the pool when there is one and the length is big
-    enough to be worth it; an avoider class is enumerated once, here, and
-    each range gets its slice."""
+    rank ranges, jobs of them on the pool when there is one and the length
+    is big enough to be worth it, else one scanned here; an avoider class is
+    enumerated once, here, and each range gets its slice."""
     total = class_count(ctag, m)
     ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)
-    members = None
-    if ctag not in (ClassTag.LAYERED, ClassTag.ALL):
-        members = list(class_tuples(ctag, m))
     if ctag is ClassTag.LAYERED:
         rank, _ = kernels.scan_layered(m, patterns)
         values = None
         if rank >= 0:
             values = realize_values(kernels.composition_at_rank(m, rank))
-    elif pool is None or total < _SERIAL_CUTOFF:
-        rank, values = _scan_range(ctag, m, patterns, 0, total, members)
     else:
-        bounds = [total * i // jobs for i in range(jobs + 1)]
+        members = None if ctag is ClassTag.ALL else list(class_tuples(ctag, m))
+        parts = jobs if pool is not None and total >= _SERIAL_CUTOFF else 1
+        bounds = [total * i // parts for i in range(parts + 1)]
         slices = [members and members[a:b] for a, b in pairwise(bounds)]
         scan = functools.partial(_scan_range, ctag, m, patterns)
-        found = [
-            r for r in pool.map(scan, bounds[:-1], bounds[1:], slices) if r[0] >= 0
-        ]
+        run = pool.map if parts > 1 else map
+        found = [r for r in run(scan, bounds[:-1], bounds[1:], slices) if r[0] >= 0]
         rank, values = min(found, default=(-1, None))
     if values is not None:
         return Permutation(values), rank + 1

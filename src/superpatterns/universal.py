@@ -127,15 +127,15 @@ class LengthTable:
 _TABLE = LengthTable()
 
 
-def superpattern_length(n: int, table: LengthTable | None = None) -> int:
+def superpattern_length(n: int) -> int:
     """Minimal length of an n-universal permutation for the layered class,
     from the recurrence."""
-    return (table or _TABLE).value(n)
+    return _TABLE.value(n)
 
 
-def superpattern_split(n: int, table: LengthTable | None = None) -> int | None:
+def superpattern_split(n: int) -> int | None:
     """Smallest split k attaining the recurrence minimum (None for n=0)."""
-    return (table or _TABLE).argmin(n)
+    return _TABLE.argmin(n)
 
 
 def superpattern_length_closed(n: int) -> int:

@@ -217,6 +217,17 @@ class TestSequenceOptions:
         path.write_text("0\n1\n7\n")
         assert run(["sequence", "a", "5", "--seed-table", str(path)]) == 2
 
+    def test_seed_table_directory_is_a_usage_error(self, capsys, tmp_path):
+        assert run(["sequence", "a", "10", "--seed-table", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_seed_table_in_missing_directory_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "table.txt"
+        assert run(["sequence", "a", "10", "--seed-table", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestRoundTrip:
     def test_printed_permutations_parse_back(self, capsys):

@@ -13,6 +13,7 @@ import pytest
 from oracles import (
     backtrack_lex_min_embedding,
     brute_compositions,
+    brute_contains,
     brute_lex_min_embedding,
     brute_scan_layered,
     pruned_scan_layered,
@@ -199,6 +200,27 @@ class TestScans:
     def test_empty_length_zero(self, backend):
         assert backend.scan_all_perms(0, (), 0, 1) == (0, 1)
 
+    def test_scan_all_perms_every_range(self, backend):
+        # every rank range, the empty ones at 0 and at m! included, against
+        # a brute scan of itertools.permutations, which is in rank order
+        pattern_sets = [
+            (), ((1,),), ((1, 2), (2, 1)), ((2, 3, 1), (3, 1, 2)), ((3, 2, 1),)
+        ]
+        for m in range(6):
+            total = math.factorial(m)
+            perms = list(itertools.permutations(range(1, m + 1)))
+            for patterns in pattern_sets:
+                fits = [
+                    r for r, perm in enumerate(perms)
+                    if all(brute_contains(p, perm) for p in patterns)
+                ]
+                for lo in range(total + 1):
+                    for hi in range(lo, total + 1):
+                        rank = next((r for r in fits if lo <= r < hi), -1)
+                        expected = (rank, rank - lo + 1) if rank >= 0 else (-1, hi - lo)
+                        got = backend.scan_all_perms(m, patterns, lo, hi)
+                        assert got == expected, (m, patterns, lo, hi)
+
     def test_scan_layered_keeps_a_tail_the_same_part_reaches(self):
         # a part 2 turns (1, 2) into its tail (2,) and also reaches the
         # first layer of (2,) and of (2, 1, 1); the tail must wait for a
@@ -351,13 +373,16 @@ def test_compiled_names_are_the_twins(compiled):
         assert getattr(kernels, name) is getattr(_kernels_py, name)
 
 
-def test_kernel_source_compiles_without_warnings():
+def test_kernel_source_compiles_without_warnings(tmp_path):
     # catches, among others, static helpers that a deletion leaves unused
     cc = shutil.which("cc")
     include = sysconfig.get_paths()["include"]
     if cc is None or not Path(include, "Python.h").exists():
         pytest.skip("needs a C compiler and the Python headers")
-    flags = ["-fsyntax-only", "-std=c99", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror"]
+    # a full -O2 compile, since some warnings (-Wmaybe-uninitialized) come
+    # only from the optimiser
+    flags = ["-c", "-O2", "-fPIC", "-std=c99", "-Wall", "-Wextra", "-Wno-unused-parameter",
+             "-Werror", "-o", str(tmp_path / "k.o")]
     source = _ROOT / "src" / "superpatterns" / "_kernels.c"
     run = subprocess.run([cc, *flags, "-I", include, str(source)], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
