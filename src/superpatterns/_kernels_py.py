@@ -253,10 +253,26 @@ class LayeredTable(tuple):
     need, the sum of a suffix's sizes, so id 0 is the empty suffix, whose
     bit every state has, and a state's largest need is
     needs[state.bit_length() - 1].  heads[h] is the mask of the ids whose
-    first layer has size h, and tails[g] is 1 << the id of what is left of
-    suffix g once its first layer is matched (0 for the empty suffix).
-    root is the state of the empty prefix, and dead maps a state to the
-    largest r known to have no fitting completion.
+    first layer has size h, and tails[g] is the id of what is left of
+    suffix g once its first layer is matched (0 for the empty suffix too).
+    root is the state of the empty prefix, and dead maps a reduced state to
+    the largest r known to have no fitting completion.
+
+    Every state the search forms is reduced to its containment-maximal
+    suffixes before it is looked up or searched.  Greedy fit is containment
+    of layered permutations, which is transitive: when a state holds
+    suffixes h and g and g contains h, every completion that fits g fits h,
+    so dropping h leaves the set of fitting completions, and with it every
+    answer and count, as it was.  A suffix properly contained in another
+    has the smaller need, so the top bit of a state is contained in no
+    other suffix of it; the reduction keeps the top bit, clears every bit
+    that suffix contains, and repeats on what is left, keeping bit 0.  The
+    mask of the ids a suffix contains is built on its first use (_down), by
+    h in g iff h is empty, or h is in tail(g), or head(h) <= head(g) and
+    tail(h) is in tail(g): parents[t] is the mask of the ids whose tail is
+    t, upto[g] the mask of the ids whose first layer is at most g's, and
+    downs[g] and ups[t] (_up) keep the masks once built.  keys maps each
+    state the search has formed to its reduced state.
 
     The first scan through a table first proves the family bounds, smallest
     k first: for each k below the largest pattern need whose 2^(k-1)
@@ -265,14 +281,16 @@ class LayeredTable(tuple):
     fits, at L(k), the length of the shortest layered permutation that
     contains every layered permutation of length k.  A state that holds
     every need-k suffix then needs at least L(k) positions, since greedy fit
-    is monotone under subsets, and its bound is entered in the dead table
-    when the state is first met.  families holds a (mask, L(k) - 1) pair per
-    proved family, largest k first, where mask has the bits of the need-k
-    ids, so a state holds the family when state & mask == mask.  Each bound
-    rests on scans of this table that use only the bounds below it, so a
-    scan that prunes by them is still a proof by enumeration.  No bound is
-    proved at the largest need, which is what a search of that need is
-    proving.
+    is monotone under subsets.  A reduced state may have dropped family
+    members that its larger suffixes contain, so the bound is taken from
+    the state as formed, when it is first met, and entered under its
+    reduced state as the larger of that bound and the one known there.
+    families holds a (mask, L(k) - 1) pair per proved family, largest k
+    first, where mask has the bits of the need-k ids, so a state holds the
+    family when state & mask == mask.  Each bound rests on scans of this
+    table that use only the bounds below it, so a scan that prunes by them
+    is still a proof by enumeration.  No bound is proved at the largest
+    need, which is what a search of that need is proving.
     """
 
     def __new__(cls, pattern_profiles):
@@ -292,12 +310,21 @@ class LayeredTable(tuple):
         # entry for part 1 even when every profile is empty
         self.heads = [0] * (self.needs[-1] + 2)
         self.tails = [0] * len(ordered)
+        self.parents = [0] * len(ordered)
         for g, suffix in enumerate(ordered[1:], start=1):
             self.heads[suffix[0]] |= 1 << g
-            self.tails[g] = 1 << ids[suffix[1:]]
+            t = ids[suffix[1:]]
+            self.tails[g] = t
+            self.parents[t] |= 1 << g
+        upto = list(itertools.accumulate(self.heads))
+        self.upto = [0] + [upto[suffix[0]] for suffix in ordered[1:]]
+        # the empty suffix contains itself alone; None marks a mask not built
+        self.downs = [1] + [None] * (len(ordered) - 1)
+        self.ups = [self.parents[0]] + [None] * (len(ordered) - 1)
         self.root = 1
         for profile in self:
             self.root |= 1 << ids[profile]
+        self.keys = {}
         self.dead = {}
         self.families = None
 
@@ -311,6 +338,7 @@ class LayeredTable(tuple):
             end = bisect_right(needs, k)
             if end - first < 1 << (k - 1):
                 continue
+            # equal needs: no member contains another, so the state is reduced
             mask = (1 << end) - (1 << first)
             r = k
             while _first_fit(r, 0, mask | 1, self) < 0:
@@ -334,18 +362,21 @@ def scan_layered(m, table):
     large, so what a pattern still needs is its unmatched suffix, and
     patterns with equal suffixes behave alike from there on.  A prefix's
     state is therefore the set of distinct unmatched suffixes, held as a
-    mask of suffix ids (LayeredTable); finished patterns drop out.  A prefix
-    is pruned as soon as some suffix's sizes add up to more than the
-    positions left: each of its layers needs its own later host layer at
-    least as large.
+    mask of suffix ids (LayeredTable); finished patterns drop out, and so
+    does a suffix that another suffix of the state contains, since every
+    completion that fits the larger one fits it too (containment of layered
+    permutations is transitive).  A prefix is pruned as soon as some
+    suffix's sizes add up to more than the positions left: each of its
+    layers needs its own later host layer at least as large.
 
     Whether some completion of r positions fits depends only on r and the
-    state, and if none of r fits, none of r' < r does either (appending a
-    last part r - r' to a fitting completion keeps it fitting).  So the
-    table of dead states maps a state to the largest r whose whole block of
-    completions was scanned without a fit, or for which a proved family
-    bound (LayeredTable) rules every completion out, and a child whose state
-    is dead for at least its positions left is skipped.
+    set of completions that fit each suffix of the state, and if none of r
+    fits, none of r' < r does either (appending a last part r - r' to a
+    fitting completion keeps it fitting).  So the table of dead states maps
+    a reduced state to the largest r whose whole block of completions was
+    scanned without a fit, or for which a proved family bound (LayeredTable)
+    rules every completion out, and a child whose reduced state is dead for
+    at least its positions left is skipped.
 
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
@@ -374,6 +405,46 @@ def _family_bound(state, families):
     return 0
 
 
+def _down(g, table):
+    """The mask of the suffix ids that suffix g contains, g and the empty
+    suffix included (LayeredTable), built on first use."""
+    down = table.downs[g]
+    if down is None:
+        t = table.tails[g]
+        down = table.downs[g] = _down(t, table) | _up(t, table) & table.upto[g]
+    return down
+
+
+def _up(t, table):
+    """The mask of the suffix ids whose tail suffix t contains, built on
+    first use from the one of t's own tail and the ids t contains that it
+    does not."""
+    up = table.ups[t]
+    if up is None:
+        s = table.tails[t]
+        up = _up(s, table)
+        new = _down(t, table) ^ _down(s, table)
+        parents = table.parents
+        while new:
+            h = new.bit_length() - 1
+            up |= parents[h]
+            new ^= 1 << h
+        table.ups[t] = up
+    return up
+
+
+def _reduce(state, table):
+    """The state's containment-maximal suffixes, and bit 0: the top
+    remaining bit is contained in no other suffix, so it is kept and every
+    bit it contains is cleared."""
+    key = 1
+    while state > 1:
+        g = state.bit_length() - 1
+        key |= 1 << g
+        state ^= state & _down(g, table)
+    return key
+
+
 def _first_fit(r, base, state, table):
     """The first rank among the compositions of r > 0 positions (first rank
     base) that complete a prefix with this state and fit every pattern, or
@@ -387,13 +458,17 @@ def _first_fit(r, base, state, table):
     until the child is formed: a tail can be a suffix that the same part
     also reaches, and that suffix must stay a tail, not move again.  A part
     that reaches no new head leaves the same child as the part before it
-    with fewer positions left, so it is skipped.  A state's family bound is
-    entered in the dead table when the state is first met.
+    with fewer positions left, so it is skipped.  A child is reduced to its
+    containment-maximal suffixes (LayeredTable) when it is first formed,
+    and its family bound, taken from the child as formed, is entered in the
+    dead table under the reduced state; the reduced state is what is looked
+    up and searched.
 
     A module-level function, not a closure in scan_layered: a recursive
     closure is a reference cycle that keeps the tables alive until the cycle
     collector runs."""
     needs, heads, tails, dead = table.needs, table.heads, table.tails, table.dead
+    keys = table.keys
     unreached = state
     moved = 1
     top = 1 << (r - 1)
@@ -403,9 +478,9 @@ def _first_fit(r, base, state, table):
             continue
         unreached ^= hit
         while hit:
-            low = hit & -hit
-            moved |= tails[low.bit_length() - 1]
-            hit ^= low
+            g = hit.bit_length() - 1
+            moved |= 1 << tails[g]
+            hit ^= 1 << g
         if a + needs[moved.bit_length() - 1] > r:
             return -1  # and so for every later part, whose moved is no smaller
         child = unreached | moved
@@ -415,14 +490,17 @@ def _first_fit(r, base, state, table):
         first = base + top - (1 << rest)
         if rest == 0:
             return first
-        known = dead.get(child)
-        if known is None:
-            known = dead[child] = _family_bound(child, table.families)
-        if known < rest:
-            found = _first_fit(rest, first, child, table)
+        key = keys.get(child)
+        if key is None:
+            key = keys[child] = _reduce(child, table)
+            bound = _family_bound(child, table.families)
+            if bound > dead.get(key, 0):
+                dead[key] = bound
+        if dead.get(key, 0) < rest:
+            found = _first_fit(rest, first, key, table)
             if found >= 0:
                 return found
-            dead[child] = rest
+            dead[key] = rest
     return -1
 
 

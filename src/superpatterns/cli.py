@@ -93,16 +93,13 @@ def _cmd_sequence(args) -> int:
         table.extend_to(n)
         if len(table) > loaded:
             table.save(path)
-    if args.json:
-        table.extend_to(n)
-        print(
-            json.dumps(
-                {"n": n, "a": table.value(n), "argmin_k": table.argmin(n)}
-            )
-        )
+    if args.closed:
+        # the closed form has no split, so its JSON has no argmin_k
+        value = superpattern_length_closed(n)
+        _emit(args, {"n": n, "a": value}, str(value))
         return 0
-    value = superpattern_length_closed(n) if args.closed else table.value(n)
-    print(value)
+    payload = {"n": n, "a": table.value(n), "argmin_k": table.argmin(n)}
+    _emit(args, payload, str(payload["a"]))
     return 0
 
 

@@ -7,12 +7,17 @@ composition prefix, one kernels.scan_layered call (the pure twin's search on
 either backend) per whole length, with one LayeredTable for every length of
 a search.  A prefix's state is the set of unmatched pattern suffixes, held
 as one int with a bit per suffix, so the order of the patterns plays no
-part.  A prefix is pruned when some pattern can no longer fit into it, when
-its state already failed with as many positions left, or when its state
-holds every composition of some k < n and fewer than L(k) positions are
-left.  The search proves each such L(k) itself, bottom up, with the same
-table, at its first scan.  A prefix stands for an exact, contiguous block of
-ranks, so the counts are those of visiting every candidate.
+part.  A state keeps only its containment-maximal suffixes: a completion
+that contains a suffix contains every suffix that one contains, since
+containment of layered permutations is transitive, so the dropped ones
+change no answer and no count, and states that differ only in them share
+one entry of the table.  A prefix is pruned when some pattern can no longer
+fit into it, when its state already failed with as many positions left, or
+when its state as formed holds every composition of some k < n and fewer
+than L(k) positions are left.  The search proves each such L(k) itself,
+bottom up, with the same table, at its first scan.  A prefix stands for an
+exact, contiguous block of ranks, so the counts are those of visiting every
+candidate.
 
 One node budget gates every run: a per-run ledger charges each length its
 candidates times patterns, a priori, before the length is scanned, and

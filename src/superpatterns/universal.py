@@ -338,9 +338,12 @@ def layerize(perm: Permutation) -> Permutation:
     |D|, entries northeast of D recurse on the right.  Each side recurses
     on its raw values, since only their relative order matters.  An
     explicit work stack assembles the layer sizes in order, so deep inputs
-    (the identity recurses to depth n) cannot exhaust the call stack.
-    Layered inputs are fixed points under the leftmost tie-break.
+    (the identity would recurse to depth n) cannot exhaust the call stack.
+    Layered inputs are fixed points under the leftmost tie-break, so one
+    layer_profile check returns them as they are.
     """
+    if layered_mod.layer_profile(perm) is not None:
+        return perm
     sizes: list[int] = []
     stack: list[tuple[int, ...] | int] = [perm.values]
     while stack:

@@ -1,8 +1,9 @@
 import json
 import os
 
-from superpatterns import parse
+from superpatterns import parse, superpattern_length
 from superpatterns.cli import run
+from superpatterns.universal import LengthTable
 
 
 def _capture(capsys, argv):
@@ -194,6 +195,18 @@ class TestSequenceOptions:
             _, via_recurrence = _capture(capsys, ["sequence", "a", str(n)])
             _, via_closed = _capture(capsys, ["sequence", "a", str(n), "--closed"])
             assert via_recurrence == via_closed
+
+    def test_closed_json_builds_no_table(self, capsys, monkeypatch):
+        expected = [superpattern_length(n) for n in (0, 1, 7, 64, 1000)]
+
+        def refuse(self, n):
+            raise AssertionError(f"table extended to {n}")
+
+        monkeypatch.setattr(LengthTable, "extend_to", refuse)
+        for n, a in zip((0, 1, 7, 64, 1000), expected):
+            code, out = _capture(capsys, ["sequence", "a", str(n), "--closed", "--json"])
+            assert code == 0
+            assert json.loads(out) == {"n": n, "a": a}
 
     def test_seed_table(self, capsys, tmp_path):
         path = tmp_path / "table.txt"

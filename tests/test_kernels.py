@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib.util
 import itertools
@@ -16,6 +17,7 @@ from oracles import (
     brute_contains,
     brute_lex_min_embedding,
     brute_scan_layered,
+    layered_fits,
     pruned_scan_layered,
 )
 from superpatterns import _kernels_py, kernels, layered, superpattern_length
@@ -313,6 +315,78 @@ class TestLayeredTable:
             held = [b for f, b in families if state.issuperset(f)]
             mask = sum(1 << g for g in state)
             assert _kernels_py._family_bound(mask, table.families) == max(held, default=0)
+
+
+def _suffixes(table):
+    """The layer profile of each suffix id, rebuilt from heads and tails."""
+    suffixes = [()]
+    for g in range(1, len(table.needs)):
+        head = next(a for a, mask in enumerate(table.heads) if mask >> g & 1)
+        suffixes.append((head, *suffixes[table.tails[g]]))
+    return suffixes
+
+
+# every completion of up to 10 positions, and for a suffix the mask of the
+# completions it fits, by the exhaustive oracle
+_COMPLETIONS = [c for r in range(11) for c in brute_compositions(r)]
+
+
+@functools.lru_cache(maxsize=None)
+def _fitting(suffix):
+    return sum(1 << i for i, c in enumerate(_COMPLETIONS) if layered_fits(suffix, c))
+
+
+def _completions(state, suffixes):
+    """The mask of the completions that fit every suffix of the state."""
+    fits = -1
+    for g, suffix in enumerate(suffixes):
+        if state >> g & 1:
+            fits &= _fitting(suffix)
+    return fits
+
+
+class TestReduction:
+    def test_down_sets_are_the_brute_down_sets(self):
+        table = LayeredTable(brute_compositions(7))
+        suffixes = _suffixes(table)
+        assert sorted(suffixes) == sorted(c for k in range(8) for c in brute_compositions(k))
+        for g, host in enumerate(suffixes):
+            brute = sum(1 << h for h, sub in enumerate(suffixes) if layered_fits(sub, host))
+            assert _kernels_py._down(g, table) == brute, host
+
+    def test_reduced_states_keep_exactly_the_maximal_suffixes(self):
+        # random states of profile sets with and without whole families: the
+        # reduction keeps bit 0 and the top bit, keeps an antichain that
+        # covers every suffix it drops, and changes no fitting completion
+        rng = random.Random(20261023)
+        for patterns in (*_family_sets(rng), tuple(brute_compositions(7))):
+            table = LayeredTable(patterns)
+            suffixes = _suffixes(table)
+            ids = range(1, len(suffixes))
+            for _ in range(30):
+                members = rng.sample(ids, rng.randint(0, min(40, len(ids))))
+                state = 1 | sum(1 << g for g in members)
+                reduced = _kernels_py._reduce(state, table)
+                assert reduced & state == reduced
+                assert reduced & 1 and reduced.bit_length() == state.bit_length()
+                kept = [g for g in ids if reduced >> g & 1]
+                dropped = [g for g in ids if (state ^ reduced) >> g & 1]
+                for g, h in itertools.permutations(kept, 2):
+                    assert not layered_fits(suffixes[h], suffixes[g]), (suffixes[h], suffixes[g])
+                for h in dropped:
+                    assert any(layered_fits(suffixes[h], suffixes[g]) for g in kept)
+                assert _completions(reduced, suffixes) == _completions(state, suffixes)
+
+    def test_the_search_keys_its_dead_table_by_reduced_states(self):
+        for patterns in (tuple(brute_compositions(7)), ((1, 2), (2, 1, 1), (3,))):
+            table = LayeredTable(patterns)
+            for m in range(17):
+                _kernels_py.scan_layered(m, table)
+            assert table.dead and table.keys
+            for key in (*table.dead, *table.keys.values()):
+                assert _kernels_py._reduce(key, table) == key
+            for child, key in table.keys.items():
+                assert _kernels_py._reduce(child, table) == key
 
 
 def test_scan_layered_leaves_no_cycles():

@@ -70,6 +70,10 @@ _LAYERED_WITNESSES = {
     "29 32 31 30 33",
     12: "1 3 2 7 6 5 4 8 20 19 18 17 16 15 14 13 12 11 10 9 21 24 23 22 25 32 31 30 "
     "29 28 27 26 33 36 35 34 37",
+    13: "1 3 2 8 7 6 5 4 9 11 10 24 23 22 21 20 19 18 17 16 15 14 13 12 25 28 27 26 "
+    "29 36 35 34 33 32 31 30 37 40 39 38 41",
+    14: "1 3 2 9 8 7 6 5 4 10 13 12 11 14 28 27 26 25 24 23 22 21 20 19 18 17 16 15 "
+    "29 32 31 30 33 40 39 38 37 36 35 34 41 44 43 42 45",
 }
 
 
@@ -415,15 +419,21 @@ def test_av231_over_av231_candidates_full_search():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [9, 10, 11, 12])
+@pytest.mark.parametrize("n", [9, 10, 11, 12, 13, 14])
 def test_layered_minimality_by_enumeration(n):
     # beyond the acceptance suite's n <= 8: every shorter length exhausted;
-    # the a-priori charge at n = 12 is about 2.8e14
-    report = minimal_superpattern(n, "layered", "layered", budget=10**15)
+    # the a-priori charge at n = 14 is about 2.9e17
+    report = minimal_superpattern(n, "layered", "layered", budget=10**18)
     assert report.min_length == superpattern_length(n) == superpattern_length_closed(n)
     assert [m for m, _ in report.lengths_exhausted] == list(range(n, report.min_length))
     assert all(count == 2 ** (m - 1) for m, count in report.lengths_exhausted)
     assert verify_universal(report.witness, n, "layered").ok
     assert str(report.witness) == _LAYERED_WITNESSES[n]
-    examined = (*_LAYERED_EXAMINED, 5_855_234_023, 93_683_867_623)[n]
+    examined = (
+        *_LAYERED_EXAMINED,
+        5_855_234_023,
+        93_683_867_623,
+        1_504_849_057_767,
+        24_134_494_865_383,
+    )[n]
     assert report.candidates_examined == examined

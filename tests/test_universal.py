@@ -37,6 +37,7 @@ from superpatterns import (
     superpattern_split,
     verify_universal,
 )
+from superpatterns import universal
 from superpatterns.classes import ClassTag
 from superpatterns.errors import CapExceededError, InternalDefectError
 from superpatterns.universal import _max_decreasing_positions
@@ -306,6 +307,19 @@ class TestLayerize:
                 perm = realize(profile)
                 assert layerize(perm) == perm
 
+    def test_layered_inputs_skip_the_split(self, monkeypatch):
+        inputs = [realize(profile) for n in range(9) for profile in enumerate_layered(n)]
+        inputs.append(realize(LayerProfile((3, 1, 40, 2, 1, 7))))
+
+        def refuse(values):
+            raise AssertionError(f"split {values}")
+
+        monkeypatch.setattr(universal, "_max_decreasing_positions", refuse)
+        for perm in inputs:
+            assert layerize(perm) == perm
+        with pytest.raises(AssertionError, match="split"):
+            layerize(parse("2 4 1 3"))
+
     def test_small_example_gains_patterns(self):
         got = layerize(parse("2 4 1 3"))
         assert got == parse("2 1 4 3")
@@ -366,9 +380,10 @@ class TestLayerize:
         assert layerize(out) == out
 
     def test_deep_inputs_do_not_touch_the_call_stack(self):
-        # The identity splits off one entry per round, the worst case for a
-        # recursive implementation.  Pin the iterative behavior by leaving
-        # only constant headroom above the current stack depth.
+        # The identity is layered and comes back unsplit; rotated left by
+        # one, it splits off 2 1 and then one entry per round, the worst case
+        # for a recursive implementation.  Pin the iterative behavior by
+        # leaving only constant headroom above the current stack depth.
         depth = 0
         frame = sys._getframe()
         while frame is not None:
@@ -379,5 +394,7 @@ class TestLayerize:
         try:
             ident = Permutation(tuple(range(1, 301)))
             assert layerize(ident) == ident
+            rotated = Permutation((*range(2, 301), 1))
+            assert layerize(rotated) == Permutation((2, 1, *range(3, 301)))
         finally:
             sys.setrecursionlimit(limit)
