@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
 
 BACKEND = "python"
 
@@ -204,25 +203,19 @@ def _check_ranks(lo, hi, count):
 def composition_at_rank(m, rank):
     """The rank-th composition of m, compositions ordered lexicographically.
 
-    Compositions of m correspond to cut sets of {1..m-1}; reading the cut
-    bits most-significant-first, lexicographic order of compositions is
-    descending order of the bit value, hence the complement below.  A rank
-    outside [0, 2^(m-1)) (0 alone for m = 0) raises ValueError.
+    Decodes id 2^m - 1 - rank of the compositions' binary code
+    (LayeredTable): the parts are read off from the top bit down, each one
+    the distance from a set bit to the next, or to the end.  A rank outside
+    [0, 2^(m-1)) (0 alone for m = 0) raises ValueError.
     """
     if not 0 <= rank < _composition_count(m):
         raise ValueError(f"rank {rank} out of range for m={m}")
-    if m == 0:
-        return ()
-    mask = ((1 << (m - 1)) - 1) - rank
+    g = (1 << m) - 1 - rank
     parts = []
-    cur = 1
-    for i in range(m - 1):
-        if (mask >> (m - 2 - i)) & 1:
-            parts.append(cur)
-            cur = 1
-        else:
-            cur += 1
-    parts.append(cur)
+    while g:
+        tail = g ^ 1 << (g.bit_length() - 1)
+        parts.append(g.bit_length() - tail.bit_length())
+        g = tail
     return tuple(parts)
 
 
@@ -239,6 +232,17 @@ def permutation_at_rank(m, rank):
     return tuple(out)
 
 
+# The largest need a LayeredTable takes, layered.ENUMERATION_CAP: a state
+# has a bit for each id below 2^need.
+_MAX_NEED = 20
+
+
+def _need_ids(k):
+    """The mask of the ids of need k, bits 2^(k-1) to 2^k - 1 (bit 0 for
+    k = 0)."""
+    return (1 << (1 << k)) - (1 << (1 << k >> 1))
+
+
 class LayeredTable(tuple):
     """A tuple of layer profiles that also keeps scan_layered's tables, so
     that one table serves every length of a search.
@@ -246,17 +250,24 @@ class LayeredTable(tuple):
     What a prefix of a candidate still needs is its state, the set of the
     patterns' distinct unmatched suffixes (scan_layered), and whether some
     completion of r positions fits a state depends on r and the state alone,
-    not on the length m being scanned.  So the suffix ids and the table of
-    dead states are built once and serve every m.
+    not on the length m being scanned.  So the table of dead states is built
+    once and serves every m.
 
-    A state is one int with bit g set for suffix id g.  Ids are numbered by
-    need, the sum of a suffix's sizes, so id 0 is the empty suffix, whose
-    bit every state has, and a state's largest need is
-    needs[state.bit_length() - 1].  heads[h] is the mask of the ids whose
-    first layer has size h, and tails[g] is the id of what is left of
-    suffix g once its first layer is matched (0 for the empty suffix too).
-    root is the state of the empty prefix, and dead maps a reduced state to
-    the largest r known to have no fitting completion.
+    A state is one int with bit g set for suffix id g, and a suffix's id is
+    its binary code: id(()) = 0 and id((a, *t)) = id(t) | 1 << (need(t) +
+    a - 1), where the need of a suffix is the sum of its sizes.  So the id
+    of (a1, a2, ...) is the bit string 1 0^(a1-1) 1 0^(a2-1) ..., the ids of
+    need k are exactly 2^(k-1) .. 2^k - 1, and the rank-r composition of m
+    has id 2^m - 1 - r.  A suffix's need is its id's bit_length, its tail,
+    what is left once its first layer is matched, is its id without the top
+    bit, and its head is the difference of the two needs.  Ids are ordered
+    by need, so id 0 is the empty suffix, whose bit every state has, and a
+    state's largest need is that of its top bit.  heads[h] is the mask of
+    every id of need at most the largest pattern need whose first layer has
+    size h, suffixes the mask of the patterns' suffixes, and root the state
+    of the empty prefix.  dead maps a reduced state to the largest r known
+    to have no fitting completion.  A need above _MAX_NEED raises
+    ValueError, since its masks would take 2^need bits.
 
     Every state the search forms is reduced to its containment-maximal
     suffixes before it is looked up or searched.  Greedy fit is containment
@@ -266,13 +277,10 @@ class LayeredTable(tuple):
     answer and count, as it was.  A suffix properly contained in another
     has the smaller need, so the top bit of a state is contained in no
     other suffix of it; the reduction keeps the top bit, clears every bit
-    that suffix contains, and repeats on what is left, keeping bit 0.  The
-    mask of the ids a suffix contains is built on its first use (_down), by
-    h in g iff h is empty, or h is in tail(g), or head(h) <= head(g) and
-    tail(h) is in tail(g): parents[t] is the mask of the ids whose tail is
-    t, upto[g] the mask of the ids whose first layer is at most g's, and
-    downs[g] and ups[t] (_up) keep the masks once built.  keys maps each
-    state the search has formed to its reduced state.
+    that suffix contains, and repeats on what is left, keeping bit 0.
+    downs[g] keeps the mask of the ids suffix g contains (_down) once
+    built, and keys maps each state the search has formed to its reduced
+    state.
 
     The first scan through a table first proves the family bounds, smallest
     k first: for each k below the largest pattern need whose 2^(k-1)
@@ -297,33 +305,28 @@ class LayeredTable(tuple):
         return super().__new__(cls, map(tuple, pattern_profiles))
 
     def __init__(self, pattern_profiles):
-        suffixes = {()}
+        self.root = self.suffixes = 1
         for profile in self:
             smallest = min(profile, default=1)
             if smallest < 1:
                 raise ValueError(f"profile parts must be >= 1, got {smallest}")
-            suffixes.update(profile[i:] for i in range(len(profile)))
-        ordered = sorted(suffixes, key=sum)
-        ids = {suffix: g for g, suffix in enumerate(ordered)}
-        self.needs = list(map(sum, ordered))
-        # a first layer is no larger than its suffix's need, and heads has an
-        # entry for part 1 even when every profile is empty
-        self.heads = [0] * (self.needs[-1] + 2)
-        self.tails = [0] * len(ordered)
-        self.parents = [0] * len(ordered)
-        for g, suffix in enumerate(ordered[1:], start=1):
-            self.heads[suffix[0]] |= 1 << g
-            t = ids[suffix[1:]]
-            self.tails[g] = t
-            self.parents[t] |= 1 << g
-        upto = list(itertools.accumulate(self.heads))
-        self.upto = [0] + [upto[suffix[0]] for suffix in ordered[1:]]
-        # the empty suffix contains itself alone; None marks a mask not built
-        self.downs = [1] + [None] * (len(ordered) - 1)
-        self.ups = [self.parents[0]] + [None] * (len(ordered) - 1)
-        self.root = 1
-        for profile in self:
-            self.root |= 1 << ids[profile]
+            if sum(profile) > _MAX_NEED:
+                raise ValueError(f"profile needs {sum(profile)} positions, above {_MAX_NEED}")
+            g = 0
+            for part in reversed(profile):
+                g |= 1 << (g.bit_length() + part - 1)
+                self.suffixes |= 1 << g
+            self.root |= 1 << g
+        largest = (self.root.bit_length() - 1).bit_length()
+        # the ids (a, t) of need k are those of the tails t of need k - a
+        # lifted by 2^(k-1); heads has an entry for part 1 even when every
+        # profile is empty
+        self.heads = [0] + [
+            sum(_need_ids(k - a) << (1 << (k - 1)) for k in range(a, largest + 1))
+            for a in range(1, largest + 2)
+        ]
+        # the empty suffix contains itself alone
+        self.downs = {0: 1}
         self.keys = {}
         self.dead = {}
         self.families = None
@@ -332,14 +335,11 @@ class LayeredTable(tuple):
         if self.families is not None:
             return
         self.families = []
-        needs = self.needs
-        for k in range(1, needs[self.root.bit_length() - 1]):
-            first = bisect_left(needs, k)
-            end = bisect_right(needs, k)
-            if end - first < 1 << (k - 1):
+        for k in range(1, (self.root.bit_length() - 1).bit_length()):
+            mask = _need_ids(k)
+            if self.suffixes & mask != mask:
                 continue
             # equal needs: no member contains another, so the state is reduced
-            mask = (1 << end) - (1 << first)
             r = k
             while _first_fit(r, 0, mask | 1, self) < 0:
                 self.dead[mask | 1] = r
@@ -362,12 +362,14 @@ def scan_layered(m, table):
     large, so what a pattern still needs is its unmatched suffix, and
     patterns with equal suffixes behave alike from there on.  A prefix's
     state is therefore the set of distinct unmatched suffixes, held as a
-    mask of suffix ids (LayeredTable); finished patterns drop out, and so
-    does a suffix that another suffix of the state contains, since every
-    completion that fits the larger one fits it too (containment of layered
-    permutations is transitive).  A prefix is pruned as soon as some
-    suffix's sizes add up to more than the positions left: each of its
-    layers needs its own later host layer at least as large.
+    mask of suffix ids, each suffix's binary code (LayeredTable), whose
+    ordering by need puts a state's largest need at its top bit; finished
+    patterns drop out, and so does a suffix that another suffix of the
+    state contains, since every completion that fits the larger one fits it
+    too (containment of layered permutations is transitive).  A prefix is
+    pruned as soon as some suffix's sizes add up to more than the positions
+    left: each of its layers needs its own later host layer at least as
+    large.
 
     Whether some completion of r positions fits depends only on r and the
     set of completions that fit each suffix of the state, and if none of r
@@ -388,7 +390,7 @@ def scan_layered(m, table):
     does not allow for.
     """
     total = _composition_count(m)
-    if table.needs[table.root.bit_length() - 1] > m:
+    if (table.root.bit_length() - 1).bit_length() > m:
         return (-1, total)
     if m == 0:
         return (0, 1)
@@ -407,30 +409,27 @@ def _family_bound(state, families):
 
 def _down(g, table):
     """The mask of the suffix ids that suffix g contains, g and the empty
-    suffix included (LayeredTable), built on first use."""
-    down = table.downs[g]
+    suffix included (LayeredTable), built on first use.
+
+    h is in g = (a, t) iff h is empty, or h is in t, or head(h) <= a and
+    tail(h) is in t.  So the down-set of (a, t) is that of (a - 1, t), or
+    of t for a = 1, together with the ids (a, t') for t' in t's down-set:
+    in the binary code, each need-j slice of t's down-set lifted by
+    2^(j + a - 1)."""
+    down = table.downs.get(g)
     if down is None:
-        t = table.tails[g]
-        down = table.downs[g] = _down(t, table) | _up(t, table) & table.upto[g]
+        need = g.bit_length()
+        t = g ^ 1 << (need - 1)
+        a = need - t.bit_length()
+        down = _down(g - (1 << (need - 2)) if a > 1 else t, table)
+        below = _down(t, table)
+        while below:
+            j = (below.bit_length() - 1).bit_length()
+            lo = 1 << j >> 1
+            down |= below >> lo << (lo + (1 << (j + a - 1)))
+            below &= (1 << lo) - 1
+        table.downs[g] = down
     return down
-
-
-def _up(t, table):
-    """The mask of the suffix ids whose tail suffix t contains, built on
-    first use from the one of t's own tail and the ids t contains that it
-    does not."""
-    up = table.ups[t]
-    if up is None:
-        s = table.tails[t]
-        up = _up(s, table)
-        new = _down(t, table) ^ _down(s, table)
-        parents = table.parents
-        while new:
-            h = new.bit_length() - 1
-            up |= parents[h]
-            new ^= 1 << h
-        table.ups[t] = up
-    return up
 
 
 def _reduce(state, table):
@@ -454,21 +453,22 @@ def _first_fit(r, base, state, table):
     (1 for a = r) from base + 2^(r-1) - 2^(r-a).  Part a matches the first
     layer of every suffix whose head is at most a, so the child is the
     state's unreached suffixes, those with larger heads, together with the
-    tails of the reached ones.  The two stay apart as unreached and moved
-    until the child is formed: a tail can be a suffix that the same part
-    also reaches, and that suffix must stay a tail, not move again.  A part
-    that reaches no new head leaves the same child as the part before it
-    with fewer positions left, so it is skipped.  A child is reduced to its
-    containment-maximal suffixes (LayeredTable) when it is first formed,
-    and its family bound, taken from the child as formed, is entered in the
-    dead table under the reduced state; the reduced state is what is looked
-    up and searched.
+    tails of the reached ones.  In the binary code (LayeredTable) the tail
+    of an id of need k is the id less 2^(k-1), so the reached ids move one
+    need slice at a time, each shifted down by its lowest id.  The two stay
+    apart as unreached and moved until the child is formed: a tail can be a
+    suffix that the same part also reaches, and that suffix must stay a
+    tail, not move again.  A part that reaches no new head leaves the same
+    child as the part before it with fewer positions left, so it is
+    skipped.  A child is reduced to its containment-maximal suffixes
+    (LayeredTable) when it is first formed, and its family bound, taken
+    from the child as formed, is entered in the dead table under the
+    reduced state; the reduced state is what is looked up and searched.
 
     A module-level function, not a closure in scan_layered: a recursive
     closure is a reference cycle that keeps the tables alive until the cycle
     collector runs."""
-    needs, heads, tails, dead = table.needs, table.heads, table.tails, table.dead
-    keys = table.keys
+    heads, dead, keys = table.heads, table.dead, table.keys
     unreached = state
     moved = 1
     top = 1 << (r - 1)
@@ -478,14 +478,14 @@ def _first_fit(r, base, state, table):
             continue
         unreached ^= hit
         while hit:
-            g = hit.bit_length() - 1
-            moved |= 1 << tails[g]
-            hit ^= 1 << g
-        if a + needs[moved.bit_length() - 1] > r:
+            half = 1 << ((hit.bit_length() - 1).bit_length() - 1)
+            moved |= hit >> half
+            hit &= (1 << half) - 1
+        if a + (moved.bit_length() - 1).bit_length() > r:
             return -1  # and so for every later part, whose moved is no smaller
         child = unreached | moved
         rest = r - a
-        if needs[child.bit_length() - 1] > rest:
+        if (child.bit_length() - 1).bit_length() > rest:
             continue
         first = base + top - (1 << rest)
         if rest == 0:

@@ -206,16 +206,14 @@ def verify_universal(
     A layered candidate checked for the layered class is decided by the
     reach table of layered.first_missing_profile in O(layers * n^2), with
     the first miss and the count of patterns up to it that the ordered
-    enumeration would give.  Otherwise the class is enumerated, and layered
-    patterns of a layered candidate are matched greedily on profiles
-    instead of by the backtracking search.
+    enumeration would give, for any n.  Otherwise the class is enumerated,
+    up to n = VERIFY_CAP (CapExceededError above it), and layered patterns
+    of a layered candidate are matched greedily on profiles instead of by
+    the backtracking search.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     tag = coerce_tag(class_name)
-    cap = VERIFY_CAP[tag]
-    if n > cap:
-        raise CapExceededError(f"verification for {tag.value} capped at n={cap}")
     host_profile = layered_mod.layer_profile(candidate)
     checked = 0
     missing: Permutation | None = None
@@ -224,6 +222,9 @@ def verify_universal(
         if missing_profile is not None:
             missing = layered_mod.realize(missing_profile)
     else:
+        cap = VERIFY_CAP[tag]
+        if n > cap:
+            raise CapExceededError(f"verification for {tag.value} capped at n={cap}")
         host_values = candidate.values
         host_sizes = host_profile.sizes if host_profile is not None else None
         for values in class_tuples(tag, n):

@@ -67,6 +67,12 @@ class TestErrors:
     def test_cap_exceeded(self, capsys):
         assert run(["universal", "verify", "1", "9", "--class", "av231"]) == 2
 
+    def test_layered_verification_is_not_capped(self, capsys):
+        # a layered candidate for the layered class enumerates no pattern
+        _, witness = _capture(capsys, ["universal", "build", "17"])
+        code, out = _capture(capsys, ["universal", "verify", witness, "17", "--class", "layered"])
+        assert (code, out) == (0, "ok (65536 patterns)")
+
     def test_budget_exceeded(self, capsys):
         code = run(
             [

@@ -286,15 +286,15 @@ class TestLayeredTable:
                 k for k in range(1, largest)
                 if suffixes.issuperset(brute_compositions(k))
             ]
-            ids = range(len(table.needs))
+            ids = list(_suffixes(table))
             members = [[g for g in ids if mask >> g & 1] for mask, _ in table.families]
-            needs = [table.needs[family[0]] for family in members]
+            needs = [family[0].bit_length() for family in members]
             assert needs == whole[::-1], patterns
             for (mask, bound), family, k in zip(table.families, members, needs):
                 # the family's mask has the bit of every need-k id and no other
-                assert family == [g for g in ids if table.needs[g] == k]
+                assert family == [g for g in ids if g.bit_length() == k]
                 assert sorted(map(sum, brute_compositions(k))) == [
-                    table.needs[g] for g in family
+                    g.bit_length() for g in family
                 ]
                 assert bound == superpattern_length(k) - 1
                 assert table.dead.get(mask | 1, 0) == bound
@@ -303,7 +303,7 @@ class TestLayeredTable:
         rng = random.Random(20261022)
         table = LayeredTable(brute_compositions(7))
         _kernels_py.scan_layered(7, table)
-        ids = range(len(table.needs))
+        ids = list(_suffixes(table))
         families = [
             ({g for g in ids if mask >> g & 1}, bound) for mask, bound in table.families
         ]
@@ -316,14 +316,33 @@ class TestLayeredTable:
             mask = sum(1 << g for g in state)
             assert _kernels_py._family_bound(mask, table.families) == max(held, default=0)
 
+    def test_ids_are_the_compositions_binary_codes(self):
+        # the rank-r composition of k is the suffix id 2^k - 1 - r
+        for k in range(11):
+            for rank, c in enumerate(brute_compositions(k)):
+                assert LayeredTable([c]).root == 1 | 1 << (2**k - 1 - rank), c
+
+    def test_needs_above_the_cap_are_refused(self):
+        # a state has a bit for every id below 2^need, so the check comes
+        # before any mask: at need 64 one would not fit in memory
+        for profiles in (((21,),), ((1, 2), (7, 7, 7)), ((64,),)):
+            with pytest.raises(ValueError):
+                LayeredTable(profiles)
+
+    def test_the_largest_need_scans(self):
+        # (20,) fits only the last composition of 20
+        table = LayeredTable(((20,),))
+        assert _kernels_py.scan_layered(19, table) == (-1, 2**18)
+        assert _kernels_py.scan_layered(20, table) == (2**19 - 1, 2**19)
+
 
 def _suffixes(table):
-    """The layer profile of each suffix id, rebuilt from heads and tails."""
-    suffixes = [()]
-    for g in range(1, len(table.needs)):
-        head = next(a for a, mask in enumerate(table.heads) if mask >> g & 1)
-        suffixes.append((head, *suffixes[table.tails[g]]))
-    return suffixes
+    """The layer profile of each suffix id of the table, in id order: id g
+    of need k is the binary code of the composition of k of rank
+    2^k - 1 - g."""
+    ids = [g for g in range(table.suffixes.bit_length()) if table.suffixes >> g & 1]
+    decode = _kernels_py.composition_at_rank
+    return {g: decode(g.bit_length(), (1 << g.bit_length()) - 1 - g) for g in ids}
 
 
 # every completion of up to 10 positions, and for a suffix the mask of the
@@ -339,7 +358,7 @@ def _fitting(suffix):
 def _completions(state, suffixes):
     """The mask of the completions that fit every suffix of the state."""
     fits = -1
-    for g, suffix in enumerate(suffixes):
+    for g, suffix in suffixes.items():
         if state >> g & 1:
             fits &= _fitting(suffix)
     return fits
@@ -349,9 +368,11 @@ class TestReduction:
     def test_down_sets_are_the_brute_down_sets(self):
         table = LayeredTable(brute_compositions(7))
         suffixes = _suffixes(table)
-        assert sorted(suffixes) == sorted(c for k in range(8) for c in brute_compositions(k))
-        for g, host in enumerate(suffixes):
-            brute = sum(1 << h for h, sub in enumerate(suffixes) if layered_fits(sub, host))
+        assert sorted(suffixes.values()) == sorted(
+            c for k in range(8) for c in brute_compositions(k)
+        )
+        for g, host in suffixes.items():
+            brute = sum(1 << h for h, sub in suffixes.items() if layered_fits(sub, host))
             assert _kernels_py._down(g, table) == brute, host
 
     def test_reduced_states_keep_exactly_the_maximal_suffixes(self):
@@ -362,7 +383,7 @@ class TestReduction:
         for patterns in (*_family_sets(rng), tuple(brute_compositions(7))):
             table = LayeredTable(patterns)
             suffixes = _suffixes(table)
-            ids = range(1, len(suffixes))
+            ids = list(suffixes)[1:]
             for _ in range(30):
                 members = rng.sample(ids, rng.randint(0, min(40, len(ids))))
                 state = 1 | sum(1 << g for g in members)

@@ -8,6 +8,7 @@ import pytest
 from oracles import brute_first_outside, catalan_ref
 from superpatterns import (
     _kernels_py,
+    build_universal,
     check_claims_231,
     check_conjecture_321,
     kernels,
@@ -59,7 +60,8 @@ for _p in _TAGS:
 # candidates_examined of the layered proofs for n = 0..10, pinned from the
 # search before its dead-state table was shared across lengths, and the
 # witnesses it found for n = 9..11 (n = 12 from the search with sorted-tuple
-# states, before a state became one int)
+# states, before a state became one int; n = 15 and 16 from the search with
+# sorted suffix ids, before an id became its composition's binary code)
 _LAYERED_EXAMINED = (
     1, 1, 4, 19, 167, 1386, 11207, 92071, 1429351, 22871599, 365950842
 )
@@ -74,6 +76,10 @@ _LAYERED_WITNESSES = {
     "29 36 35 34 33 32 31 30 37 40 39 38 41",
     14: "1 3 2 9 8 7 6 5 4 10 13 12 11 14 28 27 26 25 24 23 22 21 20 19 18 17 16 15 "
     "29 32 31 30 33 40 39 38 37 36 35 34 41 44 43 42 45",
+    15: "1 4 3 2 5 12 11 10 9 8 7 6 13 16 15 14 17 32 31 30 29 28 27 26 25 24 23 22 "
+    "21 20 19 18 33 36 35 34 37 44 43 42 41 40 39 38 45 48 47 46 49",
+    16: "1 3 2 7 6 5 4 8 16 15 14 13 12 11 10 9 17 20 19 18 21 37 36 35 34 33 32 31 "
+    "30 29 28 27 26 25 24 23 22 38 41 40 39 42 49 48 47 46 45 44 43 50 53 52 51 54",
 }
 
 
@@ -282,6 +288,16 @@ class TestMinimalSuperpattern:
         with pytest.raises(InternalDefectError):
             minimal_superpattern(3, "all", "layered")
 
+    def test_layered_reports_are_checked_beyond_the_verify_cap(self):
+        # a layered search may run to n = 20; its witness is re-verified by
+        # the reach table, which no verification cap applies to
+        witness = build_universal(17)
+        report = search.SearchReport(
+            17, ClassTag.LAYERED, ClassTag.LAYERED, len(witness), witness,
+            candidates_examined=1, lengths_exhausted=((17, 2**16),), elapsed_ms=0,
+        )
+        search._check_report(report)
+
     def test_bad_certificate_is_a_defect(self):
         for certificate in ("1 3 2", "2 1"):  # inside the candidates; wrong n
             report = InfeasibleReport(
@@ -419,11 +435,11 @@ def test_av231_over_av231_candidates_full_search():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [9, 10, 11, 12, 13, 14])
+@pytest.mark.parametrize("n", [9, 10, 11, 12, 13, 14, 15, 16])
 def test_layered_minimality_by_enumeration(n):
     # beyond the acceptance suite's n <= 8: every shorter length exhausted;
-    # the a-priori charge at n = 14 is about 2.9e17
-    report = minimal_superpattern(n, "layered", "layered", budget=10**18)
+    # the a-priori charge at n = 16 is about 5.9e20
+    report = minimal_superpattern(n, "layered", "layered", budget=10**21)
     assert report.min_length == superpattern_length(n) == superpattern_length_closed(n)
     assert [m for m, _ in report.lengths_exhausted] == list(range(n, report.min_length))
     assert all(count == 2 ** (m - 1) for m, count in report.lengths_exhausted)
@@ -435,5 +451,7 @@ def test_layered_minimality_by_enumeration(n):
         93_683_867_623,
         1_504_849_057_767,
         24_134_494_865_383,
+        395_714_664_212_455,
+        12_279_126_815_533_031,
     )[n]
     assert report.candidates_examined == examined

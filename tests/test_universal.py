@@ -173,10 +173,27 @@ class TestVerifyUniversal:
         assert not report.ok  # 321-avoiders of length 3 include 123
 
     def test_cap(self):
+        # the cap bounds the enumeration of the class; a layered candidate
+        # checked for the layered class enumerates nothing (below)
         with pytest.raises(CapExceededError):
-            verify_universal(parse("1"), 17, "layered")
+            verify_universal(parse("2 4 1 3"), 17, "layered")
         with pytest.raises(CapExceededError):
             verify_universal(parse("1"), 9, "av231")
+
+    def test_layered_candidates_are_verified_beyond_the_cap(self):
+        for n in (17, 20, 40):
+            assert verify_universal(build_universal(n), n, "layered").ok
+        # shrink the first layer of size 3 of U(17), which misses pattern
+        # 1,537 of 65,536: the report gives the first miss and count of the
+        # ordered enumeration, the oracle placing profiles
+        sizes = layer_profile(build_universal(17)).sizes
+        i = sizes.index(3)
+        shrunk = sizes[:i] + (sizes[i] - 1,) + sizes[i + 1 :]
+        report = verify_universal(realize(LayerProfile(shrunk)), 17, "layered")
+        checked, missing = brute_first_missing_layered(17, shrunk, layered_fits)
+        assert missing is not None and not report.ok
+        assert report.missing == realize(LayerProfile(missing))
+        assert report.patterns_checked == checked
 
     @pytest.mark.parametrize("class_name", ["layered", "av231", "av321", "all"])
     def test_negative_n_rejected(self, class_name):
