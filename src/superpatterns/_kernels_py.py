@@ -243,9 +243,10 @@ def _need_ids(k):
     return (1 << (1 << k)) - (1 << (1 << k >> 1))
 
 
-class LayeredTable(tuple):
-    """A tuple of layer profiles that also keeps scan_layered's tables, so
-    that one table serves every length of a search.
+class LayeredTable:
+    """scan_layered's tables for one set of layer profiles, the patterns,
+    built once so that one table serves every length of a search;
+    len(table) is the number of patterns.
 
     What a prefix of a candidate still needs is its state, the set of the
     patterns' distinct unmatched suffixes (scan_layered), and whether some
@@ -269,6 +270,13 @@ class LayeredTable(tuple):
     to have no fitting completion.  A need above _MAX_NEED raises
     ValueError, since its masks would take 2^need bits.
 
+    LayeredTable(profiles) ORs the bits of each profile's suffixes into
+    suffixes and root.  LayeredTable.family(n), the table of every
+    composition of n, which is what a layered search proves, needs none of
+    that: its root is bit 0 and the need-n ids, and its suffixes are every
+    id below 2^n, since every composition of at most n is a suffix of one of
+    n (prepend a first layer).
+
     Every state the search forms is reduced to its containment-maximal
     suffixes before it is looked up or searched.  Greedy fit is containment
     of layered permutations, which is transitive: when a state holds
@@ -279,8 +287,10 @@ class LayeredTable(tuple):
     other suffix of it; the reduction keeps the top bit, clears every bit
     that suffix contains, and repeats on what is left, keeping bit 0.
     downs[g] keeps the mask of the ids suffix g contains (_down) once
-    built, and keys maps each state the search has formed to its reduced
-    state.
+    built, keys maps each state the search has formed to its reduced
+    state, and children maps each state the search has entered to the
+    children it formed there (_children), so a state entered again at
+    another r only walks them.
 
     The first scan through a table first proves the family bounds, smallest
     k first: for each k below the largest pattern need whose 2^(k-1)
@@ -301,12 +311,10 @@ class LayeredTable(tuple):
     need, which is what a search of that need is proving.
     """
 
-    def __new__(cls, pattern_profiles):
-        return super().__new__(cls, map(tuple, pattern_profiles))
-
     def __init__(self, pattern_profiles):
-        self.root = self.suffixes = 1
-        for profile in self:
+        root = suffixes = 1
+        count = 0
+        for profile in map(tuple, pattern_profiles):
             smallest = min(profile, default=1)
             if smallest < 1:
                 raise ValueError(f"profile parts must be >= 1, got {smallest}")
@@ -315,9 +323,26 @@ class LayeredTable(tuple):
             g = 0
             for part in reversed(profile):
                 g |= 1 << (g.bit_length() + part - 1)
-                self.suffixes |= 1 << g
-            self.root |= 1 << g
-        largest = (self.root.bit_length() - 1).bit_length()
+                suffixes |= 1 << g
+            root |= 1 << g
+            count += 1
+        self._start(root, suffixes, count)
+
+    @classmethod
+    def family(cls, n):
+        """The table of every composition of n, 0 <= n <= _MAX_NEED, else
+        ValueError."""
+        if not 0 <= n <= _MAX_NEED:
+            raise ValueError(f"a family of need {n} is outside [0, {_MAX_NEED}]")
+        table = cls.__new__(cls)
+        table._start(1 | _need_ids(n), (1 << (1 << n)) - 1, _composition_count(n))
+        return table
+
+    def _start(self, root, suffixes, count):
+        self.root = root
+        self.suffixes = suffixes
+        self._count = count
+        largest = (root.bit_length() - 1).bit_length()
         # the ids (a, t) of need k are those of the tails t of need k - a
         # lifted by 2^(k-1); heads has an entry for part 1 even when every
         # profile is empty
@@ -328,8 +353,12 @@ class LayeredTable(tuple):
         # the empty suffix contains itself alone
         self.downs = {0: 1}
         self.keys = {}
+        self.children = {}
         self.dead = {}
         self.families = None
+
+    def __len__(self):
+        return self._count
 
     def _prove_families(self):
         if self.families is not None:
@@ -435,44 +464,44 @@ def _down(g, table):
 def _reduce(state, table):
     """The state's containment-maximal suffixes, and bit 0: the top
     remaining bit is contained in no other suffix, so it is kept and every
-    bit it contains is cleared."""
+    bit it contains is cleared.  The down-sets are read from table.downs,
+    and _down builds one only on a miss (a down-set is never 0)."""
+    downs = table.downs
     key = 1
     while state > 1:
         g = state.bit_length() - 1
         key |= 1 << g
-        state ^= state & _down(g, table)
+        state ^= state & (downs.get(g) or _down(g, table))
     return key
 
 
-def _first_fit(r, base, state, table):
-    """The first rank among the compositions of r > 0 positions (first rank
-    base) that complete a prefix with this state and fit every pattern, or
-    -1.
+def _children(state, table):
+    """The children of a state, formed when the search first enters it and
+    kept in table.children: one (a, reach, need, key) for part 1 and for
+    each larger part a that reaches a new head, in increasing a, where
+    reach is a plus the largest need of the tails that part a moves, need
+    the child's largest need and key the child's reduced state.
 
-    Child a, the prefix extended by a part a, covers the 2^(r-a-1) ranks
-    (1 for a = r) from base + 2^(r-1) - 2^(r-a).  Part a matches the first
-    layer of every suffix whose head is at most a, so the child is the
-    state's unreached suffixes, those with larger heads, together with the
-    tails of the reached ones.  In the binary code (LayeredTable) the tail
-    of an id of need k is the id less 2^(k-1), so the reached ids move one
-    need slice at a time, each shifted down by its lowest id.  The two stay
-    apart as unreached and moved until the child is formed: a tail can be a
-    suffix that the same part also reaches, and that suffix must stay a
-    tail, not move again.  A part that reaches no new head leaves the same
-    child as the part before it with fewer positions left, so it is
-    skipped.  A child is reduced to its containment-maximal suffixes
-    (LayeredTable) when it is first formed, and its family bound, taken
-    from the child as formed, is entered in the dead table under the
-    reduced state; the reduced state is what is looked up and searched.
-
-    A module-level function, not a closure in scan_layered: a recursive
-    closure is a reference cycle that keeps the tables alive until the cycle
-    collector runs."""
+    Part a matches the first layer of every suffix whose head is at most a,
+    so the child is the state's unreached suffixes, those with larger
+    heads, together with the tails of the reached ones.  In the binary code
+    (LayeredTable) the tail of an id of need k is the id less 2^(k-1), so
+    the reached ids move one need slice at a time, each shifted down by its
+    lowest id.  The two stay apart as unreached and moved until the child
+    is formed: a tail can be a suffix that the same part also reaches, and
+    that suffix must stay a tail, not move again.  A part that reaches no
+    new head leaves the same child as the part before it with fewer
+    positions left, so it forms none.  A child is reduced to its
+    containment-maximal suffixes (LayeredTable) when it is first formed,
+    and its family bound, taken from the child as formed, is entered in the
+    dead table under the reduced state.  Every child is formed, whatever r
+    the state is entered at, so bounds are also entered for children that a
+    search at that r never reaches."""
     heads, dead, keys = table.heads, table.dead, table.keys
+    kids = table.children[state] = []
     unreached = state
     moved = 1
-    top = 1 << (r - 1)
-    for a in range(1, min(r, len(heads) - 1) + 1):
+    for a in range(1, len(heads)):
         hit = unreached & heads[a]
         if a > 1 and not hit:
             continue
@@ -481,21 +510,50 @@ def _first_fit(r, base, state, table):
             half = 1 << ((hit.bit_length() - 1).bit_length() - 1)
             moved |= hit >> half
             hit &= (1 << half) - 1
-        if a + (moved.bit_length() - 1).bit_length() > r:
-            return -1  # and so for every later part, whose moved is no smaller
         child = unreached | moved
-        rest = r - a
-        if (child.bit_length() - 1).bit_length() > rest:
-            continue
-        first = base + top - (1 << rest)
-        if rest == 0:
-            return first
         key = keys.get(child)
         if key is None:
             key = keys[child] = _reduce(child, table)
             bound = _family_bound(child, table.families)
             if bound > dead.get(key, 0):
                 dead[key] = bound
+        kids.append((
+            a, a + (moved.bit_length() - 1).bit_length(),
+            (child.bit_length() - 1).bit_length(), key,
+        ))
+    return kids
+
+
+def _first_fit(r, base, state, table):
+    """The first rank among the compositions of r > 0 positions (first rank
+    base) that complete a prefix with this state and fit every pattern, or
+    -1.
+
+    Child a, the prefix extended by a part a (_children), covers the
+    2^(r-a-1) ranks (1 for a = r) from base + 2^(r-1) - 2^(r-a).  Once a
+    child's reach exceeds r, the tails part a moves need more than the
+    r - a positions left, and so does every later child's reach, since a
+    later part moves no fewer tails; so the walk stops there.  A child that needs more than r - a positions is skipped, and so is one
+    whose reduced state is dead for at least r - a; the reduced state is
+    what is searched.
+
+    A module-level function, not a closure in scan_layered: a recursive
+    closure is a reference cycle that keeps the tables alive until the cycle
+    collector runs."""
+    kids = table.children.get(state)
+    if kids is None:
+        kids = _children(state, table)
+    dead = table.dead
+    top = 1 << (r - 1)
+    for a, reach, need, key in kids:
+        if reach > r:
+            return -1
+        rest = r - a
+        if need > rest:
+            continue
+        first = base + top - (1 << rest)
+        if rest == 0:
+            return first
         if dead.get(key, 0) < rest:
             found = _first_fit(rest, first, key, table)
             if found >= 0:

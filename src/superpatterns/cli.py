@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .classes import ClassTag
 from .errors import BudgetExceededError
@@ -85,14 +84,6 @@ def _cmd_layers(args) -> int:
 def _cmd_sequence(args) -> int:
     n = args.n
     table = LengthTable()
-    if args.seed_table:
-        path = Path(args.seed_table)
-        if path.exists():
-            table = LengthTable.load(path)
-        loaded = len(table)
-        table.extend_to(n)
-        if len(table) > loaded:
-            table.save(path)
     if args.closed:
         # the closed form has no split, so its JSON has no argmin_k
         value = superpattern_length_closed(n)
@@ -203,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=["a"], help="sequence name")
     p.add_argument("n", type=int)
     p.add_argument("--closed", action="store_true", help="use the closed form")
-    p.add_argument("--seed-table", metavar="PATH", help="cache the table to a file")
     p.set_defaults(func=_cmd_sequence)
 
     universal = sub.add_parser("universal", help="build and verify")
@@ -251,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (BudgetExceededError, OSError, ValueError) as exc:
+    except (BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -119,6 +119,13 @@ def composition_at_rank(n: int, rank: int) -> LayerProfile:
     return LayerProfile(kernels.composition_at_rank(n, rank))
 
 
+def check_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
+    """CapExceededError when the layered permutations of length n are more
+    than an enumeration under the cap may take."""
+    if n > cap:
+        raise CapExceededError(f"enumeration of layered length {n} exceeds cap {cap}")
+
+
 def enumerate_layered(
     n: int,
     *,
@@ -132,8 +139,7 @@ def enumerate_layered(
     The range is checked at the call, before any profile is produced:
     ValueError unless 0 <= start_rank <= stop_rank <= composition_count(n).
     """
-    if n > cap:
-        raise CapExceededError(f"enumeration of layered length {n} exceeds cap {cap}")
+    check_cap(n, cap)
     count = composition_count(n)
     stop = count if stop_rank is None else stop_rank
     if not 0 <= start_rank <= stop <= count:

@@ -5,19 +5,19 @@ lexicographic order, so a returned minimum comes with complete nonexistence
 counts for every shorter length.  Layered candidates are searched by
 composition prefix, one kernels.scan_layered call (the pure twin's search on
 either backend) per whole length, with one LayeredTable for every length of
-a search.  A prefix's state is the set of unmatched pattern suffixes, held
-as one int with a bit per suffix, so the order of the patterns plays no
-part.  A state keeps only its containment-maximal suffixes: a completion
-that contains a suffix contains every suffix that one contains, since
-containment of layered permutations is transitive, so the dropped ones
-change no answer and no count, and states that differ only in them share
-one entry of the table.  A prefix is pruned when some pattern can no longer
-fit into it, when its state already failed with as many positions left, or
-when its state as formed holds every composition of some k < n and fewer
-than L(k) positions are left.  The search proves each such L(k) itself,
-bottom up, with the same table, at its first scan.  A prefix stands for an
-exact, contiguous block of ranks, so the counts are those of visiting every
-candidate.
+a search, built for every composition of n from n alone.  A prefix's state
+is the set of unmatched pattern suffixes, held as one int with a bit per
+suffix, so the order of the patterns plays no part.  A state keeps only its
+containment-maximal suffixes: a completion that contains a suffix contains
+every suffix that one contains, since containment of layered permutations is
+transitive, so the dropped ones change no answer and no count, and states
+that differ only in them share one entry of the table.  A prefix is pruned
+when some pattern can no longer fit into it, when its state already failed
+with as many positions left, or when its state as formed holds every
+composition of some k < n and fewer than L(k) positions are left.  The
+search proves each such L(k) itself, bottom up, with the same table, at its
+first scan.  A prefix stands for an exact, contiguous block of ranks, so the
+counts are those of visiting every candidate.
 
 One node budget gates every run: a per-run ledger charges each length its
 candidates times patterns, a priori, before the length is scanned, and
@@ -60,7 +60,9 @@ from . import kernels
 from ._kernels_py import LayeredTable
 from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
 from .errors import BudgetExceededError, InternalDefectError
-from .layered import enumerate_layered, realize_values
+from .layered import check_cap, realize_values
+# unused here, but bound for tracers that wrap search.enumerate_layered
+from .layered import enumerate_layered  # noqa: F401
 from .perms import Permutation
 from .universal import _max_decreasing_positions, _to_json, verify_universal
 
@@ -146,7 +148,7 @@ def _scan_length(
     ledger: _Budget,
     ctag: ClassTag,
     m: int,
-    patterns: tuple[tuple[int, ...], ...],
+    patterns: LayeredTable | tuple[tuple[int, ...], ...],
     exhausted: list[tuple[int, int]],
     jobs: int = 1,
     pool: ProcessPoolExecutor | None = None,
@@ -262,12 +264,13 @@ def _minimal_superpattern(
         )
         _check_report(infeasible)
         return infeasible
+    patterns: LayeredTable | tuple[tuple[int, ...], ...]
     if ctag is ClassTag.LAYERED:
         # feasible, so every pattern is layered: all of them iff as many
-        # (for a non-layered pattern class, only at n <= 2)
-        patterns: tuple[tuple[int, ...], ...] = LayeredTable(
-            p.sizes for p in enumerate_layered(n)
-        )
+        # (for a non-layered pattern class, only at n <= 2); the table of
+        # the whole family is built from n, with no profile enumerated
+        check_cap(n)
+        patterns = LayeredTable.family(n)
         if ptag is not ctag and len(patterns) != class_count(ptag, n):
             raise InternalDefectError("layered candidates would miss a pattern")
     else:

@@ -19,7 +19,6 @@ import bisect
 import dataclasses
 import math
 from array import array
-from pathlib import Path
 
 from . import layered as layered_mod
 from .classes import ClassTag, coerce_tag, class_tuples
@@ -106,22 +105,6 @@ class LengthTable:
         """Values for 0..n as a list (extends the table as needed)."""
         self.extend_to(n)
         return self._values[: n + 1].tolist()
-
-    def save(self, path: str | Path) -> None:
-        """Write the table, one integer per line, line index = n."""
-        Path(path).write_text("\n".join(str(v) for v in self._values) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LengthTable":
-        """Rebuild a table at least as long as the file; stored values are
-        recomputed, so a stale or hand-edited file cannot poison results."""
-        lines = Path(path).read_text().split()
-        table = cls()
-        table.extend_to(max(len(lines) - 1, 0))
-        for n, line in enumerate(lines):
-            if table._values[n] != int(line):
-                raise ValueError(f"table file disagrees at n={n}: {line}")
-        return table
 
 
 _TABLE = LengthTable()

@@ -67,6 +67,12 @@ class TestErrors:
     def test_cap_exceeded(self, capsys):
         assert run(["universal", "verify", "1", "9", "--class", "av231"]) == 2
 
+    def test_layered_search_beyond_the_cap(self, capsys):
+        argv = ["search", "minimal", "21", "--patterns", "layered", "--candidates", "layered"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: enumeration of layered length 21 exceeds cap 20\n"
+
     def test_layered_verification_is_not_capped(self, capsys):
         # a layered candidate for the layered class enumerates no pattern
         _, witness = _capture(capsys, ["universal", "build", "17"])
@@ -213,39 +219,6 @@ class TestSequenceOptions:
             code, out = _capture(capsys, ["sequence", "a", str(n), "--closed", "--json"])
             assert code == 0
             assert json.loads(out) == {"n": n, "a": a}
-
-    def test_seed_table(self, capsys, tmp_path):
-        path = tmp_path / "table.txt"
-        code, out = _capture(
-            capsys, ["sequence", "a", "40", "--seed-table", str(path)]
-        )
-        assert code == 0
-        lines = path.read_text().split()
-        assert len(lines) == 41
-        assert lines[40] == out
-        # reuse without growth keeps the file as-is
-        before = path.read_text()
-        code, out2 = _capture(
-            capsys, ["sequence", "a", "10", "--seed-table", str(path)]
-        )
-        assert code == 0 and out2 == "29"
-        assert path.read_text() == before
-
-    def test_seed_table_rejects_corruption(self, capsys, tmp_path):
-        path = tmp_path / "table.txt"
-        path.write_text("0\n1\n7\n")
-        assert run(["sequence", "a", "5", "--seed-table", str(path)]) == 2
-
-    def test_seed_table_directory_is_a_usage_error(self, capsys, tmp_path):
-        assert run(["sequence", "a", "10", "--seed-table", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-
-    def test_seed_table_in_missing_directory_is_a_usage_error(self, capsys, tmp_path):
-        path = tmp_path / "missing" / "table.txt"
-        assert run(["sequence", "a", "10", "--seed-table", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestRoundTrip:

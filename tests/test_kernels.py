@@ -271,6 +271,25 @@ class TestLayeredTable:
                     pruned_scan_layered(m, patterns, 0, total)
                 ), (m, patterns)
 
+    def test_the_family_table_is_the_generic_one(self):
+        # the table a layered search builds from n alone has the root,
+        # suffixes, heads and pattern count of the table built from every
+        # composition of n, and scans every length up to L(n) alike
+        for n in range(13):
+            family = LayeredTable.family(n)
+            generic = LayeredTable(brute_compositions(n))
+            assert len(family) == len(generic) == len(brute_compositions(n))
+            assert (family.root, family.suffixes, family.heads) == (
+                generic.root, generic.suffixes, generic.heads
+            ), n
+            for m in range(n, superpattern_length(n) + 1):
+                assert _kernels_py.scan_layered(m, family) == (
+                    _kernels_py.scan_layered(m, generic)
+                ), (n, m)
+        for n in (-1, 21):
+            with pytest.raises(ValueError):
+                LayeredTable.family(n)
+
     def test_family_bounds_are_proved_in_the_table(self):
         # every family bound is L(k) - 1, for a k below the largest pattern
         # need whose whole family is among the suffixes, and rests on the

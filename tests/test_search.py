@@ -20,7 +20,7 @@ from superpatterns import (
     verify_universal,
 )
 from superpatterns.classes import ClassTag, class_count, in_class
-from superpatterns.errors import BudgetExceededError, InternalDefectError
+from superpatterns.errors import BudgetExceededError, CapExceededError, InternalDefectError
 from superpatterns.search import (
     AVOIDING_5UNIVERSAL_AV231_LEN12,
     MIN_5UNIVERSAL_AV231_LEN11,
@@ -244,6 +244,36 @@ class TestMinimalSuperpattern:
             minimal_superpattern(12, "layered", "layered", budget=1)
         assert time.perf_counter() - t0 < 0.1
         assert exc_info.value.lengths_exhausted == ()
+
+    def test_layered_node_counts_are_pinned(self, monkeypatch):
+        # _first_fit calls per search, the proofs of the family bounds
+        # included; a search that forms a state's children anew each time it
+        # enters the state makes the same calls as one that keeps them
+        first_fit = _kernels_py._first_fit
+        calls = []
+
+        def counted(r, base, state, table):
+            calls.append(r)
+            return first_fit(r, base, state, table)
+
+        def afresh(r, base, state, table):
+            table.children.pop(state, None)
+            return counted(r, base, state, table)
+
+        for wrapper in (counted, afresh):
+            monkeypatch.setattr(_kernels_py, "_first_fit", wrapper)
+            nodes = []
+            for n in range(4, 13):
+                calls.clear()
+                minimal_superpattern(n, "layered", "layered", budget=10**15)
+                nodes.append(len(calls))
+            assert nodes == [22, 43, 75, 122, 208, 379, 676, 1164, 1872], wrapper
+
+    def test_layered_search_beyond_the_cap(self):
+        # the whole family's table enumerates no profile, and the search
+        # keeps the enumeration's cap
+        with pytest.raises(CapExceededError, match="layered length 21 exceeds cap 20"):
+            minimal_superpattern(21, "layered", "layered")
 
     def test_rejects_bad_inputs(self, monkeypatch):
         with pytest.raises(ValueError, match="non-negative"):

@@ -99,20 +99,6 @@ class TestLengthTable:
         with pytest.raises(ValueError, match="n must be non-negative"):
             superpattern_split(-1)
 
-    def test_save_load_round_trip(self, tmp_path):
-        path = tmp_path / "table.txt"
-        table = LengthTable()
-        table.extend_to(64)
-        table.save(path)
-        loaded = LengthTable.load(path)
-        assert loaded.prefix(64) == table.prefix(64)
-
-    def test_load_rejects_corrupt_file(self, tmp_path):
-        path = tmp_path / "table.txt"
-        path.write_text("0\n1\n999\n")
-        with pytest.raises(ValueError):
-            LengthTable.load(path)
-
     def test_nonconvex_table_is_a_defect(self):
         # L(5) = 11 doctored to 20: L(6) = 14 would then step by -6 after a
         # step of +12, and the convex walk could miss the minimum
