@@ -44,6 +44,8 @@ and each range of an avoider class gets its slice of the class, which is
 enumerated once per length, in this process.  A layered search runs in this
 process whatever the jobs: its table carries dead states from each length
 to the next, and a worker's copy of it would drop those the worker finds.
+The pool module is imported only when a pool starts, so importing the
+library or running the CLI loads no multiprocessing.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ import dataclasses
 import functools
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import pairwise
+from typing import TYPE_CHECKING
 
 from . import kernels
 from ._kernels_py import LayeredTable
@@ -65,6 +67,9 @@ from .layered import check_cap, realize_values
 from .layered import enumerate_layered  # noqa: F401
 from .perms import Permutation
 from .universal import _max_decreasing_positions, _to_json, verify_universal
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 DEFAULT_BUDGET = 50_000_000
 _SERIAL_CUTOFF = 2048  # below this many candidates a parallel split is noise
@@ -151,7 +156,7 @@ def _scan_length(
     patterns: LayeredTable | tuple[tuple[int, ...], ...],
     exhausted: list[tuple[int, int]],
     jobs: int = 1,
-    pool: ProcessPoolExecutor | None = None,
+    pool: Executor | None = None,
 ) -> tuple[Permutation | None, int]:
     """(first witness, candidates scanned) within length m, the witness None
     when the length is exhausted; it is then appended to exhausted as
@@ -280,6 +285,8 @@ def _minimal_superpattern(
     # One worker pool serves every length of a non-layered search; its
     # workers start at the first length big enough to split.
     split = jobs > 1 and ctag is not ClassTag.LAYERED
+    if split:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(jobs) if split else contextlib.nullcontext() as pool:
         while True:
             witness, scanned = _scan_length(

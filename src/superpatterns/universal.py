@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
+import operator
 from array import array
 
 from . import layered as layered_mod
@@ -34,22 +35,29 @@ VERIFY_CAP = {
     ClassTag.ALL: 8,
 }
 
+# Entries of LengthTable built per comprehension, at most; it bounds the
+# temporary lists of one chunk to about 4 MB.
+_CHUNK = 1 << 16
+
 
 class LengthTable:
-    """Memoized table of minimal universal lengths and their smallest argmin.
+    """Memoized table of minimal universal lengths.
 
-    Evaluating the minimum naively costs O(n) per entry; since the table is
-    convex (checked as it grows), the split cost f(k) = L(k) + L(n-1-k) is
-    a convex function of k, so the smallest minimizer is found by walking
-    right while f strictly decreases and then left over any flat run.  The
-    walk starts from the previous argmin and is amortized O(1) per entry,
-    which keeps million-entry tables cheap.  L has nondecreasing
-    differences ceil(log2(n+1)), so a failed convexity check means a corrupt
-    table and raises InternalDefectError instead of appending.
+    If the table below m is convex, the split cost f(k) = L(k) + L(m-1-k)
+    is convex and symmetric about (m-1)/2, so its middle attains the
+    minimum and L(m) = m + L((m-1)//2) + L(m//2), the split build_universal
+    uses.  Entries are built in chunks: every index a chunk reads lies
+    below its first entry lo when it ends at min(n, 2*lo - 1, lo + _CHUNK -
+    1), so each chunk is one comprehension, and _CHUNK bounds its temporary
+    list.  L has nondecreasing differences ceil(log2(n+1)), and each chunk's
+    steps, with the two entries before it, are checked to be so before it is
+    appended: a failed check means a corrupt table and raises
+    InternalDefectError, naming the first non-convex n, with nothing
+    appended.  That check is what makes the middle split exact.
 
-    Both columns are machine-integer arrays (the argmin of n = 0 is stored
-    as -1): a 100,000-entry table takes 1.6 MB instead of the 5.8 MB of two
-    lists of int objects.
+    The values are one machine-integer array, and nothing else is stored: a
+    100,000-entry table takes 0.8 MB, against 3.6 MB as a list of int
+    objects.  The smallest argmin is found on demand, by binary search.
 
     Concurrency: extend first, share after; concurrent reads of a fully
     extended table are safe, growth is single-writer.
@@ -57,7 +65,6 @@ class LengthTable:
 
     def __init__(self) -> None:
         self._values = array("q", [0])
-        self._argmin = array("q", [-1])
 
     def __len__(self) -> int:
         return len(self._values)
@@ -66,40 +73,44 @@ class LengthTable:
         if n < 0:
             raise ValueError("n must be non-negative")
         while len(self._values) <= n:
-            self._append_next()
+            self._append_chunk(n)
 
-    def _append_next(self) -> None:
+    def _append_chunk(self, n: int) -> None:
+        # kept out of extend_to: the comprehension makes vals a closure
+        # cell, which every cached read through extend_to would pay for
         vals = self._values
-        m = len(vals)  # computing entry m
-        last = m - 1  # f(k) = vals[k] + vals[last - k]
-        k = min(self._argmin[last], last) if m > 1 else 0
-        best = vals[k] + vals[last - k]
-        while k < last:
-            fk = vals[k + 1] + vals[last - k - 1]
-            if fk >= best:
-                break
-            k += 1
-            best = fk
-        while k > 0:
-            fk = vals[k - 1] + vals[last - k + 1]
-            if fk > best:
-                break
-            k -= 1
-            best = fk
-        if m >= 2 and m + best - vals[last] < vals[last] - vals[m - 2]:
-            raise InternalDefectError(f"length table is not convex at n={m}")
-        vals.append(m + best)
-        self._argmin.append(k)
+        lo = len(vals)
+        hi = min(n, 2 * lo - 1, lo + _CHUNK - 1)
+        chunk = [m + vals[(m - 1) >> 1] + vals[m >> 1] for m in range(lo, hi + 1)]
+        before = vals[max(lo - 2, 0) : lo].tolist()
+        seq = before + chunk  # seq[j] is entry lo - len(before) + j
+        steps = list(map(operator.sub, seq[1:], seq))
+        if steps != sorted(steps):
+            bad = next(i for i in range(1, len(steps)) if steps[i] < steps[i - 1])
+            first = lo - len(before) + bad + 1
+            raise InternalDefectError(f"length table is not convex at n={first}")
+        vals.extend(chunk)
 
     def value(self, n: int) -> int:
         self.extend_to(n)
         return self._values[n]
 
     def argmin(self, n: int) -> int | None:
-        """Smallest k attaining the minimum in the split (None for n=0)."""
+        """Smallest k attaining the minimum in the split (None for n=0).
+
+        f(k) = L(k) + L(n-1-k) is convex and symmetric, so it does not
+        increase up to the middle k = (n-1)//2, which attains the minimum,
+        and the minimizers up to there are one interval ending at the middle:
+        its first k is found by binary search in O(log n)."""
         self.extend_to(n)
-        k = self._argmin[n]
-        return None if k < 0 else k
+        if n == 0:
+            return None
+        vals = self._values
+        last = n - 1
+        mid = last >> 1
+        best = vals[mid] + vals[last - mid]
+        # -f(k) is nondecreasing on 0..mid: the first k with -f(k) >= -best
+        return bisect.bisect_left(range(mid), -best, key=lambda k: -vals[k] - vals[last - k])
 
     def prefix(self, n: int) -> list[int]:
         """Values for 0..n as a list (extends the table as needed)."""
@@ -117,7 +128,8 @@ def superpattern_length(n: int) -> int:
 
 
 def superpattern_split(n: int) -> int | None:
-    """Smallest split k attaining the recurrence minimum (None for n=0)."""
+    """Smallest split k attaining the recurrence minimum (None for n=0),
+    found by binary search up to the middle split (n-1)//2."""
     return _TABLE.argmin(n)
 
 

@@ -1,7 +1,11 @@
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -300,7 +304,8 @@ class TestMinimalSuperpattern:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool started")
 
-        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        # the pool class is looked up where the search starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         report = minimal_superpattern(3, "all", "layered", budget=1, jobs=2)
         assert isinstance(report, InfeasibleReport)
         assert str(report.certificate) == "2 3 1"
@@ -310,6 +315,21 @@ class TestMinimalSuperpattern:
             minimal_superpattern(3, "av231", "av231", jobs=2)
         report = minimal_superpattern(6, "layered", "layered", jobs=2)
         assert report.min_length == superpattern_length(6)
+
+    def test_import_loads_no_worker_pool(self):
+        # only a search that starts a pool imports one
+        import superpatterns
+
+        src = Path(superpatterns.__file__).resolve().parent.parent
+        code = (
+            "import sys, superpatterns, superpatterns.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        run = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.strip() == "[]"
 
     def test_layered_route_guard(self, monkeypatch):
         # were an infeasible query let through, the profile scan would check

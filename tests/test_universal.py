@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -43,6 +44,23 @@ from superpatterns.errors import CapExceededError, InternalDefectError
 from superpatterns.universal import _max_decreasing_positions
 
 
+_SCAN_N = 4200
+
+
+@functools.cache
+def _full_scan_table(n):
+    """Values and smallest argmins of the recurrence for 0..n, each entry by
+    a scan of every split."""
+    values = np.zeros(n + 1, dtype=np.int64)
+    argmins = [None]
+    for m in range(1, n + 1):
+        f = values[:m] + values[m - 1 :: -1]
+        k = int(f.argmin())
+        values[m] = m + f[k]
+        argmins.append(k)
+    return values.tolist(), argmins
+
+
 class TestLengthTable:
     def test_spot_values(self):
         assert superpattern_length(0) == 0
@@ -60,8 +78,9 @@ class TestLengthTable:
             assert table.value(n) == superpattern_length_closed(n)
 
     def test_full_scan_oracle(self):
-        # Independent check that the table's split minima (computed with the
-        # convex walk) are true minima with the smallest argmin.
+        # Independent check that the table's split minima (computed at the
+        # middle split, in chunks, with argmin by binary search) are true
+        # minima with the smallest argmin.
         table = LengthTable()
         values = table.prefix(4000)
         arr = np.array(values, dtype=np.int64)
@@ -72,6 +91,55 @@ class TestLengthTable:
         oracle_best, oracle_arg = brute_split_min(values, 1234)
         assert values[1234] == 1234 + oracle_best
         assert table.argmin(1234) == oracle_arg
+
+    def test_uneven_extensions_match_the_full_scan(self):
+        # chunks end wherever a call stops: growth by 1, 2, 3, 5, 8, ...
+        # entries gives the same table as the full scan
+        values, argmins = _full_scan_table(_SCAN_N)
+        table = LengthTable()
+        n, step, nxt = 0, 1, 2
+        while n <= _SCAN_N:
+            table.extend_to(n)
+            assert len(table) == n + 1
+            n, step, nxt = n + step, nxt, step + nxt
+        table.extend_to(_SCAN_N)
+        assert table.prefix(_SCAN_N) == values
+        assert [table.argmin(n) for n in range(_SCAN_N + 1)] == argmins
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_power_of_two_edges_match_the_full_scan(self, k):
+        # built in one call, a table's chunks start at the powers of two
+        values, argmins = _full_scan_table(_SCAN_N)
+        for n in (2**k - 1, 2**k, 2**k + 1):
+            table = LengthTable()
+            table.extend_to(n)
+            assert len(table) == n + 1
+            assert table.prefix(n) == values[: n + 1]
+            assert [table.argmin(m) for m in range(n + 1)] == argmins[: n + 1]
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_size_edges(self, extra):
+        # from the chunk start at _CHUNK, one entry short of, exactly and one
+        # entry past a whole chunk
+        size = universal._CHUNK
+        top = 2 * size - 1 + extra
+        table = LengthTable()
+        table.extend_to(size - 1)
+        table.extend_to(top)
+        assert len(table) == top + 1
+        values = table.prefix(top)
+        assert values == [superpattern_length_closed(n) for n in range(top + 1)]
+        arr = np.array(values, dtype=np.int64)
+        edges = {size - 2, size - 1, size, size + 1, top - 1, top}
+        for n in sorted(edges):
+            f = arr[:n] + arr[n - 1 :: -1]
+            assert values[n] == n + int(f.min())
+            assert table.argmin(n) == int(f.argmin())
+
+    def test_closed_form_to_a_million(self):
+        top = 10**6
+        values = LengthTable().prefix(top)
+        assert values == [superpattern_length_closed(n) for n in range(top + 1)]
 
     def test_monotone_step(self):
         table = LengthTable()
@@ -108,6 +176,18 @@ class TestLengthTable:
         with pytest.raises(InternalDefectError, match="convex"):
             table.extend_to(6)
         assert len(table) == 6
+
+    @pytest.mark.parametrize("doctored, first_bad", [(999, 1000), (600, 1202)])
+    def test_nonconvex_table_fails_a_whole_chunk(self, doctored, first_bad):
+        # entries 1000..1500 are one chunk, which reads entries up to 750: a
+        # value raised just before it makes L(1000) step down, and L(600)
+        # raised makes L(1200) and L(1201) step up and L(1202) step down
+        table = LengthTable()
+        table.extend_to(999)
+        table._values[doctored] += 50
+        with pytest.raises(InternalDefectError, match=f"convex at n={first_bad}$"):
+            table.extend_to(1500)
+        assert len(table) == 1000
 
 
 class TestBuildUniversal:
