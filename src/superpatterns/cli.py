@@ -14,11 +14,12 @@ import json
 import sys
 
 from .classes import ClassTag
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, CapExceededError
 from .layered import layer_profile, parse_profile, realize
 from .perms import Permutation, contains, direct_sum, parse
 from .search import check_claims_231, check_conjecture_321, minimal_superpattern
 from .universal import (
+    TABLE_CAP,
     LengthTable,
     build_universal,
     layerize,
@@ -89,7 +90,13 @@ def _cmd_sequence(args) -> int:
         value = superpattern_length_closed(n)
         _emit(args, {"n": n, "a": value}, str(value))
         return 0
-    payload = {"n": n, "a": table.value(n), "argmin_k": table.argmin(n)}
+    try:
+        payload = {"n": n, "a": table.value(n), "argmin_k": table.argmin(n)}
+    except CapExceededError:
+        raise CapExceededError(
+            f"the recurrence table is capped at n={TABLE_CAP}, got {n}; "
+            "--closed answers any n"
+        ) from None
     _emit(args, payload, str(payload["a"]))
     return 0
 

@@ -24,6 +24,24 @@ from .errors import (
 
 
 def _check_values(values: tuple[int, ...]) -> None:
+    """Raise unless the values are 1..n once each, n their count.
+
+    Valid input of plain ints passes the built-in checks below, which run
+    at C speed; anything else goes through the entry loop, which names the
+    first bad entry."""
+    n = len(values)
+    if (
+        not values
+        or set(map(type, values)) == {int}
+        and len(set(values)) == n
+        and min(values) >= 1
+        and max(values) <= n
+    ):
+        return
+    _check_each_value(values)
+
+
+def _check_each_value(values: tuple[int, ...]) -> None:
     n = len(values)
     seen = [False] * (n + 1)
     for v in values:

@@ -66,7 +66,7 @@ from .layered import check_cap, realize_values
 # unused here, but bound for tracers that wrap search.enumerate_layered
 from .layered import enumerate_layered  # noqa: F401
 from .perms import Permutation
-from .universal import _max_decreasing_positions, _to_json, verify_universal
+from .universal import _decreasing_chains, _to_json, verify_universal
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -120,7 +120,7 @@ def _ordered_pattern_tuples(tag: ClassTag, n: int) -> tuple[tuple[int, ...], ...
     return tuple(
         sorted(
             class_tuples(tag, n),
-            key=lambda t: (-len(_max_decreasing_positions(t)), t),
+            key=lambda t: (-_decreasing_chains(t)[1], t),
         )
     )
 
@@ -411,8 +411,9 @@ def check_claims_231(
     )
 
     if verify_minimality:
+        exhausted: list[tuple[int, int]] = []
         for m in range(5, 11):
-            witness, scanned = _scan_length(ledger, ClassTag.ALL, m, patterns, [])
+            witness, scanned = _scan_length(ledger, ClassTag.ALL, m, patterns, exhausted)
             claims.append(
                 ClaimResult(
                     name=f"no permutation of length {m} is 5-universal for av231",

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import math
 import operator
 from array import array
+from collections.abc import Sequence
 
 from . import layered as layered_mod
 from .classes import ClassTag, coerce_tag, class_tuples
 from .errors import CapExceededError, InternalDefectError
 from .kernels import contains as _contains
 from .kernels import greedy_layer_indices as _greedy
-from .perms import EMPTY, Embedding, Permutation, decreasing, direct_sum
+from .perms import EMPTY, Embedding, Permutation
 
 VERIFY_CAP = {
     ClassTag.LAYERED: 16,
@@ -34,6 +34,10 @@ VERIFY_CAP = {
     ClassTag.AV321: 8,
     ClassTag.ALL: 8,
 }
+
+# Largest n the length table is built to: 8 bytes an entry, so about 80 MB
+# and a few seconds; the closed form answers any n.
+TABLE_CAP = 10**7
 
 # Entries of LengthTable built per comprehension, at most; it bounds the
 # temporary lists of one chunk to about 4 MB.
@@ -58,6 +62,8 @@ class LengthTable:
     The values are one machine-integer array, and nothing else is stored: a
     100,000-entry table takes 0.8 MB, against 3.6 MB as a list of int
     objects.  The smallest argmin is found on demand, by binary search.
+    The table grows to TABLE_CAP at most: a request beyond it raises
+    CapExceededError before any chunk is built.
 
     Concurrency: extend first, share after; concurrent reads of a fully
     extended table are safe, growth is single-writer.
@@ -78,6 +84,11 @@ class LengthTable:
     def _append_chunk(self, n: int) -> None:
         # kept out of extend_to: the comprehension makes vals a closure
         # cell, which every cached read through extend_to would pay for
+        if n > TABLE_CAP:
+            raise CapExceededError(
+                f"the length table is capped at n={TABLE_CAP}, got {n}; "
+                "superpattern_length_closed answers any n"
+            )
         vals = self._values
         lo = len(vals)
         hi = min(n, 2 * lo - 1, lo + _CHUNK - 1)
@@ -142,12 +153,22 @@ def superpattern_length_closed(n: int) -> int:
     return (n + 1) * lg - (1 << lg) + 1
 
 
+def _universal_sizes(n: int) -> tuple[int, ...]:
+    """Layer sizes of U(n) at the default split n//2."""
+    if n == 0:
+        return ()
+    k = n // 2
+    return _universal_sizes(k) + (n,) + _universal_sizes(n - k - 1)
+
+
 def build_universal(n: int, split: int | None = None) -> Permutation:
     """The recursive witness U(k) + decreasing(n) + U(n-k-1).
 
     The default split k = n//2 attains the recurrence minimum, so the
     result has the minimal universal length; an explicit split applies to
     the top level only, with the recursion below always using the default.
+    U(n) is layered, so the recursion runs on layer sizes, and the result is
+    realized from them once.
 
     >>> str(build_universal(3))
     '1 4 3 2 5'
@@ -161,7 +182,8 @@ def build_universal(n: int, split: int | None = None) -> Permutation:
     k = n // 2 if split is None else split
     if not 0 <= k <= n - 1:
         raise ValueError(f"split {k} out of range 0..{n - 1}")
-    return direct_sum([build_universal(k), decreasing(n), build_universal(n - k - 1)])
+    sizes = _universal_sizes(k) + (n,) + _universal_sizes(n - k - 1)
+    return Permutation(layered_mod.realize_values(sizes))
 
 
 def _to_json(value):
@@ -244,38 +266,53 @@ def verify_universal(
     )
 
 
-def _max_decreasing_positions(values: tuple[int, ...]) -> tuple[int, ...]:
-    """0-based positions of the lexicographically smallest maximum-length
-    decreasing subsequence of distinct values, in O(m log m).
+def _decreasing_chains(values: tuple[int, ...]) -> tuple[list[int], int]:
+    """(chain, top): chain[i] is the length of the longest decreasing run of
+    values starting at position i, and top the longest of them, in
+    O(m log m) by patience sorting from the right.
 
-    chain[i] = longest decreasing run starting at i, by patience sorting
-    from the right: tails[k] is the smallest value heading a decreasing run
-    of length k + 1 among the entries seen so far, so tails increases and
-    the runs that values[i] can head are one longer than those headed by the
-    bisect_left(tails, values[i]) entries below it.  The witness is rebuilt
-    in one left-to-right walk, taking each entry below the last one taken
-    that can still head a run of the remaining length, which yields the
-    lexicographically smallest position sequence.  Only the relative order
+    tails[k] is the smallest value heading a decreasing run of length k + 1
+    among the entries seen so far, so tails increases, and the runs that
+    values[i] can head are one longer than those headed by the
+    bisect_left(tails, values[i]) entries below it.  Only the relative order
     of the values matters, so they need not be 1..m.
+
+    Entries with equal run length increase left to right: if i < j had
+    chain[i] == chain[j] and values[i] > values[j], then values[i] followed
+    by j's run would be a run of length chain[j] + 1 from i.  So the
+    lexicographically smallest maximum-length decreasing subsequence D, which
+    takes each entry below the last one taken that still heads a run of the
+    remaining length, has D_0 the first entry of run length top, and D_i the
+    first entry after D_(i-1) of run length top - i: D_(i-1) has run length
+    top - i + 1, so every entry after it and below it has run length at most
+    top - i; and the first entry q after it of run length exactly top - i
+    lies below it, since its run continues through some such entry r below
+    it, and r is not before q, so values[q] <= values[r].
     """
-    chain = [0] * len(values)
     tails: list[int] = []
-    for i in range(len(values) - 1, -1, -1):
-        v = values[i]
+    chain: list[int] = []
+    for v in reversed(values):
         k = bisect.bisect_left(tails, v)
         if k == len(tails):
             tails.append(v)
         else:
             tails[k] = v
-        chain[i] = k + 1
+        chain.append(k + 1)
+    chain.reverse()
+    return chain, len(tails)
+
+
+def _max_decreasing_positions(values: tuple[int, ...]) -> tuple[int, ...]:
+    """0-based positions of the lexicographically smallest maximum-length
+    decreasing subsequence of distinct values, in O(m log m): D_i is the
+    first entry after D_(i-1) whose run length is top - i
+    (_decreasing_chains)."""
+    chain, top = _decreasing_chains(values)
     positions = []
-    need = len(tails)
-    last = math.inf
-    for p, v in enumerate(values):
-        if v < last and chain[p] >= need > 0:
-            positions.append(p)
-            last = v
-            need -= 1
+    p = -1
+    for need in range(top, 0, -1):
+        p = chain.index(need, p + 1)
+        positions.append(p)
     return tuple(positions)
 
 
@@ -291,65 +328,70 @@ def max_decreasing_subsequence(perm: Permutation) -> Embedding:
     return Embedding(tuple(p + 1 for p in _max_decreasing_positions(perm.values)))
 
 
-def _split_southwest_northeast(
-    values: tuple[int, ...], dec_positions: tuple[int, ...]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The values outside a maximum decreasing subsequence D, split into
-    those southwest of some D entry and those northeast of some D entry,
-    each in position order.
-
-    D's positions increase while its values decrease, so it is enough to
-    compare against the nearest D entry on each side, which one walk along
-    D's positions keeps at hand.  Maximality of D forces exactly one side
-    to apply; anything else is a defect.
-    """
-    end = len(values)
-    ahead = iter(dec_positions)
-    nxt = next(ahead, end)
-    before = math.inf  # the D entry to the left; none yet
-    southwest = []
-    northeast = []
-    for p, v in enumerate(values):
-        if p == nxt:
-            before = v
-            nxt = next(ahead, end)
-            continue
-        sw = nxt < end and v < values[nxt]
-        ne = v > before
-        if sw == ne:
-            raise InternalDefectError(
-                f"entry {v} at position {p + 1} is {'both' if sw else 'neither'} "
-                "southwest and northeast of the maximum decreasing subsequence"
-            )
-        (southwest if sw else northeast).append(v)
-    return tuple(southwest), tuple(northeast)
-
-
 def layerize(perm: Permutation) -> Permutation:
     """A layered permutation of the same length containing every layered
     permutation contained in the input.
 
-    Repeatedly split on a maximum decreasing subsequence D: entries
-    southwest of D recurse on the left, D flattens to one layer of size
-    |D|, entries northeast of D recurse on the right.  Each side recurses
-    on its raw values, since only their relative order matters.  An
-    explicit work stack assembles the layer sizes in order, so deep inputs
-    (the identity would recurse to depth n) cannot exhaust the call stack.
-    Layered inputs are fixed points under the leftmost tie-break, so one
-    layer_profile check returns them as they are.
+    Repeatedly split on the lexicographically smallest maximum decreasing
+    subsequence D: entries southwest of D recurse on the left, D flattens
+    to one layer of size |D|, entries northeast of D recurse on the right.
+    Each side recurses on its raw values, since only their relative order
+    matters.  An explicit work stack assembles the layer sizes in order, so
+    deep inputs (the identity would recurse to depth n) cannot exhaust the
+    call stack.  Layered inputs are fixed points under the leftmost
+    tie-break, so one layer_profile check returns them as they are.
+
+    Each node takes one patience pass (_decreasing_chains) and one forward
+    walk, which picks D by run length.  D's positions increase while its
+    values decrease, so an entry above the last D entry is northeast of D;
+    any other entry is southwest of it, and maximality of D puts it below
+    the next D entry, which the walk checks when that entry comes: anything
+    else is a defect.  A node shorter than 2, decreasing (top == k) or
+    increasing (top == 1) is its own answer and is not walked.
     """
     if layered_mod.layer_profile(perm) is not None:
         return perm
+    beyond = len(perm) + 1  # every raw value lies in 1..len(perm)
     sizes: list[int] = []
-    stack: list[tuple[int, ...] | int] = [perm.values]
+    stack: list[Sequence[int] | int] = [perm.values]
     while stack:
         item = stack.pop()
         if isinstance(item, int):
             sizes.append(item)
             continue
-        if not item:
+        k = len(item)
+        if k < 2:
+            sizes.extend((1,) * k)
             continue
-        dec = _max_decreasing_positions(item)
-        southwest, northeast = _split_southwest_northeast(item, dec)
-        stack.extend((northeast, len(dec), southwest))
-    return layered_mod.realize(layered_mod.LayerProfile(tuple(sizes)))
+        chain, top = _decreasing_chains(item)
+        if top == k:  # decreasing: one layer
+            sizes.append(k)
+            continue
+        if top == 1:  # increasing: k layers of one
+            sizes.extend((1,) * k)
+            continue
+        need = top
+        last = beyond  # the last D entry; none yet
+        high = 0  # the highest southwest entry since it; none yet
+        southwest = []
+        northeast = []
+        for v, c in zip(item, chain):
+            if c == need:
+                if not high < v < last:
+                    break
+                need -= 1
+                last = v
+                high = 0
+            elif v > last:
+                northeast.append(v)
+            else:
+                southwest.append(v)
+                if v > high:
+                    high = v
+        if need or high:
+            raise InternalDefectError(
+                f"{k} entries do not split around their maximum decreasing "
+                "subsequence: some entry is neither southwest nor northeast of it"
+            )
+        stack.extend((northeast, top, southwest))
+    return Permutation(layered_mod.realize_values(sizes))

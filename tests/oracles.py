@@ -119,6 +119,31 @@ def recursive_layerize(values):
     return layered_values(sizes(tuple(values)))
 
 
+def direct_sum_universal(n, split=None):
+    """The recursive witness U(n) = U(k) + decreasing(n) + U(n-k-1) as
+    values, by summing the three parts (each shifted above the ones before
+    it) at every level; the top level splits at the given k, every level
+    below at n//2."""
+    if n == 0:
+        return ()
+    k = n // 2 if split is None else split
+    left = direct_sum_universal(k)
+    right = direct_sum_universal(n - k - 1)
+    below = len(left)
+    middle = tuple(range(below + n, below, -1))
+    return left + middle + tuple(v + below + n for v in right)
+
+
+def longest_decreasing_from(values):
+    """chain[i] = the length of the longest decreasing run starting at
+    position i, by a quadratic scan of the later entries below values[i]."""
+    chain = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        later = [chain[j] for j in range(i + 1, len(values)) if values[j] < values[i]]
+        chain[i] = 1 + max(later, default=0)
+    return chain
+
+
 def brute_compositions(n):
     if n == 0:
         return [()]

@@ -220,6 +220,17 @@ class TestSequenceOptions:
             assert code == 0
             assert json.loads(out) == {"n": n, "a": a}
 
+    def test_table_cap_exits_2_and_names_closed(self, capsys):
+        for argv in (["sequence", "a", "10000000000000"],
+                     ["sequence", "a", "10000001", "--json"]):
+            assert run(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "capped at n=10000000" in captured.err
+            assert "--closed" in captured.err
+        code, out = _capture(capsys, ["sequence", "a", "10000000000000", "--closed"])
+        assert (code, out) == (0, "422407813955629")
+
 
 class TestRoundTrip:
     def test_printed_permutations_parse_back(self, capsys):

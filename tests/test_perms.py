@@ -1,3 +1,4 @@
+import enum
 import itertools
 
 import pytest
@@ -14,7 +15,7 @@ from superpatterns import (
     parse,
     pattern_of,
 )
-from superpatterns import kernels
+from superpatterns import kernels, perms
 from superpatterns.errors import (
     DuplicateValueError,
     InvalidEmbeddingError,
@@ -62,6 +63,59 @@ class TestParse:
         messy = " ,  ".join(str(v) for v in perm.values)
         assert str(parse(messy)) == str(perm)
         assert parse(str(perm)) == perm
+
+
+class _Rank(enum.IntEnum):
+    FIRST = 1
+    SECOND = 2
+
+
+def _outcome(check, values):
+    try:
+        check(values)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestValidation:
+    """Valid plain-int input passes built-in checks; everything else must
+    fail exactly as the entry-by-entry loop does."""
+
+    @pytest.mark.parametrize(
+        "values, error",
+        [
+            ((True,), PermutationError),
+            ((2, True), PermutationError),
+            ((1.0,), PermutationError),
+            ((2, 1.0), PermutationError),
+            (("1",), PermutationError),
+            ((0,), ValueOutOfRangeError),
+            ((1, 3), ValueOutOfRangeError),
+            ((3, 1, 4), ValueOutOfRangeError),
+            ((1, 1), DuplicateValueError),
+            ((2, 1, 2), DuplicateValueError),
+            ((_Rank.SECOND, _Rank.FIRST), None),
+            ((2, _Rank.FIRST), None),
+            ((), None),
+            ((3, 1, 2), None),
+        ],
+    )
+    def test_same_outcome_as_the_loop(self, values, error):
+        got = _outcome(Permutation, values)
+        assert got == _outcome(perms._check_each_value, values)
+        assert (got and got[0]) == error
+
+    def test_int_enum_members_are_kept(self):
+        assert Permutation((_Rank.SECOND, _Rank.FIRST)) == Permutation((2, 1))
+
+    def test_messages_name_the_first_bad_entry(self):
+        with pytest.raises(PermutationError, match="must be integers, got True"):
+            Permutation((True,))
+        with pytest.raises(ValueOutOfRangeError, match=r"value 3 out of range 1\.\.2"):
+            Permutation((1, 3))
+        with pytest.raises(DuplicateValueError, match="duplicate value 1"):
+            Permutation((1, 1))
 
 
 class TestDecreasing:

@@ -413,6 +413,16 @@ class TestClaims231:
         err = exc_info.value
         assert (err.lengths_exhausted, err.estimated, err.budget) == ((), 2_474_052, 2_474_051)
 
+    def test_minimality_refusal_names_the_lengths_exhausted(self):
+        # lengths 5 and 6 fit (5! x 42 + 6! x 42 on top of the length-11
+        # scan); length 7 (7! x 42 = 211,680) does not
+        budget = 2_469_012 + 5_040 + 30_240
+        with pytest.raises(BudgetExceededError, match="lengths exhausted: 5, 6$") as exc_info:
+            check_claims_231(verify_minimality=True, budget=budget)
+        err = exc_info.value
+        assert err.lengths_exhausted == ((5, 120), (6, 720))
+        assert (err.estimated, err.budget) == (budget + 211_680, budget)
+
     def test_claim3_counterexample_is_named(self, monkeypatch):
         # rank 0 among the avoiders of length 11, scanned 1: the identity
         monkeypatch.setattr(kernels, "scan_perm_list", lambda *args: (0, 1))

@@ -13,7 +13,9 @@ from oracles import (
     brute_first_missing_layered,
     brute_max_decreasing_positions,
     brute_split_min,
+    direct_sum_universal,
     dp_max_decreasing_positions,
+    longest_decreasing_from,
     recursive_layerize,
     layered_fits,
     patterns_contained,
@@ -41,7 +43,7 @@ from superpatterns import (
 from superpatterns import universal
 from superpatterns.classes import ClassTag
 from superpatterns.errors import CapExceededError, InternalDefectError
-from superpatterns.universal import _max_decreasing_positions
+from superpatterns.universal import _decreasing_chains, _max_decreasing_positions
 
 
 _SCAN_N = 4200
@@ -189,6 +191,26 @@ class TestLengthTable:
             table.extend_to(1500)
         assert len(table) == 1000
 
+    @pytest.mark.parametrize(
+        "call", [superpattern_length, superpattern_split, LengthTable().prefix]
+    )
+    def test_table_cap_refuses_before_building(self, call):
+        # 10^13 entries would take 80 TB; the refusal comes before any chunk
+        before = len(universal._TABLE)
+        with pytest.raises(CapExceededError, match="capped at n=10000000"):
+            call(10**13)
+        with pytest.raises(CapExceededError):
+            call(universal.TABLE_CAP + 1)
+        assert len(universal._TABLE) == before
+
+    def test_table_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(universal, "TABLE_CAP", 3000)
+        table = LengthTable()
+        assert table.value(3000) == superpattern_length_closed(3000)
+        with pytest.raises(CapExceededError):
+            table.value(3001)
+        assert len(table) == 3001
+
 
 class TestBuildUniversal:
     def test_examples(self):
@@ -210,6 +232,12 @@ class TestBuildUniversal:
     def test_built_permutation_is_layered(self):
         for n in range(15):
             assert layer_profile(build_universal(n)) is not None
+
+    def test_direct_sum_oracle_every_top_split(self):
+        for n in range(65):
+            assert build_universal(n).values == direct_sum_universal(n)
+            for k in range(n):
+                assert build_universal(n, k).values == direct_sum_universal(n, k)
 
 
 class TestVerifyUniversal:
@@ -323,6 +351,28 @@ class TestLayeredReachTable:
                 _check_layered_report(shrunk, n, contains)
 
 
+class TestDecreasingChains:
+    def test_against_the_quadratic_scan(self):
+        rng = random.Random(17)
+        inputs = [tuple(v) for m in range(7) for v in itertools.permutations(range(1, m + 1))]
+        inputs += [tuple(rng.sample(range(1, m + 1), m)) for m in (20, 60, 150) for _ in range(5)]
+        for values in inputs:
+            chain, top = _decreasing_chains(values)
+            assert chain == longest_decreasing_from(values)
+            assert top == max(chain, default=0)
+
+    def test_equal_run_lengths_increase(self):
+        # the lemma that lets layerize pick D by run length alone
+        rng = random.Random(18)
+        for m in (5, 30, 200):
+            for _ in range(10):
+                values = tuple(rng.sample(range(1, m + 1), m))
+                chain, _ = _decreasing_chains(values)
+                for length in set(chain):
+                    run = [v for v, c in zip(values, chain) if c == length]
+                    assert run == sorted(run)
+
+
 class TestMaxDecreasing:
     def test_examples(self):
         assert tuple(max_decreasing_subsequence(decreasing(5))) == (1, 2, 3, 4, 5)
@@ -397,11 +447,25 @@ class TestLayerize:
         def refuse(values):
             raise AssertionError(f"split {values}")
 
-        monkeypatch.setattr(universal, "_max_decreasing_positions", refuse)
+        monkeypatch.setattr(universal, "_decreasing_chains", refuse)
         for perm in inputs:
             assert layerize(perm) == perm
         with pytest.raises(AssertionError, match="split"):
             layerize(parse("2 4 1 3"))
+
+    @pytest.mark.parametrize(
+        "values, chain",
+        [
+            # 4 3 is a decreasing run but not a longest one: 1 would extend it
+            ((4, 2, 3, 1), [2, 2, 1, 1]),
+            # 4 1 skips 2 and 3, which lie below 4 but above 1
+            ((4, 2, 3, 1), [2, 2, 2, 1]),
+        ],
+    )
+    def test_a_non_maximal_run_is_a_defect(self, monkeypatch, values, chain):
+        monkeypatch.setattr(universal, "_decreasing_chains", lambda item: (chain, 2))
+        with pytest.raises(InternalDefectError, match="neither southwest nor northeast"):
+            layerize(Permutation(values))
 
     def test_small_example_gains_patterns(self):
         got = layerize(parse("2 4 1 3"))
@@ -411,7 +475,7 @@ class TestLayerize:
         assert contains(parse("2 1 4 3"), got) is not None
 
     def test_recursive_oracle_exhaustive_small(self):
-        for m in range(8):
+        for m in range(9):
             for values in itertools.permutations(range(1, m + 1)):
                 got = layerize(Permutation(values))
                 assert got.values == recursive_layerize(values)
