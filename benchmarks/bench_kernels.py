@@ -6,8 +6,9 @@ containment, two composition scans behind the layered search (n = 7 and
 n = 9 patterns), the permutation scan behind the unrestricted search, and
 the candidate-list scan behind the av-class runs.  Each result is checked
 to agree between the backends.  The layered search is the twin's on either
-backend, so the two layered workloads have no compiled column.  Run after
-an in-place build:
+backend, so the two layered workloads have no compiled column; below
+each of them, one more untimed run counts the search's nodes (_first_fit
+calls) and the states it entered.  Run after an in-place build:
 
     python3 benchmarks/bench_kernels.py [--repeat 3]
 """
@@ -104,6 +105,27 @@ def _time(work, mod, repeat):
     return best, result
 
 
+def _layered_nodes(work):
+    """(_first_fit calls, states entered) of one run of a layered workload,
+    with the kernel's _first_fit wrapped by a counter."""
+    first_fit = _kernels_py._first_fit
+    calls = 0
+    searched = None
+
+    def counted(r, base, state, table):
+        nonlocal calls, searched
+        calls += 1
+        searched = table
+        return first_fit(r, base, state, table)
+
+    _kernels_py._first_fit = counted
+    try:
+        work(_kernels_py)
+    finally:
+        _kernels_py._first_fit = first_fit
+    return calls, 0 if searched is None else len(searched.children)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3)
@@ -124,6 +146,9 @@ def main() -> None:
         py_time, py_result = _time(work, _kernels_py, args.repeat)
         if _kernels is None or builder in twin_only:
             print(f"{name:58s} {py_time * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
+            if builder in twin_only:
+                calls, entered = _layered_nodes(work)
+                print(f"  {calls:,} _first_fit calls, {entered:,} states entered")
             continue
         c_time, c_result = _time(work, _kernels, args.repeat)
         if py_result != c_result:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from .errors import InternalDefectError
+
 BACKEND = "python"
 
 
@@ -237,6 +239,16 @@ def permutation_at_rank(m, rank):
 _MAX_NEED = 20
 
 
+def _layered_length(k):
+    """L(k), the length of the shortest layered permutation that contains
+    every layered permutation of length k, by the paper's closed form
+    (k + 1) * ceil(log2(k + 1)) - 2^ceil(log2(k + 1)) + 1; ceil(log2(k + 1))
+    is k.bit_length().  Computed here, since the module that keeps the
+    length table imports the kernels."""
+    lg = k.bit_length()
+    return (k + 1) * lg - (1 << lg) + 1
+
+
 def _need_ids(k):
     """The mask of the ids of need k, bits 2^(k-1) to 2^k - 1 (bit 0 for
     k = 0)."""
@@ -295,20 +307,24 @@ class LayeredTable:
     The first scan through a table first proves the family bounds, smallest
     k first: for each k below the largest pattern need whose 2^(k-1)
     compositions are all suffixes, the state that holds exactly them is
-    scanned at r = k, k + 1, ... until a completion
-    fits, at L(k), the length of the shortest layered permutation that
-    contains every layered permutation of length k.  A state that holds
-    every need-k suffix then needs at least L(k) positions, since greedy fit
-    is monotone under subsets.  A reduced state may have dropped family
-    members that its larger suffixes contain, so the bound is taken from
-    the state as formed, when it is first met, and entered under its
-    reduced state as the larger of that bound and the one known there.
-    families holds a (mask, L(k) - 1) pair per proved family, largest k
-    first, where mask has the bits of the need-k ids, so a state holds the
-    family when state & mask == mask.  Each bound rests on scans of this
-    table that use only the bounds below it, so a scan that prunes by them
-    is still a proof by enumeration.  No bound is proved at the largest
-    need, which is what a search of that need is proving.
+    scanned once, exhaustively, at r = L(k) - 1, where L(k) is the length
+    of the shortest layered permutation that contains every layered
+    permutation of length k (_layered_length, the paper's closed form).
+    No completion of L(k) - 1 positions fits, nor then of fewer, so a state
+    that holds every need-k suffix needs at least L(k) positions, since
+    greedy fit is monotone under subsets.  The bound rests on that failing
+    scan, not on where the number came from; a fit there contradicts the
+    paper and raises InternalDefectError.  k = 1 has L(1) - 1 = 0 and
+    scans nothing.  A reduced state may have dropped family members that
+    its larger suffixes contain, so the bound is taken from the state as
+    formed, when it is first met, and entered under its reduced state as
+    the larger of that bound and the one known there.  families holds a
+    (mask, L(k) - 1) pair per proved family, largest k first, where mask
+    has the bits of the need-k ids, so a state holds the family when
+    state & mask == mask.  Each bound rests on a scan of this table that
+    uses only the bounds below it, so a scan that prunes by them is still a
+    proof by enumeration.  No bound is proved at the largest need, which is
+    what a search of that need is proving.
     """
 
     def __init__(self, pattern_profiles):
@@ -369,11 +385,15 @@ class LayeredTable:
             if self.suffixes & mask != mask:
                 continue
             # equal needs: no member contains another, so the state is reduced
-            r = k
-            while _first_fit(r, 0, mask | 1, self) < 0:
-                self.dead[mask | 1] = r
-                r += 1
-            self.families.insert(0, (mask, r - 1))
+            bound = _layered_length(k) - 1
+            if bound:
+                if _first_fit(bound, 0, mask | 1, self) >= 0:
+                    raise InternalDefectError(
+                        f"a completion of length {bound} holds every "
+                        f"layered permutation of length {k}"
+                    )
+                self.dead[mask | 1] = bound
+            self.families.insert(0, (mask, bound))
 
 
 def scan_layered(m, table):
@@ -398,16 +418,21 @@ def scan_layered(m, table):
     too (containment of layered permutations is transitive).  A prefix is
     pruned as soon as some suffix's sizes add up to more than the positions
     left: each of its layers needs its own later host layer at least as
-    large.
+    large.  A reduced state with two or more suffixes needs one position
+    more than its largest need N: a completion of exactly N positions that
+    fits a suffix g of need N is g itself, since each layer of g takes a
+    host part at least as large, and g contains no other suffix of a
+    reduced state.
 
     Whether some completion of r positions fits depends only on r and the
     set of completions that fit each suffix of the state, and if none of r
     fits, none of r' < r does either (appending a last part r - r' to a
     fitting completion keeps it fitting).  So the table of dead states maps
     a reduced state to the largest r whose whole block of completions was
-    scanned without a fit, or for which a proved family bound (LayeredTable)
-    rules every completion out, and a child whose reduced state is dead for
-    at least its positions left is skipped.
+    scanned without a fit, or for which a proved family bound (LayeredTable,
+    one exhaustive scan of L(k) - 1 positions per family) rules every
+    completion out, and a child whose reduced state is dead for at least its
+    positions left is skipped.
 
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
@@ -479,8 +504,10 @@ def _children(state, table):
     """The children of a state, formed when the search first enters it and
     kept in table.children: one (a, reach, need, key) for part 1 and for
     each larger part a that reaches a new head, in increasing a, where
-    reach is a plus the largest need of the tails that part a moves, need
-    the child's largest need and key the child's reduced state.
+    reach is a plus the largest need of the tails that part a moves, key
+    the child's reduced state and need the fewest positions a fitting
+    completion of the child takes: the child's largest need, plus one when
+    key keeps two or more suffixes (scan_layered).
 
     Part a matches the first layer of every suffix whose head is at most a,
     so the child is the state's unreached suffixes, those with larger
@@ -517,9 +544,12 @@ def _children(state, table):
             bound = _family_bound(child, table.families)
             if bound > dead.get(key, 0):
                 dead[key] = bound
+        # the suffixes the key keeps, bit 0 dropped: two or more ask one
+        # position more than the largest need
+        kept = key ^ 1
         kids.append((
             a, a + (moved.bit_length() - 1).bit_length(),
-            (child.bit_length() - 1).bit_length(), key,
+            (key.bit_length() - 1).bit_length() + (kept & (kept - 1) != 0), key,
         ))
     return kids
 
@@ -533,9 +563,11 @@ def _first_fit(r, base, state, table):
     2^(r-a-1) ranks (1 for a = r) from base + 2^(r-1) - 2^(r-a).  Once a
     child's reach exceeds r, the tails part a moves need more than the
     r - a positions left, and so does every later child's reach, since a
-    later part moves no fewer tails; so the walk stops there.  A child that needs more than r - a positions is skipped, and so is one
-    whose reduced state is dead for at least r - a; the reduced state is
-    what is searched.
+    later part moves no fewer tails; so the walk stops there.  A child
+    that needs more than r - a positions (its stored need, which counts one
+    more for a reduced state of two or more suffixes) is skipped, and so is
+    one whose reduced state is dead for at least r - a; the reduced state
+    is what is searched.
 
     A module-level function, not a closure in scan_layered: a recursive
     closure is a reference cycle that keeps the tables alive until the cycle

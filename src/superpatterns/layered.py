@@ -51,11 +51,12 @@ class LayerProfile:
 def parse_profile(text: str) -> LayerProfile:
     """Parse the bracketed profile form, e.g. "[3,1,2,1]"."""
     body = text.strip()
-    match = re.fullmatch(r"\[\s*([0-9,\s]*)\]", body)
+    # comma-separated digit runs, spaces allowed around each, or nothing
+    match = re.fullmatch(r"\[\s*([0-9]+(?:\s*,\s*[0-9]+)*)?\s*\]", body)
     if match is None:
         raise ValueError(f"not a layer profile: {text!r}")
-    inner = match.group(1).strip()
-    if not inner:
+    inner = match.group(1)
+    if inner is None:
         return LayerProfile(())
     return LayerProfile(tuple(int(tok) for tok in inner.split(",")))
 

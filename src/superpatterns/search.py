@@ -14,9 +14,12 @@ transitive, so the dropped ones change no answer and no count, and states
 that differ only in them share one entry of the table.  A prefix is pruned
 when some pattern can no longer fit into it, when its state already failed
 with as many positions left, or when its state as formed holds every
-composition of some k < n and fewer than L(k) positions are left.  The
-search proves each such L(k) itself, bottom up, with the same table, at its
-first scan.  A prefix stands for an exact, contiguous block of ranks, so the
+composition of some k < n and fewer than L(k) positions are left, or
+when its state keeps two or more suffixes and no more positions are left
+than its largest need.  The search proves each such lower bound itself,
+bottom up, with the same table, at its first scan: one exhaustive scan of
+L(k) - 1 positions from the state of every composition of k, which finds
+no fit.  A prefix stands for an exact, contiguous block of ranks, so the
 counts are those of visiting every candidate.
 
 One node budget gates every run: a per-run ledger charges each length its
@@ -80,9 +83,11 @@ AVOIDING_5UNIVERSAL_AV231_LEN12 = Permutation((1, 11, 3, 2, 10, 7, 5, 4, 6, 9, 8
 
 class _Budget:
     """The node budget of one run, charged length by length (None means
-    DEFAULT_BUDGET)."""
+    DEFAULT_BUDGET); a negative budget raises ValueError."""
 
     def __init__(self, limit: int | None) -> None:
+        if limit is not None and limit < 0:
+            raise ValueError(f"budget must be non-negative, got {limit}")
         self.limit = DEFAULT_BUDGET if limit is None else limit
         self.used = 0
 

@@ -95,6 +95,21 @@ class TestErrors:
         )
         assert code == 2
 
+    def test_negative_budget(self, capsys):
+        layered = ["--patterns", "layered", "--candidates", "layered"]
+        for argv in (
+            ["search", "minimal", "3", *layered, "--budget", "-5"],
+            ["check", "claims231", "--budget", "-5"],
+            ["check", "conjecture321", "2", "--budget", "-5"],
+        ):
+            assert run(argv) == 2, argv
+            assert capsys.readouterr().err == "error: budget must be non-negative, got -5\n"
+
+    def test_malformed_layer_profiles(self, capsys):
+        for body in ("[1,,2]", "[1,2,]", "[1 2]", "[,]", "[,1]"):
+            assert run(["layers", f"layers:{body}"]) == 2, body
+            assert capsys.readouterr().err == f"error: not a layer profile: {body!r}\n"
+
     def test_negative_verify_length(self, capsys):
         assert run(["universal", "verify", "1 2", "-1", "--class", "layered"]) == 2
         assert "n must be non-negative" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from oracles import (
     pruned_scan_layered,
 )
 from superpatterns import _kernels_py, kernels, layered, superpattern_length
+from superpatterns.errors import InternalDefectError
 from superpatterns._kernels_py import LayeredTable
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -292,8 +293,10 @@ class TestLayeredTable:
 
     def test_family_bounds_are_proved_in_the_table(self):
         # every family bound is L(k) - 1, for a k below the largest pattern
-        # need whose whole family is among the suffixes, and rests on the
-        # table's own record of the family's state, not on the recurrence
+        # need whose whole family is among the suffixes, and is entered in
+        # the table's dead states under the family's state; the kernel takes
+        # L(k) from the closed form, and the bound rests on the exhaustive
+        # scan that fails at L(k) - 1, not on that value
         rng = random.Random(20261021)
         for patterns in _family_sets(rng):
             table = LayeredTable(patterns)
@@ -317,6 +320,53 @@ class TestLayeredTable:
                 ]
                 assert bound == superpattern_length(k) - 1
                 assert table.dead.get(mask | 1, 0) == bound
+
+    def test_the_kernel_length_is_the_recurrence(self):
+        for k in range(_kernels_py._MAX_NEED + 1):
+            assert _kernels_py._layered_length(k) == superpattern_length(k), k
+
+    def test_each_family_bound_is_one_failing_scan(self, monkeypatch):
+        # the families are proved smallest k first, each by one top-level
+        # scan of its state at r = L(k) - 1 that finds no fit; k = 1, with
+        # L(1) - 1 = 0, scans nothing
+        first_fit = _kernels_py._first_fit
+        depth = [0]
+        top = []
+
+        def tracked(r, base, state, table):
+            depth[0] += 1
+            try:
+                found = first_fit(r, base, state, table)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                top.append((r, base, state, found))
+            return found
+
+        monkeypatch.setattr(_kernels_py, "_first_fit", tracked)
+        for n in range(13):
+            table = LayeredTable.family(n)
+            top.clear()
+            table._prove_families()
+            assert top == [
+                (superpattern_length(k) - 1, 0, _kernels_py._need_ids(k) | 1, -1)
+                for k in range(2, n)
+            ], n
+            assert [bound for _, bound in table.families] == [
+                superpattern_length(k) - 1 for k in range(n - 1, 0, -1)
+            ], n
+
+    def test_a_fit_at_a_family_bound_is_a_defect(self, monkeypatch):
+        # a scan that reports a fit below L(k) contradicts the paper's bound
+        monkeypatch.setattr(_kernels_py, "_first_fit", lambda r, base, state, table: 0)
+        with pytest.raises(InternalDefectError, match="every layered permutation of length 2"):
+            LayeredTable.family(5)._prove_families()
+        monkeypatch.undo()
+        # a family scanned at L(k) itself fits, already at k = 1
+        length = _kernels_py._layered_length
+        monkeypatch.setattr(_kernels_py, "_layered_length", lambda k: length(k) + 1)
+        with pytest.raises(InternalDefectError, match="every layered permutation of length 1"):
+            _kernels_py.scan_layered(6, LayeredTable.family(6))
 
     def test_a_state_gets_the_bound_of_each_family_it_holds_whole(self):
         rng = random.Random(20261022)
@@ -429,6 +479,29 @@ class TestReduction:
                 assert _kernels_py._reduce(child, table) == key
 
 
+def test_two_maximal_suffixes_need_one_more_position():
+    # a completion of exactly N positions that fits a suffix of need N is
+    # that suffix, which contains no other maximal suffix of its state: so
+    # no composition of a key's top need fits a key with two or more, and
+    # the child's stored need is one more than its top need
+    seen = 0
+    for n in range(1, 9):
+        table = LayeredTable.family(n)
+        for m in range(n, superpattern_length(n) + 1):
+            _kernels_py.scan_layered(m, table)
+        suffixes = _suffixes(table)
+        needs = {key: need for kids in table.children.values() for _, _, need, key in kids}
+        for key, need in needs.items():
+            kept = [suffixes[g] for g in suffixes if g and key >> g & 1]
+            top = (key.bit_length() - 1).bit_length()
+            assert need == top + (len(kept) > 1), kept
+            if len(kept) > 1:
+                seen += 1
+                for c in brute_compositions(top):
+                    assert not all(layered_fits(g, c) for g in kept), (kept, c)
+    assert seen > 100
+
+
 def test_scan_layered_leaves_no_cycles():
     # a cycle through the scan's tables would keep them alive until the
     # cycle collector runs; so too for a table reused across lengths
@@ -511,3 +584,16 @@ def test_layered_bench_workload_on_every_backend(backend):
     spec.loader.exec_module(bench)
     _, work = bench._layered_scan_workload()
     assert work(backend) == (-1, 32768)
+
+
+def test_layered_bench_counts_nodes():
+    # the untimed run beside the layered rows counts the search's nodes and
+    # entered states, and leaves the kernel unwrapped
+    script = _ROOT / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    first_fit = _kernels_py._first_fit
+    _, work = bench._layered_scan_workload()
+    assert bench._layered_nodes(work) == (47, 29)
+    assert _kernels_py._first_fit is first_fit

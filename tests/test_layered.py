@@ -34,6 +34,11 @@ class TestProfile:
         assert parse_profile("[]").sizes == ()
         with pytest.raises(ValueError):
             parse_profile("3,1,2,1")
+        # empty parts and separators other than commas are refused by the
+        # form itself, not by int()
+        for text in ("[1,,2]", "[1,2,]", "[1 2]", "[,]", "[,1]", "[ , ]"):
+            with pytest.raises(ValueError, match="not a layer profile"):
+                parse_profile(text)
         with pytest.raises(ValueError):
             LayerProfile((0,))
 

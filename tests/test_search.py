@@ -271,7 +271,24 @@ class TestMinimalSuperpattern:
                 calls.clear()
                 minimal_superpattern(n, "layered", "layered", budget=10**15)
                 nodes.append(len(calls))
-            assert nodes == [22, 43, 75, 122, 208, 379, 676, 1164, 1872], wrapper
+            assert nodes == [13, 23, 40, 69, 123, 255, 504, 905, 1505], wrapper
+
+    def test_negative_budgets_are_refused_before_any_charge(self, monkeypatch):
+        def no_charge(*args):
+            raise AssertionError("a negative budget was charged")
+
+        monkeypatch.setattr(search._Budget, "charge", no_charge)
+        message = "budget must be non-negative, got -5"
+        with pytest.raises(ValueError, match=message):
+            minimal_superpattern(3, "layered", "layered", budget=-5)
+        with pytest.raises(ValueError, match=message):
+            check_claims_231(budget=-5)
+        with pytest.raises(ValueError, match=message):
+            check_conjecture_321(2, budget=-5)
+        monkeypatch.undo()
+        # a budget of 0 is a budget that refuses the first length
+        with pytest.raises(BudgetExceededError, match="over the budget of 0"):
+            minimal_superpattern(3, "layered", "layered", budget=0)
 
     def test_layered_search_beyond_the_cap(self):
         # the whole family's table enumerates no profile, and the search
