@@ -29,7 +29,6 @@ except ImportError:
     _kernels = None
 
 from superpatterns.classes import ClassTag, class_tuples
-from superpatterns.layered import enumerate_layered
 from superpatterns.search import _ordered_pattern_tuples
 
 
@@ -56,11 +55,9 @@ def _containment_workload():
 def _layered_scan_workload():
     # length 16 < a(7) = 17, so the scan must exhaust all 2^15 compositions,
     # which is exactly the nonexistence half of a search run; every backend
-    # runs the twin's scan, on a table built cold for each repeat
-    patterns = [p.sizes for p in enumerate_layered(7)]
-
+    # runs the twin's scan, on the search's table built cold for each repeat
     def work(mod):
-        return _kernels_py.scan_layered(16, LayeredTable(patterns))
+        return _kernels_py.scan_layered(16, LayeredTable.family(7))
 
     return "layered nonexistence scan (2^15 candidates, n=7 patterns)", work
 
@@ -68,10 +65,8 @@ def _layered_scan_workload():
 def _layered_proof_scan_workload():
     # length 24 < a(9) = 25: the longest nonexistence scan of the n = 9
     # proof, where pruning whole blocks of ranks matters most
-    patterns = [p.sizes for p in enumerate_layered(9)]
-
     def work(mod):
-        return _kernels_py.scan_layered(24, LayeredTable(patterns))
+        return _kernels_py.scan_layered(24, LayeredTable.family(9))
 
     return "layered nonexistence scan (2^23 candidates, n=9 patterns)", work
 

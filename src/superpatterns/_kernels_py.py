@@ -10,6 +10,11 @@ The rest, ``contains``, ``greedy_layer_indices``, ``composition_at_rank``,
 module defines, and ``superpatterns.kernels`` takes them from here on
 either backend.
 
+The layered facts the public modules share are defined here once: the
+count of the compositions of n (``composition_count``), the cap of 20 on a
+layered length (``check_layered_length``) and L(n) (``_layered_length``).
+This module imports only ``errors``, so every module can import it.
+
 Conventions local to the kernels: positions and ranks are 0-based, values in
 one-line notation are 1-based, and candidates within a length are ordered by
 rank (compositions in lexicographic order, permutations of 1..m in
@@ -22,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import InternalDefectError
+from .errors import CapExceededError, InternalDefectError
 
 BACKEND = "python"
 
@@ -190,10 +195,11 @@ def greedy_layer_indices(pattern_sizes, host_sizes):
     return tuple(out)
 
 
-def _composition_count(m):
-    if m < 0:
-        raise ValueError(f"length {m} is negative")
-    return 1 << (m - 1) if m else 1
+def composition_count(n):
+    """Number of compositions of n (= layered permutations of length n)."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return 1 << (n - 1) if n else 1
 
 
 def _check_ranks(lo, hi, count):
@@ -210,7 +216,7 @@ def composition_at_rank(m, rank):
     the distance from a set bit to the next, or to the end.  A rank outside
     [0, 2^(m-1)) (0 alone for m = 0) raises ValueError.
     """
-    if not 0 <= rank < _composition_count(m):
+    if not 0 <= rank < composition_count(m):
         raise ValueError(f"rank {rank} out of range for m={m}")
     g = (1 << m) - 1 - rank
     parts = []
@@ -234,19 +240,30 @@ def permutation_at_rank(m, rank):
     return tuple(out)
 
 
-# The largest need a LayeredTable takes, layered.ENUMERATION_CAP: a state
-# has a bit for each id below 2^need.
+# The largest need a LayeredTable takes, and so the longest layered
+# enumeration: a state has a bit for each id below 2^need.
 _MAX_NEED = 20
 
 
-def _layered_length(k):
-    """L(k), the length of the shortest layered permutation that contains
-    every layered permutation of length k, by the paper's closed form
-    (k + 1) * ceil(log2(k + 1)) - 2^ceil(log2(k + 1)) + 1; ceil(log2(k + 1))
-    is k.bit_length().  Computed here, since the module that keeps the
-    length table imports the kernels."""
-    lg = k.bit_length()
-    return (k + 1) * lg - (1 << lg) + 1
+def check_layered_length(n):
+    """ValueError unless 0 <= n <= _MAX_NEED, CapExceededError above it:
+    the one cap on a layered enumeration's length and a LayeredTable's need."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if n > _MAX_NEED:
+        raise CapExceededError(f"enumeration of layered length {n} exceeds cap {_MAX_NEED}")
+
+
+def _layered_length(n):
+    """L(n), the length of the shortest layered permutation that contains
+    every layered permutation of length n, by the paper's closed form
+    (n + 1) * ceil(log2(n + 1)) - 2^ceil(log2(n + 1)) + 1 in exact integer
+    arithmetic: ceil(log2(n + 1)) is n.bit_length().  A negative n raises
+    ValueError.  universal.superpattern_length_closed is this function."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    lg = n.bit_length()
+    return (n + 1) * lg - (1 << lg) + 1
 
 
 def _need_ids(k):
@@ -280,7 +297,8 @@ class LayeredTable:
     size h, suffixes the mask of the patterns' suffixes, and root the state
     of the empty prefix.  dead maps a reduced state to the largest r known
     to have no fitting completion.  A need above _MAX_NEED raises
-    ValueError, since its masks would take 2^need bits.
+    CapExceededError (check_layered_length), since its masks would take
+    2^need bits.
 
     LayeredTable(profiles) ORs the bits of each profile's suffixes into
     suffixes and root.  LayeredTable.family(n), the table of every
@@ -334,8 +352,7 @@ class LayeredTable:
             smallest = min(profile, default=1)
             if smallest < 1:
                 raise ValueError(f"profile parts must be >= 1, got {smallest}")
-            if sum(profile) > _MAX_NEED:
-                raise ValueError(f"profile needs {sum(profile)} positions, above {_MAX_NEED}")
+            check_layered_length(sum(profile))
             g = 0
             for part in reversed(profile):
                 g |= 1 << (g.bit_length() + part - 1)
@@ -346,12 +363,11 @@ class LayeredTable:
 
     @classmethod
     def family(cls, n):
-        """The table of every composition of n, 0 <= n <= _MAX_NEED, else
-        ValueError."""
-        if not 0 <= n <= _MAX_NEED:
-            raise ValueError(f"a family of need {n} is outside [0, {_MAX_NEED}]")
+        """The table of every composition of n; n outside 0.._MAX_NEED
+        raises as check_layered_length does."""
+        check_layered_length(n)
         table = cls.__new__(cls)
-        table._start(1 | _need_ids(n), (1 << (1 << n)) - 1, _composition_count(n))
+        table._start(1 | _need_ids(n), (1 << (1 << n)) - 1, composition_count(n))
         return table
 
     def _start(self, root, suffixes, count):
@@ -443,7 +459,7 @@ def scan_layered(m, table):
     0 would match without using a host position, which the pruning bound
     does not allow for.
     """
-    total = _composition_count(m)
+    total = composition_count(m)
     if (table.root.bit_length() - 1).bit_length() > m:
         return (-1, total)
     if m == 0:

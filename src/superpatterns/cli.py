@@ -20,10 +20,11 @@ from .perms import Permutation, contains, direct_sum, parse
 from .search import check_claims_231, check_conjecture_321, minimal_superpattern
 from .universal import (
     TABLE_CAP,
-    LengthTable,
     build_universal,
     layerize,
+    superpattern_length,
     superpattern_length_closed,
+    superpattern_split,
     verify_universal,
 )
 
@@ -32,7 +33,13 @@ _CLASS_CHOICES = [tag.value for tag in ClassTag]
 
 def _perm_arg(text: str) -> Permutation:
     if text.startswith("layers:"):
-        return realize(parse_profile(text[len("layers:"):]))
+        profile = parse_profile(text[len("layers:"):])
+        # a short argument can ask for a huge permutation: refuse it unbuilt
+        if profile.total > TABLE_CAP:
+            raise CapExceededError(
+                f"layers: asks for {profile.total} entries, above the cap of {TABLE_CAP}"
+            )
+        return realize(profile)
     return parse(text)
 
 
@@ -84,19 +91,12 @@ def _cmd_layers(args) -> int:
 
 def _cmd_sequence(args) -> int:
     n = args.n
-    table = LengthTable()
     if args.closed:
         # the closed form has no split, so its JSON has no argmin_k
         value = superpattern_length_closed(n)
         _emit(args, {"n": n, "a": value}, str(value))
         return 0
-    try:
-        payload = {"n": n, "a": table.value(n), "argmin_k": table.argmin(n)}
-    except CapExceededError:
-        raise CapExceededError(
-            f"the recurrence table is capped at n={TABLE_CAP}, got {n}; "
-            "--closed answers any n"
-        ) from None
+    payload = {"n": n, "a": superpattern_length(n), "argmin_k": superpattern_split(n)}
     _emit(args, payload, str(payload["a"]))
     return 0
 

@@ -7,7 +7,8 @@ twin otherwise.  Everything else always comes from the twin:
 ``greedy_layer_indices`` and ``composition_at_rank``, which no search runs in
 bulk; ``permutation_at_rank``, since the compiled scans unrank their own
 start; and ``scan_layered``, the search over sets of pattern suffixes with
-one ``LayeredTable`` for all the lengths of a search.
+one ``LayeredTable`` for all the lengths of a search.  The public modules
+import the composition count, the layered cap and L(n) from the twin itself.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ A layered permutation is a sum of decreasing blocks (layers); it is uniquely
 described by its layer-size profile, an ordered composition of its length.
 Layered permutations of length n therefore correspond to the 2^(n-1)
 compositions of n, which this module enumerates lazily in lexicographic
-order (matching one-line lexicographic order of the realizations).  Whether
-a layered host contains all of them is decided without enumerating them,
-by a per-layer reach table (first_missing_profile).
+order (matching one-line lexicographic order of the realizations), up to
+n = 20.  That cap and the count of the compositions are the kernels'
+(check_layered_length, composition_count), which a LayeredTable shares.
+Whether a layered host contains all of them is decided without enumerating
+them, by a per-layer reach table (first_missing_profile).
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ import re
 from collections.abc import Iterator
 
 from . import kernels
-from .errors import CapExceededError
+from ._kernels_py import check_layered_length, composition_count
 from .perms import Permutation
-
-ENUMERATION_CAP = 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,48 +106,22 @@ def layer_profile(perm: Permutation) -> LayerProfile | None:
     return LayerProfile(tuple(sizes))
 
 
-def composition_count(n: int) -> int:
-    """Number of compositions of n (= layered permutations of length n)."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return 1 if n == 0 else 1 << (n - 1)
-
-
 def composition_at_rank(n: int, rank: int) -> LayerProfile:
-    """The rank-th composition of n in lexicographic order."""
-    if not 0 <= rank < composition_count(n):
-        raise ValueError(f"rank {rank} out of range for n={n}")
+    """The rank-th composition of n in lexicographic order; a rank outside
+    [0, composition_count(n)) raises ValueError."""
     return LayerProfile(kernels.composition_at_rank(n, rank))
 
 
-def check_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
-    """CapExceededError when the layered permutations of length n are more
-    than an enumeration under the cap may take."""
-    if n > cap:
-        raise CapExceededError(f"enumeration of layered length {n} exceeds cap {cap}")
-
-
-def enumerate_layered(
-    n: int,
-    *,
-    cap: int = ENUMERATION_CAP,
-    start_rank: int = 0,
-    stop_rank: int | None = None,
-) -> Iterator[LayerProfile]:
+def enumerate_layered(n: int) -> Iterator[LayerProfile]:
     """All layer profiles of total n, lazily, in lexicographic order.
 
-    Restartable: rank sub-ranges let independent consumers split the space.
-    The range is checked at the call, before any profile is produced:
-    ValueError unless 0 <= start_rank <= stop_rank <= composition_count(n).
+    n is checked at the call, before any profile is produced
+    (check_layered_length); composition_at_rank gives one profile by rank.
     """
-    check_cap(n, cap)
-    count = composition_count(n)
-    stop = count if stop_rank is None else stop_rank
-    if not 0 <= start_rank <= stop <= count:
-        raise ValueError(f"ranks [{start_rank}, {stop}) are outside [0, {count}) for n={n}")
+    check_layered_length(n)
     return (
         LayerProfile(kernels.composition_at_rank(n, rank))
-        for rank in range(start_rank, stop)
+        for rank in range(composition_count(n))
     )
 
 

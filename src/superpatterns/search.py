@@ -65,7 +65,7 @@ from . import kernels
 from ._kernels_py import LayeredTable
 from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
 from .errors import BudgetExceededError, InternalDefectError
-from .layered import check_cap, realize_values
+from .layered import realize_values
 # unused here, but bound for tracers that wrap search.enumerate_layered
 from .layered import enumerate_layered  # noqa: F401
 from .perms import Permutation
@@ -278,8 +278,8 @@ def _minimal_superpattern(
     if ctag is ClassTag.LAYERED:
         # feasible, so every pattern is layered: all of them iff as many
         # (for a non-layered pattern class, only at n <= 2); the table of
-        # the whole family is built from n, with no profile enumerated
-        check_cap(n)
+        # the whole family is built from n, under the layered cap, with no
+        # profile enumerated
         patterns = LayeredTable.family(n)
         if ptag is not ctag and len(patterns) != class_count(ptag, n):
             raise InternalDefectError("layered candidates would miss a pattern")

@@ -22,6 +22,9 @@ from array import array
 from collections.abc import Sequence
 
 from . import layered as layered_mod
+# L(n) by the paper's closed form, defined with the kernels, which prove the
+# layered family bounds with it
+from ._kernels_py import _layered_length as superpattern_length_closed
 from .classes import ClassTag, coerce_tag, class_tuples
 from .errors import CapExceededError, InternalDefectError
 from .kernels import contains as _contains
@@ -36,7 +39,8 @@ VERIFY_CAP = {
 }
 
 # Largest n the length table is built to: 8 bytes an entry, so about 80 MB
-# and a few seconds; the closed form answers any n.
+# and a few seconds; the closed form answers any n.  Also the most entries a
+# built permutation may have: building one peaks at about 120 bytes an entry.
 TABLE_CAP = 10**7
 
 # Entries of LengthTable built per comprehension, at most; it bounds the
@@ -87,7 +91,7 @@ class LengthTable:
         if n > TABLE_CAP:
             raise CapExceededError(
                 f"the length table is capped at n={TABLE_CAP}, got {n}; "
-                "superpattern_length_closed answers any n"
+                "superpattern_length_closed and sequence a --closed answer any n"
             )
         vals = self._values
         lo = len(vals)
@@ -144,15 +148,6 @@ def superpattern_split(n: int) -> int | None:
     return _TABLE.argmin(n)
 
 
-def superpattern_length_closed(n: int) -> int:
-    """Closed form (n+1)*ceil(log2(n+1)) - 2^ceil(log2(n+1)) + 1, evaluated
-    in exact integer arithmetic: ceil(log2(n+1)) == n.bit_length()."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    lg = n.bit_length()
-    return (n + 1) * lg - (1 << lg) + 1
-
-
 def _universal_sizes(n: int) -> tuple[int, ...]:
     """Layer sizes of U(n) at the default split n//2."""
     if n == 0:
@@ -182,6 +177,11 @@ def build_universal(n: int, split: int | None = None) -> Permutation:
     k = n // 2 if split is None else split
     if not 0 <= k <= n - 1:
         raise ValueError(f"split {k} out of range 0..{n - 1}")
+    length = superpattern_length_closed(k) + n + superpattern_length_closed(n - k - 1)
+    if length > TABLE_CAP:
+        raise CapExceededError(
+            f"U({n}) would have {length} entries, above the cap of {TABLE_CAP}"
+        )
     sizes = _universal_sizes(k) + (n,) + _universal_sizes(n - k - 1)
     return Permutation(layered_mod.realize_values(sizes))
 

@@ -1,7 +1,7 @@
 import json
 import os
 
-from superpatterns import parse, superpattern_length
+from superpatterns import cli, parse, superpattern_length, universal
 from superpatterns.cli import run
 from superpatterns.universal import LengthTable
 
@@ -72,6 +72,30 @@ class TestErrors:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err == "error: enumeration of layered length 21 exceeds cap 20\n"
+
+    def test_huge_permutations_are_refused_unbuilt(self, capsys, monkeypatch):
+        # both arguments are short, and the permutations they ask for are
+        # over the length table's cap of 10^7 entries
+        def refuse(*args):
+            raise AssertionError("a permutation was built")
+
+        monkeypatch.setattr(universal, "_universal_sizes", refuse)
+        monkeypatch.setattr(cli, "realize", refuse)
+        for argv, message in (
+            (["universal", "build", "10000000"],
+             "U(10000000) would have 223222809 entries, above the cap of 10000000"),
+            (["layers", "layers:[100000000]"],
+             "layers: asks for 100000000 entries, above the cap of 10000000"),
+            (["universal", "verify", "layers:[5000000,5000001]", "2", "--class", "layered"],
+             "layers: asks for 10000001 entries, above the cap of 10000000"),
+        ):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        monkeypatch.undo()
+        # the cap is inclusive
+        monkeypatch.setattr(cli, "TABLE_CAP", 4)
+        assert _capture(capsys, ["layers", "layers:[3,1]"]) == (0, "[3,1]")
+        assert run(["layers", "layers:[3,2]"]) == 2
 
     def test_layered_verification_is_not_capped(self, capsys):
         # a layered candidate for the layered class enumerates no pattern

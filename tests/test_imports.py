@@ -1,0 +1,49 @@
+"""Every module-level import of the package is read in its module.
+
+A name that an import binds and nothing reads keeps a dependency between
+modules that no code needs.  ``__init__`` binds names for the package's
+users and is not scanned.
+"""
+
+import ast
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parent.parent / "src" / "superpatterns"
+
+# (module, name) bound only for a reader outside the module: perfbench's
+# tracer wraps search.enumerate_layered
+_ALLOWED = {("search", "enumerate_layered")}
+
+
+def _imports(body):
+    """The import statements of a module body, those in its top-level if
+    and try blocks included."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            yield from _imports(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            yield from _imports(node.body + node.orelse + node.finalbody)
+            for handler in node.handlers:
+                yield from _imports(handler.body)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in _imports(tree.body):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            assert alias.name != "*", f"{path.name} imports * from {node.module}"
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                yield path.stem, name
+
+
+def test_every_module_level_import_is_used():
+    modules = [path for path in sorted(_SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert len(modules) >= 9
+    unused = {pair for path in modules for pair in _unused_imports(path)}
+    assert unused == _ALLOWED

@@ -13,11 +13,13 @@ from superpatterns import (
     greedy_layer_indices,
     layer_profile,
     layered_contains,
+    minimal_superpattern,
     parse,
     parse_profile,
     realize,
 )
-from superpatterns.errors import CapExceededError
+from superpatterns._kernels_py import LayeredTable
+from superpatterns.errors import BudgetExceededError, CapExceededError
 
 
 class TestProfile:
@@ -87,34 +89,37 @@ class TestEnumeration:
             realized = [realize(p).values for p in enumerate_layered(n)]
             assert realized == sorted(realized)
 
-    def test_rank_subranges_restart(self):
-        full = list(enumerate_layered(6))
-        assert full[3:11] == list(enumerate_layered(6, start_rank=3, stop_rank=11))
-        for rank, profile in enumerate(full):
+    def test_ranks_match_the_enumeration(self):
+        for rank, profile in enumerate(enumerate_layered(6)):
             assert composition_at_rank(6, rank) == profile
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            next(enumerate_layered(21))
-        assert next(iter(enumerate_layered(21, cap=21))).sizes == (1,) * 21
+        # one cap, one message, for every way into a layered enumeration or
+        # table; 20 itself passes the check, and nothing here scans
+        message = "^enumeration of layered length 21 exceeds cap 20$"
+        for refused in (
+            lambda: enumerate_layered(21),
+            lambda: LayeredTable.family(21),
+            lambda: LayeredTable(((1, 20),)),
+            lambda: minimal_superpattern(21, "layered", "layered"),
+        ):
+            with pytest.raises(CapExceededError, match=message):
+                refused()
+        assert next(enumerate_layered(20)).sizes == (1,) * 20
+        assert len(LayeredTable.family(20)) == 2**19
+        assert len(LayeredTable(((1, 19),))) == 1
+        # past the cap check, the first length is charged before any scan
+        # and is far over the default budget
+        with pytest.raises(BudgetExceededError, match="layered length 20 needs"):
+            minimal_superpattern(20, "layered", "layered")
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             composition_at_rank(3, 4)
 
-    def test_rank_subrange_checked_before_iterating(self):
-        # compositions of 3 have ranks 0..3
-        for start, stop in ((-2, 1), (0, 9), (3, 2), (5, 5)):
-            with pytest.raises(ValueError):
-                enumerate_layered(3, start_rank=start, stop_rank=stop)
-        with pytest.raises(ValueError):
-            enumerate_layered(3, start_rank=5)
+    def test_negative_length_is_refused_at_the_call(self):
         with pytest.raises(ValueError, match="non-negative"):
             enumerate_layered(-1)
-        assert list(enumerate_layered(3, start_rank=4)) == []
-        assert list(enumerate_layered(3, start_rank=0, stop_rank=4)) == list(
-            enumerate_layered(3)
-        )
 
 
 class TestGreedyContainment:

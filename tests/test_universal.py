@@ -240,6 +240,26 @@ class TestBuildUniversal:
                 assert build_universal(n, k).values == direct_sum_universal(n, k)
 
 
+    def test_the_table_cap_bounds_the_built_length(self, monkeypatch):
+        # L(10^7) is 223,222,809 entries, about 27 GB built: the refusal
+        # comes before any layer size is formed
+        def refuse(n):
+            raise AssertionError(f"layer sizes of U({n}) were formed")
+
+        monkeypatch.setattr(universal, "_universal_sizes", refuse)
+        message = r"^U\(10000000\) would have 223222809 entries, above the cap of 10000000$"
+        with pytest.raises(CapExceededError, match=message):
+            build_universal(10**7)
+        monkeypatch.undo()
+        # the cap is inclusive, and an explicit split is charged its own
+        # length: L(7) = 17, and split 0 of 7 gives 0 + 7 + L(6) = 21
+        monkeypatch.setattr(universal, "TABLE_CAP", 17)
+        assert len(build_universal(7)) == 17
+        for n, split in ((8, None), (7, 0)):
+            with pytest.raises(CapExceededError, match="above the cap of 17"):
+                build_universal(n, split)
+
+
 class TestVerifyUniversal:
     def test_examples(self):
         assert verify_universal(parse("1 3 2"), 2, "layered").ok
