@@ -8,7 +8,9 @@ the candidate-list scan behind the av-class runs.  Each result is checked
 to agree between the backends.  The layered search is the twin's on either
 backend, so the two layered workloads have no compiled column; below
 each of them, one more untimed run counts the search's nodes (_first_fit
-calls) and the states it entered.  Run after an in-place build:
+calls) and the chains it entered.  A last, untimed row counts the same for
+the whole layered search of n = 20 (every length from 20 to L(20) = 74 on
+one table).  Run after an in-place build:
 
     python3 benchmarks/bench_kernels.py [--repeat 3]
 """
@@ -16,6 +18,7 @@ calls) and the states it entered.  Run after an in-place build:
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
 import time
@@ -57,7 +60,7 @@ def _layered_scan_workload():
     # which is exactly the nonexistence half of a search run; every backend
     # runs the twin's scan, on the search's table built cold for each repeat
     def work(mod):
-        return _kernels_py.scan_layered(16, LayeredTable.family(7))
+        return _kernels_py.scan_layered(16, LayeredTable(7))
 
     return "layered nonexistence scan (2^15 candidates, n=7 patterns)", work
 
@@ -66,9 +69,22 @@ def _layered_proof_scan_workload():
     # length 24 < a(9) = 25: the longest nonexistence scan of the n = 9
     # proof, where pruning whole blocks of ranks matters most
     def work(mod):
-        return _kernels_py.scan_layered(24, LayeredTable.family(9))
+        return _kernels_py.scan_layered(24, LayeredTable(9))
 
     return "layered nonexistence scan (2^23 candidates, n=9 patterns)", work
+
+
+def _layered_search_workload():
+    # the whole search for n = 20 on one table, each length scanned in turn
+    # until the first that has a witness
+    def work(mod):
+        table = LayeredTable(20)
+        for m in itertools.count(20):
+            rank, _ = _kernels_py.scan_layered(m, table)
+            if rank >= 0:
+                return m, rank
+
+    return "layered search n=20 (lengths 20..74, one table)", work
 
 
 def _all_perm_scan_workload():
@@ -101,7 +117,7 @@ def _time(work, mod, repeat):
 
 
 def _layered_nodes(work):
-    """(_first_fit calls, states entered) of one run of a layered workload,
+    """(_first_fit calls, chains entered) of one run of a layered workload,
     with the kernel's _first_fit wrapped by a counter."""
     first_fit = _kernels_py._first_fit
     calls = 0
@@ -143,7 +159,7 @@ def main() -> None:
             print(f"{name:58s} {py_time * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
             if builder in twin_only:
                 calls, entered = _layered_nodes(work)
-                print(f"  {calls:,} _first_fit calls, {entered:,} states entered")
+                print(f"  {calls:,} _first_fit calls, {entered:,} chains entered")
             continue
         c_time, c_result = _time(work, _kernels, args.repeat)
         if py_result != c_result:
@@ -152,6 +168,10 @@ def main() -> None:
             f"{name:58s} {py_time * 1e3:9.1f}ms {c_time * 1e3:9.1f}ms "
             f"{py_time / c_time:7.1f}x"
         )
+    name, work = _layered_search_workload()
+    calls, entered = _layered_nodes(work)
+    print(f"{name:58s} {'untimed':>10s}")
+    print(f"  {calls:,} _first_fit calls, {entered:,} chains entered")
 
 
 if __name__ == "__main__":

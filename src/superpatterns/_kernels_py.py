@@ -11,9 +11,11 @@ module defines, and ``superpatterns.kernels`` takes them from here on
 either backend.
 
 The layered facts the public modules share are defined here once: the
-count of the compositions of n (``composition_count``), the cap of 20 on a
-layered length (``check_layered_length``) and L(n) (``_layered_length``).
-This module imports only ``errors``, so every module can import it.
+count of the compositions of n (``composition_count``) and L(n)
+(``_layered_length``).  This module imports only ``errors``, so every
+module can import it.  ``scan_layered`` searches on threshold chains, one
+int per set of unmatched pattern suffixes (``LayeredTable``), and so takes
+any n.
 
 Conventions local to the kernels: positions and ranks are 0-based, values in
 one-line notation are 1-based, and candidates within a length are ordered by
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .errors import CapExceededError, InternalDefectError
+from .errors import InternalDefectError
 
 BACKEND = "python"
 
@@ -211,9 +213,11 @@ def _check_ranks(lo, hi, count):
 def composition_at_rank(m, rank):
     """The rank-th composition of m, compositions ordered lexicographically.
 
-    Decodes id 2^m - 1 - rank of the compositions' binary code
-    (LayeredTable): the parts are read off from the top bit down, each one
-    the distance from a set bit to the next, or to the end.  A rank outside
+    Decodes g = 2^m - 1 - rank: the binary code of (a1, a2, ...) is the
+    bit string 1 0^(a1-1) 1 0^(a2-1) ..., and the codes of the compositions
+    of m, 2^(m-1) .. 2^m - 1, fall as their ranks rise.  The parts are read
+    off from the top bit down, each one the distance from a set bit to the
+    next, or to the end.  A rank outside
     [0, 2^(m-1)) (0 alone for m = 0) raises ValueError.
     """
     if not 0 <= rank < composition_count(m):
@@ -240,20 +244,6 @@ def permutation_at_rank(m, rank):
     return tuple(out)
 
 
-# The largest need a LayeredTable takes, and so the longest layered
-# enumeration: a state has a bit for each id below 2^need.
-_MAX_NEED = 20
-
-
-def check_layered_length(n):
-    """ValueError unless 0 <= n <= _MAX_NEED, CapExceededError above it:
-    the one cap on a layered enumeration's length and a LayeredTable's need."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if n > _MAX_NEED:
-        raise CapExceededError(f"enumeration of layered length {n} exceeds cap {_MAX_NEED}")
-
-
 def _layered_length(n):
     """L(n), the length of the shortest layered permutation that contains
     every layered permutation of length n, by the paper's closed form
@@ -266,158 +256,126 @@ def _layered_length(n):
     return (n + 1) * lg - (1 << lg) + 1
 
 
-def _need_ids(k):
-    """The mask of the ids of need k, bits 2^(k-1) to 2^k - 1 (bit 0 for
-    k = 0)."""
-    return (1 << (1 << k)) - (1 << (1 << k >> 1))
-
-
 class LayeredTable:
-    """scan_layered's tables for one set of layer profiles, the patterns,
-    built once so that one table serves every length of a search;
-    len(table) is the number of patterns.
+    """scan_layered's tables for the layered family of n, every composition
+    of n as a pattern, built once so that one table serves every length of
+    a search; count is the number of patterns, 2^(n-1) (1 for n = 0).  A
+    negative n raises ValueError.
 
     What a prefix of a candidate still needs is its state, the set of the
-    patterns' distinct unmatched suffixes (scan_layered), and whether some
-    completion of r positions fits a state depends on r and the state alone,
-    not on the length m being scanned.  So the table of dead states is built
-    once and serves every m.
+    patterns' distinct unmatched suffixes (scan_layered), reduced to its
+    containment-maximal suffixes.  Greedy fit is containment of layered
+    permutations, which is transitive: a completion that fits a suffix fits
+    every suffix that one contains, so dropping those leaves every answer
+    and count as it was.  Whether some completion of r positions fits a
+    state depends on r and the state alone, not on the length m being
+    scanned, so the table of dead states is built once and serves every m.
 
-    A state is one int with bit g set for suffix id g, and a suffix's id is
-    its binary code: id(()) = 0 and id((a, *t)) = id(t) | 1 << (need(t) +
-    a - 1), where the need of a suffix is the sum of its sizes.  So the id
-    of (a1, a2, ...) is the bit string 1 0^(a1-1) 1 0^(a2-1) ..., the ids of
-    need k are exactly 2^(k-1) .. 2^k - 1, and the rank-r composition of m
-    has id 2^m - 1 - r.  A suffix's need is its id's bit_length, its tail,
-    what is left once its first layer is matched, is its id without the top
-    bit, and its head is the difference of the two needs.  Ids are ordered
-    by need, so id 0 is the empty suffix, whose bit every state has, and a
-    state's largest need is that of its top bit.  heads[h] is the mask of
-    every id of need at most the largest pattern need whose first layer has
-    size h, suffixes the mask of the patterns' suffixes, and root the state
-    of the empty prefix.  dead maps a reduced state to the largest r known
-    to have no fitting completion.  A need above _MAX_NEED raises
-    CapExceededError (check_layered_length), since its masks would take
-    2^need bits.
+    Every state is a threshold chain.  Let F(k, t) be the compositions of k
+    whose first part is at least t.  A chain is a list of pairs (k1, t1),
+    (k2, t2), ..., with k strictly decreasing and the slack k - t strictly
+    increasing, and stands for the reduced union of its families.  The root
+    is the single pair (n, 1), and the empty chain holds only the empty
+    suffix.  The chain form is closed under a part a, and exact:
 
-    LayeredTable(profiles) ORs the bits of each profile's suffixes into
-    suffixes and root.  LayeredTable.family(n), the table of every
-    composition of n, which is what a layered search proves, needs none of
-    that: its root is bit 0 and the need-n ids, and its suffixes are every
-    id below 2^n, since every composition of at most n is a suffix of one of
-    n (prepend a first layer).
+    - Part a matches the first layer of each member whose first part h is
+      at most a and leaves its tail.  So a pair with t <= a leaves all of
+      F(k - h, 1) for each h in [t, min(a, k)], and what stays unreached is
+      F(k, a + 1), empty once a >= k.  A pair with t > a stays whole.
+    - A composition of i < k lies in some member of F(k, t) iff its first
+      part is at least t - (k - i).  So the down-closure of F(k, t) holds
+      F(i, max(1, i - s)) for every i <= k, with s = k - t: the slack
+      carries down.  Hence the reduction drops every pair whose slack is
+      not above that of some pair of larger need, and of the tails part a
+      leaves, only F(K, 1) can survive, with K the largest slack among the
+      reached pairs.
+    - A member that the parent's reduction dropped lies in a kept one, and
+      what part a leaves of it lies in what part a leaves of that one (the
+      tail of a layered permutation lies in it).  So forming the child from
+      whole families gives the same reduced state as forming it from the
+      kept members.
 
-    Every state the search forms is reduced to its containment-maximal
-    suffixes before it is looked up or searched.  Greedy fit is containment
-    of layered permutations, which is transitive: when a state holds
-    suffixes h and g and g contains h, every completion that fits g fits h,
-    so dropping h leaves the set of fitting completions, and with it every
-    answer and count, as it was.  A suffix properly contained in another
-    has the smaller need, so the top bit of a state is contained in no
-    other suffix of it; the reduction keeps the top bit, clears every bit
-    that suffix contains, and repeats on what is left, keeping bit 0.
-    downs[g] keeps the mask of the ids suffix g contains (_down) once
-    built, keys maps each state the search has formed to its reduced
-    state, and children maps each state the search has entered to the
-    children it formed there (_children), so a state entered again at
-    another r only walks them.
+    In chain form, with s_i the slack of pair i and s_0 = -1:
 
-    The first scan through a table first proves the family bounds, smallest
-    k first: for each k below the largest pattern need whose 2^(k-1)
-    compositions are all suffixes, the state that holds exactly them is
+    - Pair i keeps the members with first parts t_i .. k_i - s_(i-1) - 1;
+      the others lie in a pair of larger need.  A kept member's first part
+      is its head, so a part forms a child iff it is 1 or lies in a kept
+      range: a larger part that reaches no new head leaves the same child
+      as the part before it with fewer positions left.
+    - t strictly decreases along a chain, so part a reaches the pairs from
+      the first i with t_i <= a on, and K is the last pair's slack.  Of the
+      reached pairs only pair i's remainder (k_i, a + 1) can survive: its
+      slack k_i - a - 1 is at least s_(i-1), equal only at the top of the
+      kept range, and every later remainder's is smaller.  F(K, 1), with
+      slack K - 1, survives iff K - 1 > k_i - a - 1, and goes last, since K
+      is below every k of the chain.
+    - need, the fewest positions a fitting completion takes: k1, plus one
+      unless the chain is the single pair (k, k), whose one member is (k,)
+      (scan_layered); 0 for the empty chain.
+    - reach, the fewest positions part a and a fitting completion after it
+      take: a + K, or a when part a reaches no pair.
+
+    The first scan through a table proves the family bounds, smallest k
+    first: for each k below n, the chain (k, 1), every composition of k, is
     scanned once, exhaustively, at r = L(k) - 1, where L(k) is the length
     of the shortest layered permutation that contains every layered
-    permutation of length k (_layered_length, the paper's closed form).
-    No completion of L(k) - 1 positions fits, nor then of fewer, so a state
-    that holds every need-k suffix needs at least L(k) positions, since
-    greedy fit is monotone under subsets.  The bound rests on that failing
-    scan, not on where the number came from; a fit there contradicts the
-    paper and raises InternalDefectError.  k = 1 has L(1) - 1 = 0 and
-    scans nothing.  A reduced state may have dropped family members that
-    its larger suffixes contain, so the bound is taken from the state as
-    formed, when it is first met, and entered under its reduced state as
-    the larger of that bound and the one known there.  families holds a
-    (mask, L(k) - 1) pair per proved family, largest k first, where mask
-    has the bits of the need-k ids, so a state holds the family when
-    state & mask == mask.  Each bound rests on a scan of this table that
-    uses only the bounds below it, so a scan that prunes by them is still a
-    proof by enumeration.  No bound is proved at the largest need, which is
-    what a search of that need is proving.
+    permutation of length k (_layered_length, the paper's closed form).  No
+    completion of L(k) - 1 positions fits, nor then of fewer.  The bound
+    rests on that failing scan, not on where the number came from; a fit
+    there contradicts the paper and raises InternalDefectError.  k = 1 has
+    L(1) - 1 = 0 and scans nothing.  bounds[k - 1] is L(k) - 1 once proved,
+    and a chain whose largest slack is s holds all of F(s + 1, 1) in its
+    down-closure, so it needs at least L(s + 1) positions: _children enters
+    bounds[s] in the dead table for each child it forms.  The chains below
+    (k, 1) have slacks below k - 1, so every bound a proof uses rests on a
+    scan made before it, and a scan that prunes by them is still a proof by
+    enumeration.  No bound is proved at n, which is what a search of n is
+    proving.
+
+    A chain is one int: pair i, (k, t), is k | t << bits shifted up by
+    2 * bits * i, with bits = n.bit_length() (1 at least), so the empty
+    chain is 0 and the pairs read from the low bits up (_pairs).  dead maps
+    a chain to the largest r known to have no fitting completion, and
+    children maps each chain the search has entered to the children it
+    formed there (_children), so a chain entered again at another r only
+    walks them.
     """
 
-    def __init__(self, pattern_profiles):
-        root = suffixes = 1
-        count = 0
-        for profile in map(tuple, pattern_profiles):
-            smallest = min(profile, default=1)
-            if smallest < 1:
-                raise ValueError(f"profile parts must be >= 1, got {smallest}")
-            check_layered_length(sum(profile))
-            g = 0
-            for part in reversed(profile):
-                g |= 1 << (g.bit_length() + part - 1)
-                suffixes |= 1 << g
-            root |= 1 << g
-            count += 1
-        self._start(root, suffixes, count)
-
-    @classmethod
-    def family(cls, n):
-        """The table of every composition of n; n outside 0.._MAX_NEED
-        raises as check_layered_length does."""
-        check_layered_length(n)
-        table = cls.__new__(cls)
-        table._start(1 | _need_ids(n), (1 << (1 << n)) - 1, composition_count(n))
-        return table
-
-    def _start(self, root, suffixes, count):
-        self.root = root
-        self.suffixes = suffixes
-        self._count = count
-        largest = (root.bit_length() - 1).bit_length()
-        # the ids (a, t) of need k are those of the tails t of need k - a
-        # lifted by 2^(k-1); heads has an entry for part 1 even when every
-        # profile is empty
-        self.heads = [0] + [
-            sum(_need_ids(k - a) << (1 << (k - 1)) for k in range(a, largest + 1))
-            for a in range(1, largest + 2)
-        ]
-        # the empty suffix contains itself alone
-        self.downs = {0: 1}
-        self.keys = {}
+    def __init__(self, n):
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        self.n = n
+        self.bits = max(1, n.bit_length())
+        self.root = n | 1 << self.bits if n else 0
         self.children = {}
         self.dead = {}
-        self.families = None
-
-    def __len__(self):
-        return self._count
+        self.bounds = []
+        self.count = composition_count(n)
 
     def _prove_families(self):
-        if self.families is not None:
+        # proved once: bounds stays empty only for n <= 1, with nothing to prove
+        if self.bounds:
             return
-        self.families = []
-        for k in range(1, (self.root.bit_length() - 1).bit_length()):
-            mask = _need_ids(k)
-            if self.suffixes & mask != mask:
-                continue
-            # equal needs: no member contains another, so the state is reduced
+        for k in range(1, self.n):
             bound = _layered_length(k) - 1
             if bound:
-                if _first_fit(bound, 0, mask | 1, self) >= 0:
+                family = k | 1 << self.bits
+                if _first_fit(bound, 0, family, self) >= 0:
                     raise InternalDefectError(
                         f"a completion of length {bound} holds every "
                         f"layered permutation of length {k}"
                     )
-                self.dead[mask | 1] = bound
-            self.families.insert(0, (mask, bound))
+                self.dead[family] = bound
+            self.bounds.append(bound)
 
 
 def scan_layered(m, table):
     """Scan the compositions of m by rank for one whose layered permutation
-    contains every profile of the LayeredTable (greedy layer matching).
+    contains every composition of the LayeredTable's n (greedy layer
+    matching).
 
     Returns (witness_rank, scanned): the smallest rank whose composition
-    fits every profile and scanned == witness_rank + 1, or (-1, 2^(m-1))
+    fits every pattern and scanned == witness_rank + 1, or (-1, 2^(m-1))
     (1 for m = 0) when there is none; m < 0 raises ValueError.  The table's
     tables then serve every later call made with it.
 
@@ -426,41 +384,35 @@ def scan_layered(m, table):
     pattern's first unmatched layer with the first host part at least as
     large, so what a pattern still needs is its unmatched suffix, and
     patterns with equal suffixes behave alike from there on.  A prefix's
-    state is therefore the set of distinct unmatched suffixes, held as a
-    mask of suffix ids, each suffix's binary code (LayeredTable), whose
-    ordering by need puts a state's largest need at its top bit; finished
-    patterns drop out, and so does a suffix that another suffix of the
-    state contains, since every completion that fits the larger one fits it
-    too (containment of layered permutations is transitive).  A prefix is
-    pruned as soon as some suffix's sizes add up to more than the positions
-    left: each of its layers needs its own later host layer at least as
-    large.  A reduced state with two or more suffixes needs one position
-    more than its largest need N: a completion of exactly N positions that
-    fits a suffix g of need N is g itself, since each layer of g takes a
-    host part at least as large, and g contains no other suffix of a
-    reduced state.
+    state is therefore the set of distinct unmatched suffixes, with
+    finished patterns dropped, and so is a suffix that another suffix of
+    the state contains, since every completion that fits the larger one
+    fits it too; the states are threshold chains (LayeredTable).  A prefix
+    is pruned as soon as some suffix's sizes add up to more than the
+    positions left: each of its layers needs its own later host layer at
+    least as large.  A reduced state with two or more suffixes needs one
+    position more than its largest need N: a completion of exactly N
+    positions that fits a suffix g of need N is g itself, since each layer
+    of g takes a host part at least as large, and g contains no other
+    suffix of a reduced state.
 
     Whether some completion of r positions fits depends only on r and the
     set of completions that fit each suffix of the state, and if none of r
     fits, none of r' < r does either (appending a last part r - r' to a
     fitting completion keeps it fitting).  So the table of dead states maps
-    a reduced state to the largest r whose whole block of completions was
-    scanned without a fit, or for which a proved family bound (LayeredTable,
-    one exhaustive scan of L(k) - 1 positions per family) rules every
-    completion out, and a child whose reduced state is dead for at least its
-    positions left is skipped.
+    a chain to the largest r whose whole block of completions was scanned
+    without a fit, or for which a proved family bound (LayeredTable, one
+    exhaustive scan of L(k) - 1 positions per family) rules every
+    completion out, and a child whose chain is dead for at least its
+    positions left is skipped.  Every completion fits the empty chain.
 
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
     accounts for its whole block.  The first leaf reached is the lex-first
     witness, and the counts equal those of a flat scan of every rank.
-
-    Profile parts must be >= 1 (ValueError when the table is built): a part
-    0 would match without using a host position, which the pruning bound
-    does not allow for.
     """
     total = composition_count(m)
-    if (table.root.bit_length() - 1).bit_length() > m:
+    if table.n > m:
         return (-1, total)
     if m == 0:
         return (0, 1)
@@ -469,121 +421,80 @@ def scan_layered(m, table):
     return (found, found + 1) if found >= 0 else (-1, total)
 
 
-def _family_bound(state, families):
-    """The largest L(k) - 1 among the families the state holds, or 0."""
-    for mask, bound in families:
-        if state & mask == mask:
-            return bound
-    return 0
+def _pairs(state, bits):
+    """The (k, t) pairs of a chain, largest need first (LayeredTable)."""
+    low = (1 << bits) - 1
+    pairs = []
+    while state:
+        pairs.append((state & low, state >> bits & low))
+        state >>= 2 * bits
+    return pairs
 
 
-def _down(g, table):
-    """The mask of the suffix ids that suffix g contains, g and the empty
-    suffix included (LayeredTable), built on first use.
-
-    h is in g = (a, t) iff h is empty, or h is in t, or head(h) <= a and
-    tail(h) is in t.  So the down-set of (a, t) is that of (a - 1, t), or
-    of t for a = 1, together with the ids (a, t') for t' in t's down-set:
-    in the binary code, each need-j slice of t's down-set lifted by
-    2^(j + a - 1)."""
-    down = table.downs.get(g)
-    if down is None:
-        need = g.bit_length()
-        t = g ^ 1 << (need - 1)
-        a = need - t.bit_length()
-        down = _down(g - (1 << (need - 2)) if a > 1 else t, table)
-        below = _down(t, table)
-        while below:
-            j = (below.bit_length() - 1).bit_length()
-            lo = 1 << j >> 1
-            down |= below >> lo << (lo + (1 << (j + a - 1)))
-            below &= (1 << lo) - 1
-        table.downs[g] = down
-    return down
-
-
-def _reduce(state, table):
-    """The state's containment-maximal suffixes, and bit 0: the top
-    remaining bit is contained in no other suffix, so it is kept and every
-    bit it contains is cleared.  The down-sets are read from table.downs,
-    and _down builds one only on a miss (a down-set is never 0)."""
-    downs = table.downs
-    key = 1
-    while state > 1:
-        g = state.bit_length() - 1
-        key |= 1 << g
-        state ^= state & (downs.get(g) or _down(g, table))
-    return key
+def _need(state, bits):
+    """The fewest positions a fitting completion of a chain takes: its
+    largest need, plus one unless it is a single pair (k, k); 0 for the
+    empty chain (LayeredTable)."""
+    low = (1 << bits) - 1
+    k = state & low
+    return k + (state >> 2 * bits != 0 or k > state >> bits & low)
 
 
 def _children(state, table):
-    """The children of a state, formed when the search first enters it and
+    """The children of a chain, formed when the search first enters it and
     kept in table.children: one (a, reach, need, key) for part 1 and for
-    each larger part a that reaches a new head, in increasing a, where
-    reach is a plus the largest need of the tails that part a moves, key
-    the child's reduced state and need the fewest positions a fitting
-    completion of the child takes: the child's largest need, plus one when
-    key keeps two or more suffixes (scan_layered).
+    each part a in a kept range, in increasing a, where key is the child's
+    chain and reach and need are as LayeredTable derives them.
 
-    Part a matches the first layer of every suffix whose head is at most a,
-    so the child is the state's unreached suffixes, those with larger
-    heads, together with the tails of the reached ones.  In the binary code
-    (LayeredTable) the tail of an id of need k is the id less 2^(k-1), so
-    the reached ids move one need slice at a time, each shifted down by its
-    lowest id.  The two stay apart as unreached and moved until the child
-    is formed: a tail can be a suffix that the same part also reaches, and
-    that suffix must stay a tail, not move again.  A part that reaches no
-    new head leaves the same child as the part before it with fewer
-    positions left, so it forms none.  A child is reduced to its
-    containment-maximal suffixes (LayeredTable) when it is first formed,
-    and its family bound, taken from the child as formed, is entered in the
-    dead table under the reduced state.  Every child is formed, whatever r
-    the state is entered at, so bounds are also entered for children that a
+    The kept ranges run from the last pair's up to the first's.  For a part
+    a in pair i's range, the child keeps the pairs before i whole, then
+    pair i's remainder (k_i, a + 1) and F(K, 1) where each survives.  Each
+    child's family bound, bounds[s] for its largest slack s, is entered in
+    the dead table as it is formed.  Every child is formed, whatever r the
+    chain is entered at, so bounds are also entered for children that a
     search at that r never reaches."""
-    heads, dead, keys = table.heads, table.dead, table.keys
+    bits, dead, bounds = table.bits, table.dead, table.bounds
+    width = 2 * bits
+    pairs = _pairs(state, bits)
     kids = table.children[state] = []
-    unreached = state
-    moved = 1
-    for a in range(1, len(heads)):
-        hit = unreached & heads[a]
-        if a > 1 and not hit:
-            continue
-        unreached ^= hit
-        while hit:
-            half = 1 << ((hit.bit_length() - 1).bit_length() - 1)
-            moved |= hit >> half
-            hit &= (1 << half) - 1
-        child = unreached | moved
-        key = keys.get(child)
-        if key is None:
-            key = keys[child] = _reduce(child, table)
-            bound = _family_bound(child, table.families)
-            if bound > dead.get(key, 0):
-                dead[key] = bound
-        # the suffixes the key keeps, bit 0 dropped: two or more ask one
-        # position more than the largest need
-        kept = key ^ 1
-        kids.append((
-            a, a + (moved.bit_length() - 1).bit_length(),
-            (key.bit_length() - 1).bit_length() + (kept & (kept - 1) != 0), key,
-        ))
+    if not pairs or pairs[-1][1] > 1:
+        # part 1 reaches no pair and leaves the chain as it is
+        kids.append((1, 1, _need(state, bits), state))
+    # K, the last pair's slack: every part in a kept range reaches that pair
+    top = pairs[-1][0] - pairs[-1][1] if pairs else 0
+    for i in range(len(pairs) - 1, -1, -1):
+        k, t = pairs[i]
+        below = pairs[i - 1][0] - pairs[i - 1][1] if i else -1
+        shift = width * i
+        prefix = state & ((1 << shift) - 1)
+        for a in range(t, k - below):
+            # slack ends as the child's largest, and equals below when
+            # pair i's remainder is dropped
+            child, slack, at = prefix, k - a - 1, shift
+            if slack > below:
+                child |= (k | (a + 1) << bits) << at
+                at += width
+            if top - 1 > slack:
+                child |= (top | 1 << bits) << at
+                slack = top - 1
+            kids.append((a, a + top, _need(child, bits), child))
+            if child and slack < len(bounds) and bounds[slack] > dead.get(child, 0):
+                dead[child] = bounds[slack]
     return kids
 
 
 def _first_fit(r, base, state, table):
     """The first rank among the compositions of r > 0 positions (first rank
-    base) that complete a prefix with this state and fit every pattern, or
+    base) that complete a prefix with this chain and fit every pattern, or
     -1.
 
     Child a, the prefix extended by a part a (_children), covers the
     2^(r-a-1) ranks (1 for a = r) from base + 2^(r-1) - 2^(r-a).  Once a
     child's reach exceeds r, the tails part a moves need more than the
     r - a positions left, and so does every later child's reach, since a
-    later part moves no fewer tails; so the walk stops there.  A child
-    that needs more than r - a positions (its stored need, which counts one
-    more for a reduced state of two or more suffixes) is skipped, and so is
-    one whose reduced state is dead for at least r - a; the reduced state
-    is what is searched.
+    later part reaches no fewer pairs; so the walk stops there.  A child
+    that needs more than r - a positions is skipped, and so is one whose
+    chain is dead for at least r - a.
 
     A module-level function, not a closure in scan_layered: a recursive
     closure is a reference cycle that keeps the tables alive until the cycle

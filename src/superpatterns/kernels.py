@@ -6,9 +6,9 @@ Takes containment (``lex_min_embedding``) and the two permutation scans
 twin otherwise.  Everything else always comes from the twin:
 ``greedy_layer_indices`` and ``composition_at_rank``, which no search runs in
 bulk; ``permutation_at_rank``, since the compiled scans unrank their own
-start; and ``scan_layered``, the search over sets of pattern suffixes with
-one ``LayeredTable`` for all the lengths of a search.  The public modules
-import the composition count, the layered cap and L(n) from the twin itself.
+start; and ``scan_layered``, the search over threshold chains of pattern
+suffixes with one ``LayeredTable`` for all the lengths of a search.  The
+public modules import the composition count and L(n) from the twin itself.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ described by its layer-size profile, an ordered composition of its length.
 Layered permutations of length n therefore correspond to the 2^(n-1)
 compositions of n, which this module enumerates lazily in lexicographic
 order (matching one-line lexicographic order of the realizations), up to
-n = 20.  That cap and the count of the compositions are the kernels'
-(check_layered_length, composition_count), which a LayeredTable shares.
+n = ENUMERATION_CAP = 20 (check_layered_length).  The count of the
+compositions is the kernels' (composition_count).
 Whether a layered host contains all of them is decided without enumerating
 them, by a per-layer reach table (first_missing_profile).
 """
@@ -18,8 +18,23 @@ import re
 from collections.abc import Iterator
 
 from . import kernels
-from ._kernels_py import check_layered_length, composition_count
+from ._kernels_py import composition_count
+from .errors import CapExceededError
 from .perms import Permutation
+
+# The longest layered enumeration: 2^19 profiles at the cap.
+ENUMERATION_CAP = 20
+
+
+def check_layered_length(n: int) -> None:
+    """ValueError unless 0 <= n <= ENUMERATION_CAP, CapExceededError above
+    it: the one cap on a layered enumeration's length."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if n > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"enumeration of layered length {n} exceeds cap {ENUMERATION_CAP}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)

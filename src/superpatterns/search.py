@@ -5,22 +5,23 @@ lexicographic order, so a returned minimum comes with complete nonexistence
 counts for every shorter length.  Layered candidates are searched by
 composition prefix, one kernels.scan_layered call (the pure twin's search on
 either backend) per whole length, with one LayeredTable for every length of
-a search, built for every composition of n from n alone.  A prefix's state
-is the set of unmatched pattern suffixes, held as one int with a bit per
-suffix, so the order of the patterns plays no part.  A state keeps only its
-containment-maximal suffixes: a completion that contains a suffix contains
-every suffix that one contains, since containment of layered permutations is
-transitive, so the dropped ones change no answer and no count, and states
-that differ only in them share one entry of the table.  A prefix is pruned
-when some pattern can no longer fit into it, when its state already failed
-with as many positions left, or when its state as formed holds every
-composition of some k < n and fewer than L(k) positions are left, or
-when its state keeps two or more suffixes and no more positions are left
-than its largest need.  The search proves each such lower bound itself,
-bottom up, with the same table, at its first scan: one exhaustive scan of
-L(k) - 1 positions from the state of every composition of k, which finds
-no fit.  A prefix stands for an exact, contiguous block of ranks, so the
-counts are those of visiting every candidate.
+a search, built from n alone, for any n.  A prefix's state is the set of
+unmatched pattern suffixes, so the order of the patterns plays no part.  A
+state keeps only its containment-maximal suffixes: a completion that
+contains a suffix contains every suffix that one contains, since
+containment of layered permutations is transitive, so the dropped ones
+change no answer and no count.  What is left is a threshold chain, a short
+list of pairs (k, t) that stands for the compositions of k with first part
+at least t, held as one int.  A prefix is pruned when some pattern can no
+longer fit into it, when its state already failed with as many positions
+left, when its state holds every composition of some k < n in its
+down-closure and fewer than L(k) positions are left, or when its state
+keeps two or more suffixes and no more positions are left than its largest
+need.  The search proves each such lower bound itself, bottom up, with the
+same table, at its first scan: one exhaustive scan of L(k) - 1 positions
+from the state of every composition of k, which finds no fit.  A prefix
+stands for an exact, contiguous block of ranks, so the counts are those of
+visiting every candidate.
 
 One node budget gates every run: a per-run ledger charges each length its
 candidates times patterns, a priori, before the length is scanned, and
@@ -173,7 +174,8 @@ def _scan_length(
     is big enough to be worth it, else one scanned here; an avoider class is
     enumerated once, here, and each range gets its slice."""
     total = class_count(ctag, m)
-    ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)
+    count = patterns.count if ctag is ClassTag.LAYERED else len(patterns)
+    ledger.charge(ctag, m, total * max(count, 1), exhausted)
     if ctag is ClassTag.LAYERED:
         rank, _ = kernels.scan_layered(m, patterns)
         values = None
@@ -278,10 +280,9 @@ def _minimal_superpattern(
     if ctag is ClassTag.LAYERED:
         # feasible, so every pattern is layered: all of them iff as many
         # (for a non-layered pattern class, only at n <= 2); the table of
-        # the whole family is built from n, under the layered cap, with no
-        # profile enumerated
-        patterns = LayeredTable.family(n)
-        if ptag is not ctag and len(patterns) != class_count(ptag, n):
+        # the whole family is built from n, with no profile enumerated
+        patterns = LayeredTable(n)
+        if ptag is not ctag and patterns.count != class_count(ptag, n):
             raise InternalDefectError("layered candidates would miss a pattern")
     else:
         patterns = _ordered_pattern_tuples(ptag, n)

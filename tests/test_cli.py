@@ -68,10 +68,15 @@ class TestErrors:
         assert run(["universal", "verify", "1", "9", "--class", "av231"]) == 2
 
     def test_layered_search_beyond_the_cap(self, capsys):
+        # the enumeration's cap of 20 does not bind the search; at the
+        # default budget, n = 21 is refused on its first length's charge
         argv = ["search", "minimal", "21", "--patterns", "layered", "--candidates", "layered"]
         assert run(argv) == 2
         err = capsys.readouterr().err
-        assert err == "error: enumeration of layered length 21 exceeds cap 20\n"
+        assert err == (
+            "error: scanning layered length 21 needs ~1099511627776 nodes, over the "
+            "budget of 50000000; lengths exhausted: none\n"
+        )
 
     def test_huge_permutations_are_refused_unbuilt(self, capsys, monkeypatch):
         # both arguments are short, and the permutations they ask for are

@@ -16,12 +16,17 @@ from oracles import (
     brute_compositions,
     brute_contains,
     brute_lex_min_embedding,
+    MaskTable,
     brute_scan_layered,
     layered_fits,
+    mask_children,
+    mask_id,
+    mask_reduce,
+    mask_scan_layered,
     pruned_scan_layered,
 )
 from superpatterns import _kernels_py, kernels, layered, superpattern_length
-from superpatterns.errors import InternalDefectError
+from superpatterns.errors import CapExceededError, InternalDefectError
 from superpatterns._kernels_py import LayeredTable
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -127,18 +132,32 @@ class TestRanks:
             assert got == expected
 
 
+def _whole_family(patterns):
+    """n when the patterns are every composition of n, else None."""
+    needs = set(map(sum, patterns))
+    if len(needs) == 1 and sorted(patterns) == brute_compositions(*needs):
+        return needs.pop()
+    return None
+
+
 def _layered(backend, m, patterns):
-    """The layered scan that the library runs with this backend selected
-    (the backend's own, or the twin's when it defines none), over every
-    composition of m, on a table of its own."""
+    """A layered scan over every composition of m, on a table of its own:
+    the one the library runs with this backend selected (the backend's own,
+    or the twin's when it defines none) when the patterns are every
+    composition of one n, and the mask oracle's for any other set."""
+    n = _whole_family(patterns)
+    if n is None:
+        return mask_scan_layered(m, MaskTable(patterns))
     scan = getattr(backend, "scan_layered", _kernels_py.scan_layered)
-    return scan(m, LayeredTable(patterns))
+    return scan(m, LayeredTable(n))
 
 
 class TestScans:
     def test_scan_layered_parity(self, backend):
         # the oracle is a flat scan with brute containment, so it checks the
-        # prefix search's pruning and block counting independently
+        # prefix search's pruning and block counting independently, on the
+        # library's chains for whole families and on the mask oracle for
+        # random subsets
         rng = random.Random(20261018)
         for m in range(13):
             total = 2 ** (m - 1) if m else 1
@@ -193,12 +212,13 @@ class TestScans:
     def test_scan_counts_on_exhaustion(self, backend):
         # a pattern that never fits: every length-m composition lacks a part m+1
         assert _layered(backend, 4, ((5,),)) == (-1, 8)
+        assert _layered(backend, 4, brute_compositions(5)) == (-1, 8)
 
     def test_scan_layered_rejects_nonpositive_parts(self):
         # a part 0 would match without using a host position
         for profiles in (((1, 0),), ((2,), (-1,))):
             with pytest.raises(ValueError):
-                LayeredTable(profiles)
+                MaskTable(profiles)
 
     def test_empty_length_zero(self, backend):
         assert backend.scan_all_perms(0, (), 0, 1) == (0, 1)
@@ -234,17 +254,44 @@ class TestScans:
         }
         for patterns, expected in pins.items():
             for m, pin in enumerate(expected, start=2):
-                got = _kernels_py.scan_layered(m, LayeredTable(patterns))
+                got = mask_scan_layered(m, MaskTable(patterns))
                 assert got == pin == brute_scan_layered(m, patterns, 0, 2 ** (m - 1))
+        # on chains: part 2 reaches both members of (2, 1), (1, 1) and (2,),
+        # and leaves the tail (1,) of (1, 1) as the chain (1, 1), to wait
+        # for a later part; so the composition (2) fits neither family
+        table = LayeredTable(2)
+        kids = _kernels_py._children(table.root, table)
+        assert kids[-1] == (2, 3, 1, _chain([(1, 1)], table.bits))
+        for m, pin in enumerate([(-1, 2), (1, 2)], start=2):
+            got = _kernels_py.scan_layered(m, table)
+            assert got == pin == brute_scan_layered(m, brute_compositions(2), 0, 2 ** (m - 1))
 
     def test_scan_layered_length_zero(self):
-        assert _kernels_py.scan_layered(0, LayeredTable(((),))) == (0, 1)
-        assert _kernels_py.scan_layered(0, LayeredTable(((1,),))) == (-1, 1)
+        assert _kernels_py.scan_layered(0, LayeredTable(0)) == (0, 1)
+        assert _kernels_py.scan_layered(0, LayeredTable(1)) == (-1, 1)
+
+    def test_scan_layered_is_the_brute_scan(self):
+        # past the minimum too, where the search can reach the empty chain
+        # with positions left: every completion fits it, so it returns its
+        # first rank (n = 1, m = 3 counts 1 candidate, not 4)
+        for n in range(7):
+            table = LayeredTable(n)
+            patterns = list(layered.enumerate_layered(n))
+            for m in range(n, superpattern_length(n) + 4):
+                hosts = layered.enumerate_layered(m)
+                rank = next((
+                    r for r, host in enumerate(hosts)
+                    if all(layered.layered_contains(p, host) for p in patterns)
+                ), -1)
+                total = 2 ** (m - 1) if m else 1
+                expected = (rank, rank + 1) if rank >= 0 else (-1, total)
+                assert _kernels_py.scan_layered(m, table) == expected, (n, m)
+                assert _kernels_py.scan_layered(m, LayeredTable(n)) == expected, (n, m)
 
 
 def _family_sets(rng):
     """Profile sets for the shared-table tests: whole families of
-    compositions (which the table proves bounds for), the same with extras,
+    compositions (which the tables prove bounds for), the same with extras,
     and random samples (which mostly lack whole families)."""
     sets = [tuple(brute_compositions(n)) for n in (3, 5, 6, 7)]
     small = [c for k in range(1, 5) for c in brute_compositions(k)]
@@ -256,79 +303,111 @@ def _family_sets(rng):
     return sets
 
 
+def _chain(pairs, bits):
+    """The int of a chain given as (k, t) pairs (LayeredTable)."""
+    return sum((k | t << bits) << 2 * bits * i for i, (k, t) in enumerate(pairs))
+
+
+def _chains(n):
+    """Every chain of need at most n, as tuples of (k, t) pairs: k strictly
+    decreasing, the slack k - t strictly increasing, 1 <= t <= k."""
+    out = []
+
+    def extend(pairs, k_top, s_low):
+        out.append(tuple(pairs))
+        for k in range(1, k_top + 1):
+            for s in range(s_low, k):
+                extend([*pairs, (k, k - s)], k - 1, s + 1)
+
+    extend([], n, 0)
+    return out
+
+
+def _members(pairs):
+    """The union of a chain's families F(k, t)."""
+    return [c for k, t in pairs for c in brute_compositions(k) if c[0] >= t]
+
+
+def _kept(pairs):
+    """The members LayeredTable says a chain keeps: pair i's with first
+    parts t_i .. k_i - s_(i-1) - 1."""
+    kept = []
+    below = -1
+    for k, t in pairs:
+        kept += [c for c in brute_compositions(k) if t <= c[0] < k - below]
+        below = k - t
+    return kept
+
+
+def _scanned(n, extra=0):
+    """The table of n after scanning every length from n to L(n) + extra."""
+    table = LayeredTable(n)
+    for m in range(n, superpattern_length(n) + extra + 1):
+        _kernels_py.scan_layered(m, table)
+    return table
+
+
 class TestLayeredTable:
     def test_one_table_serves_every_length(self):
         # one table per profile set scans m = 0..16 in shuffled order, so a
         # dead state or family bound found at one length must hold at both
-        # shorter and longer ones
+        # shorter and longer ones: the library's chain table for whole
+        # families, the mask oracle's for the other sets
         rng = random.Random(20261020)
         for patterns in _family_sets(rng):
-            table = LayeredTable(patterns)
+            n = _whole_family(patterns)
+            if n is None:
+                table, scan = MaskTable(patterns), mask_scan_layered
+            else:
+                table, scan = LayeredTable(n), _kernels_py.scan_layered
             lengths = list(range(17))
             rng.shuffle(lengths)
             for m in lengths:
                 total = 2 ** (m - 1) if m else 1
-                assert _kernels_py.scan_layered(m, table) == (
+                assert scan(m, table) == (
                     pruned_scan_layered(m, patterns, 0, total)
                 ), (m, patterns)
 
     def test_the_family_table_is_the_generic_one(self):
-        # the table a layered search builds from n alone has the root,
-        # suffixes, heads and pattern count of the table built from every
-        # composition of n, and scans every length up to L(n) alike
+        # the chain table of n and the mask oracle's table of every
+        # composition of n count the same patterns, scan every length from
+        # n to L(n) + 2 alike, and enter as many states and dead entries
         for n in range(13):
-            family = LayeredTable.family(n)
-            generic = LayeredTable(brute_compositions(n))
-            assert len(family) == len(generic) == len(brute_compositions(n))
-            assert (family.root, family.suffixes, family.heads) == (
-                generic.root, generic.suffixes, generic.heads
-            ), n
-            for m in range(n, superpattern_length(n) + 1):
+            family = LayeredTable(n)
+            generic = MaskTable(brute_compositions(n))
+            assert family.count == len(generic) == len(brute_compositions(n))
+            for m in range(n, superpattern_length(n) + 3):
                 assert _kernels_py.scan_layered(m, family) == (
-                    _kernels_py.scan_layered(m, generic)
+                    mask_scan_layered(m, generic)
                 ), (n, m)
-        for n in (-1, 21):
-            with pytest.raises(ValueError):
-                LayeredTable.family(n)
+            assert len(family.children) == len(generic.children), n
+            assert len(family.dead) == len(generic.dead), n
+        with pytest.raises(ValueError, match="non-negative, got -1"):
+            LayeredTable(-1)
 
     def test_family_bounds_are_proved_in_the_table(self):
-        # every family bound is L(k) - 1, for a k below the largest pattern
-        # need whose whole family is among the suffixes, and is entered in
-        # the table's dead states under the family's state; the kernel takes
-        # L(k) from the closed form, and the bound rests on the exhaustive
-        # scan that fails at L(k) - 1, not on that value
-        rng = random.Random(20261021)
-        for patterns in _family_sets(rng):
-            table = LayeredTable(patterns)
-            assert table.families is None  # nothing is proved before a scan
-            largest = max(map(sum, patterns))
-            _kernels_py.scan_layered(largest, table)
-            suffixes = {p[i:] for p in patterns for i in range(len(p))}
-            whole = [
-                k for k in range(1, largest)
-                if suffixes.issuperset(brute_compositions(k))
-            ]
-            ids = list(_suffixes(table))
-            members = [[g for g in ids if mask >> g & 1] for mask, _ in table.families]
-            needs = [family[0].bit_length() for family in members]
-            assert needs == whole[::-1], patterns
-            for (mask, bound), family, k in zip(table.families, members, needs):
-                # the family's mask has the bit of every need-k id and no other
-                assert family == [g for g in ids if g.bit_length() == k]
-                assert sorted(map(sum, brute_compositions(k))) == [
-                    g.bit_length() for g in family
-                ]
-                assert bound == superpattern_length(k) - 1
-                assert table.dead.get(mask | 1, 0) == bound
+        # every family bound is L(k) - 1, for each k below n, and is
+        # entered in the table's dead states under the chain (k, 1); the
+        # kernel takes L(k) from the closed form, and the bound rests on
+        # the exhaustive scan that fails at L(k) - 1, not on that value
+        for n in range(1, 13):
+            table = LayeredTable(n)
+            assert table.bounds == []  # nothing is proved before a scan
+            _kernels_py.scan_layered(n, table)
+            assert table.bounds == [superpattern_length(k) - 1 for k in range(1, n)], n
+            for k in range(2, n):
+                family = _chain([(k, 1)], table.bits)
+                assert table.dead[family] == superpattern_length(k) - 1
+                assert sorted(_members([(k, 1)])) == brute_compositions(k)
 
     def test_the_kernel_length_is_the_recurrence(self):
-        for k in range(_kernels_py._MAX_NEED + 1):
+        for k in range(65):
             assert _kernels_py._layered_length(k) == superpattern_length(k), k
 
     def test_each_family_bound_is_one_failing_scan(self, monkeypatch):
         # the families are proved smallest k first, each by one top-level
-        # scan of its state at r = L(k) - 1 that finds no fit; k = 1, with
-        # L(1) - 1 = 0, scans nothing
+        # scan of its chain (k, 1) at r = L(k) - 1 that finds no fit; k = 1,
+        # with L(1) - 1 = 0, scans nothing
         first_fit = _kernels_py._first_fit
         depth = [0]
         top = []
@@ -345,155 +424,164 @@ class TestLayeredTable:
 
         monkeypatch.setattr(_kernels_py, "_first_fit", tracked)
         for n in range(13):
-            table = LayeredTable.family(n)
+            table = LayeredTable(n)
             top.clear()
             table._prove_families()
             assert top == [
-                (superpattern_length(k) - 1, 0, _kernels_py._need_ids(k) | 1, -1)
+                (superpattern_length(k) - 1, 0, _chain([(k, 1)], table.bits), -1)
                 for k in range(2, n)
-            ], n
-            assert [bound for _, bound in table.families] == [
-                superpattern_length(k) - 1 for k in range(n - 1, 0, -1)
             ], n
 
     def test_a_fit_at_a_family_bound_is_a_defect(self, monkeypatch):
         # a scan that reports a fit below L(k) contradicts the paper's bound
         monkeypatch.setattr(_kernels_py, "_first_fit", lambda r, base, state, table: 0)
         with pytest.raises(InternalDefectError, match="every layered permutation of length 2"):
-            LayeredTable.family(5)._prove_families()
+            LayeredTable(5)._prove_families()
         monkeypatch.undo()
         # a family scanned at L(k) itself fits, already at k = 1
         length = _kernels_py._layered_length
         monkeypatch.setattr(_kernels_py, "_layered_length", lambda k: length(k) + 1)
         with pytest.raises(InternalDefectError, match="every layered permutation of length 1"):
-            _kernels_py.scan_layered(6, LayeredTable.family(6))
+            _kernels_py.scan_layered(6, LayeredTable(6))
 
     def test_a_state_gets_the_bound_of_each_family_it_holds_whole(self):
-        rng = random.Random(20261022)
-        table = LayeredTable(brute_compositions(7))
-        _kernels_py.scan_layered(7, table)
-        ids = list(_suffixes(table))
-        families = [
-            ({g for g in ids if mask >> g & 1}, bound) for mask, bound in table.families
-        ]
-        for _ in range(2000):
-            family, _ = rng.choice(families)
-            state = {0, *family, *rng.sample(ids, rng.randint(0, 20))}
-            if rng.random() < 0.5:
-                state.discard(rng.choice(sorted(family)))
-            held = [b for f, b in families if state.issuperset(f)]
-            mask = sum(1 << g for g in state)
-            assert _kernels_py._family_bound(mask, table.families) == max(held, default=0)
+        # a chain whose largest slack is s holds every composition of s + 1
+        # in its down-closure, and its dead entry is at least L(s + 1) - 1
+        chains = set()
+        for n in range(2, 10):
+            table = _scanned(n)
+            for kids in table.children.values():
+                for _, _, _, key in kids:
+                    pairs = tuple(_kernels_py._pairs(key, table.bits))
+                    if pairs:
+                        s = pairs[-1][0] - pairs[-1][1]
+                        assert table.dead.get(key, 0) >= superpattern_length(s + 1) - 1
+                        chains.add(pairs)
+        for pairs in chains:
+            members = _members(pairs)
+            for c in brute_compositions(pairs[-1][0] - pairs[-1][1] + 1):
+                assert any(layered_fits(c, g) for g in members), (pairs, c)
+        assert sum(k > t for *_, (k, t) in chains) > 100
 
     def test_ids_are_the_compositions_binary_codes(self):
-        # the rank-r composition of k is the suffix id 2^k - 1 - r
+        # in the mask oracle and in composition_at_rank, the rank-r
+        # composition of k is the suffix id 2^k - 1 - r
         for k in range(11):
             for rank, c in enumerate(brute_compositions(k)):
-                assert LayeredTable([c]).root == 1 | 1 << (2**k - 1 - rank), c
+                assert mask_id(c) == 2**k - 1 - rank, c
+                assert MaskTable([c]).root == 1 | 1 << (2**k - 1 - rank), c
+                assert _kernels_py.composition_at_rank(k, rank) == c
 
     def test_needs_above_the_cap_are_refused(self):
-        # a state has a bit for every id below 2^need, so the check comes
-        # before any mask: at need 64 one would not fit in memory
+        # the mask oracle has a bit for every id below 2^need, so it refuses
+        # a need above the enumeration cap of 20 before any mask: at need 64
+        # one would not fit in memory
         for profiles in (((21,),), ((1, 2), (7, 7, 7)), ((64,),)):
-            with pytest.raises(ValueError):
-                LayeredTable(profiles)
+            with pytest.raises(CapExceededError):
+                MaskTable(profiles)
+        # a chain table holds two numbers per pair, so it takes any need
+        table = LayeredTable(64)
+        assert table.count == 2**63
+        assert _kernels_py._pairs(table.root, table.bits) == [(64, 1)]
+        assert _kernels_py.scan_layered(63, table) == (-1, 2**62)
+        assert table.bounds == []
 
     def test_the_largest_need_scans(self):
         # (20,) fits only the last composition of 20
-        table = LayeredTable(((20,),))
-        assert _kernels_py.scan_layered(19, table) == (-1, 2**18)
-        assert _kernels_py.scan_layered(20, table) == (2**19 - 1, 2**19)
-
-
-def _suffixes(table):
-    """The layer profile of each suffix id of the table, in id order: id g
-    of need k is the binary code of the composition of k of rank
-    2^k - 1 - g."""
-    ids = [g for g in range(table.suffixes.bit_length()) if table.suffixes >> g & 1]
-    decode = _kernels_py.composition_at_rank
-    return {g: decode(g.bit_length(), (1 << g.bit_length()) - 1 - g) for g in ids}
-
-
-# every completion of up to 10 positions, and for a suffix the mask of the
-# completions it fits, by the exhaustive oracle
-_COMPLETIONS = [c for r in range(11) for c in brute_compositions(r)]
-
-
-@functools.lru_cache(maxsize=None)
-def _fitting(suffix):
-    return sum(1 << i for i, c in enumerate(_COMPLETIONS) if layered_fits(suffix, c))
-
-
-def _completions(state, suffixes):
-    """The mask of the completions that fit every suffix of the state."""
-    fits = -1
-    for g, suffix in suffixes.items():
-        if state >> g & 1:
-            fits &= _fitting(suffix)
-    return fits
+        table = MaskTable(((20,),))
+        assert mask_scan_layered(19, table) == (-1, 2**18)
+        assert mask_scan_layered(20, table) == (2**19 - 1, 2**19)
 
 
 class TestReduction:
     def test_down_sets_are_the_brute_down_sets(self):
-        table = LayeredTable(brute_compositions(7))
-        suffixes = _suffixes(table)
-        assert sorted(suffixes.values()) == sorted(
-            c for k in range(8) for c in brute_compositions(k)
-        )
-        for g, host in suffixes.items():
-            brute = sum(1 << h for h, sub in suffixes.items() if layered_fits(sub, host))
-            assert _kernels_py._down(g, table) == brute, host
+        # the slack carries down: a composition c of i <= k lies in some
+        # member of F(k, t) iff c is empty or its first part is at least
+        # t - (k - i)
+        for k in range(1, 8):
+            for t in range(1, k + 1):
+                family = _members([(k, t)])
+                for i in range(k + 1):
+                    for c in brute_compositions(i):
+                        brute = any(layered_fits(c, g) for g in family)
+                        assert brute == (not c or c[0] >= t - (k - i)), (k, t, c)
 
     def test_reduced_states_keep_exactly_the_maximal_suffixes(self):
-        # random states of profile sets with and without whole families: the
-        # reduction keeps bit 0 and the top bit, keeps an antichain that
-        # covers every suffix it drops, and changes no fitting completion
-        rng = random.Random(20261023)
-        for patterns in (*_family_sets(rng), tuple(brute_compositions(7))):
-            table = LayeredTable(patterns)
-            suffixes = _suffixes(table)
-            ids = list(suffixes)[1:]
-            for _ in range(30):
-                members = rng.sample(ids, rng.randint(0, min(40, len(ids))))
-                state = 1 | sum(1 << g for g in members)
-                reduced = _kernels_py._reduce(state, table)
-                assert reduced & state == reduced
-                assert reduced & 1 and reduced.bit_length() == state.bit_length()
-                kept = [g for g in ids if reduced >> g & 1]
-                dropped = [g for g in ids if (state ^ reduced) >> g & 1]
-                for g, h in itertools.permutations(kept, 2):
-                    assert not layered_fits(suffixes[h], suffixes[g]), (suffixes[h], suffixes[g])
-                for h in dropped:
-                    assert any(layered_fits(suffixes[h], suffixes[g]) for g in kept)
-                assert _completions(reduced, suffixes) == _completions(state, suffixes)
+        # a chain's union keeps as its containment-maximal members exactly
+        # the kept ranges, every pair keeps at least one, and distinct
+        # chains are distinct reduced states; the need is the largest one,
+        # plus one for two or more maximal members
+        chains = _chains(7)
+        assert len(chains) == 2**7
+        seen = set()
+        for pairs in chains:
+            members = set(_members(pairs))
+            maximal = {
+                g for g in members
+                if not any(h != g and layered_fits(g, h) for h in members)
+            }
+            kept = _kept(pairs)
+            assert maximal == set(kept) and len(kept) == len(maximal), pairs
+            assert all(any(sum(c) == k and c[0] >= t for c in kept) for k, t in pairs)
+            seen.add(frozenset(maximal))
+            top = max(map(sum, maximal), default=0)
+            assert _kernels_py._need(_chain(pairs, 3), 3) == top + (len(maximal) > 1), pairs
+        assert len(seen) == len(chains)
 
     def test_the_search_keys_its_dead_table_by_reduced_states(self):
-        for patterns in (tuple(brute_compositions(7)), ((1, 2), (2, 1, 1), (3,))):
-            table = LayeredTable(patterns)
-            for m in range(17):
-                _kernels_py.scan_layered(m, table)
-            assert table.dead and table.keys
-            for key in (*table.dead, *table.keys.values()):
-                assert _kernels_py._reduce(key, table) == key
-            for child, key in table.keys.items():
-                assert _kernels_py._reduce(child, table) == key
+        # every chain in the dead table and among the children is a
+        # normalized chain: k strictly decreasing, slack strictly increasing
+        for n in (3, 5, 9):
+            table = _scanned(n, extra=2)
+            keys = {key for kids in table.children.values() for *_, key in kids}
+            assert table.dead and keys
+            for key in (*table.dead, *table.children, *keys):
+                pairs = _kernels_py._pairs(key, table.bits)
+                assert _chain(pairs, table.bits) == key
+                assert all(1 <= t <= k <= n for k, t in pairs), pairs
+                for (k, t), (k2, t2) in itertools.pairwise(pairs):
+                    assert k > k2 and k - t < k2 - t2, pairs
+
+
+def test_chain_children_are_the_mask_children():
+    # every chain of need <= 10 against the mask oracle, child by child:
+    # the same parts, reaches and needs, and each child's chain holds the
+    # oracle's reduced state
+    n = 10
+    table = LayeredTable(n)
+    table._prove_families()
+    oracle = MaskTable(brute_compositions(n))
+    oracle.families = []  # bounds are not compared; the oracle enters none
+
+    @functools.lru_cache(maxsize=None)
+    def reduced(state):
+        pairs = _kernels_py._pairs(state, table.bits)
+        return mask_reduce(1 | sum(1 << mask_id(c) for c in _members(pairs)), oracle)
+
+    chains = _chains(n)
+    assert len(chains) == 2**n
+    for pairs in chains:
+        state = _chain(pairs, table.bits)
+        got = _kernels_py._children(state, table)
+        expected = mask_children(reduced(state), oracle)
+        assert [(a, reach, need) for a, reach, need, _ in got] == [
+            (a, reach, need) for a, reach, need, _ in expected
+        ], pairs
+        assert [reduced(key) for *_, key in got] == [key for *_, key in expected], pairs
 
 
 def test_two_maximal_suffixes_need_one_more_position():
     # a completion of exactly N positions that fits a suffix of need N is
-    # that suffix, which contains no other maximal suffix of its state: so
+    # that suffix, which contains no other maximal suffix of its chain: so
     # no composition of a key's top need fits a key with two or more, and
     # the child's stored need is one more than its top need
     seen = 0
     for n in range(1, 9):
-        table = LayeredTable.family(n)
-        for m in range(n, superpattern_length(n) + 1):
-            _kernels_py.scan_layered(m, table)
-        suffixes = _suffixes(table)
+        table = _scanned(n)
         needs = {key: need for kids in table.children.values() for _, _, need, key in kids}
         for key, need in needs.items():
-            kept = [suffixes[g] for g in suffixes if g and key >> g & 1]
-            top = (key.bit_length() - 1).bit_length()
+            kept = _kept(_kernels_py._pairs(key, table.bits))
+            top = max(map(sum, kept), default=0)
             assert need == top + (len(kept) > 1), kept
             if len(kept) > 1:
                 seen += 1
@@ -505,13 +593,12 @@ def test_two_maximal_suffixes_need_one_more_position():
 def test_scan_layered_leaves_no_cycles():
     # a cycle through the scan's tables would keep them alive until the
     # cycle collector runs; so too for a table reused across lengths
-    patterns = tuple(brute_compositions(7))
     gc.collect()
     gc.disable()
     try:
-        assert _kernels_py.scan_layered(16, LayeredTable(patterns)) == (-1, 2**15)
+        assert _kernels_py.scan_layered(16, LayeredTable(7)) == (-1, 2**15)
         assert gc.collect() == 0
-        table = LayeredTable(patterns)
+        table = LayeredTable(7)
         for m in range(7, 17):
             assert _kernels_py.scan_layered(m, table) == (-1, 2 ** (m - 1))
         del table
@@ -533,9 +620,12 @@ def test_rank_checks(backend):
 
 
 def test_scan_layered_argument_checks():
-    # a negative length has no compositions to scan
+    # a negative length has no compositions to scan, and a negative n none
+    # to search for
     with pytest.raises(ValueError):
-        _kernels_py.scan_layered(-1, LayeredTable(((1,),)))
+        _kernels_py.scan_layered(-1, LayeredTable(1))
+    with pytest.raises(ValueError):
+        LayeredTable(-1)
 
 
 def test_compiled_argument_checks(compiled):

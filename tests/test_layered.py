@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from oracles import brute_compositions, brute_contains
+from oracles import MaskTable, brute_compositions, brute_contains
 from superpatterns import (
     LayerProfile,
     Permutation,
@@ -94,24 +94,23 @@ class TestEnumeration:
             assert composition_at_rank(6, rank) == profile
 
     def test_cap(self):
-        # one cap, one message, for every way into a layered enumeration or
-        # table; 20 itself passes the check, and nothing here scans
+        # one cap, one message, for a layered enumeration and for the mask
+        # oracle's table; 20 itself passes the check, and nothing here scans
         message = "^enumeration of layered length 21 exceeds cap 20$"
         for refused in (
             lambda: enumerate_layered(21),
-            lambda: LayeredTable.family(21),
-            lambda: LayeredTable(((1, 20),)),
-            lambda: minimal_superpattern(21, "layered", "layered"),
+            lambda: MaskTable(((1, 20),)),
         ):
             with pytest.raises(CapExceededError, match=message):
                 refused()
         assert next(enumerate_layered(20)).sizes == (1,) * 20
-        assert len(LayeredTable.family(20)) == 2**19
-        assert len(LayeredTable(((1, 19),))) == 1
-        # past the cap check, the first length is charged before any scan
-        # and is far over the default budget
-        with pytest.raises(BudgetExceededError, match="layered length 20 needs"):
-            minimal_superpattern(20, "layered", "layered")
+        assert len(MaskTable(((1, 19),))) == 1
+        # the search's chain table has no cap: its first length is charged
+        # before any scan and is far over the default budget, at 20 and 21
+        assert LayeredTable(21).count == 2**20
+        for n in (20, 21):
+            with pytest.raises(BudgetExceededError, match=f"layered length {n} needs"):
+                minimal_superpattern(n, "layered", "layered")
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):

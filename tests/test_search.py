@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,9 @@ from superpatterns import (
     verify_universal,
 )
 from superpatterns.classes import ClassTag, class_count, in_class
-from superpatterns.errors import BudgetExceededError, CapExceededError, InternalDefectError
+from superpatterns.errors import BudgetExceededError, InternalDefectError
+from superpatterns.kernels import composition_at_rank
+from superpatterns.layered import realize_values
 from superpatterns.search import (
     AVOIDING_5UNIVERSAL_AV231_LEN12,
     MIN_5UNIVERSAL_AV231_LEN11,
@@ -84,6 +87,26 @@ _LAYERED_WITNESSES = {
     "21 20 19 18 33 36 35 34 37 44 43 42 41 40 39 38 45 48 47 46 49",
     16: "1 3 2 7 6 5 4 8 16 15 14 13 12 11 10 9 17 20 19 18 21 37 36 35 34 33 32 31 "
     "30 29 28 27 26 25 24 23 22 38 41 40 39 42 49 48 47 46 45 44 43 50 53 52 51 54",
+    17: "1 3 2 7 6 5 4 8 16 15 14 13 12 11 10 9 17 20 19 18 21 38 37 36 35 34 33 32 "
+    "31 30 29 28 27 26 25 24 23 22 39 41 40 45 44 43 42 46 54 53 52 51 50 49 48 47 55 "
+    "58 57 56 59",
+    18: "1 3 2 7 6 5 4 8 16 15 14 13 12 11 10 9 17 20 19 18 21 39 38 37 36 35 34 33 "
+    "32 31 30 29 28 27 26 25 24 23 22 40 42 41 46 45 44 43 47 56 55 54 53 52 51 50 49 "
+    "48 57 59 58 63 62 61 60 64",
+    19: "1 3 2 7 6 5 4 8 16 15 14 13 12 11 10 9 17 20 19 18 21 40 39 38 37 36 35 34 "
+    "33 32 31 30 29 28 27 26 25 24 23 22 41 43 42 47 46 45 44 48 58 57 56 55 54 53 52 "
+    "51 50 49 59 61 60 66 65 64 63 62 67 69 68",
+    20: "1 3 2 7 6 5 4 8 16 15 14 13 12 11 10 9 17 20 19 18 21 41 40 39 38 37 36 35 "
+    "34 33 32 31 30 29 28 27 26 25 24 23 22 42 44 43 48 47 46 45 49 60 59 58 57 56 55 "
+    "54 53 52 51 50 61 63 62 69 68 67 66 65 64 70 73 72 71 74",
+}
+
+
+# witness ranks at the minimum length for n = 19 and 20, as the search on
+# masks of suffix ids gave them
+_LAYERED_RANKS = {
+    19: 107_214_522_316_091_292_025,
+    20: 3_430_864_714_121_951_038_438,
 }
 
 
@@ -290,11 +313,29 @@ class TestMinimalSuperpattern:
         with pytest.raises(BudgetExceededError, match="over the budget of 0"):
             minimal_superpattern(3, "layered", "layered", budget=0)
 
+    def test_layered_search_memory_is_bounded(self):
+        # the n = 16 search keeps a few thousand chains, each one small int
+        # with its children; a table of 2^need-bit masks per state peaked
+        # near 200 MB here
+        tracemalloc.start()
+        try:
+            report = minimal_superpattern(16, "layered", "layered", budget=10**21)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.min_length == 54
+        assert peak < 16 * 2**20, peak
+
     def test_layered_search_beyond_the_cap(self):
-        # the whole family's table enumerates no profile, and the search
-        # keeps the enumeration's cap
-        with pytest.raises(CapExceededError, match="layered length 21 exceeds cap 20"):
+        # the search runs on threshold chains and enumerates no profile, so
+        # the enumeration's cap of 20 does not bind it: the default budget
+        # refuses n = 21 on its a-priori charge, and a budget over that
+        # charge proves L(21) with a checked report
+        with pytest.raises(BudgetExceededError, match="layered length 21 needs ~1099511627776"):
             minimal_superpattern(21, "layered", "layered")
+        report = minimal_superpattern(21, "layered", "layered", budget=10**30)
+        assert report.min_length == superpattern_length(21) == 79
+        assert [m for m, _ in report.lengths_exhausted] == list(range(21, 79))
 
     def test_rejects_bad_inputs(self, monkeypatch):
         with pytest.raises(ValueError, match="non-negative"):
@@ -512,11 +553,11 @@ def test_av231_over_av231_candidates_full_search():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [9, 10, 11, 12, 13, 14, 15, 16])
+@pytest.mark.parametrize("n", range(9, 21))
 def test_layered_minimality_by_enumeration(n):
     # beyond the acceptance suite's n <= 8: every shorter length exhausted;
-    # the a-priori charge at n = 16 is about 5.9e20
-    report = minimal_superpattern(n, "layered", "layered", budget=10**21)
+    # the a-priori charge at n = 20 is about 9.9e27
+    report = minimal_superpattern(n, "layered", "layered", budget=10**28)
     assert report.min_length == superpattern_length(n) == superpattern_length_closed(n)
     assert [m for m, _ in report.lengths_exhausted] == list(range(n, report.min_length))
     assert all(count == 2 ** (m - 1) for m, count in report.lengths_exhausted)
@@ -530,5 +571,14 @@ def test_layered_minimality_by_enumeration(n):
         24_134_494_865_383,
         395_714_664_212_455,
         12_279_126_815_533_031,
+        392_932_058_099_666_919,
+        12_573_825_859_218_767_663,
+        402_362_427_495_443_855_738,
+        12_875_597_679_861_240_941_543,
     )[n]
     assert report.candidates_examined == examined
+    # the witness is the first fitting rank at the minimum length
+    rank = examined - sum(count for _, count in report.lengths_exhausted) - 1
+    assert realize_values(composition_at_rank(report.min_length, rank)) == report.witness.values
+    if n in _LAYERED_RANKS:
+        assert rank == _LAYERED_RANKS[n]
