@@ -8,9 +8,13 @@ the candidate-list scan behind the av-class runs.  Each result is checked
 to agree between the backends.  The layered search is the twin's on either
 backend, so the two layered workloads have no compiled column; below
 each of them, one more untimed run counts the search's nodes (_first_fit
-calls) and the chains it entered.  A last, untimed row counts the same for
-the whole layered search of n = 20 (every length from 20 to L(20) = 74 on
-one table).  Run after an in-place build:
+calls) and the chains it entered.  An untimed row counts the same for the
+whole layered search of n = 20 (every length from 20 to L(20) = 74 on one
+table).  Last, for n = 4..8, the whole minimal_superpattern(n, "layered",
+"layered") is timed beside its layers: the kernel alone (scan_layered for
+each length n..L(n) on a fresh table), the report's re-verification
+(_check_report) and the rest, the engine around them.  Run after an
+in-place build:
 
     python3 benchmarks/bench_kernels.py [--repeat 3]
 """
@@ -32,7 +36,7 @@ except ImportError:
     _kernels = None
 
 from superpatterns.classes import ClassTag, class_tuples
-from superpatterns.search import _ordered_pattern_tuples
+from superpatterns.search import _check_report, _ordered_pattern_tuples, minimal_superpattern
 
 
 def _containment_workload():
@@ -85,6 +89,32 @@ def _layered_search_workload():
                 return m, rank
 
     return "layered search n=20 (lengths 20..74, one table)", work
+
+
+def _layered_proof_layers(n, repeat):
+    """Fastest seconds of the whole layered search of n, of its kernel
+    scans alone and of its report check, over repeat rounds that run the
+    three in turn, so that a change in machine speed between them does not
+    show as a layer's cost."""
+    def search():
+        return minimal_superpattern(n, "layered", "layered", budget=10**12)
+
+    def kernel():
+        table = LayeredTable(n)
+        for m in itertools.count(n):
+            if _kernels_py.scan_layered(m, table)[0] >= 0:
+                return m
+
+    report = search()
+    if kernel() != report.min_length:
+        raise AssertionError(f"kernel and search disagree at n={n}")
+    best = [math.inf] * 3
+    for _ in range(repeat):
+        for i, work in enumerate((search, kernel, lambda: _check_report(report))):
+            t0 = time.perf_counter()
+            work()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
 
 
 def _all_perm_scan_workload():
@@ -172,6 +202,13 @@ def main() -> None:
     calls, entered = _layered_nodes(work)
     print(f"{name:58s} {'untimed':>10s}")
     print(f"  {calls:,} _first_fit calls, {entered:,} chains entered")
+    print(f"{'layered search by layer (python)':34s} {'search':>9s} {'kernel':>9s} "
+          f"{'report':>9s} {'engine':>9s}")
+    for n in range(4, 9):
+        search_s, kernel_s, check_s = _layered_proof_layers(n, args.repeat)
+        engine_s = search_s - kernel_s - check_s
+        cells = " ".join(f"{t * 1e6:7.0f}us" for t in (search_s, kernel_s, check_s, engine_s))
+        print(f"  n={n:<31d} {cells}")
 
 
 if __name__ == "__main__":

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
-from .errors import InternalDefectError
+from .errors import CapExceededError, InternalDefectError
 
 BACKEND = "python"
 
@@ -410,15 +411,45 @@ def scan_layered(m, table):
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
     accounts for its whole block.  The first leaf reached is the lex-first
     witness, and the counts equal those of a flat scan of every rank.
+
+    The search recurses once per part (_first_fit), so before it scans
+    anything, an m whose recursion could reach sys.getrecursionlimit()
+    raises CapExceededError (_check_depth).
     """
     total = composition_count(m)
     if table.n > m:
         return (-1, total)
     if m == 0:
         return (0, 1)
+    _check_depth(m, table)
     table._prove_families()
     found = _first_fit(m, 0, table.root, table)
     return (found, found + 1) if found >= 0 else (-1, total)
+
+
+def _check_depth(m, table):
+    """CapExceededError if a scan of m positions with this table could
+    reach the recursion limit: one _first_fit frame per part, on top of the
+    frames below the scan, and two more for _children and what it calls.
+    The first scan through a table also proves its family bounds, up to
+    L(n - 1) - 1 positions deep under _prove_families.  The frames below
+    are counted only for a recursion at least half the limit deep."""
+    deepest = m
+    if not table.bounds and table.n > 1:
+        deepest = max(m, _layered_length(table.n - 1))
+    limit = sys.getrecursionlimit()
+    if 2 * deepest < limit:
+        return
+    below = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        below += 1
+        frame = frame.f_back
+    if below + deepest + 2 > limit:
+        raise CapExceededError(
+            f"scanning layered length {m} recurses up to {deepest} parts deep, "
+            f"over the recursion limit of {limit} with the {below} frames below it"
+        )
 
 
 def _pairs(state, bits):
@@ -455,6 +486,8 @@ def _children(state, table):
     search at that r never reaches."""
     bits, dead, bounds = table.bits, table.dead, table.bounds
     width = 2 * bits
+    low = (1 << bits) - 1
+    proved = len(bounds)
     pairs = _pairs(state, bits)
     kids = table.children[state] = []
     if not pairs or pairs[-1][1] > 1:
@@ -462,6 +495,7 @@ def _children(state, table):
         kids.append((1, 1, _need(state, bits), state))
     # K, the last pair's slack: every part in a kept range reaches that pair
     top = pairs[-1][0] - pairs[-1][1] if pairs else 0
+    family = top | 1 << bits
     for i in range(len(pairs) - 1, -1, -1):
         k, t = pairs[i]
         below = pairs[i - 1][0] - pairs[i - 1][1] if i else -1
@@ -475,10 +509,13 @@ def _children(state, table):
                 child |= (k | (a + 1) << bits) << at
                 at += width
             if top - 1 > slack:
-                child |= (top | 1 << bits) << at
+                child |= family << at
                 slack = top - 1
-            kids.append((a, a + top, _need(child, bits), child))
-            if child and slack < len(bounds) and bounds[slack] > dead.get(child, 0):
+            # the child's need (_need), from its first pair
+            lead = child & low
+            need = lead + (child >> width != 0 or lead > child >> bits & low)
+            kids.append((a, a + top, need, child))
+            if child and slack < proved and bounds[slack] > dead.get(child, 0):
                 dead[child] = bounds[slack]
     return kids
 
@@ -510,11 +547,10 @@ def _first_fit(r, base, state, table):
         rest = r - a
         if need > rest:
             continue
-        first = base + top - (1 << rest)
         if rest == 0:
-            return first
+            return base + top - 1
         if dead.get(key, 0) < rest:
-            found = _first_fit(rest, first, key, table)
+            found = _first_fit(rest, base + top - (1 << rest), key, table)
             if found >= 0:
                 return found
             dead[key] = rest

@@ -157,56 +157,61 @@ def first_missing_profile(
     it; (2^(n-1), None), or (1, None) at n = 0, when every profile fits.
 
     Gives what greedy-matching enumerate_layered(n) in order would, in
-    O(layers * n^2) instead of 2^(n-1) matches.  nxt[s][j] is the first host
-    layer at index >= j of size >= s (len(host) when none is left).
-    reach[j] is the largest t <= n such that every composition of t fits
-    greedily into host layers j, j+1, ...; every composition of t' < t sits
-    inside one of t (grow its last part), so the set of such t is 0..reach[j].
-    A composition (s, *rest) fits from j iff i = nxt[s][j] exists and rest
-    fits from i + 1, so t qualifies iff t <= s + reach[i + 1] for every first
+    O(layers * n) steps plus the host's length, in O(n + layers) memory,
+    instead of 2^(n-1) matches.  The host's layers are swept from the last
+    to the first; when layer j is reached, last[s] is the first layer at
+    index >= j of size >= s (len(host) when none is left), so each layer
+    updates the sizes up to its own, at most n of them.  reach[j] is the
+    largest t <= n such that every composition of t fits greedily into host
+    layers j, j+1, ...; every composition of t' < t sits inside one of t
+    (grow its last part), so the set of such t is 0..reach[j].  A
+    composition (s, *rest) fits from j iff i = last[s] exists and rest fits
+    from i + 1, so t qualifies iff t <= s + reach[i + 1] for every first
     part s <= t.  The host is universal iff reach[0] >= n.
 
     Otherwise the first miss is found by walking first parts s = 1, 2, ...
-    from (j = 0, t = n): when no layer of size >= s is left, every
-    composition starting with the prefix and s misses, and the first of them
-    ends in ones; when reach[i + 1] < t - s the miss lies among the
-    compositions starting with s, so the walk descends into them; otherwise
-    all 2^(t-s-1) of them (1 when s = t) fit and are counted.
+    from (j = 0, t = n), with i the first layer at index >= j of size >= s:
+    when no such layer is left, every composition starting with the prefix
+    and s misses, and the first of them ends in ones; when reach[i + 1] <
+    t - s the miss lies among the compositions starting with s, so the walk
+    descends into them from j = i + 1; otherwise all 2^(t-s-1) of them (1
+    when s = t) fit and are counted.  i only moves forward, as s grows and
+    as the walk descends, so the walk is one pass over the host's layers.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     sizes = host.sizes
     layers = len(sizes)
-    nxt = [[layers] * (layers + 1) for _ in range(n + 1)]
-    for s in range(1, n + 1):
-        row = nxt[s]
-        for j in range(layers - 1, -1, -1):
-            row[j] = j if sizes[j] >= s else row[j + 1]
+    last = [layers] * (n + 1)
     reach = [0] * (layers + 1)
     for j in range(layers - 1, -1, -1):
+        top = min(sizes[j], n)
+        last[1 : top + 1] = [j] * top
+        # bound is the least s + reach[last[s] + 1] over first parts s <= t,
+        # so t + 1 qualifies iff t < bound and some layer holds a part t + 1
         t = 0
         bound = n
-        while t < n:
-            i = nxt[t + 1][j]
+        while t < bound:
+            i = last[t + 1]
             if i == layers:
                 break
-            bound = min(bound, t + 1 + reach[i + 1])
-            if bound <= t:
-                break
             t += 1
+            if t + reach[i + 1] < bound:
+                bound = t + reach[i + 1]
         reach[j] = t
     if reach[0] >= n:
         return composition_count(n), None
     prefix: list[int] = []
     rank = 0
-    j, t, s = 0, n, 1
+    t, s, i = n, 1, 0
     while True:
-        i = nxt[s][j]
+        while i < layers and sizes[i] < s:
+            i += 1
         if i == layers:
             return rank + 1, LayerProfile((*prefix, s) + (1,) * (t - s))
         if reach[i + 1] < t - s:
             prefix.append(s)
-            j, t, s = i + 1, t - s, 1
+            t, s, i = t - s, 1, i + 1
         else:
             rank += composition_count(t - s)
             s += 1

@@ -62,15 +62,15 @@ import time
 from itertools import pairwise
 from typing import TYPE_CHECKING
 
-from . import kernels
-from ._kernels_py import LayeredTable
+from . import kernels, layered
+from ._kernels_py import LayeredTable, composition_count
 from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
 from .errors import BudgetExceededError, InternalDefectError
 from .layered import realize_values
 # unused here, but bound for tracers that wrap search.enumerate_layered
 from .layered import enumerate_layered  # noqa: F401
 from .perms import Permutation
-from .universal import _decreasing_chains, _to_json, verify_universal
+from .universal import _decreasing_chains, _to_json, _verify, verify_universal
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -173,15 +173,16 @@ def _scan_length(
     rank ranges, jobs of them on the pool when there is one and the length
     is big enough to be worth it, else one scanned here; an avoider class is
     enumerated once, here, and each range gets its slice."""
-    total = class_count(ctag, m)
-    count = patterns.count if ctag is ClassTag.LAYERED else len(patterns)
-    ledger.charge(ctag, m, total * max(count, 1), exhausted)
     if ctag is ClassTag.LAYERED:
+        total = composition_count(m)
+        ledger.charge(ctag, m, total * patterns.count, exhausted)
         rank, _ = kernels.scan_layered(m, patterns)
         values = None
         if rank >= 0:
             values = realize_values(kernels.composition_at_rank(m, rank))
     else:
+        total = class_count(ctag, m)
+        ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)
         members = None if ctag is ClassTag.ALL else list(class_tuples(ctag, m))
         parts = jobs if pool is not None and total >= _SERIAL_CUTOFF else 1
         bounds = [total * i // parts for i in range(parts + 1)]
@@ -323,12 +324,16 @@ def _check_report(report: SearchReport | InfeasibleReport) -> None:
         if in_class(cert, report.candidate_class):
             raise InternalDefectError("infeasibility certificate is a candidate")
         return
-    if not in_class(report.witness, report.candidate_class):
+    witness = report.witness
+    ctag = coerce_tag(report.candidate_class)
+    # one layer profile serves the class check and the re-verification
+    profile = layered.layer_profile(witness)
+    if not (profile is not None if ctag is ClassTag.LAYERED else in_class(witness, ctag)):
         raise InternalDefectError("search witness is outside its candidate class")
-    if not verify_universal(report.witness, report.n, report.pattern_class).ok:
+    if not _verify(witness, report.n, coerce_tag(report.pattern_class), profile).ok:
         raise InternalDefectError("search witness failed re-verification")
     for m, count in report.lengths_exhausted:
-        if m >= report.min_length or count != class_count(report.candidate_class, m):
+        if m >= report.min_length or count != class_count(ctag, m):
             raise InternalDefectError("incomplete nonexistence enumeration")
 
 

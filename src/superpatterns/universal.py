@@ -221,17 +221,28 @@ def verify_universal(
     lexicographic order, stopping at the first miss.
 
     A layered candidate checked for the layered class is decided by the
-    reach table of layered.first_missing_profile in O(layers * n^2), with
-    the first miss and the count of patterns up to it that the ordered
-    enumeration would give, for any n.  Otherwise the class is enumerated,
-    up to n = VERIFY_CAP (CapExceededError above it), and layered patterns
-    of a layered candidate are matched greedily on profiles instead of by
-    the backtracking search.
+    reach table of layered.first_missing_profile in O(layers * n) steps
+    plus the candidate's length, with the first miss and the count of
+    patterns up to it that the ordered enumeration would give, for any n.
+    Otherwise the class is enumerated, up to n = VERIFY_CAP
+    (CapExceededError above it), and layered patterns of a layered candidate
+    are matched greedily on profiles instead of by the backtracking search.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     tag = coerce_tag(class_name)
-    host_profile = layered_mod.layer_profile(candidate)
+    return _verify(candidate, n, tag, layered_mod.layer_profile(candidate))
+
+
+def _verify(
+    candidate: Permutation,
+    n: int,
+    tag: ClassTag,
+    host_profile: layered_mod.LayerProfile | None,
+) -> UniversalityReport:
+    """verify_universal for n >= 0, given the candidate's layer profile
+    (None when it is not layered), so that a caller that has the profile
+    does not take it again."""
     checked = 0
     missing: Permutation | None = None
     if tag is ClassTag.LAYERED and host_profile is not None:

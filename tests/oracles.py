@@ -259,13 +259,19 @@ def layered_fits(pattern_sizes, host_sizes):
     return fits(0, 0)
 
 
+@functools.lru_cache(maxsize=1)
+def _ordered_compositions(n):
+    """brute_compositions(n) as a tuple, kept for the next host of the same n."""
+    return tuple(brute_compositions(n))
+
+
 def brute_first_missing_layered(n, host_sizes, contains=None):
     """Layered universality by enumeration: walk the compositions of n in
     lexicographic order and return (patterns checked, the first one the host
     does not contain, or None).  Containment is brute_contains on the
     realizations unless another predicate on (pattern, host) sizes is given."""
     contains = contains or _brute_layered_contains
-    compositions = brute_compositions(n)
+    compositions = _ordered_compositions(n)
     for checked, sizes in enumerate(compositions, start=1):
         if not contains(sizes, tuple(host_sizes)):
             return checked, sizes

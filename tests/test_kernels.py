@@ -6,6 +6,7 @@ import math
 import random
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -628,6 +629,44 @@ def test_scan_layered_argument_checks():
         LayeredTable(-1)
 
 
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+@pytest.mark.parametrize("n, rank", [(1, 0), (2, 1), (5, 377)])
+def test_scan_layered_refuses_a_recursion_past_the_limit(n, rank):
+    # the search recurses once per part: a length whose recursion could
+    # reach the limit is refused before anything is scanned, and one well
+    # below it still answers, with a witness that holds every pattern
+    table = LayeredTable(n)
+    with pytest.raises(CapExceededError, match="length 1200 .* recursion limit of 1000"):
+        _kernels_py.scan_layered(1200, table)
+    assert (table.children, table.dead, table.bounds) == ({}, {}, [])
+    assert _kernels_py.scan_layered(900, table) == (rank, rank + 1)
+    host = layered.LayerProfile(_kernels_py.composition_at_rank(900, rank))
+    assert layered.first_missing_profile(n, host)[1] is None
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+def test_family_proofs_count_toward_the_recursion_depth(monkeypatch):
+    # the first scan through a table proves the bounds of the families
+    # below n, L(n - 1) - 1 positions deep: L(199) = 1,345 > 1,000, so even
+    # the shortest scan of n = 200 is refused, and nothing is proved
+    def no_scan(r, base, state, table):
+        raise AssertionError("a scan started")
+
+    monkeypatch.setattr(_kernels_py, "_first_fit", no_scan)
+    table = LayeredTable(200)
+    with pytest.raises(CapExceededError, match="up to 1345 parts deep"):
+        _kernels_py.scan_layered(200, table)
+    assert table.bounds == [] and table.dead == {}
+
+
 def test_compiled_argument_checks(compiled):
     # 64-bit permutation ranks bound the lengths, and C ints the values
     with pytest.raises(ValueError):
@@ -687,3 +726,13 @@ def test_layered_bench_counts_nodes():
     _, work = bench._layered_scan_workload()
     assert bench._layered_nodes(work) == (47, 29)
     assert _kernels_py._first_fit is first_fit
+
+
+def test_layered_bench_times_the_search_by_layer():
+    # the row beside the kernel scans times the whole search, its kernel
+    # scans and its report check, and checks that the two searches agree
+    script = _ROOT / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", script)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert all(seconds > 0 for seconds in bench._layered_proof_layers(4, 2))

@@ -1,8 +1,16 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
-from oracles import MaskTable, brute_compositions, brute_contains
+from oracles import (
+    MaskTable,
+    brute_compositions,
+    brute_contains,
+    brute_first_missing_layered,
+    layered_fits,
+)
 from superpatterns import (
     LayerProfile,
     Permutation,
@@ -18,7 +26,10 @@ from superpatterns import (
     parse_profile,
     realize,
 )
+from superpatterns import kernels
 from superpatterns._kernels_py import LayeredTable
+from superpatterns.layered import first_missing_profile
+from superpatterns.universal import _universal_sizes
 from superpatterns.errors import BudgetExceededError, CapExceededError
 
 
@@ -158,3 +169,52 @@ class TestGreedyContainment:
             for host in enumerate_layered(7):
                 expected = brute_contains(realize(pat).values, realize(host).values)
                 assert layered_contains(pat, host) == expected
+
+
+def _fits(pattern, host):
+    return kernels.greedy_layer_indices(pattern, host) is not None
+
+
+class TestFirstMissingProfile:
+    """first_missing_profile against walking the compositions of n in order
+    (brute_first_missing_layered): ok, first miss and patterns checked."""
+
+    @staticmethod
+    def _check(n, sizes, contains):
+        checked, missing = first_missing_profile(n, LayerProfile(sizes))
+        expected = brute_first_missing_layered(n, sizes, contains)
+        assert (checked, missing and missing.sizes) == expected, (n, sizes)
+
+    def test_random_hosts(self):
+        # every placement tried (layered_fits), so the oracle shares nothing
+        # with the greedy rule the reach table rests on
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            sizes = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 9)))
+            self._check(rng.randint(0, 10), sizes, layered_fits)
+
+    def test_the_construction_whole_and_one_layer_shrunk(self):
+        # U(n) holds every composition of n but not every one of n + 1;
+        # shrinking one layer makes most of them miss
+        for n in range(18):
+            sizes = _universal_sizes(n)
+            hosts = [sizes] + [
+                sizes[:i] + ((size - 1,) if size > 1 else ()) + sizes[i + 1 :]
+                for i, size in enumerate(sizes)
+            ]
+            for host in hosts:
+                self._check(n, host, _fits)
+            assert first_missing_profile(n, LayerProfile(sizes))[1] is None
+
+    def test_memory_is_linear_in_the_host(self):
+        # 10^5 layers of one at n = 60: a table of the first layer of each
+        # size from each index would hold 6.1 million slots (about 49 MB)
+        host = LayerProfile((1,) * 10**5)
+        tracemalloc.start()
+        try:
+            checked, missing = first_missing_profile(60, host)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (checked, missing.sizes) == (2, (1,) * 58 + (2,))
+        assert peak < 8 * 2**20, peak

@@ -16,7 +16,9 @@ from superpatterns import (
     build_universal,
     check_claims_231,
     check_conjecture_321,
+    Permutation,
     kernels,
+    layered,
     minimal_superpattern,
     parse,
     search,
@@ -405,6 +407,54 @@ class TestMinimalSuperpattern:
             candidates_examined=1, lengths_exhausted=((17, 2**16),), elapsed_ms=0,
         )
         search._check_report(report)
+
+    def test_a_report_profiles_its_witness_once(self, monkeypatch):
+        # one layer profile serves the class check and the re-verification,
+        # whatever the classes
+        profiled = []
+        profile = layered.layer_profile
+
+        def counted(perm):
+            profiled.append(perm)
+            return profile(perm)
+
+        monkeypatch.setattr(layered, "layer_profile", counted)
+        for n, ptag, ctag in [(6, "layered", "layered"), (2, "all", "layered"),
+                              (3, "av231", "av231"), (3, "all", "all")]:
+            report = minimal_superpattern(n, ptag, ctag)
+            assert profiled.count(report.witness) == 1, (n, ptag, ctag)
+            profiled.clear()
+
+    def test_a_layered_report_with_a_wrong_witness_is_a_defect(self):
+        def report(witness, n):
+            return search.SearchReport(
+                n, ClassTag.LAYERED, ClassTag.LAYERED, len(witness), witness,
+                candidates_examined=1, lengths_exhausted=(), elapsed_ms=0,
+            )
+
+        # not layered: outside the candidate class
+        with pytest.raises(InternalDefectError, match="outside its candidate class"):
+            search._check_report(report(parse("2 4 1 3"), 2))
+        # U(n) with one layer shrunk by one is layered and misses a pattern
+        for n in (3, 8, 17):
+            sizes = layered.layer_profile(build_universal(n)).sizes
+            for i, size in enumerate(sizes):
+                shrunk = sizes[:i] + ((size - 1,) if size > 1 else ()) + sizes[i + 1 :]
+                witness = Permutation(realize_values(shrunk))
+                if verify_universal(witness, n, "layered").ok:
+                    continue
+                with pytest.raises(InternalDefectError, match="failed re-verification"):
+                    search._check_report(report(witness, n))
+
+    @pytest.mark.parametrize("class_name", _TAGS)
+    def test_a_negative_n_is_refused_before_any_profile(self, monkeypatch, class_name):
+        def no_profile(perm):
+            raise AssertionError("profiled before n was checked")
+
+        monkeypatch.setattr(layered, "layer_profile", no_profile)
+        for perm in (parse("1"), parse("2 4 1 3"), build_universal(3)):
+            with pytest.raises(ValueError, match="n must be non-negative"):
+                verify_universal(perm, -1, class_name)
 
     def test_bad_certificate_is_a_defect(self):
         for certificate in ("1 3 2", "2 1"):  # inside the candidates; wrong n
