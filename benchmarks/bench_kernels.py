@@ -7,10 +7,10 @@ n = 9 patterns), the permutation scan behind the unrestricted search, and
 the candidate-list scan behind the av-class runs.  Each result is checked
 to agree between the backends.  The layered search is the twin's on either
 backend, so the two layered workloads have no compiled column; below
-each of them, one more untimed run counts the search's nodes (_first_fit
-calls) and the chains it entered.  An untimed row counts the same for the
-whole layered search of n = 20 (every length from 20 to L(20) = 74 on one
-table).  Last, for n = 4..8, the whole minimal_superpattern(n, "layered",
+each of them, one more untimed run reads the search's nodes (_first_fit
+calls) and the chains it entered off its table.  An untimed row reads the
+same for the whole layered search of n = 20 (every length from 20 to
+L(20) = 74 on one table).  Last, for n = 4..8, the whole minimal_superpattern(n, "layered",
 "layered") is timed beside its layers: the kernel alone (scan_layered for
 each length n..L(n) on a fresh table), the report's re-verification
 (_check_report) and the rest, the engine around them.  Run after an
@@ -64,7 +64,8 @@ def _layered_scan_workload():
     # which is exactly the nonexistence half of a search run; every backend
     # runs the twin's scan, on the search's table built cold for each repeat
     def work(mod):
-        return _kernels_py.scan_layered(16, LayeredTable(7))
+        work.table = LayeredTable(7)
+        return _kernels_py.scan_layered(16, work.table)
 
     return "layered nonexistence scan (2^15 candidates, n=7 patterns)", work
 
@@ -73,7 +74,8 @@ def _layered_proof_scan_workload():
     # length 24 < a(9) = 25: the longest nonexistence scan of the n = 9
     # proof, where pruning whole blocks of ranks matters most
     def work(mod):
-        return _kernels_py.scan_layered(24, LayeredTable(9))
+        work.table = LayeredTable(9)
+        return _kernels_py.scan_layered(24, work.table)
 
     return "layered nonexistence scan (2^23 candidates, n=9 patterns)", work
 
@@ -82,7 +84,7 @@ def _layered_search_workload():
     # the whole search for n = 20 on one table, each length scanned in turn
     # until the first that has a witness
     def work(mod):
-        table = LayeredTable(20)
+        table = work.table = LayeredTable(20)
         for m in itertools.count(20):
             rank, _ = _kernels_py.scan_layered(m, table)
             if rank >= 0:
@@ -97,7 +99,7 @@ def _layered_proof_layers(n, repeat):
     three in turn, so that a change in machine speed between them does not
     show as a layer's cost."""
     def search():
-        return minimal_superpattern(n, "layered", "layered", budget=10**12)
+        return minimal_superpattern(n, "layered", "layered")
 
     def kernel():
         table = LayeredTable(n)
@@ -147,24 +149,9 @@ def _time(work, mod, repeat):
 
 
 def _layered_nodes(work):
-    """(_first_fit calls, chains entered) of one run of a layered workload,
-    with the kernel's _first_fit wrapped by a counter."""
-    first_fit = _kernels_py._first_fit
-    calls = 0
-    searched = None
-
-    def counted(r, base, state, table):
-        nonlocal calls, searched
-        calls += 1
-        searched = table
-        return first_fit(r, base, state, table)
-
-    _kernels_py._first_fit = counted
-    try:
-        work(_kernels_py)
-    finally:
-        _kernels_py._first_fit = first_fit
-    return calls, 0 if searched is None else len(searched.children)
+    """(_first_fit calls, chains entered) of one run on work.table."""
+    work(_kernels_py)
+    return work.table.nodes, len(work.table.children)
 
 
 def main() -> None:

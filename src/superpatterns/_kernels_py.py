@@ -260,8 +260,8 @@ def _layered_length(n):
 class LayeredTable:
     """scan_layered's tables for the layered family of n, every composition
     of n as a pattern, built once so that one table serves every length of
-    a search; count is the number of patterns, 2^(n-1) (1 for n = 0).  A
-    negative n raises ValueError.
+    a search; nodes counts the _first_fit calls of its scans, the family
+    proofs' too.  A negative n raises ValueError.
 
     What a prefix of a candidate still needs is its state, the set of the
     patterns' distinct unmatched suffixes (scan_layered), reduced to its
@@ -351,7 +351,7 @@ class LayeredTable:
         self.children = {}
         self.dead = {}
         self.bounds = []
-        self.count = composition_count(n)
+        self.nodes = 0
 
     def _prove_families(self):
         # proved once: bounds stays empty only for n <= 1, with nothing to prove
@@ -377,8 +377,8 @@ def scan_layered(m, table):
 
     Returns (witness_rank, scanned): the smallest rank whose composition
     fits every pattern and scanned == witness_rank + 1, or (-1, 2^(m-1))
-    (1 for m = 0) when there is none; m < 0 raises ValueError.  The table's
-    tables then serve every later call made with it.
+    (1 for m = 0) when there is none; m < 0 raises ValueError.  The table,
+    its nodes grown by this scan's, serves every later call made with it.
 
     The search is depth first over composition prefixes, smallest next part
     first, so prefixes are visited in rank order.  Greedy matching consumes a
@@ -536,6 +536,7 @@ def _first_fit(r, base, state, table):
     A module-level function, not a closure in scan_layered: a recursive
     closure is a reference cycle that keeps the tables alive until the cycle
     collector runs."""
+    table.nodes += 1
     kids = table.children.get(state)
     if kids is None:
         kids = _children(state, table)

@@ -28,13 +28,14 @@ class CapExceededError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A run would exceed its node budget: candidates x patterns, charged
-    per length before it is scanned and summed over all of a command's scans.
+    """A run is over its node budget, summed over all of a command's scans:
+    the nodes a layered length visited, charged after its scan, or
+    candidates x patterns for any other length, charged before.
 
-    Carries the nodes the refused length would have brought the run to, the
-    budget, and the lengths its search had already fully enumerated (none
-    for a single-length scan such as a claim check), so callers can report
-    an honest partial result; nothing is silently truncated.
+    Carries the nodes the refused length brought the run to, the budget,
+    and the lengths its search had already fully enumerated (none for a
+    single-length scan such as a claim check), so callers can report an
+    honest partial result; nothing is silently truncated.
     """
 
     def __init__(self, message: str, *, lengths_exhausted=(), estimated: int = 0,

@@ -179,7 +179,7 @@ def first_missing_profile(
     as the walk descends, so the walk is one pass over the host's layers.
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ValueError(f"n must be non-negative, got {n}")
     sizes = host.sizes
     layers = len(sizes)
     last = [layers] * (n + 1)

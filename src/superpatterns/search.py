@@ -23,13 +23,14 @@ from the state of every composition of k, which finds no fit.  A prefix
 stands for an exact, contiguous block of ranks, so the counts are those of
 visiting every candidate.
 
-One node budget gates every run: a per-run ledger charges each length its
-candidates times patterns, a priori, before the length is scanned, and
-exceeding it raises instead of truncating, because the nonexistence half
-of the result is only meaningful when enumeration is complete.  Every scan
-goes through _scan_length: those of a search, each length the 231 claims
-exhaust, and both phases of the 321 conjecture check, which share one
-ledger.
+One node budget gates every run, and exceeding it raises instead of
+truncating, because the nonexistence half of the result is only meaningful
+when enumeration is complete.  A per-run ledger charges a layered length
+the nodes its scan visited, at least 1, when the scan returns, and any
+other length its candidates times patterns before it is scanned.  Every
+scan goes through _scan_length: those of a search, each length the 231
+claims exhaust, and both phases of the 321 conjecture check, which share
+one ledger.
 
 Every class here is closed under containment, so a length-n pattern outside
 the candidate class lies in no candidate of any length: such a query gets an
@@ -168,15 +169,16 @@ def _scan_length(
     when the length is exhausted; it is then appended to exhausted as
     (m, count).
 
-    The length is charged to the ledger first.  A layered length is one
-    scan of the search's LayeredTable (patterns).  Any other is split into
-    rank ranges, jobs of them on the pool when there is one and the length
-    is big enough to be worth it, else one scanned here; an avoider class is
-    enumerated once, here, and each range gets its slice."""
+    A layered length is one scan of the search's LayeredTable (patterns),
+    charged to the ledger when it returns.  Any other is charged first,
+    then split into rank ranges, jobs of them on the pool when there is one
+    and the length is big enough to be worth it, else one scanned here; an
+    avoider class is enumerated once, here, and each range gets its slice."""
     if ctag is ClassTag.LAYERED:
         total = composition_count(m)
-        ledger.charge(ctag, m, total * patterns.count, exhausted)
+        nodes = patterns.nodes
         rank, _ = kernels.scan_layered(m, patterns)
+        ledger.charge(ctag, m, max(patterns.nodes - nodes, 1), exhausted)
         values = None
         if rank >= 0:
             values = realize_values(kernels.composition_at_rank(m, rank))
@@ -283,7 +285,7 @@ def _minimal_superpattern(
         # (for a non-layered pattern class, only at n <= 2); the table of
         # the whole family is built from n, with no profile enumerated
         patterns = LayeredTable(n)
-        if ptag is not ctag and patterns.count != class_count(ptag, n):
+        if ptag is not ctag and composition_count(n) != class_count(ptag, n):
             raise InternalDefectError("layered candidates would miss a pattern")
     else:
         patterns = _ordered_pattern_tuples(ptag, n)

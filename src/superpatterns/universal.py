@@ -81,7 +81,7 @@ class LengthTable:
 
     def extend_to(self, n: int) -> None:
         if n < 0:
-            raise ValueError("n must be non-negative")
+            raise ValueError(f"n must be non-negative, got {n}")
         while len(self._values) <= n:
             self._append_chunk(n)
 
@@ -169,7 +169,7 @@ def build_universal(n: int, split: int | None = None) -> Permutation:
     '1 4 3 2 5'
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ValueError(f"n must be non-negative, got {n}")
     if n == 0:
         if split is not None:
             raise ValueError("no split exists for n=0")
@@ -229,7 +229,7 @@ def verify_universal(
     are matched greedily on profiles instead of by the backtracking search.
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ValueError(f"n must be non-negative, got {n}")
     tag = coerce_tag(class_name)
     return _verify(candidate, n, tag, layered_mod.layer_profile(candidate))
 

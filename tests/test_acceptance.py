@@ -82,7 +82,7 @@ def test_criterion_04_search_oracle_matches_recurrence_n_to_7():
 
 def test_criterion_04_search_oracle_n8_enlarged_budget():
     t0 = time.perf_counter()
-    report = minimal_superpattern(8, "layered", "layered", budget=600_000_000)
+    report = minimal_superpattern(8, "layered", "layered")
     assert report.min_length == superpattern_length(8) == 21
     assert [m for m, _ in report.lengths_exhausted] == list(range(8, 21))
     for m, count in report.lengths_exhausted:

@@ -68,15 +68,11 @@ class TestErrors:
         assert run(["universal", "verify", "1", "9", "--class", "av231"]) == 2
 
     def test_layered_search_beyond_the_cap(self, capsys):
-        # the enumeration's cap of 20 does not bind the search; at the
-        # default budget, n = 21 is refused on its first length's charge
+        # the enumeration's cap of 20 does not bind the search, and the
+        # default budget covers n = 21
         argv = ["search", "minimal", "21", "--patterns", "layered", "--candidates", "layered"]
-        assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            "error: scanning layered length 21 needs ~1099511627776 nodes, over the "
-            "budget of 50000000; lengths exhausted: none\n"
-        )
+        assert run(argv) == 0
+        assert capsys.readouterr().out.startswith("min_length: 79\n")
 
     def test_huge_permutations_are_refused_unbuilt(self, capsys, monkeypatch):
         # both arguments are short, and the permutations they ask for are
@@ -141,7 +137,16 @@ class TestErrors:
 
     def test_negative_verify_length(self, capsys):
         assert run(["universal", "verify", "1 2", "-1", "--class", "layered"]) == 2
-        assert "n must be non-negative" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: n must be non-negative, got -1\n"
+
+    def test_negative_lengths_get_one_message(self, capsys):
+        for argv in (
+            ["sequence", "a", "-1"],
+            ["sequence", "a", "-1", "--closed"],
+            ["universal", "build", "-1"],
+        ):
+            assert run(argv) == 2, argv
+            assert capsys.readouterr().err == "error: n must be non-negative, got -1\n", argv
 
     def test_bad_split(self, capsys):
         assert run(["universal", "build", "3", "--split", "5"]) == 2

@@ -103,10 +103,8 @@ class TestEmbedding:
 
 
 class TestRanks:
-    def test_composition_at_rank(self, backend):
-        # the decode the library runs with this backend selected: the
-        # backend's own, or the twin's when it defines none
-        decode = getattr(backend, "composition_at_rank", _kernels_py.composition_at_rank)
+    def test_composition_at_rank(self, twin):
+        decode = twin.composition_at_rank
         for n in range(10):
             ranked = [decode(n, r) for r in range(max(1, 2 ** (n - 1)))]
             assert ranked == brute_compositions(n)
@@ -141,20 +139,17 @@ def _whole_family(patterns):
     return None
 
 
-def _layered(backend, m, patterns):
+def _layered(twin, m, patterns):
     """A layered scan over every composition of m, on a table of its own:
-    the one the library runs with this backend selected (the backend's own,
-    or the twin's when it defines none) when the patterns are every
-    composition of one n, and the mask oracle's for any other set."""
+    the twin's for every composition of one n, the mask oracle's else."""
     n = _whole_family(patterns)
     if n is None:
         return mask_scan_layered(m, MaskTable(patterns))
-    scan = getattr(backend, "scan_layered", _kernels_py.scan_layered)
-    return scan(m, LayeredTable(n))
+    return twin.scan_layered(m, twin.LayeredTable(n))
 
 
 class TestScans:
-    def test_scan_layered_parity(self, backend):
+    def test_scan_layered_parity(self, twin):
         # the oracle is a flat scan with brute containment, so it checks the
         # prefix search's pruning and block counting independently, on the
         # library's chains for whole families and on the mask oracle for
@@ -171,11 +166,11 @@ class TestScans:
                 size = min(len(pool), rng.randint(1, 4))
                 pattern_sets.append(tuple(rng.sample(pool, size)))
             for patterns in pattern_sets:
-                assert _layered(backend, m, patterns) == (
+                assert _layered(twin, m, patterns) == (
                     brute_scan_layered(m, patterns, 0, total)
                 ), (m, patterns)
 
-    def test_scan_layered_long_lengths(self, backend):
+    def test_scan_layered_long_lengths(self, twin):
         # lengths beyond the flat oracle's reach, against the per-pattern
         # prefix search, for whole families and random subsets of them
         rng = random.Random(20261019)
@@ -188,7 +183,7 @@ class TestScans:
                     tuple(rng.sample(every, rng.randint(1, 6))),
                 ]
                 for patterns in (every, *subsets):
-                    assert _layered(backend, m, patterns) == (
+                    assert _layered(twin, m, patterns) == (
                         pruned_scan_layered(m, patterns, 0, total)
                     ), (m, patterns)
 
@@ -210,10 +205,10 @@ class TestScans:
             _kernels_py.scan_perm_list(candidates, patterns, 0, 64)
         )
 
-    def test_scan_counts_on_exhaustion(self, backend):
+    def test_scan_counts_on_exhaustion(self, twin):
         # a pattern that never fits: every length-m composition lacks a part m+1
-        assert _layered(backend, 4, ((5,),)) == (-1, 8)
-        assert _layered(backend, 4, brute_compositions(5)) == (-1, 8)
+        assert _layered(twin, 4, ((5,),)) == (-1, 8)
+        assert _layered(twin, 4, brute_compositions(5)) == (-1, 8)
 
     def test_scan_layered_rejects_nonpositive_parts(self):
         # a part 0 would match without using a host position
@@ -371,12 +366,11 @@ class TestLayeredTable:
 
     def test_the_family_table_is_the_generic_one(self):
         # the chain table of n and the mask oracle's table of every
-        # composition of n count the same patterns, scan every length from
-        # n to L(n) + 2 alike, and enter as many states and dead entries
+        # composition of n scan every length from n to L(n) + 2 alike, and
+        # enter as many states and dead entries
         for n in range(13):
             family = LayeredTable(n)
             generic = MaskTable(brute_compositions(n))
-            assert family.count == len(generic) == len(brute_compositions(n))
             for m in range(n, superpattern_length(n) + 3):
                 assert _kernels_py.scan_layered(m, family) == (
                     mask_scan_layered(m, generic)
@@ -482,10 +476,9 @@ class TestLayeredTable:
                 MaskTable(profiles)
         # a chain table holds two numbers per pair, so it takes any need
         table = LayeredTable(64)
-        assert table.count == 2**63
         assert _kernels_py._pairs(table.root, table.bits) == [(64, 1)]
         assert _kernels_py.scan_layered(63, table) == (-1, 2**62)
-        assert table.bounds == []
+        assert table.bounds == [] and table.nodes == 0
 
     def test_the_largest_need_scans(self):
         # (20,) fits only the last composition of 20
@@ -704,7 +697,7 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_layered_bench_workload_on_every_backend(backend):
+def test_layered_bench_workload_on_every_backend(twin):
     # perfbench/micro.py times this workload on each importable backend,
     # each of which runs the twin's layered scan
     script = _ROOT / "benchmarks" / "bench_kernels.py"
@@ -712,20 +705,18 @@ def test_layered_bench_workload_on_every_backend(backend):
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     _, work = bench._layered_scan_workload()
-    assert work(backend) == (-1, 32768)
+    assert work(twin) == (-1, 32768)
 
 
 def test_layered_bench_counts_nodes():
     # the untimed run beside the layered rows counts the search's nodes and
-    # entered states, and leaves the kernel unwrapped
+    # entered states on a table of its own
     script = _ROOT / "benchmarks" / "bench_kernels.py"
     spec = importlib.util.spec_from_file_location("bench_kernels", script)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    first_fit = _kernels_py._first_fit
     _, work = bench._layered_scan_workload()
     assert bench._layered_nodes(work) == (47, 29)
-    assert _kernels_py._first_fit is first_fit
 
 
 def test_layered_bench_times_the_search_by_layer():

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -155,7 +154,7 @@ class TestMinimalSuperpattern:
 
     def test_layered_counts_are_pinned(self):
         for n in range(9):
-            report = minimal_superpattern(n, "layered", "layered", budget=10**9)
+            report = minimal_superpattern(n, "layered", "layered")
             assert report.candidates_examined == _LAYERED_EXAMINED[n], n
             assert report.min_length == superpattern_length(n), n
 
@@ -164,8 +163,8 @@ class TestMinimalSuperpattern:
         # each reaches lengths with >2048 candidates: the unrestricted ones
         # are split over the workers, the layered ones stay in this process
         for tag, n in (("layered", 6), ("layered", 8), ("all", 4)):
-            serial = minimal_superpattern(n, tag, tag, budget=10**9)
-            parallel = minimal_superpattern(n, tag, tag, budget=10**9, jobs=2)
+            serial = minimal_superpattern(n, tag, tag)
+            parallel = minimal_superpattern(n, tag, tag, jobs=2)
             assert _semantic(serial) == _semantic(parallel)
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
@@ -206,9 +205,9 @@ class TestMinimalSuperpattern:
 
         monkeypatch.setattr(kernels, "scan_layered", here_only)
         for n in (4, 6):
-            serial = minimal_superpattern(n, "layered", "layered", budget=10**9)
+            serial = minimal_superpattern(n, "layered", "layered")
             scanned.clear()
-            parallel = minimal_superpattern(n, "layered", "layered", budget=10**9, jobs=2)
+            parallel = minimal_superpattern(n, "layered", "layered", jobs=2)
             assert _semantic(serial) == _semantic(parallel)
             assert scanned == list(range(n, parallel.min_length + 1))
 
@@ -253,50 +252,78 @@ class TestMinimalSuperpattern:
         }
 
     def test_budget_exceeded_carries_partial(self):
-        with pytest.raises(BudgetExceededError) as exc_info:
-            minimal_superpattern(4, "layered", "layered", budget=200)
-        err = exc_info.value
-        assert err.lengths_exhausted == ((4, 8), (5, 16))
-        assert err.budget == 200
-        assert "layered length 6" in str(err) and "exhausted: 4, 5" in str(err)
+        # n = 4 charges its lengths 4..8 the nodes 3, 1, 2, 3, 4, 13 in all:
+        # 5 refuses length 6, and 12 the last, although it holds the witness
+        for budget, refused in ((5, 6), (12, 8)):
+            with pytest.raises(BudgetExceededError) as exc_info:
+                minimal_superpattern(4, "layered", "layered", budget=budget)
+            err = exc_info.value
+            assert err.lengths_exhausted == tuple((m, 2 ** (m - 1)) for m in range(4, refused))
+            assert (err.estimated, err.budget) == (budget + 1, budget)
+            assert str(err) == (
+                f"scanning layered length {refused} needs ~{budget + 1} nodes, over the budget "
+                f"of {budget}; lengths exhausted: {', '.join(map(str, range(4, refused)))}"
+            )
+        assert minimal_superpattern(4, "layered", "layered", budget=13).min_length == 8
+
+    def test_layered_lengths_are_charged_the_nodes_they_visit(self, monkeypatch):
+        # each length's _first_fit calls, once its scan returns; the first
+        # length's include the 2 of the family proofs
+        charge = search._Budget.charge
+        charged = []
+
+        def recorded(ledger, ctag, m, nodes, exhausted):
+            charged.append(nodes)
+            return charge(ledger, ctag, m, nodes, exhausted)
+
+        monkeypatch.setattr(search._Budget, "charge", recorded)
+        minimal_superpattern(4, "layered", "layered")
+        assert charged == [3, 1, 2, 3, 4]
+        table = _kernels_py.LayeredTable(4)
+        table._prove_families()
+        assert table.nodes == 2
 
     def test_budget_refusal_at_the_first_length_scans_nothing(self, monkeypatch):
-        # the family bounds are proved by the first scan, after the ledger
-        # has charged the first length
+        # a non-layered length is charged its candidates times patterns
+        # before any of it is scanned
         def no_scan(*args):
             raise AssertionError("scanned before the first length was charged")
 
-        monkeypatch.setattr(kernels, "scan_layered", no_scan)
-        monkeypatch.setattr(_kernels_py, "_first_fit", no_scan)
-        t0 = time.perf_counter()
-        with pytest.raises(BudgetExceededError) as exc_info:
-            minimal_superpattern(12, "layered", "layered", budget=1)
-        assert time.perf_counter() - t0 < 0.1
-        assert exc_info.value.lengths_exhausted == ()
+        monkeypatch.setattr(kernels, "scan_all_perms", no_scan)
+        monkeypatch.setattr(kernels, "scan_perm_list", no_scan)
+        for tag in ("all", "av231", "av321"):
+            with pytest.raises(BudgetExceededError) as exc_info:
+                minimal_superpattern(4, tag, tag, budget=1)
+            assert exc_info.value.lengths_exhausted == ()
 
     def test_layered_node_counts_are_pinned(self, monkeypatch):
         # _first_fit calls per search, the proofs of the family bounds
-        # included; a search that forms a state's children anew each time it
-        # enters the state makes the same calls as one that keeps them
-        first_fit = _kernels_py._first_fit
-        calls = []
+        # included, as the search's table counts them; a search that forms
+        # a state's children anew each time it enters the state makes the
+        # same calls as one that keeps them
+        scan = kernels.scan_layered
+        tables = []
 
-        def counted(r, base, state, table):
-            calls.append(r)
-            return first_fit(r, base, state, table)
+        def kept(m, table):
+            tables.append(table)
+            return scan(m, table)
+
+        monkeypatch.setattr(kernels, "scan_layered", kept)
+        first_fit = _kernels_py._first_fit
 
         def afresh(r, base, state, table):
             table.children.pop(state, None)
-            return counted(r, base, state, table)
+            return first_fit(r, base, state, table)
 
-        for wrapper in (counted, afresh):
+        for wrapper in (afresh, first_fit):
             monkeypatch.setattr(_kernels_py, "_first_fit", wrapper)
             nodes = []
             for n in range(4, 13):
-                calls.clear()
-                minimal_superpattern(n, "layered", "layered", budget=10**15)
-                nodes.append(len(calls))
+                minimal_superpattern(n, "layered", "layered")
+                nodes.append(tables[-1].nodes)
             assert nodes == [13, 23, 40, 69, 123, 255, 504, 905, 1505], wrapper
+        minimal_superpattern(20, "layered", "layered")
+        assert tables[-1].nodes == 67_704
 
     def test_negative_budgets_are_refused_before_any_charge(self, monkeypatch):
         def no_charge(*args):
@@ -311,9 +338,11 @@ class TestMinimalSuperpattern:
         with pytest.raises(ValueError, match=message):
             check_conjecture_321(2, budget=-5)
         monkeypatch.undo()
-        # a budget of 0 is a budget that refuses the first length
-        with pytest.raises(BudgetExceededError, match="over the budget of 0"):
-            minimal_superpattern(3, "layered", "layered", budget=0)
+        # a budget of 0 refuses the first length, which is charged at least
+        # one node, also at n = 0, where the scan makes no call
+        for n in (0, 3):
+            with pytest.raises(BudgetExceededError, match="budget of 0; lengths exhausted: none"):
+                minimal_superpattern(n, "layered", "layered", budget=0)
 
     def test_layered_search_memory_is_bounded(self):
         # the n = 16 search keeps a few thousand chains, each one small int
@@ -321,7 +350,7 @@ class TestMinimalSuperpattern:
         # near 200 MB here
         tracemalloc.start()
         try:
-            report = minimal_superpattern(16, "layered", "layered", budget=10**21)
+            report = minimal_superpattern(16, "layered", "layered")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -331,11 +360,8 @@ class TestMinimalSuperpattern:
     def test_layered_search_beyond_the_cap(self):
         # the search runs on threshold chains and enumerates no profile, so
         # the enumeration's cap of 20 does not bind it: the default budget
-        # refuses n = 21 on its a-priori charge, and a budget over that
-        # charge proves L(21) with a checked report
-        with pytest.raises(BudgetExceededError, match="layered length 21 needs ~1099511627776"):
-            minimal_superpattern(21, "layered", "layered")
-        report = minimal_superpattern(21, "layered", "layered", budget=10**30)
+        # proves L(21) with a checked report
+        report = minimal_superpattern(21, "layered", "layered")
         assert report.min_length == superpattern_length(21) == 79
         assert [m for m, _ in report.lengths_exhausted] == list(range(21, 79))
 
@@ -605,9 +631,8 @@ def test_av231_over_av231_candidates_full_search():
 @pytest.mark.slow
 @pytest.mark.parametrize("n", range(9, 21))
 def test_layered_minimality_by_enumeration(n):
-    # beyond the acceptance suite's n <= 8: every shorter length exhausted;
-    # the a-priori charge at n = 20 is about 9.9e27
-    report = minimal_superpattern(n, "layered", "layered", budget=10**28)
+    # beyond the acceptance suite's n <= 8: every shorter length exhausted
+    report = minimal_superpattern(n, "layered", "layered")
     assert report.min_length == superpattern_length(n) == superpattern_length_closed(n)
     assert [m for m, _ in report.lengths_exhausted] == list(range(n, report.min_length))
     assert all(count == 2 ** (m - 1) for m, count in report.lengths_exhausted)
