@@ -133,7 +133,7 @@ def _candidate_list_workload():
     patterns = _ordered_pattern_tuples(ClassTag.AV231, 5)
 
     def work(mod):
-        return mod.scan_perm_list(candidates, patterns, 0, len(candidates))
+        return mod.scan_perm_list(candidates, patterns)
 
     return "av231 candidate scan (16796 candidates, n=5 patterns)", work
 

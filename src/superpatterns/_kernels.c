@@ -9,10 +9,10 @@
    from the twin on either backend.  Values, lengths and positions are held
    as C ints, and ranks as 64-bit integers: an argument that does not fit
    raises OverflowError, and a length whose ranks do not fit raises
-   ValueError.  Each scan takes a half-open range [lo, hi) of permutation
-   ranks or list indices with 0 <= lo <= hi <= m! or the list's length, else
-   ValueError, and returns (the first witness in it or -1, scanned); an
-   empty range, the one at the end included, gives (-1, 0).  The
+   ValueError.  scan_all_perms takes a half-open range [lo, hi) of
+   permutation ranks with 0 <= lo <= hi <= m!, else ValueError, and
+   scan_perm_list the whole list it is given.  Each returns (the first
+   witness or -1, scanned); an empty range or list gives (-1, 0).  The
    interpreter lock is held throughout; parallel runs use processes. */
 
 #define PY_SSIZE_T_CLEAN
@@ -181,14 +181,6 @@ static int bad_length(int m, int max_m)
     return 1;
 }
 
-static int bad_ranks(long long lo, long long hi, long long count)
-{
-    if (0 <= lo && lo <= hi && hi <= count)
-        return 0;
-    PyErr_Format(PyExc_ValueError, "ranks [%lld, %lld) are outside [0, %lld)", lo, hi, count);
-    return 1;
-}
-
 static void unrank_permutation(int m, long long rank, int *perm)
 {
     int vals[MAX_PERMUTATION_LENGTH];
@@ -250,8 +242,12 @@ static PyObject *scan_all_perms(PyObject *self, PyObject *args)
     long long lo, hi, found = -1;
     Flat f;
     if (!PyArg_ParseTuple(args, "iOLL:scan_all_perms", &m, &patterns, &lo, &hi)
-        || bad_length(m, MAX_PERMUTATION_LENGTH)
-        || bad_ranks(lo, hi, factorial(m)) || flatten(patterns, &f) < 0)
+        || bad_length(m, MAX_PERMUTATION_LENGTH))
+        return NULL;
+    long long total = factorial(m);
+    if (!(0 <= lo && lo <= hi && hi <= total))
+        return PyErr_Format(PyExc_ValueError, "ranks [%lld, %lld) are outside [0, %lld)", lo, hi, total);
+    if (flatten(patterns, &f) < 0)
         return NULL;
     if (lo < hi)
         unrank_permutation(m, lo, perm);
@@ -267,15 +263,15 @@ static PyObject *scan_all_perms(PyObject *self, PyObject *args)
 static PyObject *scan_perm_list(PyObject *self, PyObject *args)
 {
     PyObject *candidates, *patterns;
-    Py_ssize_t lo, hi, found = -1, cap = 0, m;
+    Py_ssize_t found = -1, cap = 0, m;
     int *host = NULL;
     Flat f;
-    if (!PyArg_ParseTuple(args, "OOnn:scan_perm_list", &candidates, &patterns, &lo, &hi))
+    if (!PyArg_UnpackTuple(args, "scan_perm_list", 2, 2, &candidates, &patterns))
         return NULL;
     Py_ssize_t count = PySequence_Size(candidates);
-    if (count < 0 || bad_ranks(lo, hi, count) || flatten(patterns, &f) < 0)
+    if (count < 0 || flatten(patterns, &f) < 0)
         return NULL;
-    for (Py_ssize_t idx = lo; idx < hi && found < 0; idx++) {
+    for (Py_ssize_t idx = 0; idx < count && found < 0; idx++) {
         PyObject *cand = PySequence_GetItem(candidates, idx);
         int loaded = cand != NULL && load_ints(cand, &host, &cap, 0, &m) == 0;
         Py_XDECREF(cand);
@@ -289,7 +285,7 @@ static PyObject *scan_perm_list(PyObject *self, PyObject *args)
     }
     free(host);
     flat_free(&f);
-    return scan_result(found, lo, hi);
+    return scan_result(found, 0, count);
 }
 
 static PyMethodDef methods[] = {

@@ -205,12 +205,6 @@ def composition_count(n):
     return 1 << (n - 1) if n else 1
 
 
-def _check_ranks(lo, hi, count):
-    """ValueError unless [lo, hi) is a range of ranks in [0, count)."""
-    if not 0 <= lo <= hi <= count:
-        raise ValueError(f"ranks [{lo}, {hi}) are outside [0, {count})")
-
-
 def composition_at_rank(m, rank):
     """The rank-th composition of m, compositions ordered lexicographically.
 
@@ -569,24 +563,22 @@ def scan_all_perms(m, patterns, rank_lo, rank_hi):
     0 <= rank_lo <= rank_hi <= m!, else ValueError; an empty range, the one
     at m! included, gives (-1, 0).
     """
-    _check_ranks(rank_lo, rank_hi, math.factorial(m))
+    total = math.factorial(m)
+    if not 0 <= rank_lo <= rank_hi <= total:
+        raise ValueError(f"ranks [{rank_lo}, {rank_hi}) are outside [0, {total})")
     perms = itertools.permutations(range(1, m + 1))
     return _scan(itertools.islice(perms, rank_lo, rank_hi), patterns, rank_lo, rank_hi)
 
 
-def scan_perm_list(candidates, patterns, lo, hi):
-    """Scan candidates[lo:hi] (one-line tuples) for one containing every
-    pattern.
+def scan_perm_list(candidates, patterns):
+    """Scan the whole list of candidates (one-line tuples) for one
+    containing every pattern.
 
-    Returns (witness_index, scanned): the smallest index in [lo, hi) whose
-    candidate contains every pattern, scanned counting the indices from lo
-    through it, or -1 when there is none, in which case scanned == hi - lo.
-    The indices must satisfy 0 <= lo <= hi <= len(candidates), else
-    ValueError; an empty range, the one at len(candidates) included, gives
-    (-1, 0).
+    Returns (witness_index, scanned): (i, i + 1) for the smallest index i
+    whose candidate contains every pattern, or (-1, len(candidates)) when
+    there is none; an empty list gives (-1, 0).
     """
-    _check_ranks(lo, hi, len(candidates))
-    return _scan(itertools.islice(candidates, lo, hi), patterns, lo, hi)
+    return _scan(candidates, patterns, 0, len(candidates))
 
 
 def _scan(candidates, patterns, lo, hi):

@@ -93,11 +93,11 @@ class _Budget:
         self.limit = DEFAULT_BUDGET if limit is None else limit
         self.used = 0
 
-    def charge(
+    def check(
         self, ctag: ClassTag, m: int, nodes: int, exhausted: list[tuple[int, int]]
     ) -> None:
-        """Charge scanning length m of the class, or raise with the lengths
-        that this scan's search has exhausted."""
+        """Raise, with the lengths that this scan's search has exhausted,
+        unless scanning length m of the class for nodes more fits."""
         if self.used + nodes > self.limit:
             done = ", ".join(str(k) for k, _ in exhausted) or "none"
             raise BudgetExceededError(
@@ -107,6 +107,12 @@ class _Budget:
                 estimated=self.used + nodes,
                 budget=self.limit,
             )
+
+    def charge(
+        self, ctag: ClassTag, m: int, nodes: int, exhausted: list[tuple[int, int]]
+    ) -> None:
+        """Charge scanning length m of the class, or raise (check)."""
+        self.check(ctag, m, nodes, exhausted)
         self.used += nodes
 
 
@@ -150,7 +156,7 @@ def _scan_range(
         if rank >= 0:
             return rank, kernels.permutation_at_rank(m, rank)
     else:
-        rank, _ = kernels.scan_perm_list(members, patterns, 0, hi - lo)
+        rank, _ = kernels.scan_perm_list(members, patterns)
         if rank >= 0:
             return lo + rank, members[rank]
     return -1, None
@@ -288,6 +294,9 @@ def _minimal_superpattern(
         if ptag is not ctag and composition_count(n) != class_count(ptag, n):
             raise InternalDefectError("layered candidates would miss a pattern")
     else:
+        # the first length's charge, from the counts: a budget that refuses
+        # it does so before any pattern is enumerated
+        ledger.check(ctag, n, class_count(ctag, n) * class_count(ptag, n), [])
         patterns = _ordered_pattern_tuples(ptag, n)
     exhausted: list[tuple[int, int]] = []
     m = n

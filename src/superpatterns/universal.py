@@ -28,7 +28,8 @@ from ._kernels_py import _layered_length as superpattern_length_closed
 from .classes import ClassTag, coerce_tag, class_tuples
 from .errors import CapExceededError, InternalDefectError
 from .kernels import contains as _contains
-from .kernels import greedy_layer_indices as _greedy
+# unused here, but bound for tracers that wrap universal._greedy
+from .kernels import greedy_layer_indices as _greedy  # noqa: F401
 from .perms import EMPTY, Embedding, Permutation
 
 VERIFY_CAP = {
@@ -225,13 +226,13 @@ def verify_universal(
     plus the candidate's length, with the first miss and the count of
     patterns up to it that the ordered enumeration would give, for any n.
     Otherwise the class is enumerated, up to n = VERIFY_CAP
-    (CapExceededError above it), and layered patterns of a layered candidate
-    are matched greedily on profiles instead of by the backtracking search.
+    (CapExceededError above it), and each pattern is checked by containment.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     tag = coerce_tag(class_name)
-    return _verify(candidate, n, tag, layered_mod.layer_profile(candidate))
+    profile = layered_mod.layer_profile(candidate) if tag is ClassTag.LAYERED else None
+    return _verify(candidate, n, tag, profile)
 
 
 def _verify(
@@ -241,8 +242,8 @@ def _verify(
     host_profile: layered_mod.LayerProfile | None,
 ) -> UniversalityReport:
     """verify_universal for n >= 0, given the candidate's layer profile
-    (None when it is not layered), so that a caller that has the profile
-    does not take it again."""
+    (None when it is not layered, and unread unless the class is layered),
+    so that a caller that has the profile does not take it again."""
     checked = 0
     missing: Permutation | None = None
     if tag is ClassTag.LAYERED and host_profile is not None:
@@ -254,16 +255,8 @@ def _verify(
         if n > cap:
             raise CapExceededError(f"verification for {tag.value} capped at n={cap}")
         host_values = candidate.values
-        host_sizes = host_profile.sizes if host_profile is not None else None
         for values in class_tuples(tag, n):
             checked += 1
-            if host_sizes is not None:
-                pattern_profile = layered_mod.layer_profile(Permutation(values))
-                if pattern_profile is not None:
-                    if _greedy(pattern_profile.sizes, host_sizes) is None:
-                        missing = Permutation(values)
-                        break
-                    continue
             if not _contains(values, host_values):
                 missing = Permutation(values)
                 break

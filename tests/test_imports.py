@@ -2,17 +2,19 @@
 
 A name that an import binds and nothing reads keeps a dependency between
 modules that no code needs.  ``__init__`` binds names for the package's
-users and is not scanned.
+users and is not scanned.  An import kept only for perfbench's tracer is
+allowlisted, and each allowlisted one must be a patch target of the tracer.
 """
 
 import ast
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src" / "superpatterns"
+_ROOT = Path(__file__).resolve().parent.parent
+_SRC = _ROOT / "src" / "superpatterns"
 
 # (module, name) bound only for a reader outside the module: perfbench's
-# tracer wraps search.enumerate_layered
-_ALLOWED = {("search", "enumerate_layered")}
+# tracer wraps search.enumerate_layered and universal._greedy
+_ALLOWED = {("search", "enumerate_layered"), ("universal", "_greedy")}
 
 
 def _imports(body):
@@ -47,3 +49,24 @@ def test_every_module_level_import_is_used():
     assert len(modules) >= 9
     unused = {pair for path in modules for pair in _unused_imports(path)}
     assert unused == _ALLOWED
+
+
+def _tracer_targets():
+    """The (module, "attr") pairs that perfbench/tracing.py patches."""
+    tree = ast.parse((_ROOT / "perfbench" / "tracing.py").read_text())
+    return {
+        (node.elts[0].id, node.elts[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) == 2
+        and isinstance(node.elts[0], ast.Name)
+        and isinstance(node.elts[1], ast.Constant)
+        and isinstance(node.elts[1].value, str)
+    }
+
+
+def test_every_allowed_import_is_a_tracer_target():
+    # an allowlisted import cannot outlive the patch that it is kept for
+    targets = _tracer_targets()
+    assert ("search", "_scan_length") in targets
+    assert _ALLOWED <= targets, _ALLOWED - targets

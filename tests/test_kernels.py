@@ -201,9 +201,15 @@ class TestScans:
             tuple(rng.sample(range(1, 8), 7)) for _ in range(64)
         ]
         patterns = ((2, 1, 3), (3, 1, 2))
-        assert backend.scan_perm_list(candidates, patterns, 0, 64) == (
-            _kernels_py.scan_perm_list(candidates, patterns, 0, 64)
+        assert backend.scan_perm_list(candidates, patterns) == (
+            _kernels_py.scan_perm_list(candidates, patterns)
         )
+        # the whole list is scanned: an empty one, a witness only at the
+        # last index, and none at all
+        assert backend.scan_perm_list([], patterns) == (-1, 0)
+        perms = [(1, 2, 3), (2, 1, 3), (3, 1, 2)]
+        assert backend.scan_perm_list(perms, ((3, 1, 2),)) == (2, 3)
+        assert backend.scan_perm_list(perms, ((3, 2, 1),)) == (-1, 3)
 
     def test_scan_counts_on_exhaustion(self, twin):
         # a pattern that never fits: every length-m composition lacks a part m+1
@@ -607,10 +613,6 @@ def test_rank_checks(backend):
         backend.scan_all_perms(3, ((1,),), 0, 9)
     with pytest.raises(ValueError):
         backend.scan_all_perms(3, ((1,),), -1, 2)
-    with pytest.raises(ValueError):
-        backend.scan_perm_list([(1, 2), (2, 1)], [(1,)], 0, 5)
-    with pytest.raises(ValueError):
-        backend.scan_perm_list([(1, 2), (2, 1)], [(1,)], 2, 1)
 
 
 def test_scan_layered_argument_checks():

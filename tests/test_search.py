@@ -285,16 +285,24 @@ class TestMinimalSuperpattern:
 
     def test_budget_refusal_at_the_first_length_scans_nothing(self, monkeypatch):
         # a non-layered length is charged its candidates times patterns
-        # before any of it is scanned
+        # before any of it is scanned, and the first length is charged from
+        # the class counts, so a refused search never builds its patterns
         def no_scan(*args):
-            raise AssertionError("scanned before the first length was charged")
+            raise AssertionError("scanned or enumerated before the first length was charged")
 
         monkeypatch.setattr(kernels, "scan_all_perms", no_scan)
         monkeypatch.setattr(kernels, "scan_perm_list", no_scan)
-        for tag in ("all", "av231", "av321"):
+        monkeypatch.setattr(search, "class_tuples", no_scan)
+        for n, tag in ((4, "all"), (4, "av231"), (4, "av321"), (10, "all"), (12, "av231")):
+            nodes = class_count(tag, n) ** 2
             with pytest.raises(BudgetExceededError) as exc_info:
-                minimal_superpattern(4, tag, tag, budget=1)
-            assert exc_info.value.lengths_exhausted == ()
+                minimal_superpattern(n, tag, tag, budget=1)
+            err = exc_info.value
+            assert str(err) == (
+                f"scanning {tag} length {n} needs ~{nodes} nodes, over the budget "
+                "of 1; lengths exhausted: none"
+            )
+            assert (err.lengths_exhausted, err.estimated, err.budget) == ((), nodes, 1)
 
     def test_layered_node_counts_are_pinned(self, monkeypatch):
         # _first_fit calls per search, the proofs of the family bounds

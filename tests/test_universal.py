@@ -41,7 +41,7 @@ from superpatterns import (
     verify_universal,
 )
 from superpatterns import universal
-from superpatterns.classes import ClassTag
+from superpatterns.classes import ClassTag, class_tuples
 from superpatterns.errors import CapExceededError, InternalDefectError
 from superpatterns.universal import _decreasing_chains, _max_decreasing_positions
 
@@ -308,6 +308,29 @@ class TestVerifyUniversal:
         assert missing is not None and not report.ok
         assert report.missing == realize(LayerProfile(missing))
         assert report.patterns_checked == checked
+
+    def test_layered_candidates_of_other_classes_are_checked_by_containment(self):
+        # U(n), U(n + 2), n + 1 layers of size 2, and one layer, which
+        # misses a layered pattern first: the report is a walk of the class
+        # in order, brute containment, stopping at the first miss
+        for n in range(2, 7):
+            hosts = (
+                build_universal(n),
+                build_universal(n + 2),
+                realize(LayerProfile((2,) * (n + 1))),
+                decreasing(n + 2),
+            )
+            for host, tag in itertools.product(hosts, ("all", "av231", "av321")):
+                checked, missing = 0, None
+                for values in class_tuples(tag, n):
+                    checked += 1
+                    if not brute_contains(values, host.values):
+                        missing = Permutation(values)
+                        break
+                report = verify_universal(host, n, tag)
+                assert (report.ok, report.missing, report.patterns_checked) == (
+                    missing is None, missing, checked
+                ), (str(host), n, tag)
 
     @pytest.mark.parametrize("class_name", ["layered", "av231", "av321", "all"])
     def test_negative_n_rejected(self, class_name):
