@@ -5,10 +5,10 @@ Times the hot inner loops on representative workloads: backtracking
 containment, two composition scans behind the layered search (n = 7 and
 n = 9 patterns), the permutation scan behind the unrestricted search, and
 the candidate-list scan behind the av-class runs.  Each result is checked
-to agree between the backends.  The layered search is the twin's on either
-backend, so the two layered workloads have no compiled column; below
-each of them, one more untimed run reads the search's nodes (_first_fit
-calls) and the chains it entered off its table.  An untimed row reads the
+to agree between the backends.  The layered search is the chain engine's
+(superpatterns.chains) on either backend, so the two layered workloads have
+no compiled column; below each of them, one more untimed run reads the
+search's nodes (_first_fit calls) and the chains it entered off its table.  An untimed row reads the
 same for the whole layered search of n = 20 (every length from 20 to
 L(20) = 74 on one table).  Last, for n = 4..8, the whole minimal_superpattern(n, "layered",
 "layered") is timed beside its layers: the kernel alone (scan_layered for
@@ -28,7 +28,7 @@ import random
 import time
 
 from superpatterns import _kernels_py
-from superpatterns._kernels_py import LayeredTable
+from superpatterns.chains import LayeredTable, scan_layered
 
 try:
     from superpatterns import _kernels
@@ -62,10 +62,10 @@ def _containment_workload():
 def _layered_scan_workload():
     # length 16 < a(7) = 17, so the scan must exhaust all 2^15 compositions,
     # which is exactly the nonexistence half of a search run; every backend
-    # runs the twin's scan, on the search's table built cold for each repeat
+    # runs the chain engine's scan, on a table built cold for each repeat
     def work(mod):
         work.table = LayeredTable(7)
-        return _kernels_py.scan_layered(16, work.table)
+        return scan_layered(16, work.table)
 
     return "layered nonexistence scan (2^15 candidates, n=7 patterns)", work
 
@@ -75,7 +75,7 @@ def _layered_proof_scan_workload():
     # proof, where pruning whole blocks of ranks matters most
     def work(mod):
         work.table = LayeredTable(9)
-        return _kernels_py.scan_layered(24, work.table)
+        return scan_layered(24, work.table)
 
     return "layered nonexistence scan (2^23 candidates, n=9 patterns)", work
 
@@ -86,7 +86,7 @@ def _layered_search_workload():
     def work(mod):
         table = work.table = LayeredTable(20)
         for m in itertools.count(20):
-            rank, _ = _kernels_py.scan_layered(m, table)
+            rank, _ = scan_layered(m, table)
             if rank >= 0:
                 return m, rank
 
@@ -104,7 +104,7 @@ def _layered_proof_layers(n, repeat):
     def kernel():
         table = LayeredTable(n)
         for m in itertools.count(n):
-            if _kernels_py.scan_layered(m, table)[0] >= 0:
+            if scan_layered(m, table)[0] >= 0:
                 return m
 
     report = search()
@@ -166,15 +166,15 @@ def main() -> None:
         _all_perm_scan_workload,
         _candidate_list_workload,
     ]
-    twin_only = {_layered_scan_workload, _layered_proof_scan_workload}
+    chain_only = {_layered_scan_workload, _layered_proof_scan_workload}
     compiled = "compiled" if _kernels is None else _kernels.BACKEND
     print(f"{'workload':58s} {'python':>10s} {compiled:>10s} {'speedup':>8s}")
     for builder in builders:
         name, work = builder()
         py_time, py_result = _time(work, _kernels_py, args.repeat)
-        if _kernels is None or builder in twin_only:
+        if _kernels is None or builder in chain_only:
             print(f"{name:58s} {py_time * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
-            if builder in twin_only:
+            if builder in chain_only:
                 calls, entered = _layered_nodes(work)
                 print(f"  {calls:,} _first_fit calls, {entered:,} chains entered")
             continue

@@ -1,0 +1,387 @@
+"""The layered chain engine.
+
+scan_layered scans the compositions of m in rank order for the first whose
+layered permutation contains every layered permutation of length n, on a
+LayeredTable of threshold chains that serves every length of one n.
+LayeredTable proves the chain form closed and exact, and scan_layered gives
+the pruning rules.  The layered facts the other modules share are defined
+here once: greedy layer matching on profiles, the count and the ranking of
+compositions, and L(n) (_layered_length).  Ranks are 0-based, compositions
+ordered lexicographically.  This module imports only ``errors``.
+
+>>> table = LayeredTable(3)
+>>> scan_layered(4, table)  # L(3) = 5: none of the 8 compositions of 4 fits
+(-1, 8)
+>>> rank, scanned = scan_layered(5, table)
+>>> composition_at_rank(5, rank), scanned
+((1, 3, 1), 7)
+"""
+
+from __future__ import annotations
+
+import sys
+
+from .errors import CapExceededError, InternalDefectError
+
+
+def greedy_layer_indices(pattern_sizes, host_sizes):
+    """Greedy left-to-right layer matching on layer-size profiles.
+
+    Each pattern layer of size s consumes the first not-yet-passed host
+    layer of size >= s.  Returns the 0-based host layer indices (strictly
+    increasing) or None when some pattern layer cannot be placed.
+    """
+    out = []
+    j = 0
+    nh = len(host_sizes)
+    for s in pattern_sizes:
+        while j < nh and host_sizes[j] < s:
+            j += 1
+        if j == nh:
+            return None
+        out.append(j)
+        j += 1
+    return tuple(out)
+
+
+def composition_count(n):
+    """Number of compositions of n (= layered permutations of length n)."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    return 1 << (n - 1) if n else 1
+
+
+def composition_at_rank(m, rank):
+    """The rank-th composition of m, compositions ordered lexicographically.
+
+    Decodes g = 2^m - 1 - rank: the binary code of (a1, a2, ...) is the
+    bit string 1 0^(a1-1) 1 0^(a2-1) ..., and the codes of the compositions
+    of m, 2^(m-1) .. 2^m - 1, fall as their ranks rise.  The parts are read
+    off from the top bit down, each one the distance from a set bit to the
+    next, or to the end.  A rank outside [0, 2^(m-1)) (0 alone for m = 0)
+    raises ValueError.
+    """
+    if not 0 <= rank < composition_count(m):
+        raise ValueError(f"rank {rank} out of range for m={m}")
+    g = (1 << m) - 1 - rank
+    parts = []
+    while g:
+        tail = g ^ 1 << (g.bit_length() - 1)
+        parts.append(g.bit_length() - tail.bit_length())
+        g = tail
+    return tuple(parts)
+
+
+def _layered_length(n):
+    """L(n), the length of the shortest layered permutation that contains
+    every layered permutation of length n, by the paper's closed form
+    (n + 1) * ceil(log2(n + 1)) - 2^ceil(log2(n + 1)) + 1 in exact integer
+    arithmetic: ceil(log2(n + 1)) is n.bit_length().  A negative n raises
+    ValueError.  universal.superpattern_length_closed is this function."""
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    lg = n.bit_length()
+    return (n + 1) * lg - (1 << lg) + 1
+
+
+class LayeredTable:
+    """scan_layered's tables for the layered family of n, every composition
+    of n as a pattern, built once so that one table serves every length of
+    a search; nodes counts the _first_fit calls of its scans, the family
+    proofs' too.  A negative n raises ValueError.
+
+    What a prefix of a candidate still needs is its state, the set of the
+    patterns' distinct unmatched suffixes (scan_layered), reduced to its
+    containment-maximal suffixes.  Greedy fit is containment of layered
+    permutations, which is transitive: a completion that fits a suffix fits
+    every suffix that one contains, so dropping those leaves every answer
+    and count as it was.  Whether some completion of r positions fits a
+    state depends on r and the state alone, not on the length m being
+    scanned, so the table of dead states is built once and serves every m.
+
+    Every state is a threshold chain.  Let F(k, t) be the compositions of k
+    whose first part is at least t.  A chain is a list of pairs (k1, t1),
+    (k2, t2), ..., with k strictly decreasing and the slack k - t strictly
+    increasing, and stands for the reduced union of its families.  The root
+    is the single pair (n, 1), and the empty chain holds only the empty
+    suffix.  The chain form is closed under a part a, and exact:
+
+    - Part a matches the first layer of each member whose first part h is
+      at most a and leaves its tail.  So a pair with t <= a leaves all of
+      F(k - h, 1) for each h in [t, min(a, k)], and what stays unreached is
+      F(k, a + 1), empty once a >= k.  A pair with t > a stays whole.
+    - A composition of i < k lies in some member of F(k, t) iff its first
+      part is at least t - (k - i).  So the down-closure of F(k, t) holds
+      F(i, max(1, i - s)) for every i <= k, with s = k - t: the slack
+      carries down.  Hence the reduction drops every pair whose slack is
+      not above that of some pair of larger need, and of the tails part a
+      leaves, only F(K, 1) can survive, with K the largest slack among the
+      reached pairs.
+    - A member that the parent's reduction dropped lies in a kept one, and
+      what part a leaves of it lies in what part a leaves of that one (the
+      tail of a layered permutation lies in it).  So forming the child from
+      whole families gives the same reduced state as forming it from the
+      kept members.
+
+    In chain form, with s_i the slack of pair i and s_0 = -1:
+
+    - Pair i keeps the members with first parts t_i .. k_i - s_(i-1) - 1;
+      the others lie in a pair of larger need.  A kept member's first part
+      is its head, so a part forms a child iff it is 1 or lies in a kept
+      range: a larger part that reaches no new head leaves the same child
+      as the part before it with fewer positions left.
+    - t strictly decreases along a chain, so part a reaches the pairs from
+      the first i with t_i <= a on, and K is the last pair's slack.  Of the
+      reached pairs only pair i's remainder (k_i, a + 1) can survive: its
+      slack k_i - a - 1 is at least s_(i-1), equal only at the top of the
+      kept range, and every later remainder's is smaller.  F(K, 1), with
+      slack K - 1, survives iff K - 1 > k_i - a - 1, and goes last, since K
+      is below every k of the chain.
+    - need, the fewest positions a fitting completion takes: k1, plus one
+      unless the chain is the single pair (k, k), whose one member is (k,)
+      (scan_layered); 0 for the empty chain.
+    - reach, the fewest positions part a and a fitting completion after it
+      take: a + K, or a when part a reaches no pair.
+
+    The first scan through a table proves the family bounds, smallest k
+    first: for each k below n, the chain (k, 1), every composition of k, is
+    scanned once, exhaustively, at r = L(k) - 1, where L(k) is the length
+    of the shortest layered permutation that contains every layered
+    permutation of length k (_layered_length, the paper's closed form).  No
+    completion of L(k) - 1 positions fits, nor then of fewer.  The bound
+    rests on that failing scan, not on where the number came from; a fit
+    there contradicts the paper and raises InternalDefectError.  k = 1 has
+    L(1) - 1 = 0 and scans nothing.  bounds[k - 1] is L(k) - 1 once proved,
+    and a chain whose largest slack is s holds all of F(s + 1, 1) in its
+    down-closure, so it needs at least L(s + 1) positions: _children enters
+    bounds[s] in the dead table for each child it forms.  The chains below
+    (k, 1) have slacks below k - 1, so every bound a proof uses rests on a
+    scan made before it, and a scan that prunes by them is still a proof by
+    enumeration.  No bound is proved at n, which is what a search of n is
+    proving.
+
+    A chain is one int: pair i, (k, t), is k | t << bits shifted up by
+    2 * bits * i, with bits = n.bit_length() (1 at least), so the empty
+    chain is 0 and the pairs read from the low bits up (_pairs).  dead maps
+    a chain to the largest r known to have no fitting completion, and
+    children maps each chain the search has entered to the children it
+    formed there (_children), so a chain entered again at another r only
+    walks them.
+    """
+
+    def __init__(self, n):
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
+        self.n = n
+        self.bits = max(1, n.bit_length())
+        self.root = n | 1 << self.bits if n else 0
+        self.children = {}
+        self.dead = {}
+        self.bounds = []
+        self.nodes = 0
+
+    def _prove_families(self):
+        # proved once: bounds stays empty only for n <= 1, with nothing to prove
+        if self.bounds:
+            return
+        for k in range(1, self.n):
+            bound = _layered_length(k) - 1
+            if bound:
+                family = k | 1 << self.bits
+                if _first_fit(bound, 0, family, self) >= 0:
+                    raise InternalDefectError(
+                        f"a completion of length {bound} holds every "
+                        f"layered permutation of length {k}"
+                    )
+                self.dead[family] = bound
+            self.bounds.append(bound)
+
+
+def scan_layered(m, table):
+    """Scan the compositions of m by rank for one whose layered permutation
+    contains every composition of the LayeredTable's n (greedy layer
+    matching).
+
+    Returns (witness_rank, scanned): the smallest rank whose composition
+    fits every pattern and scanned == witness_rank + 1, or (-1, 2^(m-1))
+    (1 for m = 0) when there is none; m < 0 raises ValueError.  The table,
+    its nodes grown by this scan's, serves every later call made with it.
+
+    The search is depth first over composition prefixes, smallest next part
+    first, so prefixes are visited in rank order.  Greedy matching consumes a
+    pattern's first unmatched layer with the first host part at least as
+    large, so what a pattern still needs is its unmatched suffix, and
+    patterns with equal suffixes behave alike from there on.  A prefix's
+    state is therefore the set of distinct unmatched suffixes, with
+    finished patterns dropped, and so is a suffix that another suffix of
+    the state contains, since every completion that fits the larger one
+    fits it too; the states are threshold chains (LayeredTable).  A prefix
+    is pruned as soon as some suffix's sizes add up to more than the
+    positions left: each of its layers needs its own later host layer at
+    least as large.  A reduced state with two or more suffixes needs one
+    position more than its largest need N: a completion of exactly N
+    positions that fits a suffix g of need N is g itself, since each layer
+    of g takes a host part at least as large, and g contains no other
+    suffix of a reduced state.
+
+    Whether some completion of r positions fits depends only on r and the
+    set of completions that fit each suffix of the state, and if none of r
+    fits, none of r' < r does either (appending a last part r - r' to a
+    fitting completion keeps it fitting).  So the table of dead states maps
+    a chain to the largest r whose whole block of completions was scanned
+    without a fit, or for which a proved family bound (LayeredTable, one
+    exhaustive scan of L(k) - 1 positions per family) rules every
+    completion out, and a child whose chain is dead for at least its
+    positions left is skipped.  Every completion fits the empty chain.
+
+    A prefix with r > 0 positions left stands for exactly 2^(r-1)
+    compositions, a contiguous block of ranks, so a pruned or skipped prefix
+    accounts for its whole block.  The first leaf reached is the lex-first
+    witness, and the counts equal those of a flat scan of every rank.
+
+    The search recurses once per part (_first_fit), so before it scans
+    anything, an m whose recursion could reach sys.getrecursionlimit()
+    raises CapExceededError (_check_depth).
+    """
+    total = composition_count(m)
+    if table.n > m:
+        return (-1, total)
+    if m == 0:
+        return (0, 1)
+    _check_depth(m, table)
+    table._prove_families()
+    found = _first_fit(m, 0, table.root, table)
+    return (found, found + 1) if found >= 0 else (-1, total)
+
+
+def _check_depth(m, table):
+    """CapExceededError if a scan of m positions with this table could
+    reach the recursion limit: one _first_fit frame per part, on top of the
+    frames below the scan, and two more for _children and what it calls.
+    The first scan through a table also proves its family bounds, up to
+    L(n - 1) - 1 positions deep under _prove_families.  The frames below
+    are counted only for a recursion at least half the limit deep."""
+    deepest = m
+    if not table.bounds and table.n > 1:
+        deepest = max(m, _layered_length(table.n - 1))
+    limit = sys.getrecursionlimit()
+    if 2 * deepest < limit:
+        return
+    below = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        below += 1
+        frame = frame.f_back
+    if below + deepest + 2 > limit:
+        raise CapExceededError(
+            f"scanning layered length {m} recurses up to {deepest} parts deep, "
+            f"over the recursion limit of {limit} with the {below} frames below it"
+        )
+
+
+def _pairs(state, bits):
+    """The (k, t) pairs of a chain, largest need first (LayeredTable)."""
+    low = (1 << bits) - 1
+    pairs = []
+    while state:
+        pairs.append((state & low, state >> bits & low))
+        state >>= 2 * bits
+    return pairs
+
+
+def _need(state, bits):
+    """The fewest positions a fitting completion of a chain takes: its
+    largest need, plus one unless it is a single pair (k, k); 0 for the
+    empty chain (LayeredTable)."""
+    low = (1 << bits) - 1
+    k = state & low
+    return k + (state >> 2 * bits != 0 or k > state >> bits & low)
+
+
+def _children(state, table):
+    """The children of a chain, formed when the search first enters it and
+    kept in table.children: one (a, reach, need, key) for part 1 and for
+    each part a in a kept range, in increasing a, where key is the child's
+    chain and reach and need are as LayeredTable derives them.
+
+    The kept ranges run from the last pair's up to the first's.  For a part
+    a in pair i's range, the child keeps the pairs before i whole, then
+    pair i's remainder (k_i, a + 1) and F(K, 1) where each survives.  Each
+    child's family bound, bounds[s] for its largest slack s, is entered in
+    the dead table as it is formed.  Every child is formed, whatever r the
+    chain is entered at, so bounds are also entered for children that a
+    search at that r never reaches."""
+    bits, dead, bounds = table.bits, table.dead, table.bounds
+    width = 2 * bits
+    low = (1 << bits) - 1
+    proved = len(bounds)
+    pairs = _pairs(state, bits)
+    kids = table.children[state] = []
+    if not pairs or pairs[-1][1] > 1:
+        # part 1 reaches no pair and leaves the chain as it is
+        kids.append((1, 1, _need(state, bits), state))
+    # K, the last pair's slack: every part in a kept range reaches that pair
+    top = pairs[-1][0] - pairs[-1][1] if pairs else 0
+    family = top | 1 << bits
+    for i in range(len(pairs) - 1, -1, -1):
+        k, t = pairs[i]
+        below = pairs[i - 1][0] - pairs[i - 1][1] if i else -1
+        shift = width * i
+        prefix = state & ((1 << shift) - 1)
+        for a in range(t, k - below):
+            # slack ends as the child's largest, and equals below when
+            # pair i's remainder is dropped
+            child, slack, at = prefix, k - a - 1, shift
+            if slack > below:
+                child |= (k | (a + 1) << bits) << at
+                at += width
+            if top - 1 > slack:
+                child |= family << at
+                slack = top - 1
+            # the child's need (_need), from its first pair
+            lead = child & low
+            need = lead + (child >> width != 0 or lead > child >> bits & low)
+            kids.append((a, a + top, need, child))
+            if child and slack < proved and bounds[slack] > dead.get(child, 0):
+                dead[child] = bounds[slack]
+    return kids
+
+
+def _first_fit(r, base, state, table):
+    """The first rank among the compositions of r > 0 positions (first rank
+    base) that complete a prefix with this chain and fit every pattern, or
+    -1.
+
+    Child a, the prefix extended by a part a (_children), covers the
+    2^(r-a-1) ranks (1 for a = r) from base + 2^(r-1) - 2^(r-a).  Once a
+    child's reach exceeds r, the tails part a moves need more than the
+    r - a positions left, and so does every later child's reach, since a
+    later part reaches no fewer pairs; so the walk stops there.  A child
+    that needs more than r - a positions is skipped, and so is one whose
+    chain is dead for at least r - a.
+
+    A module-level function, not a closure in scan_layered: a recursive
+    closure is a reference cycle that keeps the tables alive until the cycle
+    collector runs."""
+    table.nodes += 1
+    kids = table.children.get(state)
+    if kids is None:
+        kids = _children(state, table)
+    dead = table.dead
+    top = 1 << (r - 1)
+    for a, reach, need, key in kids:
+        if reach > r:
+            return -1
+        rest = r - a
+        if need > rest:
+            continue
+        if rest == 0:
+            return base + top - 1
+        if dead.get(key, 0) < rest:
+            found = _first_fit(rest, base + top - (1 << rest), key, table)
+            if found >= 0:
+                return found
+            dead[key] = rest
+    return -1
+
+

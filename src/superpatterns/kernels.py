@@ -2,18 +2,15 @@
 
 Takes containment (``lex_min_embedding``) and the two permutation scans
 (``scan_all_perms``, ``scan_perm_list``) from the compiled extension
-``superpatterns._kernels`` when it is importable, and from the pure-Python
-twin otherwise.  Everything else always comes from the twin:
-``greedy_layer_indices`` and ``composition_at_rank``, which no search runs in
-bulk; ``permutation_at_rank``, since the compiled scans unrank their own
-start; and ``scan_layered``, the search over threshold chains of pattern
-suffixes with one ``LayeredTable`` for all the lengths of a search.  The
-public modules import the composition count and L(n) from the twin itself.
+``superpatterns._kernels`` when it is importable, and from its pure-Python
+twin ``superpatterns._kernels_py`` otherwise.  It also binds the chain
+engine's ``scan_layered`` and ``greedy_layer_indices``, which the library
+calls through this module so that a tracer patching it sees every call.
 """
 
 from __future__ import annotations
 
-from . import _kernels_py
+from . import _kernels_py, chains
 
 try:
     from . import _kernels as _impl  # type: ignore[attr-defined]
@@ -25,10 +22,8 @@ BACKEND: str = _impl.BACKEND
 lex_min_embedding = _impl.lex_min_embedding
 scan_all_perms = _impl.scan_all_perms
 scan_perm_list = _impl.scan_perm_list
-greedy_layer_indices = _kernels_py.greedy_layer_indices
-composition_at_rank = _kernels_py.composition_at_rank
-permutation_at_rank = _kernels_py.permutation_at_rank
-scan_layered = _kernels_py.scan_layered
+greedy_layer_indices = chains.greedy_layer_indices
+scan_layered = chains.scan_layered
 
 
 def contains(pattern, host):

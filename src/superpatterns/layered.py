@@ -6,7 +6,7 @@ Layered permutations of length n therefore correspond to the 2^(n-1)
 compositions of n, which this module enumerates lazily in lexicographic
 order (matching one-line lexicographic order of the realizations), up to
 n = ENUMERATION_CAP = 20 (check_layered_length).  The count of the
-compositions is the kernels' (composition_count).
+compositions is the chain engine's (chains.composition_count).
 Whether a layered host contains all of them is decided without enumerating
 them, by a per-layer reach table (first_missing_profile).
 """
@@ -17,8 +17,8 @@ import dataclasses
 import re
 from collections.abc import Iterator
 
-from . import kernels
-from ._kernels_py import composition_count
+from . import chains, kernels
+from .chains import composition_count
 from .errors import CapExceededError
 from .perms import Permutation
 
@@ -124,7 +124,7 @@ def layer_profile(perm: Permutation) -> LayerProfile | None:
 def composition_at_rank(n: int, rank: int) -> LayerProfile:
     """The rank-th composition of n in lexicographic order; a rank outside
     [0, composition_count(n)) raises ValueError."""
-    return LayerProfile(kernels.composition_at_rank(n, rank))
+    return LayerProfile(chains.composition_at_rank(n, rank))
 
 
 def enumerate_layered(n: int) -> Iterator[LayerProfile]:
@@ -135,7 +135,7 @@ def enumerate_layered(n: int) -> Iterator[LayerProfile]:
     """
     check_layered_length(n)
     return (
-        LayerProfile(kernels.composition_at_rank(n, rank))
+        LayerProfile(chains.composition_at_rank(n, rank))
         for rank in range(composition_count(n))
     )
 

@@ -11,6 +11,7 @@ share across workers.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Iterable, Iterator, Sequence
 
 from . import kernels
@@ -84,6 +85,24 @@ class Permutation:
 
 
 EMPTY = Permutation(())
+
+
+def permutation_at_rank(m: int, rank: int) -> tuple[int, ...]:
+    """The values of the rank-th permutation of 1..m (rank 0-based) in
+    lexicographic one-line order.
+
+    >>> permutation_at_rank(3, 3)
+    (2, 3, 1)
+    """
+    vals = list(range(1, m + 1))
+    out = []
+    f = math.factorial(m)
+    r = rank
+    for i in range(m, 0, -1):
+        f //= i
+        d, r = divmod(r, f)
+        out.append(vals.pop(d))
+    return tuple(out)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,25 +3,11 @@
 Candidates are scanned length by length, each length exhausted in
 lexicographic order, so a returned minimum comes with complete nonexistence
 counts for every shorter length.  Layered candidates are searched by
-composition prefix, one kernels.scan_layered call (the pure twin's search on
+composition prefix, one kernels.scan_layered call (the chain engine's, on
 either backend) per whole length, with one LayeredTable for every length of
-a search, built from n alone, for any n.  A prefix's state is the set of
-unmatched pattern suffixes, so the order of the patterns plays no part.  A
-state keeps only its containment-maximal suffixes: a completion that
-contains a suffix contains every suffix that one contains, since
-containment of layered permutations is transitive, so the dropped ones
-change no answer and no count.  What is left is a threshold chain, a short
-list of pairs (k, t) that stands for the compositions of k with first part
-at least t, held as one int.  A prefix is pruned when some pattern can no
-longer fit into it, when its state already failed with as many positions
-left, when its state holds every composition of some k < n in its
-down-closure and fewer than L(k) positions are left, or when its state
-keeps two or more suffixes and no more positions are left than its largest
-need.  The search proves each such lower bound itself, bottom up, with the
-same table, at its first scan: one exhaustive scan of L(k) - 1 positions
-from the state of every composition of k, which finds no fit.  A prefix
-stands for an exact, contiguous block of ranks, so the counts are those of
-visiting every candidate.
+a search, built from n alone.  Its pruning rules, and why each pruned prefix
+is counted exactly, are given in full in chains.LayeredTable and
+chains.scan_layered.
 
 One node budget gates every run, and exceeding it raises instead of
 truncating, because the nonexistence half of the result is only meaningful
@@ -64,13 +50,13 @@ from itertools import pairwise
 from typing import TYPE_CHECKING
 
 from . import kernels, layered
-from ._kernels_py import LayeredTable, composition_count
+from .chains import LayeredTable, composition_at_rank, composition_count
 from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
 from .errors import BudgetExceededError, InternalDefectError
 from .layered import realize_values
 # unused here, but bound for tracers that wrap search.enumerate_layered
 from .layered import enumerate_layered  # noqa: F401
-from .perms import Permutation
+from .perms import Permutation, permutation_at_rank
 from .universal import _decreasing_chains, _to_json, _verify, verify_universal
 
 if TYPE_CHECKING:
@@ -154,7 +140,7 @@ def _scan_range(
     if ctag is ClassTag.ALL:
         rank, _ = kernels.scan_all_perms(m, patterns, lo, hi)
         if rank >= 0:
-            return rank, kernels.permutation_at_rank(m, rank)
+            return rank, permutation_at_rank(m, rank)
     else:
         rank, _ = kernels.scan_perm_list(members, patterns)
         if rank >= 0:
@@ -187,7 +173,7 @@ def _scan_length(
         ledger.charge(ctag, m, max(patterns.nodes - nodes, 1), exhausted)
         values = None
         if rank >= 0:
-            values = realize_values(kernels.composition_at_rank(m, rank))
+            values = realize_values(composition_at_rank(m, rank))
     else:
         total = class_count(ctag, m)
         ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)

@@ -22,9 +22,9 @@ from array import array
 from collections.abc import Sequence
 
 from . import layered as layered_mod
-# L(n) by the paper's closed form, defined with the kernels, which prove the
-# layered family bounds with it
-from ._kernels_py import _layered_length as superpattern_length_closed
+# L(n) by the paper's closed form, defined with the chain engine, which
+# proves the layered family bounds with it
+from .chains import _layered_length as superpattern_length_closed
 from .classes import ClassTag, coerce_tag, class_tuples
 from .errors import CapExceededError, InternalDefectError
 from .kernels import contains as _contains

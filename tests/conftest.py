@@ -5,7 +5,7 @@ twin, and the compiled extension.  The compiled one is the installed module
 when it imports; otherwise setup.py builds it into a temporary directory for
 the session, and it is loaded from there for these tests only, so the
 library keeps the backend it selected at import.  Tests taking ``compiled``
-run on the compiled backend alone, and ``twin`` on the pure twin alone.
+run on the compiled backend alone.
 """
 
 import importlib.machinery
@@ -75,5 +75,3 @@ def pytest_generate_tests(metafunc):
     if "compiled" in metafunc.fixturenames:
         names = [n for n in names if n != "python"]
         metafunc.parametrize("compiled", [_BACKENDS[n] for n in names], ids=names)
-    if "twin" in metafunc.fixturenames:
-        metafunc.parametrize("twin", [_kernels_py], ids=["python"])

@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 
-from superpatterns import _kernels_py
+from superpatterns import _kernels_py, chains
 from superpatterns.errors import InternalDefectError
 from superpatterns.layered import check_layered_length
 
@@ -453,7 +453,7 @@ class MaskTable:
             if self.suffixes & mask != mask:
                 continue
             # equal needs: no member contains another, so the state is reduced
-            bound = _kernels_py._layered_length(k) - 1
+            bound = chains._layered_length(k) - 1
             if bound:
                 if mask_first_fit(bound, 0, mask | 1, self) >= 0:
                     raise InternalDefectError(
@@ -511,7 +511,7 @@ def mask_scan_layered(m, table):
     0 would match without using a host position, which the pruning bound
     does not allow for.
     """
-    total = _kernels_py.composition_count(m)
+    total = chains.composition_count(m)
     if (table.root.bit_length() - 1).bit_length() > m:
         return (-1, total)
     if m == 0:

@@ -70,3 +70,26 @@ def test_every_allowed_import_is_a_tracer_target():
     targets = _tracer_targets()
     assert ("search", "_scan_length") in targets
     assert _ALLOWED <= targets, _ALLOWED - targets
+
+
+def _package_imports(path):
+    """The package modules that a module imports (relatively, as the
+    package imports itself), at any depth of its body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_the_chain_engine_and_the_twin_stand_alone():
+    # the chain engine imports only errors and the twin nothing of the
+    # package, so a checker can import either without the other; only the
+    # backend selection imports the twin
+    assert _package_imports(_SRC / "chains.py") == {"errors"}
+    assert _package_imports(_SRC / "_kernels_py.py") == set()
+    importers = {
+        path.stem for path in _SRC.glob("*.py") if "_kernels_py" in _package_imports(path)
+    }
+    assert importers == {"kernels"}

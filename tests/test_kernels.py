@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import math
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -26,9 +27,9 @@ from oracles import (
     mask_scan_layered,
     pruned_scan_layered,
 )
-from superpatterns import _kernels_py, kernels, layered, superpattern_length
+from superpatterns import _kernels_py, chains, kernels, layered, perms, superpattern_length
 from superpatterns.errors import CapExceededError, InternalDefectError
-from superpatterns._kernels_py import LayeredTable
+from superpatterns.chains import LayeredTable
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,8 +104,8 @@ class TestEmbedding:
 
 
 class TestRanks:
-    def test_composition_at_rank(self, twin):
-        decode = twin.composition_at_rank
+    def test_composition_at_rank(self):
+        decode = chains.composition_at_rank
         for n in range(10):
             ranked = [decode(n, r) for r in range(max(1, 2 ** (n - 1)))]
             assert ranked == brute_compositions(n)
@@ -115,10 +116,9 @@ class TestRanks:
             decode(0, 1)
 
     def test_compositions_longer_than_62_decode(self):
-        # every backend decodes through the twin, whose ranks are unbounded
-        for decode in (kernels.composition_at_rank, _kernels_py.composition_at_rank):
-            assert decode(64, 0) == (1,) * 64
-            assert decode(64, 2**63 - 1) == (64,)
+        # compositions decode on Python ints, so ranks are unbounded
+        assert chains.composition_at_rank(64, 0) == (1,) * 64
+        assert chains.composition_at_rank(64, 2**63 - 1) == (64,)
         assert layered.composition_at_rank(64, 0).sizes == (1,) * 64
         assert layered.composition_at_rank(64, 2**63 - 1).sizes == (64,)
 
@@ -126,7 +126,7 @@ class TestRanks:
         for m in range(7):
             expected = sorted(itertools.permutations(range(1, m + 1)))
             got = [
-                _kernels_py.permutation_at_rank(m, r) for r in range(math.factorial(m))
+                perms.permutation_at_rank(m, r) for r in range(math.factorial(m))
             ]
             assert got == expected
 
@@ -139,17 +139,18 @@ def _whole_family(patterns):
     return None
 
 
-def _layered(twin, m, patterns):
+def _layered(m, patterns):
     """A layered scan over every composition of m, on a table of its own:
-    the twin's for every composition of one n, the mask oracle's else."""
+    the chain engine's for every composition of one n, the mask oracle's
+    else."""
     n = _whole_family(patterns)
     if n is None:
         return mask_scan_layered(m, MaskTable(patterns))
-    return twin.scan_layered(m, twin.LayeredTable(n))
+    return chains.scan_layered(m, LayeredTable(n))
 
 
 class TestScans:
-    def test_scan_layered_parity(self, twin):
+    def test_scan_layered_parity(self):
         # the oracle is a flat scan with brute containment, so it checks the
         # prefix search's pruning and block counting independently, on the
         # library's chains for whole families and on the mask oracle for
@@ -166,11 +167,11 @@ class TestScans:
                 size = min(len(pool), rng.randint(1, 4))
                 pattern_sets.append(tuple(rng.sample(pool, size)))
             for patterns in pattern_sets:
-                assert _layered(twin, m, patterns) == (
+                assert _layered(m, patterns) == (
                     brute_scan_layered(m, patterns, 0, total)
                 ), (m, patterns)
 
-    def test_scan_layered_long_lengths(self, twin):
+    def test_scan_layered_long_lengths(self):
         # lengths beyond the flat oracle's reach, against the per-pattern
         # prefix search, for whole families and random subsets of them
         rng = random.Random(20261019)
@@ -183,7 +184,7 @@ class TestScans:
                     tuple(rng.sample(every, rng.randint(1, 6))),
                 ]
                 for patterns in (every, *subsets):
-                    assert _layered(twin, m, patterns) == (
+                    assert _layered(m, patterns) == (
                         pruned_scan_layered(m, patterns, 0, total)
                     ), (m, patterns)
 
@@ -211,10 +212,10 @@ class TestScans:
         assert backend.scan_perm_list(perms, ((3, 1, 2),)) == (2, 3)
         assert backend.scan_perm_list(perms, ((3, 2, 1),)) == (-1, 3)
 
-    def test_scan_counts_on_exhaustion(self, twin):
+    def test_scan_counts_on_exhaustion(self):
         # a pattern that never fits: every length-m composition lacks a part m+1
-        assert _layered(twin, 4, ((5,),)) == (-1, 8)
-        assert _layered(twin, 4, brute_compositions(5)) == (-1, 8)
+        assert _layered(4, ((5,),)) == (-1, 8)
+        assert _layered(4, brute_compositions(5)) == (-1, 8)
 
     def test_scan_layered_rejects_nonpositive_parts(self):
         # a part 0 would match without using a host position
@@ -262,15 +263,15 @@ class TestScans:
         # and leaves the tail (1,) of (1, 1) as the chain (1, 1), to wait
         # for a later part; so the composition (2) fits neither family
         table = LayeredTable(2)
-        kids = _kernels_py._children(table.root, table)
+        kids = chains._children(table.root, table)
         assert kids[-1] == (2, 3, 1, _chain([(1, 1)], table.bits))
         for m, pin in enumerate([(-1, 2), (1, 2)], start=2):
-            got = _kernels_py.scan_layered(m, table)
+            got = chains.scan_layered(m, table)
             assert got == pin == brute_scan_layered(m, brute_compositions(2), 0, 2 ** (m - 1))
 
     def test_scan_layered_length_zero(self):
-        assert _kernels_py.scan_layered(0, LayeredTable(0)) == (0, 1)
-        assert _kernels_py.scan_layered(0, LayeredTable(1)) == (-1, 1)
+        assert chains.scan_layered(0, LayeredTable(0)) == (0, 1)
+        assert chains.scan_layered(0, LayeredTable(1)) == (-1, 1)
 
     def test_scan_layered_is_the_brute_scan(self):
         # past the minimum too, where the search can reach the empty chain
@@ -287,8 +288,8 @@ class TestScans:
                 ), -1)
                 total = 2 ** (m - 1) if m else 1
                 expected = (rank, rank + 1) if rank >= 0 else (-1, total)
-                assert _kernels_py.scan_layered(m, table) == expected, (n, m)
-                assert _kernels_py.scan_layered(m, LayeredTable(n)) == expected, (n, m)
+                assert chains.scan_layered(m, table) == expected, (n, m)
+                assert chains.scan_layered(m, LayeredTable(n)) == expected, (n, m)
 
 
 def _family_sets(rng):
@@ -345,7 +346,7 @@ def _scanned(n, extra=0):
     """The table of n after scanning every length from n to L(n) + extra."""
     table = LayeredTable(n)
     for m in range(n, superpattern_length(n) + extra + 1):
-        _kernels_py.scan_layered(m, table)
+        chains.scan_layered(m, table)
     return table
 
 
@@ -361,7 +362,7 @@ class TestLayeredTable:
             if n is None:
                 table, scan = MaskTable(patterns), mask_scan_layered
             else:
-                table, scan = LayeredTable(n), _kernels_py.scan_layered
+                table, scan = LayeredTable(n), chains.scan_layered
             lengths = list(range(17))
             rng.shuffle(lengths)
             for m in lengths:
@@ -378,7 +379,7 @@ class TestLayeredTable:
             family = LayeredTable(n)
             generic = MaskTable(brute_compositions(n))
             for m in range(n, superpattern_length(n) + 3):
-                assert _kernels_py.scan_layered(m, family) == (
+                assert chains.scan_layered(m, family) == (
                     mask_scan_layered(m, generic)
                 ), (n, m)
             assert len(family.children) == len(generic.children), n
@@ -394,7 +395,7 @@ class TestLayeredTable:
         for n in range(1, 13):
             table = LayeredTable(n)
             assert table.bounds == []  # nothing is proved before a scan
-            _kernels_py.scan_layered(n, table)
+            chains.scan_layered(n, table)
             assert table.bounds == [superpattern_length(k) - 1 for k in range(1, n)], n
             for k in range(2, n):
                 family = _chain([(k, 1)], table.bits)
@@ -403,13 +404,13 @@ class TestLayeredTable:
 
     def test_the_kernel_length_is_the_recurrence(self):
         for k in range(65):
-            assert _kernels_py._layered_length(k) == superpattern_length(k), k
+            assert chains._layered_length(k) == superpattern_length(k), k
 
     def test_each_family_bound_is_one_failing_scan(self, monkeypatch):
         # the families are proved smallest k first, each by one top-level
         # scan of its chain (k, 1) at r = L(k) - 1 that finds no fit; k = 1,
         # with L(1) - 1 = 0, scans nothing
-        first_fit = _kernels_py._first_fit
+        first_fit = chains._first_fit
         depth = [0]
         top = []
 
@@ -423,7 +424,7 @@ class TestLayeredTable:
                 top.append((r, base, state, found))
             return found
 
-        monkeypatch.setattr(_kernels_py, "_first_fit", tracked)
+        monkeypatch.setattr(chains, "_first_fit", tracked)
         for n in range(13):
             table = LayeredTable(n)
             top.clear()
@@ -435,34 +436,34 @@ class TestLayeredTable:
 
     def test_a_fit_at_a_family_bound_is_a_defect(self, monkeypatch):
         # a scan that reports a fit below L(k) contradicts the paper's bound
-        monkeypatch.setattr(_kernels_py, "_first_fit", lambda r, base, state, table: 0)
+        monkeypatch.setattr(chains, "_first_fit", lambda r, base, state, table: 0)
         with pytest.raises(InternalDefectError, match="every layered permutation of length 2"):
             LayeredTable(5)._prove_families()
         monkeypatch.undo()
         # a family scanned at L(k) itself fits, already at k = 1
-        length = _kernels_py._layered_length
-        monkeypatch.setattr(_kernels_py, "_layered_length", lambda k: length(k) + 1)
+        length = chains._layered_length
+        monkeypatch.setattr(chains, "_layered_length", lambda k: length(k) + 1)
         with pytest.raises(InternalDefectError, match="every layered permutation of length 1"):
-            _kernels_py.scan_layered(6, LayeredTable(6))
+            chains.scan_layered(6, LayeredTable(6))
 
     def test_a_state_gets_the_bound_of_each_family_it_holds_whole(self):
         # a chain whose largest slack is s holds every composition of s + 1
         # in its down-closure, and its dead entry is at least L(s + 1) - 1
-        chains = set()
+        seen = set()
         for n in range(2, 10):
             table = _scanned(n)
             for kids in table.children.values():
                 for _, _, _, key in kids:
-                    pairs = tuple(_kernels_py._pairs(key, table.bits))
+                    pairs = tuple(chains._pairs(key, table.bits))
                     if pairs:
                         s = pairs[-1][0] - pairs[-1][1]
                         assert table.dead.get(key, 0) >= superpattern_length(s + 1) - 1
-                        chains.add(pairs)
-        for pairs in chains:
+                        seen.add(pairs)
+        for pairs in seen:
             members = _members(pairs)
             for c in brute_compositions(pairs[-1][0] - pairs[-1][1] + 1):
                 assert any(layered_fits(c, g) for g in members), (pairs, c)
-        assert sum(k > t for *_, (k, t) in chains) > 100
+        assert sum(k > t for *_, (k, t) in seen) > 100
 
     def test_ids_are_the_compositions_binary_codes(self):
         # in the mask oracle and in composition_at_rank, the rank-r
@@ -471,7 +472,7 @@ class TestLayeredTable:
             for rank, c in enumerate(brute_compositions(k)):
                 assert mask_id(c) == 2**k - 1 - rank, c
                 assert MaskTable([c]).root == 1 | 1 << (2**k - 1 - rank), c
-                assert _kernels_py.composition_at_rank(k, rank) == c
+                assert chains.composition_at_rank(k, rank) == c
 
     def test_needs_above_the_cap_are_refused(self):
         # the mask oracle has a bit for every id below 2^need, so it refuses
@@ -482,8 +483,8 @@ class TestLayeredTable:
                 MaskTable(profiles)
         # a chain table holds two numbers per pair, so it takes any need
         table = LayeredTable(64)
-        assert _kernels_py._pairs(table.root, table.bits) == [(64, 1)]
-        assert _kernels_py.scan_layered(63, table) == (-1, 2**62)
+        assert chains._pairs(table.root, table.bits) == [(64, 1)]
+        assert chains.scan_layered(63, table) == (-1, 2**62)
         assert table.bounds == [] and table.nodes == 0
 
     def test_the_largest_need_scans(self):
@@ -511,10 +512,10 @@ class TestReduction:
         # the kept ranges, every pair keeps at least one, and distinct
         # chains are distinct reduced states; the need is the largest one,
         # plus one for two or more maximal members
-        chains = _chains(7)
-        assert len(chains) == 2**7
+        every = _chains(7)
+        assert len(every) == 2**7
         seen = set()
-        for pairs in chains:
+        for pairs in every:
             members = set(_members(pairs))
             maximal = {
                 g for g in members
@@ -525,8 +526,8 @@ class TestReduction:
             assert all(any(sum(c) == k and c[0] >= t for c in kept) for k, t in pairs)
             seen.add(frozenset(maximal))
             top = max(map(sum, maximal), default=0)
-            assert _kernels_py._need(_chain(pairs, 3), 3) == top + (len(maximal) > 1), pairs
-        assert len(seen) == len(chains)
+            assert chains._need(_chain(pairs, 3), 3) == top + (len(maximal) > 1), pairs
+        assert len(seen) == len(every)
 
     def test_the_search_keys_its_dead_table_by_reduced_states(self):
         # every chain in the dead table and among the children is a
@@ -536,7 +537,7 @@ class TestReduction:
             keys = {key for kids in table.children.values() for *_, key in kids}
             assert table.dead and keys
             for key in (*table.dead, *table.children, *keys):
-                pairs = _kernels_py._pairs(key, table.bits)
+                pairs = chains._pairs(key, table.bits)
                 assert _chain(pairs, table.bits) == key
                 assert all(1 <= t <= k <= n for k, t in pairs), pairs
                 for (k, t), (k2, t2) in itertools.pairwise(pairs):
@@ -555,14 +556,14 @@ def test_chain_children_are_the_mask_children():
 
     @functools.lru_cache(maxsize=None)
     def reduced(state):
-        pairs = _kernels_py._pairs(state, table.bits)
+        pairs = chains._pairs(state, table.bits)
         return mask_reduce(1 | sum(1 << mask_id(c) for c in _members(pairs)), oracle)
 
-    chains = _chains(n)
-    assert len(chains) == 2**n
-    for pairs in chains:
+    every = _chains(n)
+    assert len(every) == 2**n
+    for pairs in every:
         state = _chain(pairs, table.bits)
-        got = _kernels_py._children(state, table)
+        got = chains._children(state, table)
         expected = mask_children(reduced(state), oracle)
         assert [(a, reach, need) for a, reach, need, _ in got] == [
             (a, reach, need) for a, reach, need, _ in expected
@@ -580,7 +581,7 @@ def test_two_maximal_suffixes_need_one_more_position():
         table = _scanned(n)
         needs = {key: need for kids in table.children.values() for _, _, need, key in kids}
         for key, need in needs.items():
-            kept = _kept(_kernels_py._pairs(key, table.bits))
+            kept = _kept(chains._pairs(key, table.bits))
             top = max(map(sum, kept), default=0)
             assert need == top + (len(kept) > 1), kept
             if len(kept) > 1:
@@ -596,11 +597,11 @@ def test_scan_layered_leaves_no_cycles():
     gc.collect()
     gc.disable()
     try:
-        assert _kernels_py.scan_layered(16, LayeredTable(7)) == (-1, 2**15)
+        assert chains.scan_layered(16, LayeredTable(7)) == (-1, 2**15)
         assert gc.collect() == 0
         table = LayeredTable(7)
         for m in range(7, 17):
-            assert _kernels_py.scan_layered(m, table) == (-1, 2 ** (m - 1))
+            assert chains.scan_layered(m, table) == (-1, 2 ** (m - 1))
         del table
         assert gc.collect() == 0
     finally:
@@ -619,7 +620,7 @@ def test_scan_layered_argument_checks():
     # a negative length has no compositions to scan, and a negative n none
     # to search for
     with pytest.raises(ValueError):
-        _kernels_py.scan_layered(-1, LayeredTable(1))
+        chains.scan_layered(-1, LayeredTable(1))
     with pytest.raises(ValueError):
         LayeredTable(-1)
 
@@ -640,10 +641,10 @@ def test_scan_layered_refuses_a_recursion_past_the_limit(n, rank):
     # below it still answers, with a witness that holds every pattern
     table = LayeredTable(n)
     with pytest.raises(CapExceededError, match="length 1200 .* recursion limit of 1000"):
-        _kernels_py.scan_layered(1200, table)
+        chains.scan_layered(1200, table)
     assert (table.children, table.dead, table.bounds) == ({}, {}, [])
-    assert _kernels_py.scan_layered(900, table) == (rank, rank + 1)
-    host = layered.LayerProfile(_kernels_py.composition_at_rank(900, rank))
+    assert chains.scan_layered(900, table) == (rank, rank + 1)
+    host = layered.LayerProfile(chains.composition_at_rank(900, rank))
     assert layered.first_missing_profile(n, host)[1] is None
 
 
@@ -655,10 +656,10 @@ def test_family_proofs_count_toward_the_recursion_depth(monkeypatch):
     def no_scan(r, base, state, table):
         raise AssertionError("a scan started")
 
-    monkeypatch.setattr(_kernels_py, "_first_fit", no_scan)
+    monkeypatch.setattr(chains, "_first_fit", no_scan)
     table = LayeredTable(200)
     with pytest.raises(CapExceededError, match="up to 1345 parts deep"):
-        _kernels_py.scan_layered(200, table)
+        chains.scan_layered(200, table)
     assert table.bounds == [] and table.dead == {}
 
 
@@ -670,18 +671,32 @@ def test_compiled_argument_checks(compiled):
         compiled.lex_min_embedding((1,), (2**31,))
 
 
+def _public_callables(module):
+    return {
+        name for name in dir(module)
+        if not name.startswith("_") and callable(getattr(module, name))
+    }
+
+
 def test_compiled_names_are_the_twins(compiled):
     # the compiled module holds containment and the two permutation scans,
-    # each a twin function, and the library takes every other kernel from
-    # the twin
-    public = {
-        name for name in dir(compiled)
-        if not name.startswith("_") and callable(getattr(compiled, name))
-    }
+    # each a twin function, and the library takes the layered kernels from
+    # the chain engine
+    public = _public_callables(compiled)
     assert public == {"lex_min_embedding", "scan_all_perms", "scan_perm_list"}
     assert all(callable(getattr(_kernels_py, name, None)) for name in public)
-    for name in ("composition_at_rank", "greedy_layer_indices", "scan_layered"):
-        assert getattr(kernels, name) is getattr(_kernels_py, name)
+    for name in ("greedy_layer_indices", "scan_layered"):
+        assert getattr(kernels, name) is getattr(chains, name)
+
+
+def test_the_twin_defines_what_the_kernel_source_defines():
+    # read from _kernels.c's method table, so no compiler is needed: the
+    # twin defines those functions and contains, and nothing else
+    source = (_ROOT / "src" / "superpatterns" / "_kernels.c").read_text()
+    table = re.search(r"PyMethodDef methods\[\] = \{(.*?)\n\};", source, re.S).group(1)
+    names = set(re.findall(r'^\s*\{"(\w+)",', table, re.M))
+    assert names == {"lex_min_embedding", "scan_all_perms", "scan_perm_list"}
+    assert _public_callables(_kernels_py) == names | {"contains"}
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
@@ -699,15 +714,15 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_layered_bench_workload_on_every_backend(twin):
+def test_layered_bench_workload_on_every_backend():
     # perfbench/micro.py times this workload on each importable backend,
-    # each of which runs the twin's layered scan
+    # each of which runs the chain engine's scan
     script = _ROOT / "benchmarks" / "bench_kernels.py"
     spec = importlib.util.spec_from_file_location("bench_kernels", script)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     _, work = bench._layered_scan_workload()
-    assert work(twin) == (-1, 32768)
+    assert work(_kernels_py) == (-1, 32768)
 
 
 def test_layered_bench_counts_nodes():

@@ -11,8 +11,8 @@ import pytest
 
 from oracles import brute_first_outside, catalan_ref
 from superpatterns import (
-    _kernels_py,
     build_universal,
+    chains,
     check_claims_231,
     check_conjecture_321,
     Permutation,
@@ -27,7 +27,7 @@ from superpatterns import (
 )
 from superpatterns.classes import ClassTag, class_count, in_class
 from superpatterns.errors import BudgetExceededError, InternalDefectError
-from superpatterns.kernels import composition_at_rank
+from superpatterns.chains import composition_at_rank
 from superpatterns.layered import realize_values
 from superpatterns.search import (
     AVOIDING_5UNIVERSAL_AV231_LEN12,
@@ -279,7 +279,7 @@ class TestMinimalSuperpattern:
         monkeypatch.setattr(search._Budget, "charge", recorded)
         minimal_superpattern(4, "layered", "layered")
         assert charged == [3, 1, 2, 3, 4]
-        table = _kernels_py.LayeredTable(4)
+        table = chains.LayeredTable(4)
         table._prove_families()
         assert table.nodes == 2
 
@@ -317,14 +317,14 @@ class TestMinimalSuperpattern:
             return scan(m, table)
 
         monkeypatch.setattr(kernels, "scan_layered", kept)
-        first_fit = _kernels_py._first_fit
+        first_fit = chains._first_fit
 
         def afresh(r, base, state, table):
             table.children.pop(state, None)
             return first_fit(r, base, state, table)
 
         for wrapper in (afresh, first_fit):
-            monkeypatch.setattr(_kernels_py, "_first_fit", wrapper)
+            monkeypatch.setattr(chains, "_first_fit", wrapper)
             nodes = []
             for n in range(4, 13):
                 minimal_superpattern(n, "layered", "layered")
