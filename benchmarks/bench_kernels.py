@@ -8,9 +8,10 @@ the candidate-list scan behind the av-class runs.  Each result is checked
 to agree between the backends.  The layered search is the chain engine's
 (superpatterns.chains) on either backend, so the two layered workloads have
 no compiled column; below each of them, one more untimed run reads the
-search's nodes (_first_fit calls) and the chains it entered off its table.  An untimed row reads the
-same for the whole layered search of n = 20 (every length from 20 to
-L(20) = 74 on one table).  Last, for n = 4..8, the whole minimal_superpattern(n, "layered",
+search's nodes (one for each time it enters a chain) and the distinct
+chains it entered off its table.  An untimed row reads the same for the
+whole layered search of n = 20 (every length from 20 to L(20) = 74 on one
+table).  Last, for n = 4..8, the whole minimal_superpattern(n, "layered",
 "layered") is timed beside its layers: the kernel alone (scan_layered for
 each length n..L(n) on a fresh table), the report's re-verification
 (_check_report) and the rest, the engine around them.  Run after an
@@ -149,7 +150,7 @@ def _time(work, mod, repeat):
 
 
 def _layered_nodes(work):
-    """(_first_fit calls, chains entered) of one run on work.table."""
+    """(nodes, distinct chains entered) of one run on work.table."""
     work(_kernels_py)
     return work.table.nodes, len(work.table.children)
 
@@ -175,8 +176,8 @@ def main() -> None:
         if _kernels is None or builder in chain_only:
             print(f"{name:58s} {py_time * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
             if builder in chain_only:
-                calls, entered = _layered_nodes(work)
-                print(f"  {calls:,} _first_fit calls, {entered:,} chains entered")
+                nodes, entered = _layered_nodes(work)
+                print(f"  {nodes:,} nodes, {entered:,} chains entered")
             continue
         c_time, c_result = _time(work, _kernels, args.repeat)
         if py_result != c_result:
@@ -186,9 +187,9 @@ def main() -> None:
             f"{py_time / c_time:7.1f}x"
         )
     name, work = _layered_search_workload()
-    calls, entered = _layered_nodes(work)
+    nodes, entered = _layered_nodes(work)
     print(f"{name:58s} {'untimed':>10s}")
-    print(f"  {calls:,} _first_fit calls, {entered:,} chains entered")
+    print(f"  {nodes:,} nodes, {entered:,} chains entered")
     print(f"{'layered search by layer (python)':34s} {'search':>9s} {'kernel':>9s} "
           f"{'report':>9s} {'engine':>9s}")
     for n in range(4, 9):

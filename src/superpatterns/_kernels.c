@@ -5,11 +5,11 @@
    reference the parity tests compare against: containment
    (lex_min_embedding) and the two permutation scans (scan_all_perms,
    scan_perm_list).  superpatterns.kernels takes these three from here when
-   this module imports, and everything else, the layered search included,
-   from the twin on either backend.  Values, lengths and positions are held
-   as C ints, and ranks as 64-bit integers: an argument that does not fit
-   raises OverflowError, and a length whose ranks do not fit raises
-   ValueError.  scan_all_perms takes a half-open range [lo, hi) of
+   this module imports, and from the twin otherwise; the layered search
+   comes from superpatterns.chains on either backend.  Values, lengths and
+   positions are held as C ints, and ranks as 64-bit integers: an argument
+   that does not fit raises OverflowError, and a length whose ranks do not
+   fit raises ValueError.  scan_all_perms takes a half-open range [lo, hi) of
    permutation ranks with 0 <= lo <= hi <= m!, else ValueError, and
    scan_perm_list the whole list it is given.  Each returns (the first
    witness or -1, scanned); an empty range or list gives (-1, 0).  The

@@ -19,9 +19,7 @@ ordered lexicographically.  This module imports only ``errors``.
 
 from __future__ import annotations
 
-import sys
-
-from .errors import CapExceededError, InternalDefectError
+from .errors import InternalDefectError
 
 
 def greedy_layer_indices(pattern_sizes, host_sizes):
@@ -87,7 +85,7 @@ def _layered_length(n):
 class LayeredTable:
     """scan_layered's tables for the layered family of n, every composition
     of n as a pattern, built once so that one table serves every length of
-    a search; nodes counts the _first_fit calls of its scans, the family
+    a search; nodes counts the chains its scans entered, the family
     proofs' too.  A negative n raises ValueError.
 
     What a prefix of a candidate still needs is its state, the set of the
@@ -238,45 +236,15 @@ def scan_layered(m, table):
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
     accounts for its whole block.  The first leaf reached is the lex-first
     witness, and the counts equal those of a flat scan of every rank.
-
-    The search recurses once per part (_first_fit), so before it scans
-    anything, an m whose recursion could reach sys.getrecursionlimit()
-    raises CapExceededError (_check_depth).
     """
     total = composition_count(m)
     if table.n > m:
         return (-1, total)
     if m == 0:
         return (0, 1)
-    _check_depth(m, table)
     table._prove_families()
     found = _first_fit(m, 0, table.root, table)
     return (found, found + 1) if found >= 0 else (-1, total)
-
-
-def _check_depth(m, table):
-    """CapExceededError if a scan of m positions with this table could
-    reach the recursion limit: one _first_fit frame per part, on top of the
-    frames below the scan, and two more for _children and what it calls.
-    The first scan through a table also proves its family bounds, up to
-    L(n - 1) - 1 positions deep under _prove_families.  The frames below
-    are counted only for a recursion at least half the limit deep."""
-    deepest = m
-    if not table.bounds and table.n > 1:
-        deepest = max(m, _layered_length(table.n - 1))
-    limit = sys.getrecursionlimit()
-    if 2 * deepest < limit:
-        return
-    below = 0
-    frame = sys._getframe(1)
-    while frame is not None:
-        below += 1
-        frame = frame.f_back
-    if below + deepest + 2 > limit:
-        raise CapExceededError(
-            f"scanning layered length {m} recurses up to {deepest} parts deep, "
-            f"over the recursion limit of {limit} with the {below} frames below it"
-        )
 
 
 def _pairs(state, bits):
@@ -360,28 +328,37 @@ def _first_fit(r, base, state, table):
     that needs more than r - a positions is skipped, and so is one whose
     chain is dead for at least r - a.
 
-    A module-level function, not a closure in scan_layered: a recursive
-    closure is a reference cycle that keeps the tables alive until the cycle
-    collector runs."""
-    table.nodes += 1
-    kids = table.children.get(state)
-    if kids is None:
-        kids = _children(state, table)
-    dead = table.dead
-    top = 1 << (r - 1)
-    for a, reach, need, key in kids:
-        if reach > r:
-            return -1
-        rest = r - a
-        if need > rest:
-            continue
-        if rest == 0:
-            return base + top - 1
-        if dead.get(key, 0) < rest:
-            found = _first_fit(rest, base + top - (1 << rest), key, table)
-            if found >= 0:
-                return found
-            dead[key] = rest
-    return -1
-
-
+    The search is one loop over a stack of frames (r, base, state, walk),
+    walk the iterator over the chain's children, one frame per part of the
+    prefix: entering a child pushes its parent's frame, and a child whose
+    walk ends without a fit is recorded dead for its r and pops back to the
+    parent.  The chain the search starts from is not recorded."""
+    dead, children = table.dead, table.children
+    frames = []
+    walk = None
+    while True:
+        if walk is None:
+            table.nodes += 1
+            kids = children.get(state)
+            if kids is None:
+                kids = _children(state, table)
+            walk = iter(kids)
+        top = 1 << (r - 1)
+        for a, reach, need, key in walk:
+            if reach > r:
+                break
+            rest = r - a
+            if need > rest:
+                continue
+            if rest == 0:
+                return base + top - 1
+            if dead.get(key, 0) < rest:
+                frames.append((r, base, state, walk))
+                r, base, state, walk = rest, base + top - (1 << rest), key, None
+                break
+        if walk is not None:
+            # the walk ended without entering a child: no fit below this chain
+            if not frames:
+                return -1
+            dead[state] = r
+            r, base, state, walk = frames.pop()

@@ -42,6 +42,8 @@ VERIFY_CAP = {
 # Largest n the length table is built to: 8 bytes an entry, so about 80 MB
 # and a few seconds; the closed form answers any n.  Also the most entries a
 # built permutation may have: building one peaks at about 120 bytes an entry.
+# And the largest n a layered reach-table verification takes: its miss is
+# realized as a permutation of n entries, about 127 bytes an n.
 TABLE_CAP = 10**7
 
 # Entries of LengthTable built per comprehension, at most; it bounds the
@@ -224,7 +226,8 @@ def verify_universal(
     A layered candidate checked for the layered class is decided by the
     reach table of layered.first_missing_profile in O(layers * n) steps
     plus the candidate's length, with the first miss and the count of
-    patterns up to it that the ordered enumeration would give, for any n.
+    patterns up to it that the ordered enumeration would give, up to
+    n = TABLE_CAP (CapExceededError above it, before the table is built).
     Otherwise the class is enumerated, up to n = VERIFY_CAP
     (CapExceededError above it), and each pattern is checked by containment.
     """
@@ -247,6 +250,10 @@ def _verify(
     checked = 0
     missing: Permutation | None = None
     if tag is ClassTag.LAYERED and host_profile is not None:
+        if n > TABLE_CAP:
+            raise CapExceededError(
+                f"layered verification is capped at n={TABLE_CAP}, got {n}"
+            )
         checked, missing_profile = layered_mod.first_missing_profile(n, host_profile)
         if missing_profile is not None:
             missing = layered_mod.realize(missing_profile)

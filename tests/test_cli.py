@@ -99,10 +99,20 @@ class TestErrors:
         assert run(["layers", "layers:[3,2]"]) == 2
 
     def test_layered_verification_is_not_capped(self, capsys):
-        # a layered candidate for the layered class enumerates no pattern
+        # a layered candidate for the layered class enumerates no pattern,
+        # so the enumeration's cap of 16 does not bind it
         _, witness = _capture(capsys, ["universal", "build", "17"])
         code, out = _capture(capsys, ["universal", "verify", witness, "17", "--class", "layered"])
         assert (code, out) == (0, "ok (65536 patterns)")
+
+    def test_layered_verification_above_the_table_cap(self, capsys, monkeypatch):
+        # the reach table is capped at 10^7, inclusive
+        assert run(["universal", "verify", "1", "10000001", "--class", "layered"]) == 2
+        message = "layered verification is capped at n=10000000, got 10000001"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        monkeypatch.setattr(universal, "TABLE_CAP", 4)
+        assert run(["universal", "verify", "1 3 2", "4", "--class", "layered"]) == 1
+        assert run(["universal", "verify", "1 3 2", "5", "--class", "layered"]) == 2
 
     def test_budget_exceeded(self, capsys):
         code = run(

@@ -635,32 +635,14 @@ def default_recursion_limit():
 
 @pytest.mark.usefixtures("default_recursion_limit")
 @pytest.mark.parametrize("n, rank", [(1, 0), (2, 1), (5, 377)])
-def test_scan_layered_refuses_a_recursion_past_the_limit(n, rank):
-    # the search recurses once per part: a length whose recursion could
-    # reach the limit is refused before anything is scanned, and one well
-    # below it still answers, with a witness that holds every pattern
-    table = LayeredTable(n)
-    with pytest.raises(CapExceededError, match="length 1200 .* recursion limit of 1000"):
-        chains.scan_layered(1200, table)
-    assert (table.children, table.dead, table.bounds) == ({}, {}, [])
-    assert chains.scan_layered(900, table) == (rank, rank + 1)
-    host = layered.LayerProfile(chains.composition_at_rank(900, rank))
+def test_scan_layered_answers_past_the_recursion_limit(n, rank):
+    # the search is one loop, not a recursion once per part: a length of
+    # 1,200 parts answers under a limit of 1,000, the first scan through
+    # the table proving its family bounds too, with a witness that holds
+    # every pattern
+    assert chains.scan_layered(1200, LayeredTable(n)) == (rank, rank + 1)
+    host = layered.LayerProfile(chains.composition_at_rank(1200, rank))
     assert layered.first_missing_profile(n, host)[1] is None
-
-
-@pytest.mark.usefixtures("default_recursion_limit")
-def test_family_proofs_count_toward_the_recursion_depth(monkeypatch):
-    # the first scan through a table proves the bounds of the families
-    # below n, L(n - 1) - 1 positions deep: L(199) = 1,345 > 1,000, so even
-    # the shortest scan of n = 200 is refused, and nothing is proved
-    def no_scan(r, base, state, table):
-        raise AssertionError("a scan started")
-
-    monkeypatch.setattr(chains, "_first_fit", no_scan)
-    table = LayeredTable(200)
-    with pytest.raises(CapExceededError, match="up to 1345 parts deep"):
-        chains.scan_layered(200, table)
-    assert table.bounds == [] and table.dead == {}
 
 
 def test_compiled_argument_checks(compiled):

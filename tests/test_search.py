@@ -267,7 +267,7 @@ class TestMinimalSuperpattern:
         assert minimal_superpattern(4, "layered", "layered", budget=13).min_length == 8
 
     def test_layered_lengths_are_charged_the_nodes_they_visit(self, monkeypatch):
-        # each length's _first_fit calls, once its scan returns; the first
+        # each length's nodes, once its scan returns; the first
         # length's include the 2 of the family proofs
         charge = search._Budget.charge
         charged = []
@@ -305,31 +305,31 @@ class TestMinimalSuperpattern:
             assert (err.lengths_exhausted, err.estimated, err.budget) == ((), nodes, 1)
 
     def test_layered_node_counts_are_pinned(self, monkeypatch):
-        # _first_fit calls per search, the proofs of the family bounds
+        # chains entered per search, the proofs of the family bounds
         # included, as the search's table counts them; a search that forms
-        # a state's children anew each time it enters the state makes the
-        # same calls as one that keeps them
+        # a state's children anew each time it enters the state enters the
+        # same chains as one that keeps them
+        class Unkept(dict):
+            # a children table that forgets every list it is given
+            def get(self, key, default=None):
+                return default
+
         scan = kernels.scan_layered
         tables = []
 
         def kept(m, table):
+            if afresh:
+                table.children = Unkept()
             tables.append(table)
             return scan(m, table)
 
         monkeypatch.setattr(kernels, "scan_layered", kept)
-        first_fit = chains._first_fit
-
-        def afresh(r, base, state, table):
-            table.children.pop(state, None)
-            return first_fit(r, base, state, table)
-
-        for wrapper in (afresh, first_fit):
-            monkeypatch.setattr(chains, "_first_fit", wrapper)
+        for afresh in (True, False):
             nodes = []
             for n in range(4, 13):
                 minimal_superpattern(n, "layered", "layered")
                 nodes.append(tables[-1].nodes)
-            assert nodes == [13, 23, 40, 69, 123, 255, 504, 905, 1505], wrapper
+            assert nodes == [13, 23, 40, 69, 123, 255, 504, 905, 1505], afresh
         minimal_superpattern(20, "layered", "layered")
         assert tables[-1].nodes == 67_704
 

@@ -40,7 +40,7 @@ from superpatterns import (
     superpattern_split,
     verify_universal,
 )
-from superpatterns import universal
+from superpatterns import layered, universal
 from superpatterns.classes import ClassTag, class_tuples
 from superpatterns.errors import CapExceededError, InternalDefectError
 from superpatterns.universal import _decreasing_chains, _max_decreasing_positions
@@ -308,6 +308,22 @@ class TestVerifyUniversal:
         assert missing is not None and not report.ok
         assert report.missing == realize(LayerProfile(missing))
         assert report.patterns_checked == checked
+
+    def test_layered_verification_is_capped_at_the_table_cap(self, monkeypatch):
+        # the reach table and the realized miss take about 127 bytes an n:
+        # an n above TABLE_CAP is refused before the table is built, and the
+        # cap is inclusive
+        candidate = build_universal(40)
+        monkeypatch.setattr(universal, "TABLE_CAP", 40)
+        assert verify_universal(candidate, 40, "layered").ok
+
+        def refuse(*args):
+            raise AssertionError("the reach table was built")
+
+        monkeypatch.setattr(layered, "first_missing_profile", refuse)
+        for n in (41, 10**8):
+            with pytest.raises(CapExceededError, match=f"capped at n=40, got {n}$"):
+                verify_universal(parse("1"), n, "layered")
 
     def test_layered_candidates_of_other_classes_are_checked_by_containment(self):
         # U(n), U(n + 2), n + 1 layers of size 2, and one layer, which
