@@ -9,9 +9,9 @@ to agree between the backends.  The layered search is the chain engine's
 (superpatterns.chains) on either backend, so the two layered workloads have
 no compiled column; below each of them, one more untimed run reads the
 search's nodes (one for each time it enters a chain) and the distinct
-chains it entered off its table.  An untimed row reads the same for the
-whole layered search of n = 20 (every length from 20 to L(20) = 74 on one
-table).  Last, for n = 4..8, the whole minimal_superpattern(n, "layered",
+chains it entered off its table.  A row times the whole layered search of
+n = 20 (every length from 20 to L(20) = 74 on one table, built inside the
+timed work) and reads the same, with the microseconds per node.  Last, for n = 4..8, the whole minimal_superpattern(n, "layered",
 "layered") is timed beside its layers: the kernel alone (scan_layered for
 each length n..L(n) on a fresh table), the report's re-verification
 (_check_report) and the rest, the engine around them.  Run after an
@@ -187,9 +187,11 @@ def main() -> None:
             f"{py_time / c_time:7.1f}x"
         )
     name, work = _layered_search_workload()
+    search_s, _ = _time(work, _kernels_py, args.repeat)
     nodes, entered = _layered_nodes(work)
-    print(f"{name:58s} {'untimed':>10s}")
-    print(f"  {nodes:,} nodes, {entered:,} chains entered")
+    print(f"{name:58s} {search_s * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
+    print(f"  {nodes:,} nodes, {entered:,} chains entered, "
+          f"{search_s / nodes * 1e6:.2f}us per node")
     print(f"{'layered search by layer (python)':34s} {'search':>9s} {'kernel':>9s} "
           f"{'report':>9s} {'engine':>9s}")
     for n in range(4, 9):

@@ -19,7 +19,9 @@ ordered lexicographically.  This module imports only ``errors``.
 
 from __future__ import annotations
 
-from .errors import InternalDefectError
+import math
+
+from .errors import InternalDefectError, NodeLimitError
 
 
 def greedy_layer_indices(pattern_sizes, host_sizes):
@@ -149,22 +151,26 @@ class LayeredTable:
     completion of L(k) - 1 positions fits, nor then of fewer.  The bound
     rests on that failing scan, not on where the number came from; a fit
     there contradicts the paper and raises InternalDefectError.  k = 1 has
-    L(1) - 1 = 0 and scans nothing.  bounds[k - 1] is L(k) - 1 once proved,
-    and a chain whose largest slack is s holds all of F(s + 1, 1) in its
-    down-closure, so it needs at least L(s + 1) positions: _children enters
-    bounds[s] in the dead table for each child it forms.  The chains below
-    (k, 1) have slacks below k - 1, so every bound a proof uses rests on a
-    scan made before it, and a scan that prunes by them is still a proof by
-    enumeration.  No bound is proved at n, which is what a search of n is
-    proving.
+    L(1) - 1 = 0 and scans nothing.  A chain whose largest slack is s holds
+    all of F(s + 1, 1) in its down-closure, so it needs at least L(s + 1)
+    positions.  These bounds live in one list indexed by slack, not in the
+    dead table: floor[s] is L(s + 1) - 1 once the family of s + 1 is
+    proved, and -1 before, and the walk (_first_fit) skips a child whose
+    floor is at least its positions left before it looks the child up in
+    the dead table.  proved is the largest k proved so far, 0 before any.  The chains
+    below (k, 1) have slacks below k - 1, so every floor a proof uses rests
+    on a scan made before it, and a scan that prunes by them is still a
+    proof by enumeration.  No bound is proved at n, which is what a search
+    of n is proving.
 
     A chain is one int: pair i, (k, t), is k | t << bits shifted up by
     2 * bits * i, with bits = n.bit_length() (1 at least), so the empty
     chain is 0 and the pairs read from the low bits up (_pairs).  dead maps
-    a chain to the largest r known to have no fitting completion, and
+    a chain to the largest r its scans found no fitting completion of, and
     children maps each chain the search has entered to the children it
     formed there (_children), so a chain entered again at another r only
-    walks them.
+    walks them.  A scan stops with NodeLimitError at the node past limit
+    (unlimited unless the caller sets it), leaving what it proved in place.
     """
 
     def __init__(self, n):
@@ -175,24 +181,26 @@ class LayeredTable:
         self.root = n | 1 << self.bits if n else 0
         self.children = {}
         self.dead = {}
-        self.bounds = []
+        # floor[s] for each slack s < n; floor[n], which the walk reads as
+        # floor[-1] for the empty chain, is never proved
+        self.floor = [-1] * (n + 1)
+        self.proved = 0
         self.nodes = 0
+        self.limit = math.inf
 
     def _prove_families(self):
-        # proved once: bounds stays empty only for n <= 1, with nothing to prove
-        if self.bounds:
-            return
-        for k in range(1, self.n):
+        # each family is proved once; a scan stopped at its node limit in
+        # the proof of k leaves the families below k proved and resumes at k
+        floor = self.floor
+        for k in range(self.proved + 1, self.n):
             bound = _layered_length(k) - 1
-            if bound:
-                family = k | 1 << self.bits
-                if _first_fit(bound, 0, family, self) >= 0:
-                    raise InternalDefectError(
-                        f"a completion of length {bound} holds every "
-                        f"layered permutation of length {k}"
-                    )
-                self.dead[family] = bound
-            self.bounds.append(bound)
+            if bound and _first_fit(bound, 0, k | 1 << self.bits, self) >= 0:
+                raise InternalDefectError(
+                    f"a completion of length {bound} holds every "
+                    f"layered permutation of length {k}"
+                )
+            floor[k - 1] = bound
+            self.proved = k
 
 
 def scan_layered(m, table):
@@ -202,8 +210,9 @@ def scan_layered(m, table):
 
     Returns (witness_rank, scanned): the smallest rank whose composition
     fits every pattern and scanned == witness_rank + 1, or (-1, 2^(m-1))
-    (1 for m = 0) when there is none; m < 0 raises ValueError.  The table,
-    its nodes grown by this scan's, serves every later call made with it.
+    (1 for m = 0) when there is none; m < 0 raises ValueError, and a scan
+    that would pass the table's node limit NodeLimitError.  The table, its
+    nodes grown by this scan's, serves every later call made with it.
 
     The search is depth first over composition prefixes, smallest next part
     first, so prefixes are visited in rank order.  Greedy matching consumes a
@@ -227,24 +236,25 @@ def scan_layered(m, table):
     fits, none of r' < r does either (appending a last part r - r' to a
     fitting completion keeps it fitting).  So the table of dead states maps
     a chain to the largest r whose whole block of completions was scanned
-    without a fit, or for which a proved family bound (LayeredTable, one
-    exhaustive scan of L(k) - 1 positions per family) rules every
-    completion out, and a child whose chain is dead for at least its
-    positions left is skipped.  Every completion fits the empty chain.
+    without a fit.  The proved family bounds (LayeredTable, one exhaustive
+    scan of L(k) - 1 positions per family) are kept beside it, as the
+    table's floors indexed by a chain's largest slack, and a child whose
+    floor or dead entry is at least its positions left is skipped.  Every
+    completion fits the empty chain.
 
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
     accounts for its whole block.  The first leaf reached is the lex-first
     witness, and the counts equal those of a flat scan of every rank.
     """
-    total = composition_count(m)
-    if table.n > m:
-        return (-1, total)
-    if m == 0:
-        return (0, 1)
-    table._prove_families()
+    if m <= 0 or table.n > m:
+        # m < 0 raises here
+        total = composition_count(m)
+        return (-1, total) if table.n > m else (0, 1)
+    if table.proved < table.n - 1:
+        table._prove_families()
     found = _first_fit(m, 0, table.root, table)
-    return (found, found + 1) if found >= 0 else (-1, total)
+    return (found, found + 1) if found >= 0 else (-1, 1 << (m - 1))
 
 
 def _pairs(state, bits):
@@ -268,51 +278,78 @@ def _need(state, bits):
 
 def _children(state, table):
     """The children of a chain, formed when the search first enters it and
-    kept in table.children: one (a, reach, need, key) for part 1 and for
-    each part a in a kept range, in increasing a, where key is the child's
-    chain and reach and need are as LayeredTable derives them.
+    kept in table.children: one (a, reach, need, slack, key) for part 1 and
+    for each part a in a kept range, in increasing a, where key is the
+    child's chain, slack its largest slack (-1 for the empty chain), and
+    reach and need are as LayeredTable derives them.
 
     The kept ranges run from the last pair's up to the first's.  For a part
     a in pair i's range, the child keeps the pairs before i whole, then
-    pair i's remainder (k_i, a + 1) and F(K, 1) where each survives.  Each
-    child's family bound, bounds[s] for its largest slack s, is entered in
-    the dead table as it is formed.  Every child is formed, whatever r the
-    chain is entered at, so bounds are also entered for children that a
-    search at that r never reaches."""
-    bits, dead, bounds = table.bits, table.dead, table.bounds
+    pair i's remainder (k_i, a + 1) and F(K, 1) where each survives: the
+    remainder for every part but the range's last, F(K, 1) once the
+    remainder's slack k_i - a - 1 is below K - 1, or for the last part
+    once the slack of pair i - 1 is.  The pairs are read off the chain's
+    int one at a time, from the last."""
+    bits = table.bits
     width = 2 * bits
     low = (1 << bits) - 1
-    proved = len(bounds)
-    pairs = _pairs(state, bits)
     kids = table.children[state] = []
-    if not pairs or pairs[-1][1] > 1:
+    if not state:
+        # part 1 leaves the empty chain as it is
+        kids.append((1, 1, 0, -1, 0))
+        return kids
+    # the last pair's (k, t) and its slack K, the chain's largest: every
+    # part in a kept range reaches that pair
+    shift = (state.bit_length() - 1) // width * width
+    k = state >> shift & low
+    t = state >> shift + bits
+    top = k - t
+    if t > 1:
         # part 1 reaches no pair and leaves the chain as it is
-        kids.append((1, 1, _need(state, bits), state))
-    # K, the last pair's slack: every part in a kept range reaches that pair
-    top = pairs[-1][0] - pairs[-1][1] if pairs else 0
+        kids.append((1, 1, _need(state, bits), top, state))
+    # a child that keeps a remainder has two or more pairs, or is the
+    # single pair (k, a + 1) of the first pair's range, so it needs the
+    # chain's first k plus one (_need), but for the single pair (k, k)
+    full = (state & low) + 1
+    cap = top - 1
     family = top | 1 << bits
-    for i in range(len(pairs) - 1, -1, -1):
-        k, t = pairs[i]
-        below = pairs[i - 1][0] - pairs[i - 1][1] if i else -1
-        shift = width * i
+    append = kids.append
+    while True:
+        # pair i at shift, with (k, t) in hand; below is the slack of the
+        # pair before it, or -1
+        if shift:
+            under = shift - width
+            k_under = state >> under & low
+            t_under = state >> under + bits & low
+            below = k_under - t_under
+        else:
+            below = -1
         prefix = state & ((1 << shift) - 1)
-        for a in range(t, k - below):
-            # slack ends as the child's largest, and equals below when
-            # pair i's remainder is dropped
-            child, slack, at = prefix, k - a - 1, shift
-            if slack > below:
-                child |= (k | (a + 1) << bits) << at
-                at += width
-            if top - 1 > slack:
-                child |= family << at
-                slack = top - 1
-            # the child's need (_need), from its first pair
-            lead = child & low
-            need = lead + (child >> width != 0 or lead > child >> bits & low)
-            kids.append((a, a + top, need, child))
-            if child and slack < proved and bounds[slack] > dead.get(child, 0):
-                dead[child] = bounds[slack]
-    return kids
+        # parts t .. last - 1 keep pair i's remainder (k, a + 1), and from
+        # part edge + 1 on F(K, 1) above it; child starts as (k, t) in place
+        last = k - below - 1
+        edge = k - top
+        child = prefix | (k | t << bits) << shift
+        step = 1 << shift + bits
+        above = family << shift + width
+        single = -1 if shift else k | k << bits
+        for a in range(t, last):
+            child += step
+            if a > edge:
+                append((a, a + top, full, cap, child | above))
+            else:
+                append((a, a + top, full - (child == single), k - a - 1, child))
+        # the last part leaves no remainder, and F(K, 1) where it survives
+        if below < cap:
+            key, slack = prefix | family << shift, cap
+        else:
+            key, slack = prefix, below
+        lead = key & low
+        append((last, last + top, lead + (key >> width != 0 or lead > key >> bits & low),
+                slack, key))
+        if not shift:
+            return kids
+        shift, k, t = under, k_under, t_under
 
 
 def _first_fit(r, base, state, table):
@@ -326,39 +363,49 @@ def _first_fit(r, base, state, table):
     r - a positions left, and so does every later child's reach, since a
     later part reaches no fewer pairs; so the walk stops there.  A child
     that needs more than r - a positions is skipped, and so is one whose
-    chain is dead for at least r - a.
+    family floor (floor[s] for its largest slack s, LayeredTable) or dead
+    entry is at least r - a.  A child with no position left that passes
+    the need test is the empty chain, a leaf that no floor prunes.
 
     The search is one loop over a stack of frames (r, base, state, walk),
     walk the iterator over the chain's children, one frame per part of the
     prefix: entering a child pushes its parent's frame, and a child whose
     walk ends without a fit is recorded dead for its r and pops back to the
-    parent.  The chain the search starts from is not recorded."""
-    dead, children = table.dead, table.children
+    parent.  The chain the search starts from is not recorded.  Entering a
+    chain counts a node, and the node past table.limit raises
+    NodeLimitError instead, the nodes it brought the table to kept."""
+    dead, children, floor = table.dead, table.children, table.floor
+    nodes, limit = table.nodes, table.limit
     frames = []
     walk = None
     while True:
         if walk is None:
-            table.nodes += 1
+            nodes += 1
+            if nodes > limit:
+                table.nodes = nodes
+                raise NodeLimitError(f"a layered scan reached its limit of {limit} nodes")
             kids = children.get(state)
             if kids is None:
                 kids = _children(state, table)
             walk = iter(kids)
         top = 1 << (r - 1)
-        for a, reach, need, key in walk:
+        for a, reach, need, slack, key in walk:
             if reach > r:
                 break
             rest = r - a
             if need > rest:
                 continue
             if rest == 0:
+                table.nodes = nodes
                 return base + top - 1
-            if dead.get(key, 0) < rest:
+            if floor[slack] < rest and dead.get(key, 0) < rest:
                 frames.append((r, base, state, walk))
                 r, base, state, walk = rest, base + top - (1 << rest), key, None
                 break
         if walk is not None:
             # the walk ended without entering a child: no fit below this chain
             if not frames:
+                table.nodes = nodes
                 return -1
             dead[state] = r
             r, base, state, walk = frames.pop()

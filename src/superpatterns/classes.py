@@ -36,8 +36,18 @@ class ClassTag(str, enum.Enum):
         return self.value
 
 
+_TAGS = {tag.value: tag for tag in ClassTag}
+
+
 def coerce_tag(tag: ClassTag | str) -> ClassTag:
-    return tag if isinstance(tag, ClassTag) else ClassTag(tag)
+    """The ClassTag of a tag or of its string value, by one dict lookup (a
+    member hashes and compares as its value); anything else raises the
+    ValueError of ClassTag(tag)."""
+    try:
+        return _TAGS[tag]
+    except (KeyError, TypeError):
+        pass
+    return ClassTag(tag)
 
 
 def in_class(perm: Permutation, tag: ClassTag | str) -> bool:

@@ -29,8 +29,9 @@ class CapExceededError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A run is over its node budget, summed over all of a command's scans:
-    the nodes a layered length visited, charged after its scan, or
-    candidates x patterns for any other length, charged before.
+    the nodes a layered length visited, a scan stopped at the node past
+    the budget, or candidates x patterns for any other length, charged
+    before its scan.
 
     Carries the nodes the refused length brought the run to, the budget,
     and the lengths its search had already fully enumerated (none for a
@@ -44,6 +45,12 @@ class BudgetExceededError(RuntimeError):
         self.lengths_exhausted = tuple(lengths_exhausted)
         self.estimated = estimated
         self.budget = budget
+
+
+class NodeLimitError(RuntimeError):
+    """A layered scan entered one chain more than its table's node limit
+    allows (chains.LayeredTable.limit) and stopped there; the search that
+    set the limit refuses the run with a BudgetExceededError."""
 
 
 class InternalDefectError(RuntimeError):

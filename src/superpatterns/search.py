@@ -13,7 +13,9 @@ One node budget gates every run, and exceeding it raises instead of
 truncating, because the nonexistence half of the result is only meaningful
 when enumeration is complete.  A per-run ledger charges a layered length
 the nodes its scan visited, at least 1, when the scan returns, and any
-other length its candidates times patterns before it is scanned.  Every
+other length its candidates times patterns before it is scanned.  A
+layered scan runs under a node limit of what the ledger has left, so a
+refused one stops at the node past the budget.  Every
 scan goes through _scan_length: those of a search, each length the 231
 claims exhaust, and both phases of the 321 conjecture check, which share
 one ledger.
@@ -47,12 +49,12 @@ import functools
 import os
 import time
 from itertools import pairwise
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import kernels, layered
 from .chains import LayeredTable, composition_at_rank, composition_count
 from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
-from .errors import BudgetExceededError, InternalDefectError
+from .errors import BudgetExceededError, InternalDefectError, NodeLimitError
 from .layered import realize_values
 # unused here, but bound for tracers that wrap search.enumerate_layered
 from .layered import enumerate_layered  # noqa: F401
@@ -82,17 +84,31 @@ class _Budget:
     def check(
         self, ctag: ClassTag, m: int, nodes: int, exhausted: list[tuple[int, int]]
     ) -> None:
-        """Raise, with the lengths that this scan's search has exhausted,
-        unless scanning length m of the class for nodes more fits."""
+        """Raise (refuse) unless scanning length m of the class for nodes
+        more fits."""
         if self.used + nodes > self.limit:
-            done = ", ".join(str(k) for k, _ in exhausted) or "none"
-            raise BudgetExceededError(
-                f"scanning {ctag.value} length {m} needs ~{self.used + nodes} nodes, "
-                f"over the budget of {self.limit}; lengths exhausted: {done}",
-                lengths_exhausted=exhausted,
-                estimated=self.used + nodes,
-                budget=self.limit,
-            )
+            self.refuse(ctag, m, nodes, exhausted)
+
+    def refuse(
+        self,
+        ctag: ClassTag,
+        m: int,
+        nodes: int,
+        exhausted: list[tuple[int, int]],
+        family: int = 0,
+    ) -> NoReturn:
+        """Raise, with the lengths that this scan's search has exhausted and,
+        when the scan stopped in the proof of a layered family bound, that
+        family's k."""
+        done = ", ".join(str(k) for k, _ in exhausted) or "none"
+        where = f" (proving the family bound of k = {family})" if family else ""
+        raise BudgetExceededError(
+            f"scanning {ctag.value} length {m}{where} needs ~{self.used + nodes} nodes, "
+            f"over the budget of {self.limit}; lengths exhausted: {done}",
+            lengths_exhausted=exhausted,
+            estimated=self.used + nodes,
+            budget=self.limit,
+        ) from None
 
     def charge(
         self, ctag: ClassTag, m: int, nodes: int, exhausted: list[tuple[int, int]]
@@ -104,7 +120,9 @@ class _Budget:
 
 def _check_jobs(jobs: int) -> None:
     """Reject a worker count outside 1..the CPUs this process may run on,
-    before any pool starts."""
+    before any pool starts; one worker, this process, is always there."""
+    if jobs == 1:
+        return
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -162,18 +180,26 @@ def _scan_length(
     (m, count).
 
     A layered length is one scan of the search's LayeredTable (patterns),
-    charged to the ledger when it returns.  Any other is charged first,
+    limited to the nodes the ledger has left and charged when it returns;
+    a scan stopped at that limit is refused, with the family it was proving
+    if it had not reached its own length.  Any other is charged first,
     then split into rank ranges, jobs of them on the pool when there is one
     and the length is big enough to be worth it, else one scanned here; an
     avoider class is enumerated once, here, and each range gets its slice."""
     if ctag is ClassTag.LAYERED:
-        total = composition_count(m)
         nodes = patterns.nodes
-        rank, _ = kernels.scan_layered(m, patterns)
+        patterns.limit = nodes + ledger.limit - ledger.used
+        try:
+            rank, total = kernels.scan_layered(m, patterns)
+        except NodeLimitError:
+            # the family proofs come first, and a stop in one leaves the
+            # families below it proved
+            family = patterns.proved + 1
+            ledger.refuse(ctag, m, patterns.nodes - nodes, exhausted,
+                          family if family < patterns.n else 0)
         ledger.charge(ctag, m, max(patterns.nodes - nodes, 1), exhausted)
-        values = None
         if rank >= 0:
-            values = realize_values(composition_at_rank(m, rank))
+            return Permutation(realize_values(composition_at_rank(m, rank))), rank + 1
     else:
         total = class_count(ctag, m)
         ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)
@@ -185,8 +211,8 @@ def _scan_length(
         run = pool.map if parts > 1 else map
         found = [r for r in run(scan, bounds[:-1], bounds[1:], slices) if r[0] >= 0]
         rank, values = min(found, default=(-1, None))
-    if values is not None:
-        return Permutation(values), rank + 1
+        if values is not None:
+            return Permutation(values), rank + 1
     exhausted.append((m, total))
     return None, total
 

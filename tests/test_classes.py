@@ -9,6 +9,7 @@ from superpatterns.classes import (
     catalan,
     class_count,
     class_tuples,
+    coerce_tag,
     enumerate_class,
     in_class,
 )
@@ -81,3 +82,14 @@ def test_negative_length_is_refused(tag):
         next(class_tuples(tag, -1))
     with pytest.raises(ValueError, match="non-negative"):
         next(enumerate_class(tag, -2))
+
+
+def test_tags_coerce_from_their_values():
+    # a string tag is looked up in a dict, a member stands for itself, and
+    # anything else raises the ValueError of ClassTag(tag)
+    for tag in ClassTag:
+        assert coerce_tag(tag.value) is tag
+        assert coerce_tag(tag) is tag
+    for bad in ("Layered", "", None, 3, [1]):
+        with pytest.raises(ValueError, match="is not a valid ClassTag"):
+            coerce_tag(bad)

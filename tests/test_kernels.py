@@ -28,7 +28,7 @@ from oracles import (
     pruned_scan_layered,
 )
 from superpatterns import _kernels_py, chains, kernels, layered, perms, superpattern_length
-from superpatterns.errors import CapExceededError, InternalDefectError
+from superpatterns.errors import CapExceededError, InternalDefectError, NodeLimitError
 from superpatterns.chains import LayeredTable
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -264,7 +264,7 @@ class TestScans:
         # for a later part; so the composition (2) fits neither family
         table = LayeredTable(2)
         kids = chains._children(table.root, table)
-        assert kids[-1] == (2, 3, 1, _chain([(1, 1)], table.bits))
+        assert kids[-1] == (2, 3, 1, 0, _chain([(1, 1)], table.bits))
         for m, pin in enumerate([(-1, 2), (1, 2)], start=2):
             got = chains.scan_layered(m, table)
             assert got == pin == brute_scan_layered(m, brute_compositions(2), 0, 2 ** (m - 1))
@@ -309,6 +309,22 @@ def _family_sets(rng):
 def _chain(pairs, bits):
     """The int of a chain given as (k, t) pairs (LayeredTable)."""
     return sum((k | t << bits) << 2 * bits * i for i, (k, t) in enumerate(pairs))
+
+
+def _slack(key, bits):
+    """The largest slack of a chain, -1 for the empty chain (LayeredTable)."""
+    pairs = chains._pairs(key, bits)
+    return pairs[-1][0] - pairs[-1][1] if pairs else -1
+
+
+def _known_dead(table):
+    """The chains a table knows to be dead for some r > 0: its dead entries,
+    and every chain it entered or formed whose family floor is above 0."""
+    formed = {key for kids in table.children.values() for *_, key in kids}
+    return set(table.dead) | {
+        key for key in formed | set(table.children)
+        if table.floor[_slack(key, table.bits)] > 0
+    }
 
 
 def _chains(n):
@@ -374,7 +390,9 @@ class TestLayeredTable:
     def test_the_family_table_is_the_generic_one(self):
         # the chain table of n and the mask oracle's table of every
         # composition of n scan every length from n to L(n) + 2 alike, and
-        # enter as many states and dead entries
+        # enter as many states; the oracle enters each family bound in its
+        # dead table, the chain table keeps them as floors, and the two
+        # know as many states dead
         for n in range(13):
             family = LayeredTable(n)
             generic = MaskTable(brute_compositions(n))
@@ -383,24 +401,54 @@ class TestLayeredTable:
                     mask_scan_layered(m, generic)
                 ), (n, m)
             assert len(family.children) == len(generic.children), n
-            assert len(family.dead) == len(generic.dead), n
+            assert len(_known_dead(family)) == len(generic.dead), n
         with pytest.raises(ValueError, match="non-negative, got -1"):
             LayeredTable(-1)
 
     def test_family_bounds_are_proved_in_the_table(self):
-        # every family bound is L(k) - 1, for each k below n, and is
-        # entered in the table's dead states under the chain (k, 1); the
-        # kernel takes L(k) from the closed form, and the bound rests on
-        # the exhaustive scan that fails at L(k) - 1, not on that value
+        # every family bound is L(k) - 1, for each k below n, and is the
+        # table's floor for the slack k - 1 of the chain (k, 1); the kernel
+        # takes L(k) from the closed form, and the bound rests on the
+        # exhaustive scan that fails at L(k) - 1, not on that value.  The
+        # root's slack n - 1 and the empty chain's floor[-1] stay unproved,
+        # and no bound goes into the dead table
         for n in range(1, 13):
             table = LayeredTable(n)
-            assert table.bounds == []  # nothing is proved before a scan
+            # nothing is proved before a scan
+            assert (table.floor, table.proved) == ([-1] * (n + 1), 0)
             chains.scan_layered(n, table)
-            assert table.bounds == [superpattern_length(k) - 1 for k in range(1, n)], n
+            assert table.floor == [
+                *(superpattern_length(k) - 1 for k in range(1, n)), -1, -1
+            ], n
+            assert table.proved == n - 1
             for k in range(2, n):
                 family = _chain([(k, 1)], table.bits)
-                assert table.dead[family] == superpattern_length(k) - 1
+                assert _slack(family, table.bits) == k - 1
+                assert table.dead.get(family, 0) == 0
                 assert sorted(_members([(k, 1)])) == brute_compositions(k)
+
+    def test_a_scan_stopped_at_its_node_limit_resumes(self):
+        # a scan stops at the node past table.limit, with the nodes it
+        # counted kept; what it proved stays in the table, so the same
+        # length scanned again with no limit answers as a fresh table does,
+        # and so does every later length
+        for n in (5, 9):
+            fresh = LayeredTable(n)
+            lengths = range(n, superpattern_length(n) + 1)
+            expected = [chains.scan_layered(m, fresh) for m in lengths]
+            for limit in (1, 2, 7, fresh.nodes // 2, fresh.nodes - 1):
+                table = LayeredTable(n)
+                table.limit = limit
+                got = []
+                for m in lengths:
+                    try:
+                        got.append(chains.scan_layered(m, table))
+                    except NodeLimitError:
+                        assert table.nodes == limit + 1, (n, limit, m)
+                        table.limit = math.inf
+                        got.append(chains.scan_layered(m, table))
+                assert table.limit == math.inf, (n, limit)
+                assert got == expected, (n, limit)
 
     def test_the_kernel_length_is_the_recurrence(self):
         for k in range(65):
@@ -448,16 +496,17 @@ class TestLayeredTable:
 
     def test_a_state_gets_the_bound_of_each_family_it_holds_whole(self):
         # a chain whose largest slack is s holds every composition of s + 1
-        # in its down-closure, and its dead entry is at least L(s + 1) - 1
+        # in its down-closure; each child records s, and the floor the walk
+        # reads for it is L(s + 1) - 1
         seen = set()
         for n in range(2, 10):
             table = _scanned(n)
             for kids in table.children.values():
-                for _, _, _, key in kids:
+                for *_, slack, key in kids:
+                    assert slack == _slack(key, table.bits)
                     pairs = tuple(chains._pairs(key, table.bits))
                     if pairs:
-                        s = pairs[-1][0] - pairs[-1][1]
-                        assert table.dead.get(key, 0) >= superpattern_length(s + 1) - 1
+                        assert table.floor[slack] == superpattern_length(slack + 1) - 1
                         seen.add(pairs)
         for pairs in seen:
             members = _members(pairs)
@@ -485,7 +534,7 @@ class TestLayeredTable:
         table = LayeredTable(64)
         assert chains._pairs(table.root, table.bits) == [(64, 1)]
         assert chains.scan_layered(63, table) == (-1, 2**62)
-        assert table.bounds == [] and table.nodes == 0
+        assert table.proved == 0 and table.nodes == 0
 
     def test_the_largest_need_scans(self):
         # (20,) fits only the last composition of 20
@@ -535,7 +584,8 @@ class TestReduction:
         for n in (3, 5, 9):
             table = _scanned(n, extra=2)
             keys = {key for kids in table.children.values() for *_, key in kids}
-            assert table.dead and keys
+            # the n = 3 search is pruned by its floors alone
+            assert keys and bool(table.dead) == (n > 3)
             for key in (*table.dead, *table.children, *keys):
                 pairs = chains._pairs(key, table.bits)
                 assert _chain(pairs, table.bits) == key
@@ -565,7 +615,10 @@ def test_chain_children_are_the_mask_children():
         state = _chain(pairs, table.bits)
         got = chains._children(state, table)
         expected = mask_children(reduced(state), oracle)
-        assert [(a, reach, need) for a, reach, need, _ in got] == [
+        assert [slack for *_, slack, key in got] == [
+            _slack(key, table.bits) for *_, key in got
+        ], pairs
+        assert [(a, reach, need) for a, reach, need, *_ in got] == [
             (a, reach, need) for a, reach, need, _ in expected
         ], pairs
         assert [reduced(key) for *_, key in got] == [key for *_, key in expected], pairs
@@ -579,7 +632,7 @@ def test_two_maximal_suffixes_need_one_more_position():
     seen = 0
     for n in range(1, 9):
         table = _scanned(n)
-        needs = {key: need for kids in table.children.values() for _, _, need, key in kids}
+        needs = {key: need for kids in table.children.values() for _, _, need, _, key in kids}
         for key, need in needs.items():
             kept = _kept(chains._pairs(key, table.bits))
             top = max(map(sum, kept), default=0)

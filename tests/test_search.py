@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -265,6 +266,44 @@ class TestMinimalSuperpattern:
                 f"of {budget}; lengths exhausted: {', '.join(map(str, range(4, refused)))}"
             )
         assert minimal_superpattern(4, "layered", "layered", budget=13).min_length == 8
+
+    def test_a_refused_layered_search_stops_one_node_past_its_budget(self, monkeypatch):
+        # the scan counts its nodes against what the ledger has left, so it
+        # stops at the node past the budget and names where it was: in the
+        # proof of a family bound, or in a length's own scan.  budget=1 at
+        # n = 24, a search of 371,772 nodes, stops at its second node
+        scan = kernels.scan_layered
+        tables = []
+
+        def kept(m, table):
+            tables.append(table)
+            return scan(m, table)
+
+        monkeypatch.setattr(kernels, "scan_layered", kept)
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc_info:
+            minimal_superpattern(24, "layered", "layered", budget=1)
+        assert time.perf_counter() - t0 < 0.1
+        err = exc_info.value
+        assert (err.lengths_exhausted, err.estimated, err.budget) == ((), 2, 1)
+        assert tables[-1].nodes == 2
+        assert str(err) == (
+            "scanning layered length 24 (proving the family bound of k = 3) needs ~2 "
+            "nodes, over the budget of 1; lengths exhausted: none"
+        )
+        # n = 12 visits 1,505 nodes in all, its family proofs the first 851
+        for budget, where in ((10, " (proving the family bound of k = 5)"),
+                              (500, " (proving the family bound of k = 11)"),
+                              (1000, "")):
+            with pytest.raises(BudgetExceededError) as exc_info:
+                minimal_superpattern(12, "layered", "layered", budget=budget)
+            err = exc_info.value
+            m = 12 + len(err.lengths_exhausted)
+            assert (err.estimated, tables[-1].nodes) == (budget + 1, budget + 1)
+            assert str(err).startswith(
+                f"scanning layered length {m}{where} needs ~{budget + 1} nodes"
+            )
+        assert m == 34
 
     def test_layered_lengths_are_charged_the_nodes_they_visit(self, monkeypatch):
         # each length's nodes, once its scan returns; the first
