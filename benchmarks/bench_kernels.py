@@ -11,11 +11,12 @@ no compiled column; below each of them, one more untimed run reads the
 search's nodes (one for each time it enters a chain) and the distinct
 chains it entered off its table.  A row times the whole layered search of
 n = 20 (every length from 20 to L(20) = 74 on one table, built inside the
-timed work) and reads the same, with the microseconds per node.  Last, for n = 4..8, the whole minimal_superpattern(n, "layered",
-"layered") is timed beside its layers: the kernel alone (scan_layered for
-each length n..L(n) on a fresh table), the report's re-verification
-(_check_report) and the rest, the engine around them.  Run after an
-in-place build:
+timed work) and reads the same, with the microseconds per node.  One row
+times a fresh universal.LengthTable built to n = 10^6.  Last, for
+n = 4..8, the whole minimal_superpattern(n, "layered", "layered") is timed
+beside its layers: the kernel alone (scan_layered for each length n..L(n)
+on a fresh table), the report's re-verification (_check_report) and the
+rest, the engine around them.  Run after an in-place build:
 
     python3 benchmarks/bench_kernels.py [--repeat 3]
 """
@@ -38,6 +39,7 @@ except ImportError:
 
 from superpatterns.classes import ClassTag, class_tuples
 from superpatterns.search import _check_report, _ordered_pattern_tuples, minimal_superpattern
+from superpatterns.universal import LengthTable
 
 
 def _containment_workload():
@@ -92,6 +94,14 @@ def _layered_search_workload():
                 return m, rank
 
     return "layered search n=20 (lengths 20..74, one table)", work
+
+
+def _length_table_workload():
+    # the recurrence table of minimal layered lengths, built from empty
+    def work(mod):
+        return LengthTable().value(10**6)
+
+    return "length table to n=10^6 (fresh LengthTable)", work
 
 
 def _layered_proof_layers(n, repeat):
@@ -192,6 +202,9 @@ def main() -> None:
     print(f"{name:58s} {search_s * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
     print(f"  {nodes:,} nodes, {entered:,} chains entered, "
           f"{search_s / nodes * 1e6:.2f}us per node")
+    name, work = _length_table_workload()
+    table_s, _ = _time(work, None, args.repeat)
+    print(f"{name:58s} {table_s * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
     print(f"{'layered search by layer (python)':34s} {'search':>9s} {'kernel':>9s} "
           f"{'report':>9s} {'engine':>9s}")
     for n in range(4, 9):

@@ -165,7 +165,7 @@ class LayeredTable:
 
     A chain is one int: pair i, (k, t), is k | t << bits shifted up by
     2 * bits * i, with bits = n.bit_length() (1 at least), so the empty
-    chain is 0 and the pairs read from the low bits up (_pairs).  dead maps
+    chain is 0 and the pairs read from the low bits up.  dead maps
     a chain to the largest r its scans found no fitting completion of, and
     children maps each chain the search has entered to the children it
     formed there (_children), so a chain entered again at another r only
@@ -255,16 +255,6 @@ def scan_layered(m, table):
         table._prove_families()
     found = _first_fit(m, 0, table.root, table)
     return (found, found + 1) if found >= 0 else (-1, 1 << (m - 1))
-
-
-def _pairs(state, bits):
-    """The (k, t) pairs of a chain, largest need first (LayeredTable)."""
-    low = (1 << bits) - 1
-    pairs = []
-    while state:
-        pairs.append((state & low, state >> bits & low))
-        state >>= 2 * bits
-    return pairs
 
 
 def _need(state, bits):

@@ -25,24 +25,8 @@ from .errors import (
 
 
 def _check_values(values: tuple[int, ...]) -> None:
-    """Raise unless the values are 1..n once each, n their count.
-
-    Valid input of plain ints passes the built-in checks below, which run
-    at C speed; anything else goes through the entry loop, which names the
-    first bad entry."""
-    n = len(values)
-    if (
-        not values
-        or set(map(type, values)) == {int}
-        and len(set(values)) == n
-        and min(values) >= 1
-        and max(values) <= n
-    ):
-        return
-    _check_each_value(values)
-
-
-def _check_each_value(values: tuple[int, ...]) -> None:
+    """Raise unless the values are 1..n once each, n their count, naming
+    the first bad entry."""
     n = len(values)
     seen = [False] * (n + 1)
     for v in values:
@@ -156,7 +140,7 @@ def decreasing(n: int) -> Permutation:
     '3 2 1'
     """
     if n < 0:
-        raise ValueError("length must be non-negative")
+        raise ValueError(f"n must be non-negative, got {n}")
     return Permutation(tuple(range(n, 0, -1)))
 
 

@@ -355,9 +355,10 @@ def _check_report(report: SearchReport | InfeasibleReport) -> None:
         raise InternalDefectError("search witness is outside its candidate class")
     if not _verify(witness, report.n, coerce_tag(report.pattern_class), profile).ok:
         raise InternalDefectError("search witness failed re-verification")
-    for m, count in report.lengths_exhausted:
-        if m >= report.min_length or count != class_count(ctag, m):
-            raise InternalDefectError("incomplete nonexistence enumeration")
+    # every length from n up to the witness's, each with its whole class
+    expected = tuple((m, class_count(ctag, m)) for m in range(report.n, report.min_length))
+    if report.lengths_exhausted != expected:
+        raise InternalDefectError("incomplete nonexistence enumeration")
 
 
 @dataclasses.dataclass(frozen=True)

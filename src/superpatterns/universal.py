@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import operator
 from array import array
 from collections.abc import Sequence
 
@@ -46,10 +45,6 @@ VERIFY_CAP = {
 # realized as a permutation of n entries, about 127 bytes an n.
 TABLE_CAP = 10**7
 
-# Entries of LengthTable built per comprehension, at most; it bounds the
-# temporary lists of one chunk to about 4 MB.
-_CHUNK = 1 << 16
-
 
 class LengthTable:
     """Memoized table of minimal universal lengths.
@@ -57,20 +52,18 @@ class LengthTable:
     If the table below m is convex, the split cost f(k) = L(k) + L(m-1-k)
     is convex and symmetric about (m-1)/2, so its middle attains the
     minimum and L(m) = m + L((m-1)//2) + L(m//2), the split build_universal
-    uses.  Entries are built in chunks: every index a chunk reads lies
-    below its first entry lo when it ends at min(n, 2*lo - 1, lo + _CHUNK -
-    1), so each chunk is one comprehension, and _CHUNK bounds its temporary
-    list.  L has nondecreasing differences ceil(log2(n+1)), and each chunk's
-    steps, with the two entries before it, are checked to be so before it is
-    appended: a failed check means a corrupt table and raises
-    InternalDefectError, naming the first non-convex n, with nothing
-    appended.  That check is what makes the middle split exact.
+    uses.  Entries are built one at a time in one loop.  L has
+    nondecreasing differences ceil(log2(n+1)), and each new step is checked
+    against the step before it: a failed check means a corrupt table and
+    raises InternalDefectError, naming the first non-convex n, with what
+    the call appended taken off again.  That check is what makes the middle
+    split exact.
 
     The values are one machine-integer array, and nothing else is stored: a
     100,000-entry table takes 0.8 MB, against 3.6 MB as a list of int
     objects.  The smallest argmin is found on demand, by binary search.
     The table grows to TABLE_CAP at most: a request beyond it raises
-    CapExceededError before any chunk is built.
+    CapExceededError before any entry is built.
 
     Concurrency: extend first, share after; concurrent reads of a fully
     extended table are safe, growth is single-writer.
@@ -85,12 +78,8 @@ class LengthTable:
     def extend_to(self, n: int) -> None:
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        while len(self._values) <= n:
-            self._append_chunk(n)
-
-    def _append_chunk(self, n: int) -> None:
-        # kept out of extend_to: the comprehension makes vals a closure
-        # cell, which every cached read through extend_to would pay for
+        if n < len(self._values):
+            return
         if n > TABLE_CAP:
             raise CapExceededError(
                 f"the length table is capped at n={TABLE_CAP}, got {n}; "
@@ -98,16 +87,16 @@ class LengthTable:
             )
         vals = self._values
         lo = len(vals)
-        hi = min(n, 2 * lo - 1, lo + _CHUNK - 1)
-        chunk = [m + vals[(m - 1) >> 1] + vals[m >> 1] for m in range(lo, hi + 1)]
-        before = vals[max(lo - 2, 0) : lo].tolist()
-        seq = before + chunk  # seq[j] is entry lo - len(before) + j
-        steps = list(map(operator.sub, seq[1:], seq))
-        if steps != sorted(steps):
-            bad = next(i for i in range(1, len(steps)) if steps[i] < steps[i - 1])
-            first = lo - len(before) + bad + 1
-            raise InternalDefectError(f"length table is not convex at n={first}")
-        vals.extend(chunk)
+        last = vals[lo - 1]
+        step = last - vals[lo - 2] if lo > 1 else 0
+        for m in range(lo, n + 1):
+            v = m + vals[(m - 1) >> 1] + vals[m >> 1]
+            if v - last < step:
+                del vals[lo:]
+                raise InternalDefectError(f"length table is not convex at n={m}")
+            step = v - last
+            last = v
+            vals.append(v)
 
     def value(self, n: int) -> int:
         self.extend_to(n)

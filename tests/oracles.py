@@ -6,7 +6,8 @@ scanning all combinations, recurrence minima by full scans, and the layered
 search on masks of suffix ids (MaskTable) rather than threshold chains.  The
 one exception is filter_class_tuples, which takes the pure kernel's
 containment (itself checked against brute_contains) to stay fast up to
-n = 9.
+n = 9.  chain_pairs is the reference decoder of the chain engine's chain
+format, for the tests that read a chain's pairs.
 """
 
 import functools
@@ -325,6 +326,17 @@ def pruned_scan_layered(m, profiles, lo, hi):
 
     found = first_fit(m, 0, root)
     return (found, found - lo + 1) if found >= 0 else (-1, hi - lo)
+
+
+def chain_pairs(state, bits):
+    """The (k, t) pairs of a LayeredTable chain, largest need first: pair i
+    is read off bits 2 * bits * i and up, k below t."""
+    low = (1 << bits) - 1
+    pairs = []
+    while state:
+        pairs.append((state & low, state >> bits & low))
+        state >>= 2 * bits
+    return pairs
 
 
 def mask_id(profile):

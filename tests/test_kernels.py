@@ -18,6 +18,7 @@ from oracles import (
     brute_compositions,
     brute_contains,
     brute_lex_min_embedding,
+    chain_pairs,
     MaskTable,
     brute_scan_layered,
     layered_fits,
@@ -313,7 +314,7 @@ def _chain(pairs, bits):
 
 def _slack(key, bits):
     """The largest slack of a chain, -1 for the empty chain (LayeredTable)."""
-    pairs = chains._pairs(key, bits)
+    pairs = chain_pairs(key, bits)
     return pairs[-1][0] - pairs[-1][1] if pairs else -1
 
 
@@ -504,7 +505,7 @@ class TestLayeredTable:
             for kids in table.children.values():
                 for *_, slack, key in kids:
                     assert slack == _slack(key, table.bits)
-                    pairs = tuple(chains._pairs(key, table.bits))
+                    pairs = tuple(chain_pairs(key, table.bits))
                     if pairs:
                         assert table.floor[slack] == superpattern_length(slack + 1) - 1
                         seen.add(pairs)
@@ -532,7 +533,7 @@ class TestLayeredTable:
                 MaskTable(profiles)
         # a chain table holds two numbers per pair, so it takes any need
         table = LayeredTable(64)
-        assert chains._pairs(table.root, table.bits) == [(64, 1)]
+        assert chain_pairs(table.root, table.bits) == [(64, 1)]
         assert chains.scan_layered(63, table) == (-1, 2**62)
         assert table.proved == 0 and table.nodes == 0
 
@@ -587,7 +588,7 @@ class TestReduction:
             # the n = 3 search is pruned by its floors alone
             assert keys and bool(table.dead) == (n > 3)
             for key in (*table.dead, *table.children, *keys):
-                pairs = chains._pairs(key, table.bits)
+                pairs = chain_pairs(key, table.bits)
                 assert _chain(pairs, table.bits) == key
                 assert all(1 <= t <= k <= n for k, t in pairs), pairs
                 for (k, t), (k2, t2) in itertools.pairwise(pairs):
@@ -606,7 +607,7 @@ def test_chain_children_are_the_mask_children():
 
     @functools.lru_cache(maxsize=None)
     def reduced(state):
-        pairs = chains._pairs(state, table.bits)
+        pairs = chain_pairs(state, table.bits)
         return mask_reduce(1 | sum(1 << mask_id(c) for c in _members(pairs)), oracle)
 
     every = _chains(n)
@@ -634,7 +635,7 @@ def test_two_maximal_suffixes_need_one_more_position():
         table = _scanned(n)
         needs = {key: need for kids in table.children.values() for _, _, need, _, key in kids}
         for key, need in needs.items():
-            kept = _kept(chains._pairs(key, table.bits))
+            kept = _kept(chain_pairs(key, table.bits))
             top = max(map(sum, kept), default=0)
             assert need == top + (len(kept) > 1), kept
             if len(kept) > 1:

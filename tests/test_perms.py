@@ -79,8 +79,8 @@ def _outcome(check, values):
 
 
 class TestValidation:
-    """Valid plain-int input passes built-in checks; everything else must
-    fail exactly as the entry-by-entry loop does."""
+    """Construction fails exactly as the entry-by-entry check does, with
+    the exception class each input expects."""
 
     @pytest.mark.parametrize(
         "values, error",
@@ -103,7 +103,7 @@ class TestValidation:
     )
     def test_same_outcome_as_the_loop(self, values, error):
         got = _outcome(Permutation, values)
-        assert got == _outcome(perms._check_each_value, values)
+        assert got == _outcome(perms._check_values, values)
         assert (got and got[0]) == error
 
     def test_int_enum_members_are_kept(self):
@@ -125,7 +125,7 @@ class TestDecreasing:
         assert decreasing(5).values == (5, 4, 3, 2, 1)
 
     def test_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
             decreasing(-1)
 
 

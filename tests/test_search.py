@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -475,11 +476,31 @@ class TestMinimalSuperpattern:
         # a layered search may run to n = 20; its witness is re-verified by
         # the reach table, which no verification cap applies to
         witness = build_universal(17)
+        exhausted = tuple((m, 2 ** (m - 1)) for m in range(17, len(witness)))
         report = search.SearchReport(
             17, ClassTag.LAYERED, ClassTag.LAYERED, len(witness), witness,
-            candidates_examined=1, lengths_exhausted=((17, 2**16),), elapsed_ms=0,
+            candidates_examined=1, lengths_exhausted=exhausted, elapsed_ms=0,
         )
         search._check_report(report)
+
+    def test_a_report_must_exhaust_every_length_below_its_witness(self):
+        # a report names every length from n up to its witness's, in order,
+        # each with its whole class count
+        report = minimal_superpattern(4, "layered", "layered")
+        full = report.lengths_exhausted
+        assert [m for m, _ in full] == [4, 5, 6, 7]
+        search._check_report(report)
+        for exhausted in (
+            full[1:],
+            full[:1] + full[2:],
+            full[:-1],
+            full + ((report.min_length, 2 ** (report.min_length - 1)),),
+            full[::-1],
+            (),
+        ):
+            doctored = dataclasses.replace(report, lengths_exhausted=exhausted)
+            with pytest.raises(InternalDefectError, match="^incomplete nonexistence enumeration$"):
+                search._check_report(doctored)
 
     def test_a_report_profiles_its_witness_once(self, monkeypatch):
         # one layer profile serves the class check and the re-verification,

@@ -81,7 +81,7 @@ class TestLengthTable:
 
     def test_full_scan_oracle(self):
         # Independent check that the table's split minima (computed at the
-        # middle split, in chunks, with argmin by binary search) are true
+        # middle split, one entry at a time, with argmin by binary search) are true
         # minima with the smallest argmin.
         table = LengthTable()
         values = table.prefix(4000)
@@ -95,8 +95,8 @@ class TestLengthTable:
         assert table.argmin(1234) == oracle_arg
 
     def test_uneven_extensions_match_the_full_scan(self):
-        # chunks end wherever a call stops: growth by 1, 2, 3, 5, 8, ...
-        # entries gives the same table as the full scan
+        # each call starts where the last one stopped: growth by 1, 2, 3, 5,
+        # 8, ... entries gives the same table as the full scan
         values, argmins = _full_scan_table(_SCAN_N)
         table = LengthTable()
         n, step, nxt = 0, 1, 2
@@ -110,7 +110,8 @@ class TestLengthTable:
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_power_of_two_edges_match_the_full_scan(self, k):
-        # built in one call, a table's chunks start at the powers of two
+        # built in one call, a table ends just before, at and just past a
+        # power of two, where the step of L grows
         values, argmins = _full_scan_table(_SCAN_N)
         for n in (2**k - 1, 2**k, 2**k + 1):
             table = LengthTable()
@@ -121,9 +122,9 @@ class TestLengthTable:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_chunk_size_edges(self, extra):
-        # from the chunk start at _CHUNK, one entry short of, exactly and one
-        # entry past a whole chunk
-        size = universal._CHUNK
+        # a table built to 65,535, then extended in one more call to one
+        # entry short of, exactly and one entry past twice that size
+        size = 65_536
         top = 2 * size - 1 + extra
         table = LengthTable()
         table.extend_to(size - 1)
@@ -181,12 +182,25 @@ class TestLengthTable:
 
     @pytest.mark.parametrize("doctored, first_bad", [(999, 1000), (600, 1202)])
     def test_nonconvex_table_fails_a_whole_chunk(self, doctored, first_bad):
-        # entries 1000..1500 are one chunk, which reads entries up to 750: a
-        # value raised just before it makes L(1000) step down, and L(600)
-        # raised makes L(1200) and L(1201) step up and L(1202) step down
+        # entries 1000..1500 are built in one call, which reads entries up
+        # to 750: a value raised just before it makes L(1000) step down, and
+        # L(600) raised makes L(1200) and L(1201) step up and L(1202) step
+        # down; the call appends nothing
         table = LengthTable()
         table.extend_to(999)
         table._values[doctored] += 50
+        with pytest.raises(InternalDefectError, match=f"convex at n={first_bad}$"):
+            table.extend_to(1500)
+        assert len(table) == 1000
+
+    @pytest.mark.parametrize("doctored, first_bad", [(999, 1000), (600, 1202)])
+    def test_a_step_that_falls_but_stays_positive_is_a_defect(self, doctored, first_bad):
+        # raised by 5, not 50: L(1000) steps up by 5 after a step of 15, and
+        # L(1202) by 6 after steps of 16; a check that the table only
+        # increases would let both pass
+        table = LengthTable()
+        table.extend_to(999)
+        table._values[doctored] += 5
         with pytest.raises(InternalDefectError, match=f"convex at n={first_bad}$"):
             table.extend_to(1500)
         assert len(table) == 1000
@@ -195,7 +209,7 @@ class TestLengthTable:
         "call", [superpattern_length, superpattern_split, LengthTable().prefix]
     )
     def test_table_cap_refuses_before_building(self, call):
-        # 10^13 entries would take 80 TB; the refusal comes before any chunk
+        # 10^13 entries would take 80 TB; the refusal comes before any entry
         before = len(universal._TABLE)
         with pytest.raises(CapExceededError, match="capped at n=10000000"):
             call(10**13)
