@@ -7,11 +7,13 @@ n = 9 patterns), the permutation scan behind the unrestricted search, and
 the candidate-list scan behind the av-class runs.  Each result is checked
 to agree between the backends.  The layered search is the chain engine's
 (superpatterns.chains) on either backend, so the two layered workloads have
-no compiled column; below each of them, one more untimed run reads the
-search's nodes (one for each time it enters a chain) and the distinct
-chains it entered off its table.  A row times the whole layered search of
-n = 20 (every length from 20 to L(20) = 74 on one table, built inside the
-timed work) and reads the same, with the microseconds per node.  One row
+no compiled column; below each of them, one more untimed run reads off its
+table the search's nodes (one for each time it enters a chain), the
+distinct chains it entered, and the entries of its dead table, the proof
+table of failed chains that also holds the family bounds and the root.  A
+row times the whole layered search of n = 20 (every length from 20 to
+L(20) = 74 on one table, built inside the timed work) and reads the same,
+with the microseconds per node.  One row
 times a fresh universal.LengthTable built to n = 10^6.  Last, for
 n = 4..8, the whole minimal_superpattern(n, "layered", "layered") is timed
 beside its layers: the kernel alone (scan_layered for each length n..L(n)
@@ -160,9 +162,11 @@ def _time(work, mod, repeat):
 
 
 def _layered_nodes(work):
-    """(nodes, distinct chains entered) of one run on work.table."""
+    """(nodes, distinct chains entered, dead entries) of one run on
+    work.table."""
     work(_kernels_py)
-    return work.table.nodes, len(work.table.children)
+    table = work.table
+    return table.nodes, len(table.children), len(table.dead)
 
 
 def main() -> None:
@@ -186,8 +190,8 @@ def main() -> None:
         if _kernels is None or builder in chain_only:
             print(f"{name:58s} {py_time * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
             if builder in chain_only:
-                nodes, entered = _layered_nodes(work)
-                print(f"  {nodes:,} nodes, {entered:,} chains entered")
+                nodes, entered, dead = _layered_nodes(work)
+                print(f"  {nodes:,} nodes, {entered:,} chains entered, {dead:,} dead")
             continue
         c_time, c_result = _time(work, _kernels, args.repeat)
         if py_result != c_result:
@@ -198,9 +202,9 @@ def main() -> None:
         )
     name, work = _layered_search_workload()
     search_s, _ = _time(work, _kernels_py, args.repeat)
-    nodes, entered = _layered_nodes(work)
+    nodes, entered, dead = _layered_nodes(work)
     print(f"{name:58s} {search_s * 1e3:9.1f}ms {'n/a':>10s} {'n/a':>8s}")
-    print(f"  {nodes:,} nodes, {entered:,} chains entered, "
+    print(f"  {nodes:,} nodes, {entered:,} chains entered, {dead:,} dead, "
           f"{search_s / nodes * 1e6:.2f}us per node")
     name, work = _length_table_workload()
     table_s, _ = _time(work, None, args.repeat)

@@ -151,17 +151,17 @@ class LayeredTable:
     completion of L(k) - 1 positions fits, nor then of fewer.  The bound
     rests on that failing scan, not on where the number came from; a fit
     there contradicts the paper and raises InternalDefectError.  k = 1 has
-    L(1) - 1 = 0 and scans nothing.  A chain whose largest slack is s holds
-    all of F(s + 1, 1) in its down-closure, so it needs at least L(s + 1)
-    positions.  These bounds live in one list indexed by slack, not in the
-    dead table: floor[s] is L(s + 1) - 1 once the family of s + 1 is
-    proved, and -1 before, and the walk (_first_fit) skips a child whose
-    floor is at least its positions left before it looks the child up in
-    the dead table.  proved is the largest k proved so far, 0 before any.  The chains
-    below (k, 1) have slacks below k - 1, so every floor a proof uses rests
-    on a scan made before it, and a scan that prunes by them is still a
-    proof by enumeration.  No bound is proved at n, which is what a search
-    of n is proving.
+    L(1) - 1 = 0 and scans nothing.  A scan enters every chain whose walk
+    ends without a fit in the dead table, the chain it starts from
+    included, so the proof of k leaves dead[(k, 1)] = L(k) - 1, and a
+    failed length m of a search of n leaves dead[root] = m: after the
+    search, the root's entry L(n) - 1 is the claim.  A chain whose largest
+    slack is s holds all of F(s + 1, 1) in its down-closure, so the walk
+    (_first_fit) skips a child when the entry of its own chain or of that
+    family chain is at least its positions left.  proved is the largest k
+    proved so far, 0 before any.  The chains below (k, 1) have slacks below
+    k - 1, so every bound a proof uses rests on a scan made before it, and
+    a scan that prunes by them is still a proof by enumeration.
 
     A chain is one int: pair i, (k, t), is k | t << bits shifted up by
     2 * bits * i, with bits = n.bit_length() (1 at least), so the empty
@@ -181,9 +181,6 @@ class LayeredTable:
         self.root = n | 1 << self.bits if n else 0
         self.children = {}
         self.dead = {}
-        # floor[s] for each slack s < n; floor[n], which the walk reads as
-        # floor[-1] for the empty chain, is never proved
-        self.floor = [-1] * (n + 1)
         self.proved = 0
         self.nodes = 0
         self.limit = math.inf
@@ -191,7 +188,6 @@ class LayeredTable:
     def _prove_families(self):
         # each family is proved once; a scan stopped at its node limit in
         # the proof of k leaves the families below k proved and resumes at k
-        floor = self.floor
         for k in range(self.proved + 1, self.n):
             bound = _layered_length(k) - 1
             if bound and _first_fit(bound, 0, k | 1 << self.bits, self) >= 0:
@@ -199,7 +195,6 @@ class LayeredTable:
                     f"a completion of length {bound} holds every "
                     f"layered permutation of length {k}"
                 )
-            floor[k - 1] = bound
             self.proved = k
 
 
@@ -237,10 +232,11 @@ def scan_layered(m, table):
     fitting completion keeps it fitting).  So the table of dead states maps
     a chain to the largest r whose whole block of completions was scanned
     without a fit.  The proved family bounds (LayeredTable, one exhaustive
-    scan of L(k) - 1 positions per family) are kept beside it, as the
-    table's floors indexed by a chain's largest slack, and a child whose
-    floor or dead entry is at least its positions left is skipped.  Every
-    completion fits the empty chain.
+    scan of L(k) - 1 positions per family) are entries of the same table,
+    under the family's chain (k, 1), and a child is skipped when its own
+    entry, or that of the family its largest slack holds whole, is at least
+    its positions left.  Every completion fits the empty chain, which never
+    dies.
 
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
@@ -268,10 +264,11 @@ def _need(state, bits):
 
 def _children(state, table):
     """The children of a chain, formed when the search first enters it and
-    kept in table.children: one (a, reach, need, slack, key) for part 1 and
-    for each part a in a kept range, in increasing a, where key is the
-    child's chain, slack its largest slack (-1 for the empty chain), and
-    reach and need are as LayeredTable derives them.
+    kept in table.children: one (a, reach, need, family, key) for part 1
+    and for each part a in a kept range, in increasing a, where key is the
+    child's chain, family the chain F(s + 1, 1) of its largest slack s (the
+    empty chain for the empty chain), and reach and need are as
+    LayeredTable derives them.
 
     The kept ranges run from the last pair's up to the first's.  For a part
     a in pair i's range, the child keeps the pairs before i whole, then
@@ -282,11 +279,12 @@ def _children(state, table):
     int one at a time, from the last."""
     bits = table.bits
     width = 2 * bits
-    low = (1 << bits) - 1
+    one = 1 << bits
+    low = one - 1
     kids = table.children[state] = []
     if not state:
         # part 1 leaves the empty chain as it is
-        kids.append((1, 1, 0, -1, 0))
+        kids.append((1, 1, 0, 0, 0))
         return kids
     # the last pair's (k, t) and its slack K, the chain's largest: every
     # part in a kept range reaches that pair
@@ -296,13 +294,13 @@ def _children(state, table):
     top = k - t
     if t > 1:
         # part 1 reaches no pair and leaves the chain as it is
-        kids.append((1, 1, _need(state, bits), top, state))
+        kids.append((1, 1, _need(state, bits), top + 1 | one, state))
     # a child that keeps a remainder has two or more pairs, or is the
     # single pair (k, a + 1) of the first pair's range, so it needs the
     # chain's first k plus one (_need), but for the single pair (k, k)
     full = (state & low) + 1
     cap = top - 1
-    family = top | 1 << bits
+    family = top | one
     append = kids.append
     while True:
         # pair i at shift, with (k, t) in hand; below is the slack of the
@@ -326,17 +324,18 @@ def _children(state, table):
         for a in range(t, last):
             child += step
             if a > edge:
-                append((a, a + top, full, cap, child | above))
+                append((a, a + top, full, family, child | above))
             else:
-                append((a, a + top, full - (child == single), k - a - 1, child))
-        # the last part leaves no remainder, and F(K, 1) where it survives
+                append((a, a + top, full - (child == single), k - a | one, child))
+        # the last part leaves no remainder, and F(K, 1) where it survives;
+        # else the child's family is the one below's, or the empty chain
         if below < cap:
-            key, slack = prefix | family << shift, cap
+            key, held = prefix | family << shift, family
         else:
-            key, slack = prefix, below
+            key, held = prefix, prefix and below + 1 | one
         lead = key & low
         append((last, last + top, lead + (key >> width != 0 or lead > key >> bits & low),
-                slack, key))
+                held, key))
         if not shift:
             return kids
         shift, k, t = under, k_under, t_under
@@ -353,18 +352,19 @@ def _first_fit(r, base, state, table):
     r - a positions left, and so does every later child's reach, since a
     later part reaches no fewer pairs; so the walk stops there.  A child
     that needs more than r - a positions is skipped, and so is one whose
-    family floor (floor[s] for its largest slack s, LayeredTable) or dead
-    entry is at least r - a.  A child with no position left that passes
-    the need test is the empty chain, a leaf that no floor prunes.
+    dead entry, or that of its family chain F(s + 1, 1) for its largest
+    slack s (LayeredTable), is at least r - a.  A child with no position
+    left that passes the need test is the empty chain, a leaf that no
+    entry prunes.
 
     The search is one loop over a stack of frames (r, base, state, walk),
     walk the iterator over the chain's children, one frame per part of the
-    prefix: entering a child pushes its parent's frame, and a child whose
-    walk ends without a fit is recorded dead for its r and pops back to the
-    parent.  The chain the search starts from is not recorded.  Entering a
-    chain counts a node, and the node past table.limit raises
-    NodeLimitError instead, the nodes it brought the table to kept."""
-    dead, children, floor = table.dead, table.children, table.floor
+    prefix: entering a child pushes its parent's frame, and a chain whose
+    walk ends without a fit, the one the search starts from included, is
+    recorded dead for its r and pops back to its parent, or ends the
+    search.  Entering a chain counts a node, and the node past table.limit
+    raises NodeLimitError instead, the nodes it brought the table to kept."""
+    dead, children = table.dead, table.children
     nodes, limit = table.nodes, table.limit
     frames = []
     walk = None
@@ -379,7 +379,7 @@ def _first_fit(r, base, state, table):
                 kids = _children(state, table)
             walk = iter(kids)
         top = 1 << (r - 1)
-        for a, reach, need, slack, key in walk:
+        for a, reach, need, family, key in walk:
             if reach > r:
                 break
             rest = r - a
@@ -388,14 +388,14 @@ def _first_fit(r, base, state, table):
             if rest == 0:
                 table.nodes = nodes
                 return base + top - 1
-            if floor[slack] < rest and dead.get(key, 0) < rest:
+            if dead.get(family, 0) < rest and dead.get(key, 0) < rest:
                 frames.append((r, base, state, walk))
                 r, base, state, walk = rest, base + top - (1 << rest), key, None
                 break
         if walk is not None:
             # the walk ended without entering a child: no fit below this chain
+            dead[state] = r
             if not frames:
                 table.nodes = nodes
                 return -1
-            dead[state] = r
             r, base, state, walk = frames.pop()

@@ -262,10 +262,12 @@ class TestScans:
                 assert got == pin == brute_scan_layered(m, patterns, 0, 2 ** (m - 1))
         # on chains: part 2 reaches both members of (2, 1), (1, 1) and (2,),
         # and leaves the tail (1,) of (1, 1) as the chain (1, 1), to wait
-        # for a later part; so the composition (2) fits neither family
+        # for a later part; so the composition (2) fits neither family.
+        # The chain (1, 1), of slack 0, is its own family chain
         table = LayeredTable(2)
         kids = chains._children(table.root, table)
-        assert kids[-1] == (2, 3, 1, 0, _chain([(1, 1)], table.bits))
+        tail = _chain([(1, 1)], table.bits)
+        assert kids[-1] == (2, 3, 1, tail, tail)
         for m, pin in enumerate([(-1, 2), (1, 2)], start=2):
             got = chains.scan_layered(m, table)
             assert got == pin == brute_scan_layered(m, brute_compositions(2), 0, 2 ** (m - 1))
@@ -312,20 +314,17 @@ def _chain(pairs, bits):
     return sum((k | t << bits) << 2 * bits * i for i, (k, t) in enumerate(pairs))
 
 
-def _slack(key, bits):
-    """The largest slack of a chain, -1 for the empty chain (LayeredTable)."""
+def _family(key, bits):
+    """The chain F(s + 1, 1) of a chain's largest slack s, and the empty
+    chain for the empty chain (LayeredTable)."""
     pairs = chain_pairs(key, bits)
-    return pairs[-1][0] - pairs[-1][1] if pairs else -1
+    return _chain([(pairs[-1][0] - pairs[-1][1] + 1, 1)], bits) if pairs else 0
 
 
-def _known_dead(table):
-    """The chains a table knows to be dead for some r > 0: its dead entries,
-    and every chain it entered or formed whose family floor is above 0."""
-    formed = {key for kids in table.children.values() for *_, key in kids}
-    return set(table.dead) | {
-        key for key in formed | set(table.children)
-        if table.floor[_slack(key, table.bits)] > 0
-    }
+def _as_mask(state, bits, oracle):
+    """A chain's reduced state in the mask oracle's ids."""
+    members = _members(chain_pairs(state, bits))
+    return mask_reduce(1 | sum(1 << mask_id(c) for c in members), oracle)
 
 
 def _chains(n):
@@ -391,9 +390,13 @@ class TestLayeredTable:
     def test_the_family_table_is_the_generic_one(self):
         # the chain table of n and the mask oracle's table of every
         # composition of n scan every length from n to L(n) + 2 alike, and
-        # enter as many states; the oracle enters each family bound in its
-        # dead table, the chain table keeps them as floors, and the two
-        # know as many states dead
+        # enter as many states.  Both dead tables hold each family proof and
+        # each failed scan under its state, with the same r.  They differ
+        # twice over: the chain table also holds its root, failed at
+        # L(n) - 1, since a chain scan records the chain it starts from and
+        # the oracle's does not; and the oracle also enters, under each
+        # state it forms, the bound of the family the state holds whole,
+        # which the chain walk reads off that family's own entry
         for n in range(13):
             family = LayeredTable(n)
             generic = MaskTable(brute_compositions(n))
@@ -402,37 +405,53 @@ class TestLayeredTable:
                     mask_scan_layered(m, generic)
                 ), (n, m)
             assert len(family.children) == len(generic.children), n
-            assert len(_known_dead(family)) == len(generic.dead), n
+            bits, dead = family.bits, family.dead
+            scanned = {_as_mask(key, bits, generic): r for key, r in dead.items()}
+            if n > 1:
+                assert scanned.pop(generic.root) == superpattern_length(n) - 1, n
+            held = {
+                _as_mask(key, bits, generic): dead[kin]
+                for kids in family.children.values() for *_, kin, key in kids
+                if kin in dead
+            }
+            assert generic.dead == held | scanned, n
         with pytest.raises(ValueError, match="non-negative, got -1"):
             LayeredTable(-1)
 
     def test_family_bounds_are_proved_in_the_table(self):
         # every family bound is L(k) - 1, for each k below n, and is the
-        # table's floor for the slack k - 1 of the chain (k, 1); the kernel
-        # takes L(k) from the closed form, and the bound rests on the
-        # exhaustive scan that fails at L(k) - 1, not on that value.  The
-        # root's slack n - 1 and the empty chain's floor[-1] stay unproved,
-        # and no bound goes into the dead table
+        # dead entry of the chain (k, 1), the one its proof starts from; the
+        # kernel takes L(k) from the closed form, and the bound rests on the
+        # exhaustive scan that fails at L(k) - 1, not on that value.  k = 1,
+        # whose bound is 0, has no entry.  The root, the chain (n, 1), has
+        # none until a length fails, and after the search its entry is
+        # L(n) - 1, the claim
         for n in range(1, 13):
             table = LayeredTable(n)
             # nothing is proved before a scan
-            assert (table.floor, table.proved) == ([-1] * (n + 1), 0)
-            chains.scan_layered(n, table)
-            assert table.floor == [
-                *(superpattern_length(k) - 1 for k in range(1, n)), -1, -1
-            ], n
-            assert table.proved == n - 1
+            assert (table.dead, table.proved) == ({}, 0)
+            table._prove_families()
+            assert table.proved == max(n - 1, 0)
+            assert table.root not in table.dead
+            family = {k: _chain([(k, 1)], table.bits) for k in range(1, n + 1)}
+            assert family[n] == table.root and family[1] not in table.dead
             for k in range(2, n):
-                family = _chain([(k, 1)], table.bits)
-                assert _slack(family, table.bits) == k - 1
-                assert table.dead.get(family, 0) == 0
+                assert table.dead[family[k]] == superpattern_length(k) - 1, (n, k)
                 assert sorted(_members([(k, 1)])) == brute_compositions(k)
+            for m in range(n, superpattern_length(n) + 1):
+                chains.scan_layered(m, table)
+            for k in range(2, n + 1):
+                assert table.dead[family[k]] == superpattern_length(k) - 1, (n, k)
 
     def test_a_scan_stopped_at_its_node_limit_resumes(self):
         # a scan stops at the node past table.limit, with the nodes it
         # counted kept; what it proved stays in the table, so the same
         # length scanned again with no limit answers as a fresh table does,
-        # and so does every later length
+        # and so does every later length.  A stop inside the proof of
+        # family k leaves no entry for its chain (k, 1), and the resumed
+        # scan enters exactly L(k) - 1; a stop in the scan of a length m
+        # leaves the root's entry as the length before left it
+        stops = set()
         for n in (5, 9):
             fresh = LayeredTable(n)
             lengths = range(n, superpattern_length(n) + 1)
@@ -446,10 +465,22 @@ class TestLayeredTable:
                         got.append(chains.scan_layered(m, table))
                     except NodeLimitError:
                         assert table.nodes == limit + 1, (n, limit, m)
+                        k = table.proved + 1
+                        family = _chain([(k, 1)], table.bits)
+                        before = table.dead.get(family)
                         table.limit = math.inf
                         got.append(chains.scan_layered(m, table))
+                        if k < n:
+                            assert before is None, (n, limit)
+                            assert table.dead[family] == superpattern_length(k) - 1
+                        else:
+                            # the root keeps the entry of the length before
+                            assert before == (m - 1 if m > n else None), (n, limit)
+                        stops.add(k < n)
                 assert table.limit == math.inf, (n, limit)
                 assert got == expected, (n, limit)
+        # some stops fall inside a family proof, some in a length's own scan
+        assert stops == {True, False}
 
     def test_the_kernel_length_is_the_recurrence(self):
         for k in range(65):
@@ -497,17 +528,21 @@ class TestLayeredTable:
 
     def test_a_state_gets_the_bound_of_each_family_it_holds_whole(self):
         # a chain whose largest slack is s holds every composition of s + 1
-        # in its down-closure; each child records s, and the floor the walk
-        # reads for it is L(s + 1) - 1
+        # in its down-closure; each child records that family's chain
+        # F(s + 1, 1), and the dead entry the walk reads for it is
+        # L(s + 1) - 1, none for s = 0.  The empty chain's family is the
+        # empty chain, which never dies
         seen = set()
         for n in range(2, 10):
             table = _scanned(n)
+            assert 0 not in table.dead
             for kids in table.children.values():
-                for *_, slack, key in kids:
-                    assert slack == _slack(key, table.bits)
+                for *_, held, key in kids:
+                    assert held == _family(key, table.bits)
                     pairs = tuple(chain_pairs(key, table.bits))
                     if pairs:
-                        assert table.floor[slack] == superpattern_length(slack + 1) - 1
+                        [(size, _)] = chain_pairs(held, table.bits)
+                        assert table.dead.get(held, 0) == superpattern_length(size) - 1
                         seen.add(pairs)
         for pairs in seen:
             members = _members(pairs)
@@ -585,8 +620,11 @@ class TestReduction:
         for n in (3, 5, 9):
             table = _scanned(n, extra=2)
             keys = {key for kids in table.children.values() for *_, key in kids}
-            # the n = 3 search is pruned by its floors alone
-            assert keys and bool(table.dead) == (n > 3)
+            # the n = 3 search is pruned by its family bounds alone, so its
+            # dead table holds only the proof of (2, 1) and its root
+            proofs = {_chain([(k, 1)], table.bits) for k in range(2, n + 1)}
+            assert keys and set(table.dead) >= proofs
+            assert (set(table.dead) > proofs) == (n > 3)
             for key in (*table.dead, *table.children, *keys):
                 pairs = chain_pairs(key, table.bits)
                 assert _chain(pairs, table.bits) == key
@@ -607,8 +645,7 @@ def test_chain_children_are_the_mask_children():
 
     @functools.lru_cache(maxsize=None)
     def reduced(state):
-        pairs = chain_pairs(state, table.bits)
-        return mask_reduce(1 | sum(1 << mask_id(c) for c in _members(pairs)), oracle)
+        return _as_mask(state, table.bits, oracle)
 
     every = _chains(n)
     assert len(every) == 2**n
@@ -616,8 +653,8 @@ def test_chain_children_are_the_mask_children():
         state = _chain(pairs, table.bits)
         got = chains._children(state, table)
         expected = mask_children(reduced(state), oracle)
-        assert [slack for *_, slack, key in got] == [
-            _slack(key, table.bits) for *_, key in got
+        assert [held for *_, held, key in got] == [
+            _family(key, table.bits) for *_, key in got
         ], pairs
         assert [(a, reach, need) for a, reach, need, *_ in got] == [
             (a, reach, need) for a, reach, need, _ in expected
@@ -762,14 +799,18 @@ def test_layered_bench_workload_on_every_backend():
 
 
 def test_layered_bench_counts_nodes():
-    # the untimed run beside the layered rows counts the search's nodes and
-    # entered states on a table of its own
+    # the untimed run beside the layered rows counts the search's nodes,
+    # entered states and dead entries on a table of its own; the 29 dead
+    # hold the proofs of the families 2..6 and the root, failed at 16
     script = _ROOT / "benchmarks" / "bench_kernels.py"
     spec = importlib.util.spec_from_file_location("bench_kernels", script)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     _, work = bench._layered_scan_workload()
-    assert bench._layered_nodes(work) == (47, 29)
+    assert bench._layered_nodes(work) == (47, 29, 29)
+    table = work.table
+    assert table.dead[table.root] == 16
+    assert all(table.dead[k | 1 << table.bits] == superpattern_length(k) - 1 for k in range(2, 7))
 
 
 def test_layered_bench_times_the_search_by_layer():

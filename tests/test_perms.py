@@ -15,7 +15,7 @@ from superpatterns import (
     parse,
     pattern_of,
 )
-from superpatterns import kernels, perms
+from superpatterns import kernels
 from superpatterns.errors import (
     DuplicateValueError,
     InvalidEmbeddingError,
@@ -78,9 +78,27 @@ def _outcome(check, values):
     return None
 
 
+def _loop_error(values):
+    """The error class the first bad entry calls for, written from the
+    definition and not from perms: each entry an int, not a bool, in 1..n
+    and not seen before.  None when every entry passes."""
+    seen = set()
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            return PermutationError
+        if not 1 <= v <= len(values):
+            return ValueOutOfRangeError
+        if v in seen:
+            return DuplicateValueError
+        seen.add(v)
+    return None
+
+
 class TestValidation:
-    """Construction fails exactly as the entry-by-entry check does, with
-    the exception class each input expects."""
+    """Construction fails as an entry-by-entry loop of the test's own says
+    the first bad entry calls for, with the exception class each input
+    expects, and succeeds exactly for int entries, not bools, whose sorted
+    values are 1..n."""
 
     @pytest.mark.parametrize(
         "values, error",
@@ -103,8 +121,9 @@ class TestValidation:
     )
     def test_same_outcome_as_the_loop(self, values, error):
         got = _outcome(Permutation, values)
-        assert got == _outcome(perms._check_values, values)
-        assert (got and got[0]) == error
+        assert (got and got[0]) == _loop_error(values) == error
+        valid = all(isinstance(v, int) and not isinstance(v, bool) for v in values)
+        assert (got is None) == (valid and sorted(values) == list(range(1, len(values) + 1)))
 
     def test_int_enum_members_are_kept(self):
         assert Permutation((_Rank.SECOND, _Rank.FIRST)) == Permutation((2, 1))

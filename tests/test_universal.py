@@ -121,9 +121,10 @@ class TestLengthTable:
             assert [table.argmin(m) for m in range(n + 1)] == argmins[: n + 1]
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_chunk_size_edges(self, extra):
+    def test_extension_in_two_calls(self, extra):
         # a table built to 65,535, then extended in one more call to one
-        # entry short of, exactly and one entry past twice that size
+        # entry short of, exactly and one entry past twice 65,536; the
+        # values and argmins at the seam and at the end are the brute ones
         size = 65_536
         top = 2 * size - 1 + extra
         table = LengthTable()
@@ -181,11 +182,12 @@ class TestLengthTable:
         assert len(table) == 6
 
     @pytest.mark.parametrize("doctored, first_bad", [(999, 1000), (600, 1202)])
-    def test_nonconvex_table_fails_a_whole_chunk(self, doctored, first_bad):
+    def test_first_nonconvex_n_fails_and_its_call_is_undone(self, doctored, first_bad):
         # entries 1000..1500 are built in one call, which reads entries up
         # to 750: a value raised just before it makes L(1000) step down, and
         # L(600) raised makes L(1200) and L(1201) step up and L(1202) step
-        # down; the call appends nothing
+        # down; the call fails at that first bad n and takes off what it
+        # appended before it, so the table keeps its 1000 entries
         table = LengthTable()
         table.extend_to(999)
         table._values[doctored] += 50
