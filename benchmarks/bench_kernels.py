@@ -2,18 +2,18 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Times the hot inner loops on representative workloads: backtracking
-containment, two composition scans behind the layered search (n = 7 and
-n = 9 patterns), the permutation scan behind the unrestricted search, and
-the candidate-list scan behind the av-class runs.  Each result is checked
-to agree between the backends.  The layered search is the chain engine's
-(superpatterns.chains) on either backend, so the two layered workloads have
-no compiled column; below each of them, one more untimed run reads off its
-table the search's nodes (one for each time it enters a chain), the
-distinct chains it entered, and the entries of its dead table, the proof
-table of failed chains that also holds the family bounds and the root.  A
-row times the whole layered search of n = 20 (every length from 20 to
-L(20) = 74 on one table, built inside the timed work) and reads the same,
-with the microseconds per node.  One row
+containment on random queries and on mostly failing ones, two composition
+scans behind the layered search (n = 7 and n = 9 patterns), the permutation
+scan behind the unrestricted search, and the candidate-list scan behind the
+av-class runs.  Each result is checked to agree between the backends.  The
+layered search is the chain engine's (superpatterns.chains) on either
+backend, so the two layered workloads have no compiled column; below each of
+them, one more untimed run reads off its table the search's nodes (one for
+each time it enters a chain), the distinct chains it entered, and the
+entries of its dead table, the proof table of failed chains that also holds
+the family bounds and the root.  A row times the whole layered search of
+n = 20 (every length from 20 to L(20) = 74 on one table, built inside the
+timed work) and reads the same, with the microseconds per node.  One row
 times a fresh universal.LengthTable built to n = 10^6.  Last, for
 n = 4..8, the whole minimal_superpattern(n, "layered", "layered") is timed
 beside its layers: the kernel alone (scan_layered for each length n..L(n)
@@ -44,12 +44,12 @@ from superpatterns.search import _check_report, _ordered_pattern_tuples, minimal
 from superpatterns.universal import LengthTable
 
 
-def _containment_workload():
-    rng = random.Random(2024)
+def _containment_cases(seed, count, hosts, lengths):
+    rng = random.Random(seed)
     cases = []
-    for _ in range(2000):
-        m = rng.randint(16, 24)
-        k = rng.randint(6, 9)
+    for _ in range(count):
+        m = rng.randint(*hosts)
+        k = rng.randint(*lengths)
         host = tuple(rng.sample(range(1, m + 1), m))
         pattern = tuple(rng.sample(range(1, k + 1), k))
         cases.append((pattern, host))
@@ -61,7 +61,19 @@ def _containment_workload():
                 hits += 1
         return hits
 
-    return "containment DFS (2000 queries, hosts 16-24)", work
+    return work
+
+
+def _containment_workload():
+    return ("containment DFS (2000 queries, hosts 16-24)",
+            _containment_cases(2024, 2000, (16, 24), (6, 9)))
+
+
+def _refutation_workload():
+    # 19 of these 1000 patterns embed: most queries fail every placement
+    # of their first entries, the tail the failed-placement rule cuts
+    return ("containment refutations (1000, k=10-12, hosts 20-30)",
+            _containment_cases(2025, 1000, (20, 30), (10, 12)))
 
 
 def _layered_scan_workload():
@@ -176,6 +188,7 @@ def main() -> None:
 
     builders = [
         _containment_workload,
+        _refutation_workload,
         _layered_scan_workload,
         _layered_proof_scan_workload,
         _all_perm_scan_workload,

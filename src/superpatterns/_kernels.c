@@ -78,25 +78,143 @@ static PyObject *tuple_of(const int *v, Py_ssize_t n)
     return out;
 }
 
-/* A list of patterns (or layer profiles) flattened into one int array. */
+/* Row i of win, for i = 0..k, holds a pair (a, b) for each j = i..k-1: the
+   entries of pat[0 .. i) nearest below and above pat[j] in value, with k and
+   k + 1 standing for the sentinels 0 and the host's top value; row i has
+   k - i pairs and follows row i - 1.  role[i] has bit 1 set when entry i is
+   the lower end a of some pair of row i + 1, and bit 2 when it is the upper
+   end b of one.  These are _kernels_py._windows and _roles. */
+static void shape(const int *pat, Py_ssize_t k, int *win, unsigned char *role)
+{
+    int *row = win, *next;
+    for (Py_ssize_t j = 0; j < k; j++) {
+        row[2 * j] = (int)k;
+        row[2 * j + 1] = (int)k + 1;
+    }
+    /* row i + 1 is row i with entry i taken in */
+    for (Py_ssize_t i = 0; i < k; i++, row = next) {
+        next = row + 2 * (k - i);
+        role[i] = 0;
+        for (Py_ssize_t j = i + 1; j < k; j++) {
+            int a = row[2 * (j - i)], b = row[2 * (j - i) + 1];
+            if (pat[i] < pat[j]) {
+                if (a == k || pat[i] > pat[a])
+                    a = (int)i;
+            }
+            else if (b == k + 1 || pat[i] < pat[b])
+                b = (int)i;
+            next[2 * (j - i - 1)] = a;
+            next[2 * (j - i - 1) + 1] = b;
+            role[i] |= (a == i) | (b == i) << 1;
+        }
+    }
+}
+
+/* Fill pos[0 .. k) with the lexicographically smallest embedding of the
+   pattern whose windows and roles (see shape) are win and role into host,
+   and return 1, or return 0 when there is none.  pos holds 4k + 2 ints, the
+   last 3k + 2 of them scratch.  This is _kernels_py._embed: a placement
+   that fails rules out later placements of the same entry with any value
+   (role 0), a larger one (role 1) or a smaller one (role 2). */
+static int embed(Py_ssize_t k, const int *win, const unsigned char *role,
+                 const int *host, Py_ssize_t m, int *pos)
+{
+    if (k == 0)
+        return 1;
+    if (k > m)
+        return 0;
+    int *val = pos + k;  /* the values placed, then the sentinels */
+    int *lows = val + k + 2, *highs = lows + k;
+    const int *row = win;  /* row i of win */
+    Py_ssize_t i = 0, p = 0;
+    int lo = 0, hi = (int)m + 1;
+    val[k] = lo;
+    val[k + 1] = hi;
+    for (;;) {
+        const int *later = row + 2 * (k - i);
+        Py_ssize_t limit = m - (k - i - 1), left = k - i - 1;
+        for (; p < limit; p++) {
+            int v = host[p];
+            if (v <= lo || v >= hi)
+                continue;
+            /* place each later entry at the first free position in its
+               window given pat[0 .. i] alone */
+            val[i] = v;
+            Py_ssize_t q = p + 1, j = 0;
+            for (; j < left; j++, q++) {
+                int lo2 = val[later[2 * j]], hi2 = val[later[2 * j + 1]];
+                while (q < m && !(lo2 < host[q] && host[q] < hi2))
+                    q++;
+                if (q == m)
+                    break;
+            }
+            if (j == left)
+                break;
+            if (role[i] == 0) {
+                p = limit;
+                break;
+            }
+            if (role[i] == 1)
+                hi = v;
+            else if (role[i] == 2)
+                lo = v;
+        }
+        if (p < limit) {
+            pos[i] = (int)p;
+            lows[i] = lo;
+            highs[i] = hi;
+            if (++i == k)
+                return 1;
+            row = later;
+            lo = val[row[0]];
+            hi = val[row[1]];
+            p++;
+        }
+        else {
+            /* the placement of entry i - 1 failed too */
+            do {
+                if (--i < 0)
+                    return 0;
+                row -= 2 * (k - i);
+            } while (role[i] == 0);
+            lo = lows[i];
+            hi = highs[i];
+            if (role[i] == 1)
+                hi = val[i];
+            else if (role[i] == 2)
+                lo = val[i];
+            p = pos[i] + 1;
+        }
+    }
+}
+
+/* A list of patterns flattened into one int array, with the windows and
+   roles of each pattern no longer than the longest host it will meet. */
 typedef struct {
     int *data;       /* pattern t is data[off[t] .. off[t + 1]) */
     Py_ssize_t *off;
     Py_ssize_t count;
-    int *pos;        /* embedding scratch, as long as all patterns together */
+    int *win;        /* pattern t's windows start at win[woff[t]] */
+    Py_ssize_t *woff;
+    unsigned char *role;  /* pattern t's roles start at role[off[t]] */
+    int *pos;        /* embedding scratch, 4k + 2 ints for the longest k */
 } Flat;
 
 static void flat_free(Flat *f)
 {
     free(f->data);
     free(f->off);
+    free(f->win);
+    free(f->woff);
+    free(f->role);
     free(f->pos);
 }
 
-/* On failure everything is already freed. */
-static int flatten(PyObject *patterns, Flat *f)
+/* On failure everything is already freed.  A pattern longer than max_m
+   embeds in no host, and gets no windows. */
+static int flatten(PyObject *patterns, Py_ssize_t max_m, Flat *f)
 {
-    Py_ssize_t cap = 0, len;
+    Py_ssize_t cap = 0, len, longest = 0;
     memset(f, 0, sizeof *f);
     /* a tuple cannot change while the items' own conversions run */
     PyObject *tup = PySequence_Tuple(patterns);
@@ -104,15 +222,30 @@ static int flatten(PyObject *patterns, Flat *f)
         return -1;
     f->count = PyTuple_GET_SIZE(tup);
     f->off = malloc((size_t)(f->count + 1) * sizeof(Py_ssize_t));
-    if (f->off == NULL) { PyErr_NoMemory(); goto fail; }
-    f->off[0] = 0;
+    f->woff = malloc((size_t)(f->count + 1) * sizeof(Py_ssize_t));
+    if (f->off == NULL || f->woff == NULL) { PyErr_NoMemory(); goto fail; }
+    f->off[0] = f->woff[0] = 0;
     for (Py_ssize_t t = 0; t < f->count; t++) {
         if (load_ints(PyTuple_GET_ITEM(tup, t), &f->data, &cap, f->off[t], &len) < 0)
             goto fail;
         f->off[t + 1] = f->off[t] + len;
+        Py_ssize_t k = len > max_m ? 0 : len;
+        if (k > longest)
+            longest = k;
+        /* k (k + 1) ints of windows, a pair for each j >= i */
+        if (k > 0 && (PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(int) - f->woff[t]) / k < k + 1) {
+            PyErr_NoMemory();
+            goto fail;
+        }
+        f->woff[t + 1] = f->woff[t] + k * (k + 1);
     }
-    f->pos = malloc((size_t)(f->off[f->count] + 1) * sizeof(int));
-    if (f->pos == NULL) { PyErr_NoMemory(); goto fail; }
+    f->win = malloc((size_t)(f->woff[f->count] + 1) * sizeof(int));
+    f->role = malloc((size_t)(f->off[f->count] + 1));
+    f->pos = malloc((size_t)(4 * longest + 2) * sizeof(int));
+    if (f->win == NULL || f->role == NULL || f->pos == NULL) { PyErr_NoMemory(); goto fail; }
+    for (Py_ssize_t t = 0; t < f->count; t++)
+        if (f->woff[t + 1] > f->woff[t])
+            shape(f->data + f->off[t], f->off[t + 1] - f->off[t], f->win + f->woff[t], f->role + f->off[t]);
     Py_DECREF(tup);
     return 0;
 fail:
@@ -121,46 +254,16 @@ fail:
     return -1;
 }
 
-/* Fill pos[0 .. k) with the lexicographically smallest embedding of pat
-   into host and return 1, or return 0 when there is none. */
-static int embed(const int *pat, Py_ssize_t k, const int *host, Py_ssize_t m, int *pos)
+static int embeds(Flat *f, Py_ssize_t t, const int *host, Py_ssize_t m)
 {
-    Py_ssize_t i = 0, start = 0;
-    if (k == 0)
-        return 1;
-    if (k > m)
-        return 0;
-    for (;;) {
-        /* value window for pat[i] given the matched prefix */
-        long long lo = 0, hi = (long long)m + 1;
-        for (Py_ssize_t j = 0; j < i; j++) {
-            int v = host[pos[j]];
-            if (pat[j] < pat[i])
-                lo = v > lo ? v : lo;
-            else if (v < hi)
-                hi = v;
-        }
-        Py_ssize_t limit = m - (k - i - 1), p = start;
-        while (p < limit && !(lo < host[p] && host[p] < hi))
-            p++;
-        if (p < limit) {
-            pos[i++] = (int)p;
-            if (i == k)
-                return 1;
-            start = p + 1;
-        }
-        else {
-            if (--i < 0)
-                return 0;
-            start = pos[i] + 1;
-        }
-    }
+    return embed(f->off[t + 1] - f->off[t], f->win + f->woff[t], f->role + f->off[t],
+                 host, m, f->pos);
 }
 
 static int embeds_all(Flat *f, const int *host, Py_ssize_t m)
 {
     for (Py_ssize_t t = 0; t < f->count; t++)
-        if (!embed(f->data + f->off[t], f->off[t + 1] - f->off[t], host, m, f->pos))
+        if (!embeds(f, t, host, m))
             return 0;
     return 1;
 }
@@ -218,20 +321,22 @@ static PyObject *scan_result(long long found, long long lo, long long hi)
 /* The positions of the lex-min embedding as a tuple, or None. */
 static PyObject *lex_min_embedding(PyObject *self, PyObject *args)
 {
-    PyObject *pattern, *host, *result = NULL;
-    int *pat = NULL, *hst = NULL, *pos = NULL;
-    Py_ssize_t pcap = 0, hcap = 0, k, m;
+    PyObject *pattern, *host, *one, *result = NULL;
+    int *hst = NULL;
+    Py_ssize_t hcap = 0, m;
+    Flat f;
     if (!PyArg_UnpackTuple(args, "lex_min_embedding", 2, 2, &pattern, &host))
         return NULL;
-    if (load_ints(pattern, &pat, &pcap, 0, &k) < 0 || load_ints(host, &hst, &hcap, 0, &m) < 0)
-        goto done;
-    pos = malloc((size_t)(k > 0 ? k : 1) * sizeof(int));
-    if (pos == NULL) { PyErr_NoMemory(); goto done; }
-    result = embed(pat, k, hst, m, pos) ? tuple_of(pos, k) : Py_NewRef(Py_None);
-done:
-    free(pat);
+    if (load_ints(host, &hst, &hcap, 0, &m) < 0 || (one = PyTuple_Pack(1, pattern)) == NULL) {
+        free(hst);
+        return NULL;
+    }
+    if (flatten(one, m, &f) == 0) {
+        result = embeds(&f, 0, hst, m) ? tuple_of(f.pos, f.off[1]) : Py_NewRef(Py_None);
+        flat_free(&f);
+    }
+    Py_DECREF(one);
     free(hst);
-    free(pos);
     return result;
 }
 
@@ -247,7 +352,7 @@ static PyObject *scan_all_perms(PyObject *self, PyObject *args)
     long long total = factorial(m);
     if (!(0 <= lo && lo <= hi && hi <= total))
         return PyErr_Format(PyExc_ValueError, "ranks [%lld, %lld) are outside [0, %lld)", lo, hi, total);
-    if (flatten(patterns, &f) < 0)
+    if (flatten(patterns, m, &f) < 0)
         return NULL;
     if (lo < hi)
         unrank_permutation(m, lo, perm);
@@ -269,7 +374,7 @@ static PyObject *scan_perm_list(PyObject *self, PyObject *args)
     if (!PyArg_UnpackTuple(args, "scan_perm_list", 2, 2, &candidates, &patterns))
         return NULL;
     Py_ssize_t count = PySequence_Size(candidates);
-    if (count < 0 || flatten(patterns, &f) < 0)
+    if (count < 0 || flatten(patterns, PY_SSIZE_T_MAX, &f) < 0)
         return NULL;
     for (Py_ssize_t idx = 0; idx < count && found < 0; idx++) {
         PyObject *cand = PySequence_GetItem(candidates, idx);

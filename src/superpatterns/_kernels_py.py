@@ -20,121 +20,124 @@ import math
 BACKEND = "python"
 
 
-# Backtracks after which a containment search also checks its shallow
-# prefixes gap by gap, and how many entries such a prefix may have.  Most
-# queries never backtrack that often and never pay for the check.
-_GAP_CHECK_AFTER = 20
-_GAP_CHECK_DEPTH = 2
-
-
 def _windows(pattern):
     """windows[i][j - i] = (a, b) for j >= i: the entries of pattern[:i]
     nearest below and above pattern[j] in value, with k and k + 1 standing
-    for the sentinels 0 and the host's top value (k = len(pattern))."""
+    for the sentinels 0 and the host's top value (k = len(pattern)).  Row
+    i + 1 is row i with entry i taken in."""
     k = len(pattern)
-    windows = [[] for _ in range(k + 1)]
-    for j, v in enumerate(pattern):
-        a, b = k, k + 1
-        for i in range(j + 1):
-            windows[i].append((a, b))
-            w = pattern[i]
-            if w < v:
+    row = [(k, k + 1)] * k
+    windows = [row]
+    for i, w in enumerate(pattern):
+        prev = row
+        row = []
+        for j in range(i + 1, k):
+            a, b = prev[j - i]
+            if w < pattern[j]:
                 if a == k or w > pattern[a]:
                     a = i
             elif b == k + 1 or w < pattern[b]:
                 b = i
+            row.append((a, b))
+        windows.append(row)
     return windows
 
 
-def _gaps(pattern, windows):
-    """gaps[i] for the prefixes pattern[:i + 1] of up to _GAP_CHECK_DEPTH
-    entries: (a, b, sub, sub_windows) for each value gap of the prefix, between
-    its entries a and b, that holds two or more later entries; sub is the
-    pattern those entries form in the gap."""
-    gaps = []
-    for i in range(min(_GAP_CHECK_DEPTH, len(pattern))):
-        members = {}
-        for j, window in enumerate(windows[i + 1], start=i + 1):
-            members.setdefault(window, []).append(pattern[j])
-        gaps.append([(a, b, tuple(sub), _windows(sub))
-                     for (a, b), sub in members.items() if len(sub) >= 2])
-    return gaps
+def _roles(windows):
+    """roles[i] for each entry i of the pattern whose _windows these are:
+    given pattern[:i + 1], bit 1 is set when entry i is the lower end of some
+    later entry's window and bit 2 when it is the upper end of one."""
+    roles = []
+    for i in range(len(windows) - 1):
+        role = 0
+        for a, b in windows[i + 1]:
+            if a == i:
+                role |= 1
+            elif b == i:
+                role |= 2
+        roles.append(role)
+    return roles
 
 
-def _gaps_fit(host, vals, pos, p, gaps):
-    """Whether, for every gap, the host entries after position p with values
-    in the gap contain the pattern of the later entries in that gap."""
-    for a, b, sub, sub_windows in gaps:
-        lo = vals[pos[a]]
-        hi = vals[pos[b]]
-        inside = [v - lo for v in host[p + 1:] if lo < v < hi]
-        if _embed(inside, sub, sub_windows, hi - lo) is None:
-            return False
-    return True
-
-
-def _embed(host, pattern, windows, top=None):
-    """lex_min_embedding, given the pattern's _windows; host values lie
-    strictly between 0 and top (default len(host) + 1)."""
+def _embed(host, pattern, windows, roles=None):
+    """lex_min_embedding, given the pattern's _windows and, optionally, its
+    _roles (computed at the first failed placement when not given)."""
     k = len(pattern)
     m = len(host)
     if k == 0:
         return ()
     if k > m:
         return None
-    vals = (*host, 0, m + 1 if top is None else top)
-    pos = [0] * k + [m, m + 1]  # the sentinels' positions in vals
-    gaps = None
-    backtracks = 0
+    pos = [0] * k
+    val = [0] * k + [0, m + 1]  # the values placed, then the sentinels
+    # each level's value window, narrowed by the placements that failed
+    # there since the level was last entered from the one above
+    lows = [0] * k
+    highs = [0] * k
+    lo, hi = 0, m + 1
     i = 0
     start = 0
     while True:
-        a, b = windows[i][0]
-        lo = vals[pos[a]]
-        hi = vals[pos[b]]
         later = windows[i + 1]
-        found = -1
+        found = False
         for p in range(start, m - (k - i - 1)):
-            if lo < vals[p] < hi:
+            v = host[p]
+            if lo < v < hi:
                 # Place every later entry at the first free position in its
                 # window given pattern[:i + 1] alone; if that greedy pass
                 # runs out of host, no completion of this prefix exists.
-                pos[i] = p
+                val[i] = v
                 q = p + 1
                 for c, d in later:
-                    lo2 = vals[pos[c]]
-                    hi2 = vals[pos[d]]
-                    while q < m and not lo2 < vals[q] < hi2:
+                    lo2 = val[c]
+                    hi2 = val[d]
+                    while q < m and not lo2 < host[q] < hi2:
                         q += 1
                     if q == m:
                         break
                     q += 1
                 else:
-                    if gaps is not None and i < len(gaps) and not _gaps_fit(
-                            host, vals, pos, p, gaps[i]):
-                        continue
-                    found = p
+                    found = True
                     break
-        if found >= 0:
+                if roles is None:
+                    roles = _roles(windows)
+                role = roles[i]
+                if role == 1:
+                    hi = v
+                elif role == 2:
+                    lo = v
+                elif not role:
+                    break
+        if found:
+            pos[i] = p
+            lows[i] = lo
+            highs[i] = hi
             i += 1
             if i == k:
-                return tuple(pos[:k])
-            start = found + 1
+                return tuple(pos)
+            start = p + 1
+            a, b = windows[i][0]
+            lo = val[a]
+            hi = val[b]
         else:
+            # No placement of entry i completes, so the placement of entry
+            # i - 1 failed too; a failure ends a level whose entry bounds no
+            # later one.
+            if roles is None:
+                roles = _roles(windows)
             i -= 1
+            while i >= 0 and not roles[i]:
+                i -= 1
             if i < 0:
                 return None
+            lo = lows[i]
+            hi = highs[i]
+            role = roles[i]
+            if role == 1:
+                hi = val[i]
+            elif role == 2:
+                lo = val[i]
             start = pos[i] + 1
-            backtracks += 1
-            if gaps is None and backtracks > _GAP_CHECK_AFTER:
-                gaps = _gaps(pattern, windows)
-                # The shallow prefixes already placed were never checked;
-                # resume at the first of them that fails.
-                for d in range(min(i, len(gaps))):
-                    if not _gaps_fit(host, vals, pos, pos[d], gaps[d]):
-                        i = d
-                        start = pos[d] + 1
-                        break
 
 
 def lex_min_embedding(pattern, host):
@@ -145,14 +148,16 @@ def lex_min_embedding(pattern, host):
     entries.  A candidate position is kept only if the later entries can
     still be placed in order, each at the first free position in the window
     the matched entries alone give it; this relaxation ignores the order
-    among the later entries, so it never prunes a real embedding.  A search
-    that still backtracks _GAP_CHECK_AFTER times is mostly refuting a doomed
-    first or second entry, so from then on a prefix of up to
-    _GAP_CHECK_DEPTH entries is kept only if, in each of its value gaps, the
-    later entries there embed by themselves in the host entries after it
-    with values in the gap.  Both checks cut work whose amount varied widely
-    between random queries of the same size.  Trying positions in increasing
-    order makes the first complete match the lexicographically smallest one.
+    among the later entries, so it never prunes a real embedding.  A
+    placement that fails, by that check or because no later entry can follow
+    it, also rules out placements of the same entry further right that
+    dominate it: positions further right and windows no wider leave only
+    fewer completions.  So when the entry bounds no later entry's window,
+    the failure ends its level; when it is only the lower end of such
+    windows, larger values fail too; when it is only the upper end, smaller
+    values fail too.  A level's bounds start afresh each time the search
+    enters it from the level above.  Trying positions in increasing order
+    makes the first complete match the lexicographically smallest one.
     Returns None when the pattern does not embed.
     """
     return _embed(host, pattern, _windows(pattern))
@@ -195,10 +200,11 @@ def scan_perm_list(candidates, patterns):
 def _scan(candidates, patterns, lo, hi):
     """The scan both permutation scans run: candidates holds those of
     indices lo..hi-1, in order."""
-    shapes = [(pat, _windows(pat)) for pat in patterns]
+    shapes = [(pat, windows, _roles(windows))
+              for pat, windows in ((pat, _windows(pat)) for pat in patterns)]
     for idx, cand in enumerate(candidates, start=lo):
-        for pat, windows in shapes:
-            if _embed(cand, pat, windows) is None:
+        for pat, windows, roles in shapes:
+            if _embed(cand, pat, windows, roles) is None:
                 break
         else:
             return (idx, idx - lo + 1)

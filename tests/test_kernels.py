@@ -35,6 +35,31 @@ from superpatterns.chains import LayeredTable
 _ROOT = Path(__file__).resolve().parent.parent
 
 
+@functools.cache
+def _hard_cases():
+    """(pattern, host, backtracked answer) for 24 random patterns of 9-14
+    entries in hosts of 20-60."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(24):
+        m = rng.randint(20, 60)
+        k = rng.randint(9, 14)
+        host = tuple(rng.sample(range(1, m + 1), m))
+        pat = tuple(rng.sample(range(1, k + 1), k))
+        cases.append((pat, host, backtrack_lex_min_embedding(pat, host)))
+    return cases
+
+
+class _CountedReads(tuple):
+    """A host that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return tuple.__getitem__(self, index)
+
+
 class TestEmbedding:
     def test_matches_oracle_exhaustive(self, backend):
         for m in range(7):
@@ -63,37 +88,54 @@ class TestEmbedding:
                     assert kernels.contains(pat, host) == expected
                     assert _kernels_py.contains(pat, host) == expected
 
-    def test_gap_check_from_the_start(self, monkeypatch):
-        """With the gap check on from the first backtrack, every query takes
-        the checked path."""
-        monkeypatch.setattr(_kernels_py, "_GAP_CHECK_AFTER", 0)
+    def test_matches_brute_up_to_length_11(self, backend):
+        # longer patterns than above, in hosts where brute force still
+        # scans every combination
         rng = random.Random(20261018)
         for _ in range(400):
             m = rng.randint(1, 11)
-            k = rng.randint(0, min(m, 6))
+            k = rng.randint(0, min(m, 7))
             host = tuple(rng.sample(range(1, m + 1), m))
             pat = tuple(rng.sample(range(1, k + 1), k))
-            assert _kernels_py.lex_min_embedding(pat, host) == brute_lex_min_embedding(
+            assert backend.lex_min_embedding(pat, host) == brute_lex_min_embedding(
                 pat, host
             )
 
-    def test_long_patterns_in_long_hosts(self, monkeypatch):
-        """Length-7 patterns in hosts of 20-60 entries, the sizes where the
-        search backtracks enough to switch the gap check on."""
-        switched = []
-        gaps = _kernels_py._gaps
-        monkeypatch.setattr(
-            _kernels_py, "_gaps", lambda *args: switched.append(1) or gaps(*args)
-        )
-        rng = random.Random(11)
-        for _ in range(150):
-            m = rng.randint(20, 60)
-            host = tuple(rng.sample(range(1, m + 1), m))
-            pat = tuple(rng.sample(range(1, 8), 7))
-            assert _kernels_py.lex_min_embedding(pat, host) == backtrack_lex_min_embedding(
-                pat, host
+    def test_hard_refutations(self, backend):
+        # patterns of 9-14 entries in hosts of 20-60, most of them not
+        # contained, where the search fails many placements
+        cases = _hard_cases()
+        assert sum(expected is None for _, _, expected in cases) > len(cases) // 2
+        for pat, host, expected in cases:
+            assert backend.lex_min_embedding(pat, host) == expected
+
+    @pytest.mark.parametrize("role", [0, 1, 2])
+    def test_each_prune_skips_placements(self, role, monkeypatch):
+        # with every entry of another role taken as role 3, which prunes
+        # nothing, the prune of this role alone reads fewer host entries
+        # than no prune at all, and leaves every answer as it was
+        roles = _kernels_py._roles
+
+        def run(keep):
+            monkeypatch.setattr(
+                _kernels_py, "_roles", lambda w: [r if r in keep else 3 for r in roles(w)]
             )
-        assert switched
+            host = _CountedReads(host_values)
+            return _kernels_py.lex_min_embedding(pat, host), host.reads
+
+        rng = random.Random(20261020)
+        fewer = 0
+        for _ in range(200):
+            m = rng.randint(12, 20)
+            k = rng.randint(5, 8)
+            host_values = tuple(rng.sample(range(1, m + 1), m))
+            pat = tuple(rng.sample(range(1, k + 1), k))
+            pruned, pruned_reads = run({role})
+            plain, plain_reads = run(set())
+            assert pruned == plain == backtrack_lex_min_embedding(pat, host_values)
+            assert pruned_reads <= plain_reads
+            fewer += pruned_reads < plain_reads
+        assert fewer
 
     def test_long_host(self, backend):
         rng = random.Random(7)
@@ -491,17 +533,11 @@ class TestLayeredTable:
         # scan of its chain (k, 1) at r = L(k) - 1 that finds no fit; k = 1,
         # with L(1) - 1 = 0, scans nothing
         first_fit = chains._first_fit
-        depth = [0]
         top = []
 
         def tracked(r, base, state, table):
-            depth[0] += 1
-            try:
-                found = first_fit(r, base, state, table)
-            finally:
-                depth[0] -= 1
-            if not depth[0]:
-                top.append((r, base, state, found))
+            found = first_fit(r, base, state, table)
+            top.append((r, base, state, found))
             return found
 
         monkeypatch.setattr(chains, "_first_fit", tracked)
