@@ -148,7 +148,7 @@ def _all_perm_scan_workload():
     patterns = _ordered_pattern_tuples(ClassTag.AV321, 4)
 
     def work(mod):
-        return mod.scan_all_perms(8, patterns, 0, math.factorial(8))
+        return mod.scan_all_perms(8, patterns)
 
     return "unrestricted permutation scan (8!, av321 n=4 patterns)", work
 

@@ -9,11 +9,10 @@
    comes from superpatterns.chains on either backend.  Values, lengths and
    positions are held as C ints, and ranks as 64-bit integers: an argument
    that does not fit raises OverflowError, and a length whose ranks do not
-   fit raises ValueError.  scan_all_perms takes a half-open range [lo, hi) of
-   permutation ranks with 0 <= lo <= hi <= m!, else ValueError, and
-   scan_perm_list the whole list it is given.  Each returns (the first
-   witness or -1, scanned); an empty range or list gives (-1, 0).  The
-   interpreter lock is held throughout; parallel runs use processes. */
+   fit raises ValueError.  scan_all_perms scans all m! permutations of a
+   length in rank order, and scan_perm_list the whole list it is given.
+   Each returns (the first witness or -1, scanned); an empty list gives
+   (-1, 0).  The interpreter lock is held throughout. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -284,21 +283,6 @@ static int bad_length(int m, int max_m)
     return 1;
 }
 
-static void unrank_permutation(int m, long long rank, int *perm)
-{
-    int vals[MAX_PERMUTATION_LENGTH];
-    long long f = factorial(m);
-    for (int i = 0; i < m; i++)
-        vals[i] = i + 1;
-    for (int i = m; i >= 1; i--) {
-        f /= i;
-        int d = (int)(rank / f);
-        rank %= f;
-        perm[m - i] = vals[d];
-        memmove(vals + d, vals + d + 1, (size_t)(i - d - 1) * sizeof(int));
-    }
-}
-
 static void next_permutation(int *a, int n)
 {
     int i = n - 2, j = n - 1, tmp;
@@ -313,9 +297,9 @@ static void next_permutation(int *a, int n)
         tmp = a[lo], a[lo] = a[hi], a[hi] = tmp;
 }
 
-static PyObject *scan_result(long long found, long long lo, long long hi)
+static PyObject *scan_result(long long found, long long count)
 {
-    return Py_BuildValue("(LL)", found, found < 0 ? hi - lo : found - lo + 1);
+    return Py_BuildValue("(LL)", found, found < 0 ? count : found + 1);
 }
 
 /* The positions of the lex-min embedding as a tuple, or None. */
@@ -344,25 +328,21 @@ static PyObject *scan_all_perms(PyObject *self, PyObject *args)
 {
     int m, perm[MAX_PERMUTATION_LENGTH];
     PyObject *patterns;
-    long long lo, hi, found = -1;
+    long long found = -1;
     Flat f;
-    if (!PyArg_ParseTuple(args, "iOLL:scan_all_perms", &m, &patterns, &lo, &hi)
-        || bad_length(m, MAX_PERMUTATION_LENGTH))
+    if (!PyArg_ParseTuple(args, "iO:scan_all_perms", &m, &patterns)
+        || bad_length(m, MAX_PERMUTATION_LENGTH) || flatten(patterns, m, &f) < 0)
         return NULL;
     long long total = factorial(m);
-    if (!(0 <= lo && lo <= hi && hi <= total))
-        return PyErr_Format(PyExc_ValueError, "ranks [%lld, %lld) are outside [0, %lld)", lo, hi, total);
-    if (flatten(patterns, m, &f) < 0)
-        return NULL;
-    if (lo < hi)
-        unrank_permutation(m, lo, perm);
-    for (long long r = lo; r < hi && found < 0; r++)
+    for (int i = 0; i < m; i++)
+        perm[i] = i + 1;
+    for (long long r = 0; r < total && found < 0; r++)
         if (embeds_all(&f, perm, m))
             found = r;
         else
             next_permutation(perm, m);
     flat_free(&f);
-    return scan_result(found, lo, hi);
+    return scan_result(found, total);
 }
 
 static PyObject *scan_perm_list(PyObject *self, PyObject *args)
@@ -390,7 +370,7 @@ static PyObject *scan_perm_list(PyObject *self, PyObject *args)
     }
     free(host);
     flat_free(&f);
-    return scan_result(found, 0, count);
+    return scan_result(found, count);
 }
 
 static PyMethodDef methods[] = {

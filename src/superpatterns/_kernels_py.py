@@ -158,8 +158,11 @@ def lex_min_embedding(pattern, host):
     values fail too.  A level's bounds start afresh each time the search
     enters it from the level above.  Trying positions in increasing order
     makes the first complete match the lexicographically smallest one.
-    Returns None when the pattern does not embed.
+    Returns None when the pattern does not embed, at once when it is longer
+    than the host, before its windows are built.
     """
+    if len(pattern) > len(host):
+        return None
     return _embed(host, pattern, _windows(pattern))
 
 
@@ -168,22 +171,16 @@ def contains(pattern, host):
     return lex_min_embedding(pattern, host) is not None
 
 
-def scan_all_perms(m, patterns, rank_lo, rank_hi):
-    """Scan permutations of 1..m by lexicographic rank for one containing
-    every pattern (one-line tuples).
+def scan_all_perms(m, patterns):
+    """Scan all m! permutations of 1..m in lexicographic (rank) order for
+    one containing every pattern (one-line tuples).
 
-    Returns (witness_rank, scanned): the smallest rank in [rank_lo, rank_hi)
-    whose permutation contains every pattern, scanned counting the ranks
-    from rank_lo through it, or -1 when there is none, in which case
-    scanned == rank_hi - rank_lo.  The ranks must satisfy
-    0 <= rank_lo <= rank_hi <= m!, else ValueError; an empty range, the one
-    at m! included, gives (-1, 0).
+    Returns (witness_rank, scanned): (r, r + 1) for the smallest rank r
+    whose permutation contains every pattern, or (-1, m!) when there is
+    none.  A negative m raises ValueError.
     """
     total = math.factorial(m)
-    if not 0 <= rank_lo <= rank_hi <= total:
-        raise ValueError(f"ranks [{rank_lo}, {rank_hi}) are outside [0, {total})")
-    perms = itertools.permutations(range(1, m + 1))
-    return _scan(itertools.islice(perms, rank_lo, rank_hi), patterns, rank_lo, rank_hi)
+    return _scan(itertools.permutations(range(1, m + 1)), patterns, total)
 
 
 def scan_perm_list(candidates, patterns):
@@ -194,18 +191,18 @@ def scan_perm_list(candidates, patterns):
     whose candidate contains every pattern, or (-1, len(candidates)) when
     there is none; an empty list gives (-1, 0).
     """
-    return _scan(candidates, patterns, 0, len(candidates))
+    return _scan(candidates, patterns, len(candidates))
 
 
-def _scan(candidates, patterns, lo, hi):
-    """The scan both permutation scans run: candidates holds those of
-    indices lo..hi-1, in order."""
+def _scan(candidates, patterns, count):
+    """The scan both permutation scans run, over all count candidates in
+    order."""
     shapes = [(pat, windows, _roles(windows))
               for pat, windows in ((pat, _windows(pat)) for pat in patterns)]
-    for idx, cand in enumerate(candidates, start=lo):
+    for idx, cand in enumerate(candidates):
         for pat, windows, roles in shapes:
             if _embed(cand, pat, windows, roles) is None:
                 break
         else:
-            return (idx, idx - lo + 1)
-    return (-1, hi - lo)
+            return (idx, idx + 1)
+    return (-1, count)

@@ -119,13 +119,7 @@ def _cmd_universal_verify(args) -> int:
 
 
 def _cmd_search_minimal(args) -> int:
-    report = minimal_superpattern(
-        args.n,
-        args.patterns,
-        args.candidates,
-        budget=args.budget,
-        jobs=args.jobs,
-    )
+    report = minimal_superpattern(args.n, args.patterns, args.candidates, budget=args.budget)
     if report.infeasible:
         human = f"infeasible: {report.certificate} is outside {report.candidate_class}"
     else:
@@ -153,7 +147,7 @@ def _cmd_check_claims231(args) -> int:
 
 
 def _cmd_check_conjecture321(args) -> int:
-    report = check_conjecture_321(args.n, budget=args.budget, jobs=args.jobs)
+    report = check_conjecture_321(args.n, budget=args.budget)
     if report.holds:
         verdict = f"holds: 321-avoiding witness {report.avoiding_witness}"
     else:
@@ -222,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", choices=_CLASS_CHOICES, required=True)
     p.add_argument("--candidates", choices=_CLASS_CHOICES, required=True)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_search_minimal)
 
     check = sub.add_parser("check", help="recorded computations")
@@ -234,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = check_sub.add_parser("conjecture321", parents=[common])
     p.add_argument("n", type=int)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_check_conjecture321)
 
     return parser

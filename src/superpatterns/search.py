@@ -23,33 +23,22 @@ one ledger.
 Every class here is closed under containment, so a length-n pattern outside
 the candidate class lies in no candidate of any length: such a query gets an
 InfeasibleReport with the lex-first such pattern as its certificate, before
-the budget is charged or a worker starts.
+the budget is charged.
 
 The patterns of the non-layered classes are checked in a fixed order that
 fails fast (longest decreasing pattern first: a universal candidate must
 devote an entire decreasing run of length n to it, which most candidates
 and prefixes lack).  The order never changes results, only speed.
 
-Parallel runs partition each length of a non-layered class into contiguous
-rank ranges and reduce to the smallest witness rank, so serial and parallel
-reports are identical.  One worker pool serves all the lengths of a search,
-and each range of an avoider class gets its slice of the class, which is
-enumerated once per length, in this process.  A layered search runs in this
-process whatever the jobs: its table carries dead states from each length
-to the next, and a worker's copy of it would drop those the worker finds.
-The pool module is imported only when a pool starts, so importing the
-library or running the CLI loads no multiprocessing.
+Every search runs in this process and scans each length whole, in one
+kernel call.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import functools
-import os
 import time
-from itertools import pairwise
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from . import kernels, layered
 from .chains import LayeredTable, composition_at_rank, composition_count
@@ -61,11 +50,7 @@ from .layered import enumerate_layered  # noqa: F401
 from .perms import Permutation, permutation_at_rank
 from .universal import _decreasing_chains, _to_json, _verify, verify_universal
 
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
-
 DEFAULT_BUDGET = 50_000_000
-_SERIAL_CUTOFF = 2048  # below this many candidates a parallel split is noise
 
 MIN_5UNIVERSAL_AV231_LEN11 = Permutation((1, 5, 11, 9, 3, 2, 8, 4, 7, 6, 10))
 AVOIDING_5UNIVERSAL_AV231_LEN12 = Permutation((1, 11, 3, 2, 10, 7, 5, 4, 6, 9, 8, 12))
@@ -118,21 +103,6 @@ class _Budget:
         self.used += nodes
 
 
-def _check_jobs(jobs: int) -> None:
-    """Reject a worker count outside 1..the CPUs this process may run on,
-    before any pool starts; one worker, this process, is always there."""
-    if jobs == 1:
-        return
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if not 1 <= jobs <= cpus:
-        raise ValueError(
-            f"jobs must be between 1 and {cpus} (the CPUs available), got {jobs}"
-        )
-
-
 def _ordered_pattern_tuples(tag: ClassTag, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         sorted(
@@ -142,38 +112,12 @@ def _ordered_pattern_tuples(tag: ClassTag, n: int) -> tuple[tuple[int, ...], ...
     )
 
 
-def _scan_range(
-    ctag: ClassTag,
-    m: int,
-    patterns: tuple[tuple[int, ...], ...],
-    lo: int,
-    hi: int,
-    members: list[tuple[int, ...]] | None,
-) -> tuple[int, tuple[int, ...] | None]:
-    """(rank, values) of the first candidate in [lo, hi) of a non-layered
-    class that contains every pattern, or (-1, None).
-
-    An avoider class comes as members, its candidates of ranks lo..hi-1;
-    the class of every permutation as None."""
-    if ctag is ClassTag.ALL:
-        rank, _ = kernels.scan_all_perms(m, patterns, lo, hi)
-        if rank >= 0:
-            return rank, permutation_at_rank(m, rank)
-    else:
-        rank, _ = kernels.scan_perm_list(members, patterns)
-        if rank >= 0:
-            return lo + rank, members[rank]
-    return -1, None
-
-
 def _scan_length(
     ledger: _Budget,
     ctag: ClassTag,
     m: int,
     patterns: LayeredTable | tuple[tuple[int, ...], ...],
     exhausted: list[tuple[int, int]],
-    jobs: int = 1,
-    pool: Executor | None = None,
 ) -> tuple[Permutation | None, int]:
     """(first witness, candidates scanned) within length m, the witness None
     when the length is exhausted; it is then appended to exhausted as
@@ -182,10 +126,10 @@ def _scan_length(
     A layered length is one scan of the search's LayeredTable (patterns),
     limited to the nodes the ledger has left and charged when it returns;
     a scan stopped at that limit is refused, with the family it was proving
-    if it had not reached its own length.  Any other is charged first,
-    then split into rank ranges, jobs of them on the pool when there is one
-    and the length is big enough to be worth it, else one scanned here; an
-    avoider class is enumerated once, here, and each range gets its slice."""
+    if it had not reached its own length.  Any other is charged its
+    candidates times patterns first, then scanned whole by one kernel call:
+    every permutation of length m by rank, or an avoider class enumerated
+    once, in order."""
     if ctag is ClassTag.LAYERED:
         nodes = patterns.nodes
         patterns.limit = nodes + ledger.limit - ledger.used
@@ -203,14 +147,13 @@ def _scan_length(
     else:
         total = class_count(ctag, m)
         ledger.charge(ctag, m, total * max(len(patterns), 1), exhausted)
-        members = None if ctag is ClassTag.ALL else list(class_tuples(ctag, m))
-        parts = jobs if pool is not None and total >= _SERIAL_CUTOFF else 1
-        bounds = [total * i // parts for i in range(parts + 1)]
-        slices = [members and members[a:b] for a, b in pairwise(bounds)]
-        scan = functools.partial(_scan_range, ctag, m, patterns)
-        run = pool.map if parts > 1 else map
-        found = [r for r in run(scan, bounds[:-1], bounds[1:], slices) if r[0] >= 0]
-        rank, values = min(found, default=(-1, None))
+        if ctag is ClassTag.ALL:
+            rank, _ = kernels.scan_all_perms(m, patterns)
+            values = permutation_at_rank(m, rank) if rank >= 0 else None
+        else:
+            members = list(class_tuples(ctag, m))
+            rank, _ = kernels.scan_perm_list(members, patterns)
+            values = members[rank] if rank >= 0 else None
         if values is not None:
             return Permutation(values), rank + 1
     exhausted.append((m, total))
@@ -269,8 +212,10 @@ def minimal_superpattern(
     length-n member of the pattern class, with the lexicographically first
     witness at that length and full enumeration counts below it; or an
     InfeasibleReport when some length-n pattern is outside the candidate
-    class."""
-    return _minimal_superpattern(n, pattern_class, candidate_class, _Budget(budget), jobs)
+    class.  Every search runs in this process, so jobs must be 1."""
+    if jobs != 1:
+        raise ValueError(f"searches run in one process, so jobs must be 1, got {jobs}")
+    return _minimal_superpattern(n, pattern_class, candidate_class, _Budget(budget))
 
 
 def _minimal_superpattern(
@@ -278,12 +223,10 @@ def _minimal_superpattern(
     pattern_class: ClassTag | str,
     candidate_class: ClassTag | str,
     ledger: _Budget,
-    jobs: int,
 ) -> SearchReport | InfeasibleReport:
     t0 = time.perf_counter()
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    _check_jobs(jobs)
     ptag = coerce_tag(pattern_class)
     ctag = coerce_tag(candidate_class)
     certificate = _outside_candidates(ptag, ctag, n)
@@ -312,19 +255,11 @@ def _minimal_superpattern(
         patterns = _ordered_pattern_tuples(ptag, n)
     exhausted: list[tuple[int, int]] = []
     m = n
-    # One worker pool serves every length of a non-layered search; its
-    # workers start at the first length big enough to split.
-    split = jobs > 1 and ctag is not ClassTag.LAYERED
-    if split:
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(jobs) if split else contextlib.nullcontext() as pool:
-        while True:
-            witness, scanned = _scan_length(
-                ledger, ctag, m, patterns, exhausted, jobs, pool
-            )
-            if witness is not None:
-                break
-            m += 1
+    while True:
+        witness, scanned = _scan_length(ledger, ctag, m, patterns, exhausted)
+        if witness is not None:
+            break
+        m += 1
     report = SearchReport(
         n=n,
         pattern_class=ptag,
@@ -478,9 +413,7 @@ class Conjecture321Report:
     to_json_dict = _to_json
 
 
-def check_conjecture_321(
-    n: int, *, budget: int | None = None, jobs: int = 1
-) -> Conjecture321Report:
+def check_conjecture_321(n: int, *, budget: int | None = None) -> Conjecture321Report:
     """Decide whether some shortest n-universal permutation for the
     321-avoiding class itself avoids 321.
 
@@ -490,7 +423,7 @@ def check_conjecture_321(
     """
     t0 = time.perf_counter()
     ledger = _Budget(budget)
-    all_search = _minimal_superpattern(n, ClassTag.AV321, ClassTag.ALL, ledger, jobs)
+    all_search = _minimal_superpattern(n, ClassTag.AV321, ClassTag.ALL, ledger)
     length = all_search.min_length
     patterns = _ordered_pattern_tuples(ClassTag.AV321, n)
     witness, scanned = _scan_length(ledger, ClassTag.AV321, length, patterns, [])

@@ -146,6 +146,16 @@ class TestEmbedding:
         )
 
 
+    def test_pattern_longer_than_host_builds_no_windows(self, backend, monkeypatch):
+        def no_windows(pattern):
+            raise AssertionError("built the windows of a pattern longer than its host")
+
+        monkeypatch.setattr(_kernels_py, "_windows", no_windows)
+        pattern = tuple(range(3000, 0, -1))
+        assert backend.lex_min_embedding(pattern, (1, 2, 3)) is None
+        assert backend.lex_min_embedding((1, 2), (1,)) is None
+
+
 class TestRanks:
     def test_composition_at_rank(self):
         decode = chains.composition_at_rank
@@ -234,9 +244,8 @@ class TestScans:
     def test_scan_all_perms_parity(self, backend):
         patterns = ((1, 2), (2, 1))
         for m in range(2, 6):
-            total = math.factorial(m)
-            assert backend.scan_all_perms(m, patterns, 0, total) == (
-                _kernels_py.scan_all_perms(m, patterns, 0, total)
+            assert backend.scan_all_perms(m, patterns) == (
+                _kernels_py.scan_all_perms(m, patterns)
             )
 
     def test_scan_perm_list_parity(self, backend):
@@ -267,28 +276,25 @@ class TestScans:
                 MaskTable(profiles)
 
     def test_empty_length_zero(self, backend):
-        assert backend.scan_all_perms(0, (), 0, 1) == (0, 1)
+        assert backend.scan_all_perms(0, ()) == (0, 1)
 
-    def test_scan_all_perms_every_range(self, backend):
-        # every rank range, the empty ones at 0 and at m! included, against
-        # a brute scan of itertools.permutations, which is in rank order
+    def test_scan_all_perms_whole_length(self, backend):
+        # each length scanned whole, against a brute scan of
+        # itertools.permutations, which is in rank order; the last two sets
+        # fit no permutation of length 5 or less
         pattern_sets = [
-            (), ((1,),), ((1, 2), (2, 1)), ((2, 3, 1), (3, 1, 2)), ((3, 2, 1),)
+            (), ((1,),), ((1, 2), (2, 1)), ((2, 3, 1), (3, 1, 2)), ((3, 2, 1),),
+            ((4, 3, 2, 1), (1, 2, 3, 4)), ((1, 2, 3, 4, 5, 6),),
         ]
         for m in range(6):
-            total = math.factorial(m)
             perms = list(itertools.permutations(range(1, m + 1)))
             for patterns in pattern_sets:
-                fits = [
-                    r for r, perm in enumerate(perms)
-                    if all(brute_contains(p, perm) for p in patterns)
-                ]
-                for lo in range(total + 1):
-                    for hi in range(lo, total + 1):
-                        rank = next((r for r in fits if lo <= r < hi), -1)
-                        expected = (rank, rank - lo + 1) if rank >= 0 else (-1, hi - lo)
-                        got = backend.scan_all_perms(m, patterns, lo, hi)
-                        assert got == expected, (m, patterns, lo, hi)
+                rank = next((r for r, perm in enumerate(perms)
+                             if all(brute_contains(p, perm) for p in patterns)), -1)
+                expected = (rank, rank + 1) if rank >= 0 else (-1, math.factorial(m))
+                assert backend.scan_all_perms(m, patterns) == expected, (m, patterns)
+        with pytest.raises(ValueError):
+            backend.scan_all_perms(-1, ())
 
     def test_scan_layered_keeps_a_tail_the_same_part_reaches(self):
         # a part 2 turns (1, 2) into its tail (2,) and also reaches the
@@ -735,14 +741,6 @@ def test_scan_layered_leaves_no_cycles():
         gc.enable()
 
 
-def test_rank_checks(backend):
-    # ranks outside [0, count) and reversed ranges are refused
-    with pytest.raises(ValueError):
-        backend.scan_all_perms(3, ((1,),), 0, 9)
-    with pytest.raises(ValueError):
-        backend.scan_all_perms(3, ((1,),), -1, 2)
-
-
 def test_scan_layered_argument_checks():
     # a negative length has no compositions to scan, and a negative n none
     # to search for
@@ -775,7 +773,7 @@ def test_scan_layered_answers_past_the_recursion_limit(n, rank):
 def test_compiled_argument_checks(compiled):
     # 64-bit permutation ranks bound the lengths, and C ints the values
     with pytest.raises(ValueError):
-        compiled.scan_all_perms(21, ((1,),), 0, 1)
+        compiled.scan_all_perms(21, ((1,),))
     with pytest.raises(OverflowError):
         compiled.lex_min_embedding((1,), (2**31,))
 

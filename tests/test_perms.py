@@ -15,8 +15,9 @@ from superpatterns import (
     parse,
     pattern_of,
 )
-from superpatterns import kernels
+from superpatterns import kernels, perms
 from superpatterns.errors import (
+    CapExceededError,
     DuplicateValueError,
     InvalidEmbeddingError,
     NonIntegerTokenError,
@@ -186,6 +187,21 @@ class TestContains:
 
     def test_pattern_longer_than_host(self):
         assert contains(parse("1 2 3"), parse("1 2")) is None
+
+    def test_containment_cap(self, monkeypatch):
+        cap = perms.CONTAINMENT_CAP
+        at_cap = decreasing(cap)
+        above = decreasing(cap + 1)
+        assert contains(at_cap, at_cap) == Embedding(tuple(range(1, cap + 1)))
+        # longer than its host: absent, not refused
+        assert contains(above, at_cap) is None
+
+        def no_search(*args):
+            raise AssertionError("searched a pattern above the cap")
+
+        monkeypatch.setattr(kernels, "lex_min_embedding", no_search)
+        with pytest.raises(CapExceededError, match="containment cap"):
+            contains(above, decreasing(cap + 5))
 
     def test_matches_exhaustive_oracle_all_small(self):
         # Every host of length <= 7 against every pattern of length <= 5.

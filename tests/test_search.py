@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -160,58 +159,54 @@ class TestMinimalSuperpattern:
             assert report.candidates_examined == _LAYERED_EXAMINED[n], n
             assert report.min_length == superpattern_length(n), n
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
-    def test_parallel_matches_serial(self):
-        # each reaches lengths with >2048 candidates: the unrestricted ones
-        # are split over the workers, the layered ones stay in this process
-        for tag, n in (("layered", 6), ("layered", 8), ("all", 4)):
-            serial = minimal_superpattern(n, tag, tag)
-            parallel = minimal_superpattern(n, tag, tag, jobs=2)
-            assert _semantic(serial) == _semantic(parallel)
-
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
-    def test_parallel_avoiders_are_enumerated_once(self, monkeypatch):
-        # with the cutoff lowered, lengths 6..8 are split over the workers,
-        # which get their slices of the class from this process and never
-        # enumerate it themselves
-        monkeypatch.setattr(search, "_SERIAL_CUTOFF", 64)
+    def test_each_length_is_one_kernel_call(self, monkeypatch):
+        # an avoider class is enumerated once per length and scanned whole
+        # in one call, and so is each length of every permutation and of a
+        # layered search
+        calls = []
         enumerate_class = search.class_tuples
-        here = os.getpid()
+        scan_list = kernels.scan_perm_list
+        scan_all = kernels.scan_all_perms
+        scan_layered = kernels.scan_layered
 
-        def here_only(*args):
-            if os.getpid() != here:
-                raise AssertionError("a worker enumerated a candidate class")
-            return enumerate_class(*args)
+        def enumerated(tag, m):
+            calls.append(("enumerate", m))
+            return enumerate_class(tag, m)
 
-        monkeypatch.setattr(search, "class_tuples", here_only)
+        def listed(candidates, patterns):
+            calls.append(("list", len(candidates)))
+            return scan_list(candidates, patterns)
+
+        def every(m, patterns):
+            calls.append(("all", m))
+            return scan_all(m, patterns)
+
+        def layered_scan(m, table):
+            calls.append(("layered", m))
+            return scan_layered(m, table)
+
+        monkeypatch.setattr(search, "class_tuples", enumerated)
+        monkeypatch.setattr(kernels, "scan_perm_list", listed)
+        monkeypatch.setattr(kernels, "scan_all_perms", every)
+        monkeypatch.setattr(kernels, "scan_layered", layered_scan)
         for tag in ("av231", "av321"):
-            serial = minimal_superpattern(4, tag, tag)
-            parallel = minimal_superpattern(4, tag, tag, jobs=2)
-            assert _semantic(serial) == _semantic(parallel)
-            assert serial.lengths_exhausted[-1][1] >= 64
-
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
-    def test_layered_search_stays_in_this_process(self, monkeypatch):
-        # even with every length big enough to split, a layered search under
-        # jobs=2 scans each of its lengths here, with its one table
-        monkeypatch.setattr(search, "_SERIAL_CUTOFF", 1)
-        scan = kernels.scan_layered
-        here = os.getpid()
-        scanned = []
-
-        def here_only(m, *args):
-            if os.getpid() != here:
-                raise AssertionError("a worker scanned a layered length")
-            scanned.append(m)
-            return scan(m, *args)
-
-        monkeypatch.setattr(kernels, "scan_layered", here_only)
+            calls.clear()
+            report = minimal_superpattern(4, tag, tag)
+            lengths = range(4, report.min_length + 1)
+            # the patterns first, then each candidate length
+            assert calls == [("enumerate", 4)] + [
+                call for m in lengths
+                for call in (("enumerate", m), ("list", class_count(tag, m)))
+            ]
+        calls.clear()
+        report = minimal_superpattern(3, "all", "all")
+        assert calls == [("enumerate", 3)] + [
+            ("all", m) for m in range(3, report.min_length + 1)
+        ]
         for n in (4, 6):
-            serial = minimal_superpattern(n, "layered", "layered")
-            scanned.clear()
-            parallel = minimal_superpattern(n, "layered", "layered", jobs=2)
-            assert _semantic(serial) == _semantic(parallel)
-            assert scanned == list(range(n, parallel.min_length + 1))
+            calls.clear()
+            report = minimal_superpattern(n, "layered", "layered")
+            assert calls == [("layered", m) for m in range(n, report.min_length + 1)]
 
     def test_layered_candidates_avoider_patterns(self):
         # up to n = 2 every pattern is layered, so layered candidates are
@@ -413,57 +408,43 @@ class TestMinimalSuperpattern:
         assert report.min_length == superpattern_length(21) == 79
         assert [m for m, _ in report.lengths_exhausted] == list(range(21, 79))
 
-    def test_rejects_bad_inputs(self, monkeypatch):
+    def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError, match="non-negative"):
             minimal_superpattern(-1, "layered", "layered")
         with pytest.raises(ValueError, match="non-negative"):
             check_conjecture_321(-2)
-        for jobs in (0, -5):
-            with pytest.raises(ValueError, match="jobs"):
-                minimal_superpattern(3, "layered", "layered", jobs=jobs)
-        # more workers than CPUs is refused before any pool starts
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        with pytest.raises(ValueError, match="jobs"):
-            minimal_superpattern(3, "layered", "layered", jobs=2)
-        with pytest.raises(ValueError, match="jobs"):
-            check_conjecture_321(2, jobs=2)
+        # every search runs in this process: jobs is 1 or refused
+        for jobs in (0, 2, -5):
+            with pytest.raises(ValueError, match="one process"):
+                minimal_superpattern(3, "av231", "av231", jobs=jobs)
+        assert minimal_superpattern(3, "av231", "av231", jobs=1).min_length == 5
+        with pytest.raises(TypeError):
+            check_conjecture_321(2, jobs=1)
 
-    def test_infeasible_answered_before_budget_and_pool(self, monkeypatch):
+    def test_infeasible_answered_before_budget(self):
         with pytest.raises(ValueError, match="non-negative"):
             minimal_superpattern(-1, "all", "layered")
-        with pytest.raises(ValueError, match="jobs"):
-            minimal_superpattern(3, "all", "layered", jobs=0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool started")
-
-        # the pool class is looked up where the search starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        report = minimal_superpattern(3, "all", "layered", budget=1, jobs=2)
+        report = minimal_superpattern(3, "all", "layered", budget=1)
         assert isinstance(report, InfeasibleReport)
         assert str(report.certificate) == "2 3 1"
-        # a feasible non-layered search does start the pool; a layered one
-        # never does
-        with pytest.raises(AssertionError, match="pool"):
-            minimal_superpattern(3, "av231", "av231", jobs=2)
-        report = minimal_superpattern(6, "layered", "layered", jobs=2)
-        assert report.min_length == superpattern_length(6)
 
     def test_import_loads_no_worker_pool(self):
-        # only a search that starts a pool imports one
+        # neither importing the library and CLI nor running a search loads
+        # a process pool
         import superpatterns
 
         src = Path(superpatterns.__file__).resolve().parent.parent
         code = (
             "import sys, superpatterns, superpatterns.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+            "report = superpatterns.minimal_superpattern(4, 'av231', 'av231'); "
+            "print(report.min_length, "
+            "sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
         )
         env = dict(os.environ, PYTHONPATH=str(src))
         run = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert run.stdout.strip() == "[]"
+        assert run.stdout.strip() == "8 []"
 
     def test_layered_route_guard(self, monkeypatch):
         # were an infeasible query let through, the profile scan would check
