@@ -124,6 +124,39 @@ def _semantic(report):
     return d
 
 
+def _record_kernel_calls(monkeypatch):
+    """Record each class enumeration and kernel scan a search makes, in
+    order, as (kind, length) pairs; a call from another process would not
+    reach the list."""
+    calls = []
+    enumerate_class = search.class_tuples
+    scan_list = kernels.scan_perm_list
+    scan_all = kernels.scan_all_perms
+    scan_layered = kernels.scan_layered
+
+    def enumerated(tag, m):
+        calls.append(("enumerate", m))
+        return enumerate_class(tag, m)
+
+    def listed(candidates, patterns):
+        calls.append(("list", len(candidates)))
+        return scan_list(candidates, patterns)
+
+    def every(m, patterns):
+        calls.append(("all", m))
+        return scan_all(m, patterns)
+
+    def layered_scan(m, table):
+        calls.append(("layered", m))
+        return scan_layered(m, table)
+
+    monkeypatch.setattr(search, "class_tuples", enumerated)
+    monkeypatch.setattr(kernels, "scan_perm_list", listed)
+    monkeypatch.setattr(kernels, "scan_all_perms", every)
+    monkeypatch.setattr(kernels, "scan_layered", layered_scan)
+    return calls
+
+
 class TestMinimalSuperpattern:
     def test_layered_n2(self):
         report = minimal_superpattern(2, "layered", "layered")
@@ -159,36 +192,10 @@ class TestMinimalSuperpattern:
             assert report.candidates_examined == _LAYERED_EXAMINED[n], n
             assert report.min_length == superpattern_length(n), n
 
-    def test_each_length_is_one_kernel_call(self, monkeypatch):
-        # an avoider class is enumerated once per length and scanned whole
-        # in one call, and so is each length of every permutation and of a
-        # layered search
-        calls = []
-        enumerate_class = search.class_tuples
-        scan_list = kernels.scan_perm_list
-        scan_all = kernels.scan_all_perms
-        scan_layered = kernels.scan_layered
-
-        def enumerated(tag, m):
-            calls.append(("enumerate", m))
-            return enumerate_class(tag, m)
-
-        def listed(candidates, patterns):
-            calls.append(("list", len(candidates)))
-            return scan_list(candidates, patterns)
-
-        def every(m, patterns):
-            calls.append(("all", m))
-            return scan_all(m, patterns)
-
-        def layered_scan(m, table):
-            calls.append(("layered", m))
-            return scan_layered(m, table)
-
-        monkeypatch.setattr(search, "class_tuples", enumerated)
-        monkeypatch.setattr(kernels, "scan_perm_list", listed)
-        monkeypatch.setattr(kernels, "scan_all_perms", every)
-        monkeypatch.setattr(kernels, "scan_layered", layered_scan)
+    def test_parallel_avoiders_are_enumerated_once(self, monkeypatch):
+        # an avoider class is enumerated once per length, in this process,
+        # and scanned whole in one call
+        calls = _record_kernel_calls(monkeypatch)
         for tag in ("av231", "av321"):
             calls.clear()
             report = minimal_superpattern(4, tag, tag)
@@ -198,11 +205,20 @@ class TestMinimalSuperpattern:
                 call for m in lengths
                 for call in (("enumerate", m), ("list", class_count(tag, m)))
             ]
-        calls.clear()
+
+    def test_each_length_is_one_kernel_call(self, monkeypatch):
+        # every permutation of a length is scanned in one call, with no
+        # class enumerated past the patterns
+        calls = _record_kernel_calls(monkeypatch)
         report = minimal_superpattern(3, "all", "all")
         assert calls == [("enumerate", 3)] + [
             ("all", m) for m in range(3, report.min_length + 1)
         ]
+
+    def test_layered_search_stays_in_this_process(self, monkeypatch):
+        # a layered search scans each of its lengths here, once, with its
+        # one table
+        calls = _record_kernel_calls(monkeypatch)
         for n in (4, 6):
             calls.clear()
             report = minimal_superpattern(n, "layered", "layered")
