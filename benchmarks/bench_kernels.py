@@ -14,11 +14,16 @@ entries of its dead table, the proof table of failed chains that also holds
 the family bounds and the root.  A row times the whole layered search of
 n = 20 (every length from 20 to L(20) = 74 on one table, built inside the
 timed work) and reads the same, with the microseconds per node.  One row
-times a fresh universal.LengthTable built to n = 10^6.  Last, for
-n = 4..8, the whole minimal_superpattern(n, "layered", "layered") is timed
-beside its layers: the kernel alone (scan_layered for each length n..L(n)
-on a fresh table), the report's re-verification (_check_report) and the
-rest, the engine around them.  Run after an in-place build:
+times a fresh universal.LengthTable built to n = 10^6.  For n = 4..8,
+the whole minimal_superpattern(n, "layered", "layered") is timed beside its
+layers: the kernel alone (scan_layered for each length n..L(n) on a fresh
+table, as the search calls it: the first call proves the family bounds,
+the root's last, the lengths below L(n) are read off the root's dead entry,
+and L(n) is scanned for its witness), the report's re-verification
+(_check_report) and the rest, the engine around them.  Last, for n = 4..8
+and 20, the search's nodes by phase: the proofs of the families k < n, the
+proof of the root's bound L(n) - 1, and the witness scan of L(n).  Run after
+an in-place build:
 
     python3 benchmarks/bench_kernels.py [--repeat 3]
 """
@@ -32,7 +37,7 @@ import random
 import time
 
 from superpatterns import _kernels_py
-from superpatterns.chains import LayeredTable, scan_layered
+from superpatterns.chains import LayeredTable, _layered_length, scan_layered
 
 try:
     from superpatterns import _kernels
@@ -144,6 +149,19 @@ def _layered_proof_layers(n, repeat):
     return best
 
 
+def _layered_phase_nodes(n):
+    """(nodes of the proofs of the families k < n, of the root's proof, of
+    the witness scan) of the layered search of n >= 1.  The proofs of k < n
+    enter the same chains on the table of n - 1, whose last family is n - 1."""
+    below = LayeredTable(n - 1)
+    below._prove_families()
+    table = LayeredTable(n)
+    table._prove_families()
+    proofs = table.nodes
+    scan_layered(_layered_length(n), table)
+    return below.nodes, proofs - below.nodes, table.nodes - proofs
+
+
 def _all_perm_scan_workload():
     patterns = _ordered_pattern_tuples(ClassTag.AV321, 4)
 
@@ -228,6 +246,10 @@ def main() -> None:
         search_s, kernel_s, check_s = _layered_proof_layers(n, args.repeat)
         engine_s = search_s - kernel_s - check_s
         cells = " ".join(f"{t * 1e6:7.0f}us" for t in (search_s, kernel_s, check_s, engine_s))
+        print(f"  n={n:<31d} {cells}")
+    print(f"{'layered search nodes by phase':34s} {'k < n':>9s} {'root':>9s} {'witness':>9s}")
+    for n in (4, 5, 6, 7, 8, 20):
+        cells = " ".join(f"{nodes:9,d}" for nodes in _layered_phase_nodes(n))
         print(f"  n={n:<31d} {cells}")
 
 

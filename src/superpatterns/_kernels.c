@@ -353,8 +353,20 @@ static PyObject *scan_perm_list(PyObject *self, PyObject *args)
     Flat f;
     if (!PyArg_UnpackTuple(args, "scan_perm_list", 2, 2, &candidates, &patterns))
         return NULL;
-    Py_ssize_t count = PySequence_Size(candidates);
-    if (count < 0 || flatten(patterns, PY_SSIZE_T_MAX, &f) < 0)
+    Py_ssize_t count = PySequence_Size(candidates), longest = 0;
+    if (count < 0)
+        return NULL;
+    /* a pattern longer than every candidate gets no windows (flatten) */
+    for (Py_ssize_t idx = 0; idx < count; idx++) {
+        PyObject *cand = PySequence_GetItem(candidates, idx);
+        m = cand == NULL ? -1 : PyObject_Length(cand);
+        Py_XDECREF(cand);
+        if (m < 0)
+            return NULL;
+        if (m > longest)
+            longest = m;
+    }
+    if (flatten(patterns, longest, &f) < 0)
         return NULL;
     for (Py_ssize_t idx = 0; idx < count && found < 0; idx++) {
         PyObject *cand = PySequence_GetItem(candidates, idx);

@@ -180,7 +180,7 @@ def scan_all_perms(m, patterns):
     none.  A negative m raises ValueError.
     """
     total = math.factorial(m)
-    return _scan(itertools.permutations(range(1, m + 1)), patterns, total)
+    return _scan(itertools.permutations(range(1, m + 1)), patterns, total, m)
 
 
 def scan_perm_list(candidates, patterns):
@@ -191,12 +191,17 @@ def scan_perm_list(candidates, patterns):
     whose candidate contains every pattern, or (-1, len(candidates)) when
     there is none; an empty list gives (-1, 0).
     """
-    return _scan(candidates, patterns, len(candidates))
+    longest = max(map(len, candidates), default=0)
+    return _scan(candidates, patterns, len(candidates), longest)
 
 
-def _scan(candidates, patterns, count):
+def _scan(candidates, patterns, count, longest):
     """The scan both permutation scans run, over all count candidates in
-    order."""
+    order, none longer than longest.  A pattern longer than that embeds in
+    no candidate, so the answer is (-1, count) before any window is built."""
+    patterns = tuple(patterns)
+    if any(len(pat) > longest for pat in patterns):
+        return (-1, count)
     shapes = [(pat, windows, _roles(windows))
               for pat, windows in ((pat, _windows(pat)) for pat in patterns)]
     for idx, cand in enumerate(candidates):

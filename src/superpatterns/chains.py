@@ -3,15 +3,20 @@
 scan_layered scans the compositions of m in rank order for the first whose
 layered permutation contains every layered permutation of length n, on a
 LayeredTable of threshold chains that serves every length of one n.
-LayeredTable proves the chain form closed and exact, and scan_layered gives
-the pruning rules.  The layered facts the other modules share are defined
-here once: greedy layer matching on profiles, the count and the ranking of
-compositions, and L(n) (_layered_length).  Ranks are 0-based, compositions
-ordered lexicographically.  This module imports only ``errors``.
+LayeredTable proves the chain form closed and exact, and proves each family
+bound L(k) - 1, k = 2..n, by one failing scan, the root's (k = n) last;
+scan_layered gives the pruning rules, and reads every length below L(n)
+off the root's dead entry, so that only L(n) is scanned for its witness.
+The layered facts the other modules share are defined here once: greedy
+layer matching on profiles, the count and the ranking of compositions, and
+L(n) (_layered_length).  Ranks are 0-based, compositions ordered
+lexicographically.  This module imports only ``errors``.
 
 >>> table = LayeredTable(3)
->>> scan_layered(4, table)  # L(3) = 5: none of the 8 compositions of 4 fits
-(-1, 8)
+>>> scan_layered(3, table), table.nodes  # proves L(2) - 1 = 2 and L(3) - 1 = 4
+((-1, 4), 2)
+>>> scan_layered(4, table), table.nodes  # none of the 8 compositions of 4 fits
+((-1, 8), 2)
 >>> rank, scanned = scan_layered(5, table)
 >>> composition_at_rank(5, rank), scanned
 ((1, 3, 1), 7)
@@ -144,24 +149,25 @@ class LayeredTable:
       take: a + K, or a when part a reaches no pair.
 
     The first scan through a table proves the family bounds, smallest k
-    first: for each k below n, the chain (k, 1), every composition of k, is
-    scanned once, exhaustively, at r = L(k) - 1, where L(k) is the length
-    of the shortest layered permutation that contains every layered
+    first: for each k from 2 to n, the chain (k, 1), every composition of
+    k, is scanned once, exhaustively, at r = L(k) - 1, where L(k) is the
+    length of the shortest layered permutation that contains every layered
     permutation of length k (_layered_length, the paper's closed form).  No
     completion of L(k) - 1 positions fits, nor then of fewer.  The bound
     rests on that failing scan, not on where the number came from; a fit
     there contradicts the paper and raises InternalDefectError.  k = 1 has
-    L(1) - 1 = 0 and scans nothing.  A scan enters every chain whose walk
-    ends without a fit in the dead table, the chain it starts from
-    included, so the proof of k leaves dead[(k, 1)] = L(k) - 1, and a
-    failed length m of a search of n leaves dead[root] = m: after the
-    search, the root's entry L(n) - 1 is the claim.  A chain whose largest
-    slack is s holds all of F(s + 1, 1) in its down-closure, so the walk
-    (_first_fit) skips a child when the entry of its own chain or of that
-    family chain is at least its positions left.  proved is the largest k
-    proved so far, 0 before any.  The chains below (k, 1) have slacks below
-    k - 1, so every bound a proof uses rests on a scan made before it, and
-    a scan that prunes by them is still a proof by enumeration.
+    L(1) - 1 = 0 and scans nothing.  The last family is the root (n, 1)
+    itself, so its proof is the claim that no composition of L(n) - 1
+    fits, and every shorter length is read off the root's entry
+    (scan_layered).  A scan enters every chain whose walk ends without a
+    fit in the dead table, the chain it starts from included, so the proof
+    of k leaves dead[(k, 1)] = L(k) - 1.  A chain whose largest slack is s
+    holds all of F(s + 1, 1) in its down-closure, so the walk (_first_fit)
+    skips a child when the entry of its own chain or of that family chain
+    is at least its positions left.  proved is the largest k proved so
+    far, 0 before any.  The chains below (k, 1) have slacks below k - 1, so
+    every bound a proof uses rests on a scan made before it, and a scan
+    that prunes by them is still a proof by enumeration.
 
     A chain is one int: pair i, (k, t), is k | t << bits shifted up by
     2 * bits * i, with bits = n.bit_length() (1 at least), so the empty
@@ -186,9 +192,10 @@ class LayeredTable:
         self.limit = math.inf
 
     def _prove_families(self):
-        # each family is proved once; a scan stopped at its node limit in
-        # the proof of k leaves the families below k proved and resumes at k
-        for k in range(self.proved + 1, self.n):
+        # each family is proved once, the root (k = n) last; a scan stopped
+        # at its node limit in the proof of k leaves the families below k
+        # proved and resumes at k
+        for k in range(self.proved + 1, self.n + 1):
             bound = _layered_length(k) - 1
             if bound and _first_fit(bound, 0, k | 1 << self.bits, self) >= 0:
                 raise InternalDefectError(
@@ -232,11 +239,14 @@ def scan_layered(m, table):
     fitting completion keeps it fitting).  So the table of dead states maps
     a chain to the largest r whose whole block of completions was scanned
     without a fit.  The proved family bounds (LayeredTable, one exhaustive
-    scan of L(k) - 1 positions per family) are entries of the same table,
-    under the family's chain (k, 1), and a child is skipped when its own
-    entry, or that of the family its largest slack holds whole, is at least
-    its positions left.  Every completion fits the empty chain, which never
-    dies.
+    scan of L(k) - 1 positions per family, k = 2..n) are entries of the
+    same table, under the family's chain (k, 1), and a child is skipped
+    when its own entry, or that of the family its largest slack holds
+    whole, is at least its positions left.  The same rule serves the chain
+    the scan starts from: the root (n, 1) is the family of n, so every m
+    up to its bound L(n) - 1 is answered (-1, 2^(m-1)) from its entry,
+    without entering a node, and only L(n) is walked.  Every completion
+    fits the empty chain, which never dies.
 
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
@@ -247,10 +257,14 @@ def scan_layered(m, table):
         # m < 0 raises here
         total = composition_count(m)
         return (-1, total) if table.n > m else (0, 1)
-    if table.proved < table.n - 1:
+    if table.proved < table.n:
         table._prove_families()
-    found = _first_fit(m, 0, table.root, table)
-    return (found, found + 1) if found >= 0 else (-1, 1 << (m - 1))
+    # a root that failed at m positions or more fails at m
+    if table.dead.get(table.root, 0) < m:
+        found = _first_fit(m, 0, table.root, table)
+        if found >= 0:
+            return found, found + 1
+    return -1, 1 << (m - 1)
 
 
 def _need(state, bits):

@@ -14,7 +14,7 @@ import enum
 import functools
 import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from . import kernels, layered
 from .errors import CapExceededError
@@ -65,14 +65,20 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def class_count(tag: ClassTag | str, n: int) -> int:
-    """Number of length-n members, from the closed-form counts."""
+def class_counter(tag: ClassTag | str) -> Callable[[int], int]:
+    """The function n -> number of length-n members, from the closed-form
+    counts, so that counting many lengths coerces the tag once."""
     tag = coerce_tag(tag)
     if tag is ClassTag.LAYERED:
-        return layered.composition_count(n)
+        return layered.composition_count
     if tag is ClassTag.ALL:
-        return math.factorial(n)
-    return catalan(n)
+        return math.factorial
+    return catalan
+
+
+def class_count(tag: ClassTag | str, n: int) -> int:
+    """Number of length-n members, from the closed-form counts."""
+    return class_counter(tag)(n)
 
 
 @functools.lru_cache(maxsize=None)

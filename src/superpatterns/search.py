@@ -5,9 +5,12 @@ lexicographic order, so a returned minimum comes with complete nonexistence
 counts for every shorter length.  Layered candidates are searched by
 composition prefix, one kernels.scan_layered call (the chain engine's, on
 either backend) per whole length, with one LayeredTable for every length of
-a search, built from n alone.  Its pruning rules, and why each pruned prefix
-is counted exactly, are given in full in chains.LayeredTable and
-chains.scan_layered.
+a search, built from n alone.  The first length's call proves the family
+bounds L(k) - 1 for k = 2..n, the root's (k = n) last, each by one failing
+scan; every later length below L(n) is read off the root's dead entry
+without entering a node, and L(n) is scanned for its witness.  The pruning
+rules, and why each pruned prefix is counted exactly, are given in full in
+chains.LayeredTable and chains.scan_layered.
 
 One node budget gates every run, and exceeding it raises instead of
 truncating, because the nonexistence half of the result is only meaningful
@@ -15,7 +18,8 @@ when enumeration is complete.  A per-run ledger charges a layered length
 the nodes its scan visited, at least 1, when the scan returns, and any
 other length its candidates times patterns before it is scanned.  A
 layered scan runs under a node limit of what the ledger has left, so a
-refused one stops at the node past the budget.  Every
+refused one stops at the node past the budget, and names the family bound
+it was proving, the root's included, if it stopped in one.  Every
 scan goes through _scan_length: those of a search, each length the 231
 claims exhaust, and both phases of the 321 conjecture check, which share
 one ledger.
@@ -42,7 +46,7 @@ from typing import NoReturn
 
 from . import kernels, layered
 from .chains import LayeredTable, composition_at_rank, composition_count
-from .classes import ClassTag, class_count, class_tuples, coerce_tag, in_class
+from .classes import ClassTag, class_count, class_counter, class_tuples, coerce_tag, in_class
 from .errors import BudgetExceededError, InternalDefectError, NodeLimitError
 from .layered import realize_values
 # unused here, but bound for tracers that wrap search.enumerate_layered
@@ -126,7 +130,7 @@ def _scan_length(
     A layered length is one scan of the search's LayeredTable (patterns),
     limited to the nodes the ledger has left and charged when it returns;
     a scan stopped at that limit is refused, with the family it was proving
-    if it had not reached its own length.  Any other is charged its
+    (k = n for the root) if it stopped in a proof.  Any other is charged its
     candidates times patterns first, then scanned whole by one kernel call:
     every permutation of length m by rank, or an avoider class enumerated
     once, in order."""
@@ -136,11 +140,11 @@ def _scan_length(
         try:
             rank, total = kernels.scan_layered(m, patterns)
         except NodeLimitError:
-            # the family proofs come first, and a stop in one leaves the
-            # families below it proved
+            # the family proofs come first, the root's last, and a stop in
+            # one leaves the families below it proved
             family = patterns.proved + 1
             ledger.refuse(ctag, m, patterns.nodes - nodes, exhausted,
-                          family if family < patterns.n else 0)
+                          family if family <= patterns.n else 0)
         ledger.charge(ctag, m, max(patterns.nodes - nodes, 1), exhausted)
         if rank >= 0:
             return Permutation(realize_values(composition_at_rank(m, rank))), rank + 1
@@ -291,7 +295,8 @@ def _check_report(report: SearchReport | InfeasibleReport) -> None:
     if not _verify(witness, report.n, coerce_tag(report.pattern_class), profile).ok:
         raise InternalDefectError("search witness failed re-verification")
     # every length from n up to the witness's, each with its whole class
-    expected = tuple((m, class_count(ctag, m)) for m in range(report.n, report.min_length))
+    count = class_counter(ctag)
+    expected = tuple((m, count(m)) for m in range(report.n, report.min_length))
     if report.lengths_exhausted != expected:
         raise InternalDefectError("incomplete nonexistence enumeration")
 

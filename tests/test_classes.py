@@ -8,6 +8,7 @@ from superpatterns.classes import (
     ClassTag,
     catalan,
     class_count,
+    class_counter,
     class_tuples,
     coerce_tag,
     enumerate_class,
@@ -35,6 +36,21 @@ def test_counts_match_catalan():
         for tag in (ClassTag.AV231, ClassTag.AV321):
             assert class_count(tag, n) == catalan(n)
             assert sum(1 for _ in class_tuples(tag, n)) == catalan(n)
+
+
+def test_each_tag_has_one_count_function():
+    # the report check counts many lengths of one class with the function
+    # class_counter picks once; it is class_count at every length, and a
+    # bad tag is refused when the function is picked
+    for tag in ClassTag:
+        count = class_counter(tag.value)
+        assert count is class_counter(tag)
+        assert [count(n) for n in range(9)] == [
+            sum(1 for _ in class_tuples(tag, n)) for n in range(9)
+        ], tag
+        assert [count(n) for n in range(30)] == [class_count(tag, n) for n in range(30)]
+    with pytest.raises(ValueError, match="is not a valid ClassTag"):
+        class_counter("Layered")
 
 
 def test_direct_generators_match_filter():

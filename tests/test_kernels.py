@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,28 @@ class TestScans:
         assert backend.scan_perm_list(perms, ((3, 1, 2),)) == (2, 3)
         assert backend.scan_perm_list(perms, ((3, 2, 1),)) == (-1, 3)
 
+    def test_a_pattern_longer_than_every_candidate_is_answered_unbuilt(
+        self, backend, monkeypatch
+    ):
+        # no candidate contains a pattern longer than itself, so both scans
+        # answer (-1, count) without building that pattern's windows; at
+        # 3,000 entries the twin's table alone would take seconds
+        def no_windows(pattern):
+            raise AssertionError("built the windows of a pattern longer than every candidate")
+
+        monkeypatch.setattr(_kernels_py, "_windows", no_windows)
+        pattern = tuple(range(3000, 0, -1))
+        t0 = time.perf_counter()
+        assert backend.scan_perm_list([(1, 2, 3)], [pattern]) == (-1, 1)
+        assert backend.scan_perm_list([(1, 2, 3), (2, 1)], [(1,), pattern]) == (-1, 2)
+        assert backend.scan_all_perms(3, [pattern]) == (-1, 6)
+        assert backend.scan_all_perms(3, [(2, 1), pattern]) == (-1, 6)
+        assert time.perf_counter() - t0 < 0.05
+        monkeypatch.undo()
+        # one candidate as long as the pattern is scanned as before
+        pattern = pattern[-40:]
+        assert backend.scan_perm_list([(1, 2), pattern], [pattern]) == (1, 2)
+
     def test_scan_counts_on_exhaustion(self):
         # a pattern that never fits: every length-m composition lacks a part m+1
         assert _layered(4, ((5,),)) == (-1, 8)
@@ -467,23 +490,22 @@ class TestLayeredTable:
             LayeredTable(-1)
 
     def test_family_bounds_are_proved_in_the_table(self):
-        # every family bound is L(k) - 1, for each k below n, and is the
+        # every family bound is L(k) - 1, for each k up to n, and is the
         # dead entry of the chain (k, 1), the one its proof starts from; the
         # kernel takes L(k) from the closed form, and the bound rests on the
         # exhaustive scan that fails at L(k) - 1, not on that value.  k = 1,
-        # whose bound is 0, has no entry.  The root, the chain (n, 1), has
-        # none until a length fails, and after the search its entry is
-        # L(n) - 1, the claim
+        # whose bound is 0, has no entry.  The root, the chain (n, 1), is
+        # the last family proved, so its entry is L(n) - 1, the claim, as
+        # soon as the proofs are made, and the search's scans leave it so
         for n in range(1, 13):
             table = LayeredTable(n)
             # nothing is proved before a scan
             assert (table.dead, table.proved) == ({}, 0)
             table._prove_families()
-            assert table.proved == max(n - 1, 0)
-            assert table.root not in table.dead
+            assert table.proved == n
             family = {k: _chain([(k, 1)], table.bits) for k in range(1, n + 1)}
             assert family[n] == table.root and family[1] not in table.dead
-            for k in range(2, n):
+            for k in range(2, n + 1):
                 assert table.dead[family[k]] == superpattern_length(k) - 1, (n, k)
                 assert sorted(_members([(k, 1)])) == brute_compositions(k)
             for m in range(n, superpattern_length(n) + 1):
@@ -496,9 +518,9 @@ class TestLayeredTable:
         # counted kept; what it proved stays in the table, so the same
         # length scanned again with no limit answers as a fresh table does,
         # and so does every later length.  A stop inside the proof of
-        # family k leaves no entry for its chain (k, 1), and the resumed
-        # scan enters exactly L(k) - 1; a stop in the scan of a length m
-        # leaves the root's entry as the length before left it
+        # family k, the root's (k = n) included, leaves no entry for its
+        # chain (k, 1), and the resumed scan enters exactly L(k) - 1; a stop
+        # in the witness scan of L(n) leaves the root's entry at L(n) - 1
         stops = set()
         for n in (5, 9):
             fresh = LayeredTable(n)
@@ -514,21 +536,44 @@ class TestLayeredTable:
                     except NodeLimitError:
                         assert table.nodes == limit + 1, (n, limit, m)
                         k = table.proved + 1
-                        family = _chain([(k, 1)], table.bits)
+                        family = _chain([(min(k, n), 1)], table.bits)
                         before = table.dead.get(family)
                         table.limit = math.inf
                         got.append(chains.scan_layered(m, table))
-                        if k < n:
-                            assert before is None, (n, limit)
+                        if k <= n:
+                            assert (before, m) == (None, n), (n, limit)
                             assert table.dead[family] == superpattern_length(k) - 1
                         else:
-                            # the root keeps the entry of the length before
-                            assert before == (m - 1 if m > n else None), (n, limit)
-                        stops.add(k < n)
+                            # the root keeps the entry of its proof
+                            assert m == superpattern_length(n), (n, limit)
+                            assert before == m - 1, (n, limit)
+                        stops.add(k <= n)
                 assert table.limit == math.inf, (n, limit)
                 assert got == expected, (n, limit)
-        # some stops fall inside a family proof, some in a length's own scan
+        # some stops fall inside a family proof, some in the witness scan
         assert stops == {True, False}
+
+    def test_the_lengths_below_the_witness_enter_no_node(self, monkeypatch):
+        # once the root's bound L(n) - 1 is proved, every length n..L(n) - 1
+        # is read off the root's dead entry: none of r positions fits, so
+        # none of fewer does, and no chain is entered
+        def unscanned(*args):
+            raise AssertionError("a length below the witness entered a chain")
+
+        for n in range(13):
+            table = LayeredTable(n)
+            table._prove_families()
+            nodes = table.nodes
+            monkeypatch.setattr(chains, "_first_fit", unscanned)
+            for m in range(n, superpattern_length(n)):
+                assert chains.scan_layered(m, table) == (-1, 2 ** (m - 1)), (n, m)
+            monkeypatch.undo()
+            assert table.nodes == nodes, n
+            # a fresh table's first length enters the proofs' nodes alone
+            fresh = LayeredTable(n)
+            if n < superpattern_length(n):
+                chains.scan_layered(n, fresh)
+            assert fresh.nodes == nodes, n
 
     def test_the_kernel_length_is_the_recurrence(self):
         for k in range(65):
@@ -536,8 +581,8 @@ class TestLayeredTable:
 
     def test_each_family_bound_is_one_failing_scan(self, monkeypatch):
         # the families are proved smallest k first, each by one top-level
-        # scan of its chain (k, 1) at r = L(k) - 1 that finds no fit; k = 1,
-        # with L(1) - 1 = 0, scans nothing
+        # scan of its chain (k, 1) at r = L(k) - 1 that finds no fit, the
+        # root's (k = n) last; k = 1, with L(1) - 1 = 0, scans nothing
         first_fit = chains._first_fit
         top = []
 
@@ -553,7 +598,7 @@ class TestLayeredTable:
             table._prove_families()
             assert top == [
                 (superpattern_length(k) - 1, 0, _chain([(k, 1)], table.bits), -1)
-                for k in range(2, n)
+                for k in range(2, n + 1)
             ], n
 
     def test_a_fit_at_a_family_bound_is_a_defect(self, monkeypatch):
@@ -567,6 +612,19 @@ class TestLayeredTable:
         monkeypatch.setattr(chains, "_layered_length", lambda k: length(k) + 1)
         with pytest.raises(InternalDefectError, match="every layered permutation of length 1"):
             chains.scan_layered(6, LayeredTable(6))
+        monkeypatch.undo()
+        # a fit at the root's own bound is a defect too, raised from the
+        # first length's scan with the families below the root proved
+        first_fit = chains._first_fit
+
+        def fits_at_the_root(r, base, state, table):
+            return 0 if state == table.root else first_fit(r, base, state, table)
+
+        monkeypatch.setattr(chains, "_first_fit", fits_at_the_root)
+        table = LayeredTable(6)
+        with pytest.raises(InternalDefectError, match="length 13 holds every layered permutation of length 6"):
+            chains.scan_layered(6, table)
+        assert table.proved == 5 and table.root not in table.dead
 
     def test_a_state_gets_the_bound_of_each_family_it_holds_whole(self):
         # a chain whose largest slack is s holds every composition of s + 1
@@ -821,13 +879,19 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert run.returncode == 0, run.stderr
 
 
-def test_layered_bench_workload_on_every_backend():
-    # perfbench/micro.py times this workload on each importable backend,
-    # each of which runs the chain engine's scan
+def _bench_kernels():
+    """benchmarks/bench_kernels.py, loaded as a module."""
     script = _ROOT / "benchmarks" / "bench_kernels.py"
     spec = importlib.util.spec_from_file_location("bench_kernels", script)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_layered_bench_workload_on_every_backend():
+    # perfbench/micro.py times this workload on each importable backend,
+    # each of which runs the chain engine's scan
+    bench = _bench_kernels()
     _, work = bench._layered_scan_workload()
     assert work(_kernels_py) == (-1, 32768)
 
@@ -835,11 +899,8 @@ def test_layered_bench_workload_on_every_backend():
 def test_layered_bench_counts_nodes():
     # the untimed run beside the layered rows counts the search's nodes,
     # entered states and dead entries on a table of its own; the 29 dead
-    # hold the proofs of the families 2..6 and the root, failed at 16
-    script = _ROOT / "benchmarks" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", script)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    # hold the proofs of the families 2..7, the last the root's, at 16
+    bench = _bench_kernels()
     _, work = bench._layered_scan_workload()
     assert bench._layered_nodes(work) == (47, 29, 29)
     table = work.table
@@ -847,11 +908,20 @@ def test_layered_bench_counts_nodes():
     assert all(table.dead[k | 1 << table.bits] == superpattern_length(k) - 1 for k in range(2, 7))
 
 
+def test_layered_bench_counts_nodes_by_phase():
+    # the family proofs k < n, the root's proof and the witness scan add up
+    # to the nodes of the whole search
+    bench = _bench_kernels()
+    assert bench._layered_phase_nodes(8) == (47, 55, 8)
+    for n in range(1, 10):
+        table = LayeredTable(n)
+        for m in range(n, superpattern_length(n) + 1):
+            chains.scan_layered(m, table)
+        assert sum(bench._layered_phase_nodes(n)) == table.nodes, n
+
+
 def test_layered_bench_times_the_search_by_layer():
     # the row beside the kernel scans times the whole search, its kernel
     # scans and its report check, and checks that the two searches agree
-    script = _ROOT / "benchmarks" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", script)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _bench_kernels()
     assert all(seconds > 0 for seconds in bench._layered_proof_layers(4, 2))

@@ -265,17 +265,21 @@ class TestMinimalSuperpattern:
         }
 
     def test_budget_exceeded_carries_partial(self):
-        # n = 4 charges its lengths 4..8 the nodes 3, 1, 2, 3, 4, 13 in all:
-        # 5 refuses length 6, and 12 the last, although it holds the witness
-        for budget, refused in ((5, 6), (12, 8)):
+        # n = 4 charges its lengths 4..8 the nodes 6, 1, 1, 1, 4, 13 in all,
+        # the first length's 6 the family proofs, the root's last: 5 refuses
+        # length 4 inside the root's proof, and 12 the last, although it
+        # holds the witness
+        for budget, refused, where in ((5, 4, " (proving the family bound of k = 4)"),
+                                       (12, 8, "")):
             with pytest.raises(BudgetExceededError) as exc_info:
                 minimal_superpattern(4, "layered", "layered", budget=budget)
             err = exc_info.value
             assert err.lengths_exhausted == tuple((m, 2 ** (m - 1)) for m in range(4, refused))
             assert (err.estimated, err.budget) == (budget + 1, budget)
+            done = ", ".join(map(str, range(4, refused))) or "none"
             assert str(err) == (
-                f"scanning layered length {refused} needs ~{budget + 1} nodes, over the budget "
-                f"of {budget}; lengths exhausted: {', '.join(map(str, range(4, refused)))}"
+                f"scanning layered length {refused}{where} needs ~{budget + 1} nodes, over the "
+                f"budget of {budget}; lengths exhausted: {done}"
             )
         assert minimal_superpattern(4, "layered", "layered", budget=13).min_length == 8
 
@@ -283,7 +287,7 @@ class TestMinimalSuperpattern:
         # the scan counts its nodes against what the ledger has left, so it
         # stops at the node past the budget and names where it was: in the
         # proof of a family bound, or in a length's own scan.  budget=1 at
-        # n = 24, a search of 371,772 nodes, stops at its second node
+        # n = 24, a search of 371,700 nodes, stops at its second node
         scan = kernels.scan_layered
         tables = []
 
@@ -303,23 +307,29 @@ class TestMinimalSuperpattern:
             "scanning layered length 24 (proving the family bound of k = 3) needs ~2 "
             "nodes, over the budget of 1; lengths exhausted: none"
         )
-        # n = 12 visits 1,505 nodes in all, its family proofs the first 851
-        for budget, where in ((10, " (proving the family bound of k = 5)"),
-                              (500, " (proving the family bound of k = 11)"),
-                              (1000, "")):
+        # n = 12 visits 1,480 nodes in all, its family proofs the first
+        # 1,418, the root's from node 852 on; the 24 lengths 13..36 enter
+        # none and are charged 1 each, so a stop in the witness scan of 37
+        # comes 24 nodes before the ledger's
+        for budget, m, nodes, where in (
+            (10, 12, 11, " (proving the family bound of k = 5)"),
+            (500, 12, 501, " (proving the family bound of k = 11)"),
+            (1000, 12, 1001, " (proving the family bound of k = 12)"),
+            (1450, 37, 1427, ""),
+        ):
             with pytest.raises(BudgetExceededError) as exc_info:
                 minimal_superpattern(12, "layered", "layered", budget=budget)
             err = exc_info.value
-            m = 12 + len(err.lengths_exhausted)
-            assert (err.estimated, tables[-1].nodes) == (budget + 1, budget + 1)
+            assert 12 + len(err.lengths_exhausted) == m
+            assert (err.estimated, tables[-1].nodes) == (budget + 1, nodes)
             assert str(err).startswith(
                 f"scanning layered length {m}{where} needs ~{budget + 1} nodes"
             )
-        assert m == 34
 
     def test_layered_lengths_are_charged_the_nodes_they_visit(self, monkeypatch):
-        # each length's nodes, once its scan returns; the first
-        # length's include the 2 of the family proofs
+        # each length's nodes, once its scan returns, at least 1; the first
+        # length's are the 6 of the family proofs, the root's included, and
+        # the lengths below the witness enter no node
         charge = search._Budget.charge
         charged = []
 
@@ -329,10 +339,10 @@ class TestMinimalSuperpattern:
 
         monkeypatch.setattr(search._Budget, "charge", recorded)
         minimal_superpattern(4, "layered", "layered")
-        assert charged == [3, 1, 2, 3, 4]
+        assert charged == [6, 1, 1, 1, 4]
         table = chains.LayeredTable(4)
         table._prove_families()
-        assert table.nodes == 2
+        assert table.nodes == 6
 
     def test_budget_refusal_at_the_first_length_scans_nothing(self, monkeypatch):
         # a non-layered length is charged its candidates times patterns
@@ -380,9 +390,9 @@ class TestMinimalSuperpattern:
             for n in range(4, 13):
                 minimal_superpattern(n, "layered", "layered")
                 nodes.append(tables[-1].nodes)
-            assert nodes == [13, 23, 40, 69, 123, 255, 504, 905, 1505], afresh
+            assert nodes == [10, 18, 33, 60, 110, 239, 485, 883, 1480], afresh
         minimal_superpattern(20, "layered", "layered")
-        assert tables[-1].nodes == 67_704
+        assert tables[-1].nodes == 67_648
 
     def test_negative_budgets_are_refused_before_any_charge(self, monkeypatch):
         def no_charge(*args):
