@@ -1,7 +1,6 @@
 """The `>>>` examples in README.md and in the package's docstrings run as
 written, and so does every command of README's CLI block."""
 
-import collections
 import doctest
 import importlib
 import pkgutil
@@ -22,19 +21,14 @@ _MODULES = sorted(
 
 def _cli_commands():
     """(command, comment) for each line of the sh block under README's
-    `## CLI` heading, with the id subcommand-index ("search-2" for the third
-    search command), so that editing a command keeps its test's id."""
+    `## CLI` heading."""
     text = _README.read_text()
     section = text[text.index("## CLI\n"):]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    seen = collections.Counter()
     lines = []
     for line in block.splitlines():
         command, _, comment = line.partition("  #")
-        subcommand = shlex.split(command)[1]
-        lines.append(pytest.param(command.strip(), comment.strip(),
-                                  id=f"{subcommand}-{seen[subcommand]}"))
-        seen[subcommand] += 1
+        lines.append((command.strip(), comment.strip()))
     return lines
 
 
