@@ -169,9 +169,13 @@ class LayeredTable:
     every bound a proof uses rests on a scan made before it, and a scan
     that prunes by them is still a proof by enumeration.
 
-    A chain is one int: pair i, (k, t), is k | t << bits shifted up by
-    2 * bits * i, with bits = n.bit_length() (1 at least), so the empty
-    chain is 0 and the pairs read from the low bits up.  dead maps
+    A chain is one int of two bit sets, each width = n + 1 bits wide: the
+    low one has bit k set for each pair's need k, the high one bit s + 1
+    for each pair's slack s.  Along a chain k falls while the slack rises,
+    so the i-th largest need pairs with the i-th smallest slack, and the
+    two sets fix the chain.  The empty chain is 0, and the family chain
+    F(j, 1), of need j and slack j - 1, is unit << j, with the constant
+    unit = 1 | 1 << width; the root is that of n (0 for n = 0).  dead maps
     a chain to the largest r its scans found no fitting completion of, and
     children maps each chain the search has entered to the children it
     formed there (_children), so a chain entered again at another r only
@@ -183,8 +187,9 @@ class LayeredTable:
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
         self.n = n
-        self.bits = max(1, n.bit_length())
-        self.root = n | 1 << self.bits if n else 0
+        self.width = n + 1
+        self.unit = 1 | 1 << self.width
+        self.root = self.unit << n if n else 0
         self.children = {}
         self.dead = {}
         self.proved = 0
@@ -197,7 +202,7 @@ class LayeredTable:
         # proved and resumes at k
         for k in range(self.proved + 1, self.n + 1):
             bound = _layered_length(k) - 1
-            if bound and _first_fit(bound, 0, k | 1 << self.bits, self) >= 0:
+            if bound and _first_fit(bound, 0, self.unit << k, self) >= 0:
                 raise InternalDefectError(
                     f"a completion of length {bound} holds every "
                     f"layered permutation of length {k}"
@@ -267,13 +272,11 @@ def scan_layered(m, table):
     return -1, 1 << (m - 1)
 
 
-def _need(state, bits):
+def _need(state, width):
     """The fewest positions a fitting completion of a chain takes: its
-    largest need, plus one unless it is a single pair (k, k); 0 for the
-    empty chain (LayeredTable)."""
-    low = (1 << bits) - 1
-    k = state & low
-    return k + (state >> 2 * bits != 0 or k > state >> bits & low)
+    largest need, plus one unless it is a single pair (k, k), whose slack
+    set is {0}; 0 for the empty chain (LayeredTable)."""
+    return (state & (1 << width) - 1).bit_length() - (state >> width == 2)
 
 
 def _children(state, table):
@@ -289,70 +292,61 @@ def _children(state, table):
     pair i's remainder (k_i, a + 1) and F(K, 1) where each survives: the
     remainder for every part but the range's last, F(K, 1) once the
     remainder's slack k_i - a - 1 is below K - 1, or for the last part
-    once the slack of pair i - 1 is.  The pairs are read off the chain's
-    int one at a time, from the last."""
-    bits = table.bits
-    width = 2 * bits
-    one = 1 << bits
-    low = one - 1
+    once the slack of pair i - 1 is.  Pair i is read off what is left of
+    the chain as its lowest need bit and its highest slack bit, and is
+    removed by clearing those two bits."""
+    width, unit = table.width, table.unit
     kids = table.children[state] = []
     if not state:
         # part 1 leaves the empty chain as it is
         kids.append((1, 1, 0, 0, 0))
         return kids
-    # the last pair's (k, t) and its slack K, the chain's largest: every
-    # part in a kept range reaches that pair
-    shift = (state.bit_length() - 1) // width * width
-    k = state >> shift & low
-    t = state >> shift + bits
-    top = k - t
-    if t > 1:
+    # the last pair's need k, the lowest need bit, and its slack K, the
+    # chain's largest, one below the highest slack bit: every part in a
+    # kept range reaches that pair
+    k = (state & -state).bit_length() - 1
+    top = state.bit_length() - width - 2
+    family = unit << top
+    if k - top > 1:
         # part 1 reaches no pair and leaves the chain as it is
-        kids.append((1, 1, _need(state, bits), top + 1 | one, state))
+        kids.append((1, 1, _need(state, width), family << 1, state))
     # a child that keeps a remainder has two or more pairs, or is the
     # single pair (k, a + 1) of the first pair's range, so it needs the
-    # chain's first k plus one (_need), but for the single pair (k, k)
-    full = (state & low) + 1
-    cap = top - 1
-    family = top | one
+    # chain's first k plus one (_need), but for the single pair (k, k),
+    # whose slack set is {0}
+    mask = (1 << width) - 1
+    full = (state & mask).bit_length()
     append = kids.append
+    prefix = state
+    slack = top + 1
     while True:
-        # pair i at shift, with (k, t) in hand; below is the slack of the
-        # pair before it, or -1
-        if shift:
-            under = shift - width
-            k_under = state >> under & low
-            t_under = state >> under + bits & low
-            below = k_under - t_under
-        else:
-            below = -1
-        prefix = state & ((1 << shift) - 1)
+        # pair i, (k, k - slack + 1), off the chain; below is the slack bit
+        # of the pair before it, or 0
+        prefix ^= 1 << k | 1 << width + slack
+        below = prefix.bit_length() - width - 1 if prefix else 0
         # parts t .. last - 1 keep pair i's remainder (k, a + 1), and from
-        # part edge + 1 on F(K, 1) above it; child starts as (k, t) in place
-        last = k - below - 1
+        # part edge + 1 on F(K, 1) above it
+        last = k - below
         edge = k - top
-        child = prefix | (k | t << bits) << shift
-        step = 1 << shift + bits
-        above = family << shift + width
-        single = -1 if shift else k | k << bits
-        for a in range(t, last):
-            child += step
+        needs = prefix | 1 << k
+        for a in range(k - slack + 1, last):
+            child = needs | 1 << width + k - a
             if a > edge:
-                append((a, a + top, full, family, child | above))
+                append((a, a + top, full, family, child | family))
             else:
-                append((a, a + top, full - (child == single), k - a | one, child))
+                append((a, a + top, full - (child >> width == 2), unit << k - a, child))
         # the last part leaves no remainder, and F(K, 1) where it survives;
-        # else the child's family is the one below's, or the empty chain
-        if below < cap:
-            key, held = prefix | family << shift, family
+        # else the child's family is the one below's, or the empty chain.
+        # Its need is _need's, inline
+        if below < top:
+            key, held = prefix | family, family
         else:
-            key, held = prefix, prefix and below + 1 | one
-        lead = key & low
-        append((last, last + top, lead + (key >> width != 0 or lead > key >> bits & low),
-                held, key))
-        if not shift:
+            key, held = prefix, prefix and unit << below
+        append((last, last + top, (key & mask).bit_length() - (key >> width == 2), held, key))
+        if not prefix:
             return kids
-        shift, k, t = under, k_under, t_under
+        k = (prefix & -prefix).bit_length() - 1
+        slack = below
 
 
 def _first_fit(r, base, state, table):

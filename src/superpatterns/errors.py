@@ -29,9 +29,9 @@ class CapExceededError(ValueError):
 
 class BudgetExceededError(RuntimeError):
     """A run is over its node budget, summed over all of a command's scans:
-    the nodes a layered length visited, a scan stopped at the node past
-    the budget, or candidates x patterns for any other length, charged
-    before its scan.
+    the nodes a layered length visited (none for a length that enters no
+    chain), a scan stopped at the node past the budget, or candidates x
+    patterns for any other length, charged before its scan.
 
     Carries the nodes the refused length brought the run to, the budget,
     and the lengths its search had already fully enumerated (none for a

@@ -15,14 +15,14 @@ chains.LayeredTable and chains.scan_layered.
 One node budget gates every run, and exceeding it raises instead of
 truncating, because the nonexistence half of the result is only meaningful
 when enumeration is complete.  A per-run ledger charges a layered length
-the nodes its scan visited, at least 1, when the scan returns, and any
-other length its candidates times patterns before it is scanned.  A
-layered scan runs under a node limit of what the ledger has left, so a
-refused one stops at the node past the budget, and names the family bound
-it was proving, the root's included, if it stopped in one.  Every
-scan goes through _scan_length: those of a search, each length the 231
-claims exhaust, and both phases of the 321 conjecture check, which share
-one ledger.
+the nodes its scan visited when the scan returns, so nothing for a length
+read off the root's dead entry or for n = 0, and any other length its
+candidates times patterns before it is scanned.  A layered scan runs under
+a node limit of what the ledger has left, so a refused one stops at the
+node past the budget, and names the family bound it was proving, the
+root's included, if it stopped in one.  Every scan goes through
+_scan_length: those of a search, each length the 231 claims exhaust, and
+both phases of the 321 conjecture check, which share one ledger.
 
 Every class here is closed under containment, so a length-n pattern outside
 the candidate class lies in no candidate of any length: such a query gets an
@@ -145,7 +145,7 @@ def _scan_length(
             family = patterns.proved + 1
             ledger.refuse(ctag, m, patterns.nodes - nodes, exhausted,
                           family if family <= patterns.n else 0)
-        ledger.charge(ctag, m, max(patterns.nodes - nodes, 1), exhausted)
+        ledger.charge(ctag, m, patterns.nodes - nodes, exhausted)
         if rank >= 0:
             return Permutation(realize_values(composition_at_rank(m, rank))), rank + 1
     else:

@@ -6,8 +6,9 @@ scanning all combinations, recurrence minima by full scans, and the layered
 search on masks of suffix ids (MaskTable) rather than threshold chains.  The
 one exception is filter_class_tuples, which takes the pure kernel's
 containment (itself checked against brute_contains) to stay fast up to
-n = 9.  chain_pairs is the reference decoder of the chain engine's chain
-format, for the tests that read a chain's pairs.
+n = 9.  chain_pairs and chain_key are the reference decoder and encoder
+of the chain engine's chain format, a set of needs and a set of slacks
+(chains.LayeredTable), for the tests that read or form a chain.
 """
 
 import functools
@@ -328,15 +329,19 @@ def pruned_scan_layered(m, profiles, lo, hi):
     return (found, found - lo + 1) if found >= 0 else (-1, hi - lo)
 
 
-def chain_pairs(state, bits):
-    """The (k, t) pairs of a LayeredTable chain, largest need first: pair i
-    is read off bits 2 * bits * i and up, k below t."""
-    low = (1 << bits) - 1
-    pairs = []
-    while state:
-        pairs.append((state & low, state >> bits & low))
-        state >>= 2 * bits
-    return pairs
+def chain_pairs(state, width):
+    """The (k, t) pairs of a LayeredTable chain, largest need first: the
+    needs are the set bits below width, the slacks plus one those from
+    width up, and the i-th largest need pairs with the i-th smallest
+    slack."""
+    needs = [k for k in reversed(range(width)) if state >> k & 1]
+    slacks = [s - 1 for s in range(width) if state >> width + s & 1]
+    return [(k, k - s) for k, s in zip(needs, slacks)]
+
+
+def chain_key(pairs, width):
+    """The int of a chain given as (k, t) pairs, chain_pairs' inverse."""
+    return sum(1 << k | 1 << width + k - t + 1 for k, t in pairs)
 
 
 def mask_id(profile):

@@ -124,7 +124,7 @@ class TestErrors:
                 "--candidates",
                 "layered",
                 "--budget",
-                "10",
+                "9",
             ]
         )
         assert code == 2

@@ -19,6 +19,7 @@ from oracles import (
     brute_compositions,
     brute_contains,
     brute_lex_min_embedding,
+    chain_key,
     chain_pairs,
     MaskTable,
     brute_scan_layered,
@@ -337,7 +338,7 @@ class TestScans:
         # The chain (1, 1), of slack 0, is its own family chain
         table = LayeredTable(2)
         kids = chains._children(table.root, table)
-        tail = _chain([(1, 1)], table.bits)
+        tail = chain_key([(1, 1)], table.width)
         assert kids[-1] == (2, 3, 1, tail, tail)
         for m, pin in enumerate([(-1, 2), (1, 2)], start=2):
             got = chains.scan_layered(m, table)
@@ -380,21 +381,9 @@ def _family_sets(rng):
     return sets
 
 
-def _chain(pairs, bits):
-    """The int of a chain given as (k, t) pairs (LayeredTable)."""
-    return sum((k | t << bits) << 2 * bits * i for i, (k, t) in enumerate(pairs))
-
-
-def _family(key, bits):
-    """The chain F(s + 1, 1) of a chain's largest slack s, and the empty
-    chain for the empty chain (LayeredTable)."""
-    pairs = chain_pairs(key, bits)
-    return _chain([(pairs[-1][0] - pairs[-1][1] + 1, 1)], bits) if pairs else 0
-
-
-def _as_mask(state, bits, oracle):
+def _as_mask(state, width, oracle):
     """A chain's reduced state in the mask oracle's ids."""
-    members = _members(chain_pairs(state, bits))
+    members = _members(chain_pairs(state, width))
     return mask_reduce(1 | sum(1 << mask_id(c) for c in members), oracle)
 
 
@@ -476,12 +465,12 @@ class TestLayeredTable:
                     mask_scan_layered(m, generic)
                 ), (n, m)
             assert len(family.children) == len(generic.children), n
-            bits, dead = family.bits, family.dead
-            scanned = {_as_mask(key, bits, generic): r for key, r in dead.items()}
+            width, dead = family.width, family.dead
+            scanned = {_as_mask(key, width, generic): r for key, r in dead.items()}
             if n > 1:
                 assert scanned.pop(generic.root) == superpattern_length(n) - 1, n
             held = {
-                _as_mask(key, bits, generic): dead[kin]
+                _as_mask(key, width, generic): dead[kin]
                 for kids in family.children.values() for *_, kin, key in kids
                 if kin in dead
             }
@@ -503,7 +492,7 @@ class TestLayeredTable:
             assert (table.dead, table.proved) == ({}, 0)
             table._prove_families()
             assert table.proved == n
-            family = {k: _chain([(k, 1)], table.bits) for k in range(1, n + 1)}
+            family = {k: chain_key([(k, 1)], table.width) for k in range(1, n + 1)}
             assert family[n] == table.root and family[1] not in table.dead
             for k in range(2, n + 1):
                 assert table.dead[family[k]] == superpattern_length(k) - 1, (n, k)
@@ -536,7 +525,7 @@ class TestLayeredTable:
                     except NodeLimitError:
                         assert table.nodes == limit + 1, (n, limit, m)
                         k = table.proved + 1
-                        family = _chain([(min(k, n), 1)], table.bits)
+                        family = chain_key([(min(k, n), 1)], table.width)
                         before = table.dead.get(family)
                         table.limit = math.inf
                         got.append(chains.scan_layered(m, table))
@@ -597,7 +586,7 @@ class TestLayeredTable:
             top.clear()
             table._prove_families()
             assert top == [
-                (superpattern_length(k) - 1, 0, _chain([(k, 1)], table.bits), -1)
+                (superpattern_length(k) - 1, 0, chain_key([(k, 1)], table.width), -1)
                 for k in range(2, n + 1)
             ], n
 
@@ -638,12 +627,14 @@ class TestLayeredTable:
             assert 0 not in table.dead
             for kids in table.children.values():
                 for *_, held, key in kids:
-                    assert held == _family(key, table.bits)
-                    pairs = tuple(chain_pairs(key, table.bits))
+                    pairs = tuple(chain_pairs(key, table.width))
                     if pairs:
-                        [(size, _)] = chain_pairs(held, table.bits)
-                        assert table.dead.get(held, 0) == superpattern_length(size) - 1
+                        k, t = pairs[-1]
+                        assert held == chain_key([(k - t + 1, 1)], table.width)
+                        assert table.dead.get(held, 0) == superpattern_length(k - t + 1) - 1
                         seen.add(pairs)
+                    else:
+                        assert held == 0
         for pairs in seen:
             members = _members(pairs)
             for c in brute_compositions(pairs[-1][0] - pairs[-1][1] + 1):
@@ -666,9 +657,10 @@ class TestLayeredTable:
         for profiles in (((21,),), ((1, 2), (7, 7, 7)), ((64,),)):
             with pytest.raises(CapExceededError):
                 MaskTable(profiles)
-        # a chain table holds two numbers per pair, so it takes any need
+        # a chain table holds a need bit and a slack bit per pair, in
+        # 2 (n + 1) bits, so it takes any need
         table = LayeredTable(64)
-        assert chain_pairs(table.root, table.bits) == [(64, 1)]
+        assert chain_pairs(table.root, table.width) == [(64, 1)]
         assert chains.scan_layered(63, table) == (-1, 2**62)
         assert table.proved == 0 and table.nodes == 0
 
@@ -711,23 +703,28 @@ class TestReduction:
             assert all(any(sum(c) == k and c[0] >= t for c in kept) for k, t in pairs)
             seen.add(frozenset(maximal))
             top = max(map(sum, maximal), default=0)
-            assert chains._need(_chain(pairs, 3), 3) == top + (len(maximal) > 1), pairs
+            assert chains._need(chain_key(pairs, 8), 8) == top + (len(maximal) > 1), pairs
         assert len(seen) == len(every)
 
     def test_the_search_keys_its_dead_table_by_reduced_states(self):
         # every chain in the dead table and among the children is a
-        # normalized chain: k strictly decreasing, slack strictly increasing
+        # normalized chain: k strictly decreasing, slack strictly increasing,
+        # held as a need set and a slack set of as many bits, each below
+        # the table's width
         for n in (3, 5, 9):
             table = _scanned(n, extra=2)
             keys = {key for kids in table.children.values() for *_, key in kids}
             # the n = 3 search is pruned by its family bounds alone, so its
             # dead table holds only the proof of (2, 1) and its root
-            proofs = {_chain([(k, 1)], table.bits) for k in range(2, n + 1)}
+            proofs = {chain_key([(k, 1)], table.width) for k in range(2, n + 1)}
             assert keys and set(table.dead) >= proofs
             assert (set(table.dead) > proofs) == (n > 3)
             for key in (*table.dead, *table.children, *keys):
-                pairs = chain_pairs(key, table.bits)
-                assert _chain(pairs, table.bits) == key
+                low = key & (1 << table.width) - 1
+                assert low.bit_count() == (key >> table.width).bit_count()
+                assert key < 1 << 2 * table.width
+                pairs = chain_pairs(key, table.width)
+                assert chain_key(pairs, table.width) == key
                 assert all(1 <= t <= k <= n for k, t in pairs), pairs
                 for (k, t), (k2, t2) in itertools.pairwise(pairs):
                     assert k > k2 and k - t < k2 - t2, pairs
@@ -742,19 +739,23 @@ def test_chain_children_are_the_mask_children():
     table._prove_families()
     oracle = MaskTable(brute_compositions(n))
     oracle.families = []  # bounds are not compared; the oracle enters none
+    width = table.width
 
     @functools.lru_cache(maxsize=None)
     def reduced(state):
-        return _as_mask(state, table.bits, oracle)
+        return _as_mask(state, width, oracle)
 
     every = _chains(n)
     assert len(every) == 2**n
     for pairs in every:
-        state = _chain(pairs, table.bits)
+        state = chain_key(pairs, width)
         got = chains._children(state, table)
         expected = mask_children(reduced(state), oracle)
+        # a child's family is F(s + 1, 1) for its last pair's slack s, or
+        # the empty chain
         assert [held for *_, held, key in got] == [
-            _family(key, table.bits) for *_, key in got
+            chain_key([(k - t + 1, 1) for k, t in chain_pairs(key, width)[-1:]], width)
+            for *_, key in got
         ], pairs
         assert [(a, reach, need) for a, reach, need, *_ in got] == [
             (a, reach, need) for a, reach, need, _ in expected
@@ -772,7 +773,7 @@ def test_two_maximal_suffixes_need_one_more_position():
         table = _scanned(n)
         needs = {key: need for kids in table.children.values() for _, _, need, _, key in kids}
         for key, need in needs.items():
-            kept = _kept(chain_pairs(key, table.bits))
+            kept = _kept(chain_pairs(key, table.width))
             top = max(map(sum, kept), default=0)
             assert need == top + (len(kept) > 1), kept
             if len(kept) > 1:
@@ -905,7 +906,10 @@ def test_layered_bench_counts_nodes():
     assert bench._layered_nodes(work) == (47, 29, 29)
     table = work.table
     assert table.dead[table.root] == 16
-    assert all(table.dead[k | 1 << table.bits] == superpattern_length(k) - 1 for k in range(2, 7))
+    assert all(
+        table.dead[chain_key([(k, 1)], table.width)] == superpattern_length(k) - 1
+        for k in range(2, 7)
+    )
 
 
 def test_layered_bench_counts_nodes_by_phase():

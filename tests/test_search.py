@@ -157,6 +157,20 @@ def _record_kernel_calls(monkeypatch):
     return calls
 
 
+def _record_tables(monkeypatch):
+    """The LayeredTable of each kernels.scan_layered call a search makes,
+    in order."""
+    tables = []
+    scan = kernels.scan_layered
+
+    def kept(m, table):
+        tables.append(table)
+        return scan(m, table)
+
+    monkeypatch.setattr(kernels, "scan_layered", kept)
+    return tables
+
+
 class TestMinimalSuperpattern:
     def test_layered_n2(self):
         report = minimal_superpattern(2, "layered", "layered")
@@ -265,12 +279,12 @@ class TestMinimalSuperpattern:
         }
 
     def test_budget_exceeded_carries_partial(self):
-        # n = 4 charges its lengths 4..8 the nodes 6, 1, 1, 1, 4, 13 in all,
+        # n = 4 charges its lengths 4..8 the nodes 6, 0, 0, 0, 4, 10 in all,
         # the first length's 6 the family proofs, the root's last: 5 refuses
-        # length 4 inside the root's proof, and 12 the last, although it
+        # length 4 inside the root's proof, and 9 the last, although it
         # holds the witness
         for budget, refused, where in ((5, 4, " (proving the family bound of k = 4)"),
-                                       (12, 8, "")):
+                                       (9, 8, "")):
             with pytest.raises(BudgetExceededError) as exc_info:
                 minimal_superpattern(4, "layered", "layered", budget=budget)
             err = exc_info.value
@@ -281,21 +295,14 @@ class TestMinimalSuperpattern:
                 f"scanning layered length {refused}{where} needs ~{budget + 1} nodes, over the "
                 f"budget of {budget}; lengths exhausted: {done}"
             )
-        assert minimal_superpattern(4, "layered", "layered", budget=13).min_length == 8
+        assert minimal_superpattern(4, "layered", "layered", budget=10).min_length == 8
 
     def test_a_refused_layered_search_stops_one_node_past_its_budget(self, monkeypatch):
         # the scan counts its nodes against what the ledger has left, so it
         # stops at the node past the budget and names where it was: in the
         # proof of a family bound, or in a length's own scan.  budget=1 at
         # n = 24, a search of 371,700 nodes, stops at its second node
-        scan = kernels.scan_layered
-        tables = []
-
-        def kept(m, table):
-            tables.append(table)
-            return scan(m, table)
-
-        monkeypatch.setattr(kernels, "scan_layered", kept)
+        tables = _record_tables(monkeypatch)
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceededError) as exc_info:
             minimal_superpattern(24, "layered", "layered", budget=1)
@@ -309,27 +316,27 @@ class TestMinimalSuperpattern:
         )
         # n = 12 visits 1,480 nodes in all, its family proofs the first
         # 1,418, the root's from node 852 on; the 24 lengths 13..36 enter
-        # none and are charged 1 each, so a stop in the witness scan of 37
-        # comes 24 nodes before the ledger's
-        for budget, m, nodes, where in (
-            (10, 12, 11, " (proving the family bound of k = 5)"),
-            (500, 12, 501, " (proving the family bound of k = 11)"),
-            (1000, 12, 1001, " (proving the family bound of k = 12)"),
-            (1450, 37, 1427, ""),
+        # none and are charged none, so the ledger is the table's nodes,
+        # also for a stop in the witness scan of 37
+        for budget, m, where in (
+            (10, 12, " (proving the family bound of k = 5)"),
+            (500, 12, " (proving the family bound of k = 11)"),
+            (1000, 12, " (proving the family bound of k = 12)"),
+            (1450, 37, ""),
         ):
             with pytest.raises(BudgetExceededError) as exc_info:
                 minimal_superpattern(12, "layered", "layered", budget=budget)
             err = exc_info.value
             assert 12 + len(err.lengths_exhausted) == m
-            assert (err.estimated, tables[-1].nodes) == (budget + 1, nodes)
+            assert err.estimated == tables[-1].nodes == budget + 1
             assert str(err).startswith(
                 f"scanning layered length {m}{where} needs ~{budget + 1} nodes"
             )
 
     def test_layered_lengths_are_charged_the_nodes_they_visit(self, monkeypatch):
-        # each length's nodes, once its scan returns, at least 1; the first
-        # length's are the 6 of the family proofs, the root's included, and
-        # the lengths below the witness enter no node
+        # each length's nodes, once its scan returns; the first length's are
+        # the 6 of the family proofs, the root's included, and the lengths
+        # below the witness enter no node and are charged none
         charge = search._Budget.charge
         charged = []
 
@@ -339,7 +346,7 @@ class TestMinimalSuperpattern:
 
         monkeypatch.setattr(search._Budget, "charge", recorded)
         minimal_superpattern(4, "layered", "layered")
-        assert charged == [6, 1, 1, 1, 4]
+        assert charged == [6, 0, 0, 0, 4]
         table = chains.LayeredTable(4)
         table._prove_families()
         assert table.nodes == 6
@@ -394,6 +401,27 @@ class TestMinimalSuperpattern:
         minimal_superpattern(20, "layered", "layered")
         assert tables[-1].nodes == 67_648
 
+    def test_layered_dead_and_entered_chains_are_pinned(self, monkeypatch):
+        # README's table: the chains in each search's dead table at the
+        # end, the family proofs' and the root's included, and the distinct
+        # chains it entered, one children entry each
+        tables = _record_tables(monkeypatch)
+        pins = {
+            8: (53, 55), 12: (459, 461), 14: (962, 964), 15: (1_309, 1_311),
+            16: (1_742, 1_744), 20: (12_206, 12_208),
+        }
+        for n, pin in pins.items():
+            minimal_superpattern(n, "layered", "layered")
+            assert (len(tables[-1].dead), len(tables[-1].children)) == pin, n
+
+    @pytest.mark.slow
+    def test_layered_search_of_24_is_pinned(self, monkeypatch):
+        tables = _record_tables(monkeypatch)
+        report = minimal_superpattern(24, "layered", "layered")
+        assert report.min_length == superpattern_length(24)
+        table = tables[-1]
+        assert (table.nodes, len(table.dead), len(table.children)) == (371_700, 57_221, 57_223)
+
     def test_negative_budgets_are_refused_before_any_charge(self, monkeypatch):
         def no_charge(*args):
             raise AssertionError("a negative budget was charged")
@@ -407,11 +435,12 @@ class TestMinimalSuperpattern:
         with pytest.raises(ValueError, match=message):
             check_conjecture_321(2, budget=-5)
         monkeypatch.undo()
-        # a budget of 0 refuses the first length, which is charged at least
-        # one node, also at n = 0, where the scan makes no call
-        for n in (0, 3):
-            with pytest.raises(BudgetExceededError, match="budget of 0; lengths exhausted: none"):
-                minimal_superpattern(n, "layered", "layered", budget=0)
+        # a budget of 0 refuses the first length that enters a node, n = 3's
+        # with its family proofs; n = 0 enters none, is charged none, and
+        # completes
+        with pytest.raises(BudgetExceededError, match="budget of 0; lengths exhausted: none"):
+            minimal_superpattern(3, "layered", "layered", budget=0)
+        assert minimal_superpattern(0, "layered", "layered", budget=0).min_length == 0
 
     def test_layered_search_memory_is_bounded(self):
         # the n = 16 search keeps a few thousand chains, each one small int
@@ -424,6 +453,19 @@ class TestMinimalSuperpattern:
         finally:
             tracemalloc.stop()
         assert report.min_length == 54
+        assert peak < 16 * 2**20, peak
+
+    def test_a_refused_search_of_a_large_n_is_small(self):
+        # a chain key takes 2 (n + 1) bits, so at n = 20,000 each is about
+        # 5 kB; a search refused at 1,000 nodes keeps only the keys it
+        # formed, where a list of every family key F(j, 1) would take 77 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match="budget of 1000"):
+                minimal_superpattern(20_000, "layered", "layered", budget=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert peak < 16 * 2**20, peak
 
     def test_layered_search_beyond_the_cap(self):
