@@ -82,7 +82,7 @@ static PyObject *tuple_of(const int *v, Py_ssize_t n)
    k + 1 standing for the sentinels 0 and the host's top value; row i has
    k - i pairs and follows row i - 1.  role[i] has bit 1 set when entry i is
    the lower end a of some pair of row i + 1, and bit 2 when it is the upper
-   end b of one.  These are _kernels_py._windows and _roles. */
+   end b of one.  This is _kernels_py._shape. */
 static void shape(const int *pat, Py_ssize_t k, int *win, unsigned char *role)
 {
     int *row = win, *next;
@@ -112,9 +112,9 @@ static void shape(const int *pat, Py_ssize_t k, int *win, unsigned char *role)
 /* Fill pos[0 .. k) with the lexicographically smallest embedding of the
    pattern whose windows and roles (see shape) are win and role into host,
    and return 1, or return 0 when there is none.  pos holds 4k + 2 ints, the
-   last 3k + 2 of them scratch.  This is _kernels_py._embed: a placement
-   that fails rules out later placements of the same entry with any value
-   (role 0), a larger one (role 1) or a smaller one (role 2). */
+   last 3k + 2 of them scratch.  This is _kernels_py._embed: a failed
+   placement rules out later ones of the same entry with a larger value
+   (role 1) or a smaller one (role 2); backing up skips role 0 levels. */
 static int embed(Py_ssize_t k, const int *win, const unsigned char *role,
                  const int *host, Py_ssize_t m, int *pos)
 {
@@ -149,10 +149,6 @@ static int embed(Py_ssize_t k, const int *win, const unsigned char *role,
             }
             if (j == left)
                 break;
-            if (role[i] == 0) {
-                p = limit;
-                break;
-            }
             if (role[i] == 1)
                 hi = v;
             else if (role[i] == 2)

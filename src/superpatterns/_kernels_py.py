@@ -20,48 +20,39 @@ import math
 BACKEND = "python"
 
 
-def _windows(pattern):
-    """windows[i][j - i] = (a, b) for j >= i: the entries of pattern[:i]
+def _shape(pattern):
+    """(windows, roles) of a pattern of k entries, in one pass.
+
+    windows[i][j - i] = (a, b) for j >= i: the entries of pattern[:i]
     nearest below and above pattern[j] in value, with k and k + 1 standing
-    for the sentinels 0 and the host's top value (k = len(pattern)).  Row
-    i + 1 is row i with entry i taken in."""
+    for the sentinels 0 and the host's top value.  Row i + 1 is row i with
+    entry i taken in.  roles[i] has bit 1 set when entry i is the lower end
+    of some window of row i + 1 and bit 2 when it is the upper end of one."""
     k = len(pattern)
     row = [(k, k + 1)] * k
     windows = [row]
+    roles = []
     for i, w in enumerate(pattern):
         prev = row
         row = []
+        role = 0
         for j in range(i + 1, k):
             a, b = prev[j - i]
             if w < pattern[j]:
                 if a == k or w > pattern[a]:
                     a = i
+                    role |= 1
             elif b == k + 1 or w < pattern[b]:
                 b = i
+                role |= 2
             row.append((a, b))
         windows.append(row)
-    return windows
-
-
-def _roles(windows):
-    """roles[i] for each entry i of the pattern whose _windows these are:
-    given pattern[:i + 1], bit 1 is set when entry i is the lower end of some
-    later entry's window and bit 2 when it is the upper end of one."""
-    roles = []
-    for i in range(len(windows) - 1):
-        role = 0
-        for a, b in windows[i + 1]:
-            if a == i:
-                role |= 1
-            elif b == i:
-                role |= 2
         roles.append(role)
-    return roles
+    return windows, roles
 
 
-def _embed(host, pattern, windows, roles=None):
-    """lex_min_embedding, given the pattern's _windows and, optionally, its
-    _roles (computed at the first failed placement when not given)."""
+def _embed(host, pattern, windows, roles):
+    """lex_min_embedding, given the pattern's _shape."""
     k = len(pattern)
     m = len(host)
     if k == 0:
@@ -99,15 +90,11 @@ def _embed(host, pattern, windows, roles=None):
                 else:
                     found = True
                     break
-                if roles is None:
-                    roles = _roles(windows)
                 role = roles[i]
                 if role == 1:
                     hi = v
                 elif role == 2:
                     lo = v
-                elif not role:
-                    break
         if found:
             pos[i] = p
             lows[i] = lo
@@ -121,10 +108,8 @@ def _embed(host, pattern, windows, roles=None):
             hi = val[b]
         else:
             # No placement of entry i completes, so the placement of entry
-            # i - 1 failed too; a failure ends a level whose entry bounds no
-            # later one.
-            if roles is None:
-                roles = _roles(windows)
+            # i - 1 failed too; the search backs up past every level whose
+            # entry bounds no later one, whose first placement never fails.
             i -= 1
             while i >= 0 and not roles[i]:
                 i -= 1
@@ -152,18 +137,21 @@ def lex_min_embedding(pattern, host):
     placement that fails, by that check or because no later entry can follow
     it, also rules out placements of the same entry further right that
     dominate it: positions further right and windows no wider leave only
-    fewer completions.  So when the entry bounds no later entry's window,
-    the failure ends its level; when it is only the lower end of such
-    windows, larger values fail too; when it is only the upper end, smaller
-    values fail too.  A level's bounds start afresh each time the search
-    enters it from the level above.  Trying positions in increasing order
-    makes the first complete match the lexicographically smallest one.
-    Returns None when the pattern does not embed, at once when it is longer
-    than the host, before its windows are built.
+    fewer completions.  So when the entry is only the lower end of later
+    entries' windows, larger values fail too, and when it is only the upper
+    end, smaller values fail too.  An entry that bounds no later entry's
+    window never fails its first placement: the check of the level above
+    put it there, and the windows after it are the ones that check used.
+    So the search backs up past such a level.  A level's bounds start
+    afresh each time the search enters it from the level above.  Trying
+    positions in increasing order makes the first complete match the
+    lexicographically smallest one.  Returns None when the pattern does not
+    embed, at once when it is longer than the host, before its windows are
+    built.
     """
     if len(pattern) > len(host):
         return None
-    return _embed(host, pattern, _windows(pattern))
+    return _embed(host, pattern, *_shape(pattern))
 
 
 def contains(pattern, host):
@@ -202,8 +190,7 @@ def _scan(candidates, patterns, count, longest):
     patterns = tuple(patterns)
     if any(len(pat) > longest for pat in patterns):
         return (-1, count)
-    shapes = [(pat, windows, _roles(windows))
-              for pat, windows in ((pat, _windows(pat)) for pat in patterns)]
+    shapes = [(pat, *_shape(pat)) for pat in patterns]
     for idx, cand in enumerate(candidates):
         for pat, windows, roles in shapes:
             if _embed(cand, pat, windows, roles) is None:

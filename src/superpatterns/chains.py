@@ -251,14 +251,16 @@ def scan_layered(m, table):
     the scan starts from: the root (n, 1) is the family of n, so every m
     up to its bound L(n) - 1 is answered (-1, 2^(m-1)) from its entry,
     without entering a node, and only L(n) is walked.  Every completion
-    fits the empty chain, which never dies.
+    fits the empty chain, so a child that is the empty chain is a leaf
+    (_first_fit), and n = 0, whose one pattern is the empty composition,
+    is answered (0, 1) for every m without a table lookup.
 
     A prefix with r > 0 positions left stands for exactly 2^(r-1)
     compositions, a contiguous block of ranks, so a pruned or skipped prefix
     accounts for its whole block.  The first leaf reached is the lex-first
     witness, and the counts equal those of a flat scan of every rank.
     """
-    if m <= 0 or table.n > m:
+    if m <= 0 or table.n > m or not table.n:
         # m < 0 raises here
         total = composition_count(m)
         return (-1, total) if table.n > m else (0, 1)
@@ -280,12 +282,14 @@ def _need(state, width):
 
 
 def _children(state, table):
-    """The children of a chain, formed when the search first enters it and
-    kept in table.children: one (a, reach, need, family, key) for part 1
-    and for each part a in a kept range, in increasing a, where key is the
-    child's chain, family the chain F(s + 1, 1) of its largest slack s (the
-    empty chain for the empty chain), and reach and need are as
-    LayeredTable derives them.
+    """The children of a chain other than the empty one, formed when the
+    search first enters it and kept in table.children: one (a, reach,
+    need, family, key) for part 1 and for each part a in a kept range, in
+    increasing a, where key is the child's chain, family the chain
+    F(s + 1, 1) of its largest slack s (the empty chain for a child that
+    is the empty chain), and reach and need are as LayeredTable derives
+    them.  The search never enters the empty chain, a leaf (_first_fit),
+    so it has no children.
 
     The kept ranges run from the last pair's up to the first's.  For a part
     a in pair i's range, the child keeps the pairs before i whole, then
@@ -297,10 +301,6 @@ def _children(state, table):
     removed by clearing those two bits."""
     width, unit = table.width, table.unit
     kids = table.children[state] = []
-    if not state:
-        # part 1 leaves the empty chain as it is
-        kids.append((1, 1, 0, 0, 0))
-        return kids
     # the last pair's need k, the lowest need bit, and its slack K, the
     # chain's largest, one below the highest slack bit: every part in a
     # kept range reaches that pair
@@ -361,9 +361,11 @@ def _first_fit(r, base, state, table):
     later part reaches no fewer pairs; so the walk stops there.  A child
     that needs more than r - a positions is skipped, and so is one whose
     dead entry, or that of its family chain F(s + 1, 1) for its largest
-    slack s (LayeredTable), is at least r - a.  A child with no position
-    left that passes the need test is the empty chain, a leaf that no
-    entry prunes.
+    slack s (LayeredTable), is at least r - a.  A child that is the empty
+    chain has matched every pattern, so the first completion of its block,
+    all ones, fits: the walk returns the block's first rank without
+    entering it.  It is the only child with no position left that passes
+    the need test.
 
     The search is one loop over a stack of frames (r, base, state, walk),
     walk the iterator over the chain's children, one frame per part of the
@@ -393,9 +395,9 @@ def _first_fit(r, base, state, table):
             rest = r - a
             if need > rest:
                 continue
-            if rest == 0:
+            if not key:
                 table.nodes = nodes
-                return base + top - 1
+                return base + top - (1 << rest)
             if dead.get(family, 0) < rest and dead.get(key, 0) < rest:
                 frames.append((r, base, state, walk))
                 r, base, state, walk = rest, base + top - (1 << rest), key, None

@@ -3,9 +3,9 @@
 Four classes: layered, the 231-avoiders, the 321-avoiders, and all
 permutations.  Each class has one enumeration route, lexicographic in
 one-line notation: compositions for the layered class, a split at the
-maximum for the 231-avoiders, pruned backtracking for the 321-avoiders and
-itertools for all permutations.  The tests check the avoider routes against
-filtering all permutations by the forbidden pattern.
+first entry for the 231-avoiders, pruned backtracking for the 321-avoiders
+and itertools for all permutations.  The tests check the avoider routes
+against filtering all permutations by the forbidden pattern.
 """
 
 from __future__ import annotations
@@ -83,19 +83,21 @@ def class_count(tag: ClassTag | str, n: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _av231_span(span: int) -> tuple[tuple[int, ...], ...]:
-    """All 231-avoiding permutations of 1..span (unsorted).
+    """All 231-avoiding permutations of 1..span, lexicographically.
 
-    A 231-avoider splits at its maximum: everything left of the maximum is
-    below everything right of it, and both sides avoid 231 recursively.
+    A 231-avoider splits at its first entry v: every entry below v comes
+    before every entry above it, or else v, a larger entry and a later
+    smaller one form 231, and both runs avoid 231 recursively.  Taking v,
+    then the run below it, then the run above it, each in lex order, gives
+    the avoiders in lex order.
     """
     if span == 0:
         return ((),)
     out = []
-    for left_size in range(span):
-        right_size = span - 1 - left_size
-        for left in _av231_span(left_size):
-            for right in _av231_span(right_size):
-                out.append(left + (span,) + tuple(v + left_size for v in right))
+    for v in range(1, span + 1):
+        for below in _av231_span(v - 1):
+            for above in _av231_span(span - v):
+                out.append((v, *below, *(u + v for u in above)))
     return tuple(out)
 
 
@@ -157,7 +159,7 @@ def class_tuples(tag: ClassTag | str, n: int) -> Iterator[tuple[int, ...]]:
     if tag is ClassTag.ALL:
         yield from itertools.permutations(range(1, n + 1))
     elif tag is ClassTag.AV231:
-        yield from sorted(_av231_span(n))
+        yield from _av231_span(n)
     else:
         yield from _av321_tuples(n)
 

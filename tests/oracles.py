@@ -232,15 +232,16 @@ def _brute_layered_contains(pattern_sizes, host_sizes):
     return brute_contains(layered_values(pattern_sizes), layered_values(host_sizes))
 
 
-def brute_scan_layered(m, profiles, lo, hi):
-    """The scan_layered contract by a flat scan: the first rank in [lo, hi)
-    of the lex-ordered compositions of m whose layered permutation contains
-    every profile's, by brute containment, as (rank, scanned)."""
+def brute_scan_layered(m, profiles):
+    """The scan_layered contract by a flat scan: the first rank of the
+    lex-ordered compositions of m whose layered permutation contains every
+    profile's, by brute containment, as (rank, scanned)."""
     profiles = [tuple(p) for p in profiles]
-    for rank, host in enumerate(brute_compositions(m)[lo:hi], start=lo):
+    hosts = brute_compositions(m)
+    for rank, host in enumerate(hosts):
         if all(_brute_layered_contains(p, host) for p in profiles):
-            return (rank, rank - lo + 1)
-    return (-1, hi - lo)
+            return (rank, rank + 1)
+    return (-1, len(hosts))
 
 
 def layered_fits(pattern_sizes, host_sizes):
@@ -281,15 +282,15 @@ def brute_first_missing_layered(n, host_sizes, contains=None):
 
 
 @functools.lru_cache(maxsize=None)
-def pruned_scan_layered(m, profiles, lo, hi):
+def pruned_scan_layered(m, profiles):
     """The scan_layered contract by a prefix search with one greedy pointer
     per pattern and no table of dead states, for lengths too long for the
     flat scan: depth first over composition prefixes, smallest next part
     first, pruning a prefix once some pattern's unmatched layer sizes add up
-    to more than the positions left, and counting each pruned or clipped
-    prefix with r > 0 positions left as its block of 2^(r-1) ranks.
-    Memoised, so a test that runs once per backend pays for it once; the
-    profiles must be a tuple."""
+    to more than the positions left, and counting each pruned prefix with
+    r > 0 positions left as its block of 2^(r-1) ranks.  Memoised, so a
+    test that runs once per backend pays for it once; the profiles must be
+    a tuple."""
     # each pattern's states run from its first layer unmatched to all
     # matched: heads[g] is the next layer's size (m + 1 once all are
     # matched) and needs[g] the sum of the unmatched sizes
@@ -303,8 +304,9 @@ def pruned_scan_layered(m, profiles, lo, hi):
             need -= s
         heads.append(m + 1)
         needs.append(0)
-    if lo >= hi or max((needs[g] for g in root), default=0) > m:
-        return (-1, hi - lo)
+    total = 2 ** (m - 1) if m else 1
+    if max((needs[g] for g in root), default=0) > m:
+        return (-1, total)
     if m == 0:
         return (0, 1)
 
@@ -313,10 +315,8 @@ def pruned_scan_layered(m, profiles, lo, hi):
         for p in range(1, r + 1):
             rest = r - p
             size = 2 ** (rest - 1) if rest else 1
-            if first >= hi:
-                return -1
             moved = [g + (heads[g] <= p) for g in state]
-            if first + size > lo and all(needs[g] <= rest for g in moved):
+            if all(needs[g] <= rest for g in moved):
                 if rest == 0:
                     return first
                 found = first_fit(rest, first, moved)
@@ -326,7 +326,7 @@ def pruned_scan_layered(m, profiles, lo, hi):
         return -1
 
     found = first_fit(m, 0, root)
-    return (found, found - lo + 1) if found >= 0 else (-1, hi - lo)
+    return (found, found + 1) if found >= 0 else (-1, total)
 
 
 def chain_pairs(state, width):

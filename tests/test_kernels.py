@@ -114,14 +114,17 @@ class TestEmbedding:
     @pytest.mark.parametrize("role", [0, 1, 2])
     def test_each_prune_skips_placements(self, role, monkeypatch):
         # with every entry of another role taken as role 3, which prunes
-        # nothing, the prune of this role alone reads fewer host entries
-        # than no prune at all, and leaves every answer as it was
-        roles = _kernels_py._roles
+        # nothing, the prune of this role alone (for role 0, backing up
+        # past its levels) reads fewer host entries than no prune at all,
+        # and leaves every answer as it was
+        shape = _kernels_py._shape
 
         def run(keep):
-            monkeypatch.setattr(
-                _kernels_py, "_roles", lambda w: [r if r in keep else 3 for r in roles(w)]
-            )
+            def kept(pattern):
+                windows, roles = shape(pattern)
+                return windows, [r if r in keep else 3 for r in roles]
+
+            monkeypatch.setattr(_kernels_py, "_shape", kept)
             host = _CountedReads(host_values)
             return _kernels_py.lex_min_embedding(pat, host), host.reads
 
@@ -152,7 +155,7 @@ class TestEmbedding:
         def no_windows(pattern):
             raise AssertionError("built the windows of a pattern longer than its host")
 
-        monkeypatch.setattr(_kernels_py, "_windows", no_windows)
+        monkeypatch.setattr(_kernels_py, "_shape", no_windows)
         pattern = tuple(range(3000, 0, -1))
         assert backend.lex_min_embedding(pattern, (1, 2, 3)) is None
         assert backend.lex_min_embedding((1, 2), (1,)) is None
@@ -212,7 +215,6 @@ class TestScans:
         # random subsets
         rng = random.Random(20261018)
         for m in range(13):
-            total = 2 ** (m - 1) if m else 1
             # every profile of n <= 5 (a(5) = 11); at m = 12 the n = 5 set
             # alone would double the oracle's time
             top = min(m, 5 if m < 12 else 4)
@@ -223,7 +225,7 @@ class TestScans:
                 pattern_sets.append(tuple(rng.sample(pool, size)))
             for patterns in pattern_sets:
                 assert _layered(m, patterns) == (
-                    brute_scan_layered(m, patterns, 0, total)
+                    brute_scan_layered(m, patterns)
                 ), (m, patterns)
 
     def test_scan_layered_long_lengths(self):
@@ -233,14 +235,13 @@ class TestScans:
         for n in (6, 7, 8):
             every = tuple(brute_compositions(n))
             for m in range(13, 21):
-                total = 2 ** (m - 1)
                 subsets = [
                     tuple(rng.sample(every, rng.randint(1, len(every) - 1))),
                     tuple(rng.sample(every, rng.randint(1, 6))),
                 ]
                 for patterns in (every, *subsets):
                     assert _layered(m, patterns) == (
-                        pruned_scan_layered(m, patterns, 0, total)
+                        pruned_scan_layered(m, patterns)
                     ), (m, patterns)
 
     def test_scan_all_perms_parity(self, backend):
@@ -275,7 +276,7 @@ class TestScans:
         def no_windows(pattern):
             raise AssertionError("built the windows of a pattern longer than every candidate")
 
-        monkeypatch.setattr(_kernels_py, "_windows", no_windows)
+        monkeypatch.setattr(_kernels_py, "_shape", no_windows)
         pattern = tuple(range(3000, 0, -1))
         t0 = time.perf_counter()
         assert backend.scan_perm_list([(1, 2, 3)], [pattern]) == (-1, 1)
@@ -331,7 +332,7 @@ class TestScans:
         for patterns, expected in pins.items():
             for m, pin in enumerate(expected, start=2):
                 got = mask_scan_layered(m, MaskTable(patterns))
-                assert got == pin == brute_scan_layered(m, patterns, 0, 2 ** (m - 1))
+                assert got == pin == brute_scan_layered(m, patterns)
         # on chains: part 2 reaches both members of (2, 1), (1, 1) and (2,),
         # and leaves the tail (1,) of (1, 1) as the chain (1, 1), to wait
         # for a later part; so the composition (2) fits neither family.
@@ -342,7 +343,7 @@ class TestScans:
         assert kids[-1] == (2, 3, 1, tail, tail)
         for m, pin in enumerate([(-1, 2), (1, 2)], start=2):
             got = chains.scan_layered(m, table)
-            assert got == pin == brute_scan_layered(m, brute_compositions(2), 0, 2 ** (m - 1))
+            assert got == pin == brute_scan_layered(m, brute_compositions(2))
 
     def test_scan_layered_length_zero(self):
         assert chains.scan_layered(0, LayeredTable(0)) == (0, 1)
@@ -350,8 +351,9 @@ class TestScans:
 
     def test_scan_layered_is_the_brute_scan(self):
         # past the minimum too, where the search can reach the empty chain
-        # with positions left: every completion fits it, so it returns its
-        # first rank (n = 1, m = 3 counts 1 candidate, not 4)
+        # with positions left: every completion fits it, so the walk returns
+        # its first rank (n = 1, m = 3 counts 1 candidate, not 4) without
+        # entering it
         for n in range(7):
             table = LayeredTable(n)
             patterns = list(layered.enumerate_layered(n))
@@ -365,6 +367,7 @@ class TestScans:
                 expected = (rank, rank + 1) if rank >= 0 else (-1, total)
                 assert chains.scan_layered(m, table) == expected, (n, m)
                 assert chains.scan_layered(m, LayeredTable(n)) == expected, (n, m)
+            assert 0 not in table.children, n
 
 
 def _family_sets(rng):
@@ -442,21 +445,22 @@ class TestLayeredTable:
             lengths = list(range(17))
             rng.shuffle(lengths)
             for m in lengths:
-                total = 2 ** (m - 1) if m else 1
                 assert scan(m, table) == (
-                    pruned_scan_layered(m, patterns, 0, total)
+                    pruned_scan_layered(m, patterns)
                 ), (m, patterns)
 
     def test_the_family_table_is_the_generic_one(self):
         # the chain table of n and the mask oracle's table of every
         # composition of n scan every length from n to L(n) + 2 alike, and
-        # enter as many states.  Both dead tables hold each family proof and
-        # each failed scan under its state, with the same r.  They differ
-        # twice over: the chain table also holds its root, failed at
-        # L(n) - 1, since a chain scan records the chain it starts from and
-        # the oracle's does not; and the oracle also enters, under each
-        # state it forms, the bound of the family the state holds whole,
-        # which the chain walk reads off that family's own entry
+        # enter the same states, but for the oracle's empty state, which it
+        # enters past L(n) and the chain walk stops at.  Both dead tables
+        # hold each family proof and each failed scan under its state, with
+        # the same r.  They differ twice over: the chain table also holds
+        # its root, failed at L(n) - 1, since a chain scan records the chain
+        # it starts from and the oracle's does not; and the oracle also
+        # enters, under each state it forms, the bound of the family the
+        # state holds whole, which the chain walk reads off that family's
+        # own entry
         for n in range(13):
             family = LayeredTable(n)
             generic = MaskTable(brute_compositions(n))
@@ -464,8 +468,9 @@ class TestLayeredTable:
                 assert chains.scan_layered(m, family) == (
                     mask_scan_layered(m, generic)
                 ), (n, m)
-            assert len(family.children) == len(generic.children), n
             width, dead = family.width, family.dead
+            entered = {_as_mask(key, width, generic) for key in family.children}
+            assert entered == set(generic.children) - {1}, n
             scanned = {_as_mask(key, width, generic): r for key, r in dead.items()}
             if n > 1:
                 assert scanned.pop(generic.root) == superpattern_length(n) - 1, n
@@ -747,7 +752,8 @@ def test_chain_children_are_the_mask_children():
 
     every = _chains(n)
     assert len(every) == 2**n
-    for pairs in every:
+    # the empty chain is a leaf the walk never enters, with no children
+    for pairs in every[1:]:
         state = chain_key(pairs, width)
         got = chains._children(state, table)
         expected = mask_children(reduced(state), oracle)
